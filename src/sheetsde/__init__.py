@@ -11,6 +11,8 @@ integrals.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .plane_geometry import (
     Cell,
     DegenerateGridError,
@@ -127,4 +129,7 @@ from .sde_plane import (
     zero_drift,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]

@@ -61,8 +61,7 @@ class SheetSample:
 
 
 def _cell_std(grid: GridPartition) -> np.ndarray:
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
-    return np.sqrt(areas)[:, :, None]
+    return np.sqrt(grid.areas())[:, :, None]
 
 
 def sample(grid: GridPartition, dim: int = 1, seed: int = 0) -> SheetSample:
@@ -165,7 +164,7 @@ def cameron_martin_shift(sheet: SheetSample, hdot: HdotLike, eps: float) -> Shee
         dens = np.asarray(hdot, dtype=float)
         if dens.shape != sheet.increments.shape:
             raise ValueError(f"hdot shape {dens.shape} != {sheet.increments.shape}")
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())[:, :, None]
+    areas = grid.areas()[:, :, None]
     return SheetSample(grid, sheet.dim, sheet.increments + eps * dens * areas, sheet.seed)
 
 

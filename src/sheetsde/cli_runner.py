@@ -6,6 +6,9 @@ version, the resolved inputs, and a pass verdict (null when the command has
 no quantitative check).  Re-running an identical config reproduces all
 stochastic outputs bit for bit; wall time is the only varying field.
 
+Each subcommand's parameters are declared once, in COMMANDS: run() parses
+them from that table and the click commands are generated from it.
+
 Exit codes: 0 pass (or nothing to check), 2 quantitative-check failure,
 1 usage or runtime error.
 """
@@ -13,12 +16,14 @@ Exit codes: 0 pass (or nothing to check), 2 quantitative-check failure,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 import click
 import numpy as np
@@ -58,18 +63,6 @@ from .shuffle_combinatorics import (
 
 SCHEMA_VERSION = "1"
 
-SUBCOMMANDS = (
-    "sample-sheet",
-    "expand-ibp",
-    "verify-ibp",
-    "verify-bound",
-    "verify-shuffle",
-    "simplex-gamma",
-    "solve-sde",
-    "malliavin-check",
-    "girsanov-check",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -87,7 +80,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in COMMANDS:
             raise ConfigError("subcommand", f"unknown subcommand {self.subcommand!r}")
 
 
@@ -123,7 +116,7 @@ class ResultRecord:
 
 
 # ---------------------------------------------------------------------------
-# parameter parsing
+# parameter parsing: parse(field name, raw value) -> value
 # ---------------------------------------------------------------------------
 
 
@@ -139,13 +132,23 @@ def _parse_int_tuple(name: str, value) -> tuple[int, ...]:
 
 
 def _parse_count(name: str, value, minimum: int = 1) -> int:
+    """Exact integer; float notation such as 1e6 is accepted when integral."""
     try:
-        count = int(float(value))
-    except (TypeError, ValueError):
-        raise ConfigError(name, f"expected a count, got {value!r}")
+        count = int(str(value))
+    except ValueError:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not number.is_integer():
+            raise ConfigError(name, f"expected a count, got {value!r}")
+        count = int(number)
     if count < minimum:
         raise ConfigError(name, f"must be >= {minimum}, got {count}")
     return count
+
+
+_parse_nonnegative = partial(_parse_count, minimum=0)
 
 
 def _parse_float(name: str, value) -> float:
@@ -153,6 +156,25 @@ def _parse_float(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(name, f"expected a number, got {value!r}")
+
+
+def _parse_float_list(name: str, value) -> tuple[float, ...]:
+    return tuple(_parse_float(name, v) for v in str(value).split(",") if v)
+
+
+def _parse_positive(name: str, value) -> float:
+    number = _parse_float(name, value)
+    if number <= 0.0:
+        raise ConfigError(name, "must be positive")
+    return number
+
+
+def _parse_flag(name: str, value) -> bool:
+    return bool(value)
+
+
+def _parse_path(name: str, value) -> str:
+    return str(value)
 
 
 def _parse_grid_shape(name: str, value) -> tuple[int, int]:
@@ -168,72 +190,114 @@ def _parse_grid_shape(name: str, value) -> tuple[int, int]:
     return ns, nt
 
 
-def _build_grid(params: dict, default_shape: str = "16x16") -> GridPartition:
-    ns, nt = _parse_grid_shape("grid", params.get("grid") or default_shape)
-    horizon = _parse_float("horizon", params.get("horizon", 1.0))
-    if horizon <= 0.0:
-        raise ConfigError("horizon", "must be positive")
-    if params.get("geometric"):
-        return geometric_grid(ns, nt, horizon, horizon)
-    return uniform_grid(ns, nt, horizon, horizon)
+def _parse_sigma(name: str, value) -> tuple[int, ...]:
+    sigma = _parse_int_tuple(name, value)
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ConfigError(name, f"not a permutation of 1..{n}: {sigma}")
+    return sigma
 
 
-_DRIFT_NAMES = ("zero", "const", "sign", "tanh")
+@dataclass(frozen=True)
+class _Choice:
+    """Parser accepting one of a fixed set of names; the CLI offers them as a choice."""
+
+    choices: tuple[str, ...]
+
+    def __call__(self, name: str, value) -> str:
+        if str(value) not in self.choices:
+            raise ConfigError(name, f"expected one of {self.choices}, got {value!r}")
+        return str(value)
 
 
-def _build_drift(params: dict, dim: int):
-    name = str(params.get("drift", "tanh"))
-    if name == "zero":
-        return zero_drift(dim)
-    if name == "const":
-        return constant_drift(_parse_float("level", params.get("level", 1.0)), dim)
-    if name == "sign":
-        return sign_drift(dim)
-    if name == "tanh":
-        return tanh_drift(
-            _parse_float("amplitude", params.get("amplitude", 1.0)),
-            _parse_float("rate", params.get("rate", 1.0)),
-            dim,
-        )
-    raise ConfigError("drift", f"expected one of {_DRIFT_NAMES}, got {name!r}")
+_PHIS = {
+    "tanh": lambda x: np.tanh(x[..., 0]),
+    "cos": lambda x: np.cos(x[..., 0]),
+    "square": lambda x: np.minimum(x[..., 0] ** 2, 1e6),
+}
 
 
-_PHI_NAMES = ("tanh", "cos", "square")
+@dataclass(frozen=True)
+class Param:
+    """One subcommand parameter: config key (and --flag), default, parser, help.
+
+    A key that is absent or None takes the default; a None default is handed
+    to the handler unparsed.
+    """
+
+    name: str
+    default: Any
+    parse: Callable[[str, Any], Any]
+    help: Optional[str] = None
 
 
-def _build_phi(params: dict):
-    name = str(params.get("phi", "tanh"))
-    if name == "tanh":
-        return lambda x: np.tanh(x[..., 0])
-    if name == "cos":
-        return lambda x: np.cos(x[..., 0])
-    if name == "square":
-        return lambda x: np.minimum(x[..., 0] ** 2, 1e6)
-    raise ConfigError("phi", f"expected one of {_PHI_NAMES}, got {name!r}")
+SEED = Param("seed", 0, _parse_nonnegative, "Base seed; SHEETSDE_SEED supplies the default.")
 
 
-def _build_factor(params: dict):
-    return bump_factor(
-        scale=_parse_float("bump_scale", params.get("bump_scale", 1.0)),
-        width=_parse_float("bump_width", params.get("bump_width", 2.5)),
-        center=_parse_float("bump_center", params.get("bump_center", 0.25)),
+def _grid(default: Optional[str]) -> tuple[Param, ...]:
+    return (
+        Param("grid", default, _parse_grid_shape, "Cells per axis, ROWSxCOLS."),
+        Param("horizon", 1.0, _parse_positive, "Upper time bound of both axes."),
+        Param("geometric", False, _parse_flag, "Geometrically graded knots instead of uniform."),
     )
 
 
-def _spec_from_params(params: dict) -> PermutationSpec:
-    if not params.get("sigma"):
+_DRIFT = (
+    Param("drift", "tanh", _Choice(("zero", "const", "sign", "tanh"))),
+    Param("amplitude", 1.0, _parse_float, "tanh drift amplitude."),
+    Param("rate", 1.0, _parse_float, "tanh drift rate."),
+    Param("level", 1.0, _parse_float, "const drift level."),
+)
+_BUMP = (
+    Param("bump_scale", 1.0, _parse_float),
+    Param("bump_width", 2.5, _parse_float),
+    Param("bump_center", 0.25, _parse_float),
+)
+_SIGMA = (
+    Param("sigma", None, _parse_sigma, "Permutation, comma separated, e.g. 2,1,3 (required)."),
+    Param("s_times", None, _parse_float_list, "Optional comma-separated s times."),
+    Param("t_times", None, _parse_float_list, "Optional comma-separated t times."),
+)
+_SAMPLES = Param("samples", "100000", _parse_count, "Monte Carlo samples (accepts 1e6).")
+_X0 = Param("x0", 0.0, _parse_float, "Initial value on the axes.")
+_DIM = Param("dim", 1, _parse_count, "Dimension of the sheet.")
+_SE_WIDTH = Param("se_width", 4.0, _parse_float, "Pass window in standard errors.")
+
+
+def _build_grid(p: dict, default_shape: Optional[tuple[int, int]] = None) -> GridPartition:
+    ns, nt = p["grid"] or default_shape
+    if p["geometric"]:
+        return geometric_grid(ns, nt, p["horizon"], p["horizon"])
+    return uniform_grid(ns, nt, p["horizon"], p["horizon"])
+
+
+def _build_drift(p: dict, dim: int):
+    if p["drift"] == "zero":
+        return zero_drift(dim)
+    if p["drift"] == "const":
+        return constant_drift(p["level"], dim)
+    if p["drift"] == "sign":
+        return sign_drift(dim)
+    return tanh_drift(p["amplitude"], p["rate"], dim)
+
+
+def _build_factor(p: dict):
+    return bump_factor(scale=p["bump_scale"], width=p["bump_width"], center=p["bump_center"])
+
+
+def _build_spec(p: dict) -> PermutationSpec:
+    """Points from sigma and explicit times, else the first n grid knots (k/n without a grid)."""
+    sigma = p["sigma"]
+    if sigma is None:
         raise ConfigError("sigma", "required")
-    sigma = _parse_int_tuple("sigma", params["sigma"])
     n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ConfigError("sigma", f"not a permutation of 1..{n}: {sigma}")
-    if params.get("s_times") or params.get("t_times"):
-        s_times = tuple(float(v) for v in str(params.get("s_times", "")).split(",") if v)
-        t_times = tuple(float(v) for v in str(params.get("t_times", "")).split(",") if v)
-        if len(s_times) != n or len(t_times) != n:
+    if p["s_times"] or p["t_times"]:
+        if len(p["s_times"] or ()) != n or len(p["t_times"] or ()) != n:
             raise ConfigError("s_times", f"need {n} values in each of s_times and t_times")
-        return PermutationSpec(n, sigma, s_times, t_times)
-    grid = _build_grid(params, default_shape=f"{n}x{n}")
+        return PermutationSpec(n, sigma, p["s_times"], p["t_times"])
+    if "grid" not in p:  # expand-ibp: the term list does not depend on the times
+        return uniform_spec(sigma)
+    grid = _build_grid(p, default_shape=(n, n))
     if grid.n_s < n or grid.n_t < n:
         raise ConfigError("grid", f"needs at least {n} cells per axis for n={n}")
     return PermutationSpec(n, sigma, tuple(grid.s_knots[1:n + 1]), tuple(grid.t_knots[1:n + 1]))
@@ -244,38 +308,36 @@ def _estimate_dict(est) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: params -> (outputs, passed)
+# subcommand handlers: parsed params -> (outputs, passed)
 # ---------------------------------------------------------------------------
 
 
-def _run_sample_sheet(params: dict) -> tuple[dict, Optional[bool]]:
-    grid = _build_grid(params, default_shape="8x8")
-    dim = _parse_count("dim", params.get("dim", 1))
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    sheet = sample(grid, dim=dim, seed=seed)
+def _run_sample_sheet(p: dict) -> tuple[dict, Optional[bool]]:
+    """Draw one sheet sample; optionally export increments as CSV."""
+    grid = _build_grid(p)
+    sheet = sample(grid, dim=p["dim"], seed=p["seed"])
     vals = cumulative_values(sheet.increments)
-    out = params.get("out")
-    if out:
-        export_csv(sheet, out)
+    if p["out"]:
+        export_csv(sheet, p["out"])
     terminal = [float(v) for v in vals[-1, -1]]
     return {
         "n_s": grid.n_s,
         "n_t": grid.n_t,
-        "dim": dim,
+        "dim": p["dim"],
         "sup_abs_value": float(np.abs(vals).max()),
         "terminal_value": terminal,
-        "csv_path": out or None,
+        "csv_path": p["out"] or None,
     }, None
 
 
-def _run_expand_ibp(params: dict) -> tuple[dict, Optional[bool]]:
-    spec = _spec_from_params(params)
+def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
+    """Emit the signed term list of the rectangle-selection expansion."""
+    spec = _build_spec(p)
     terms = expand(spec)
     J = crossing_set(spec)
     term_dicts = [term_to_dict(t) for t in terms]
-    out = params.get("out")
-    if out:
-        with open(out, "w") as fh:
+    if p["out"]:
+        with open(p["out"], "w") as fh:
             json.dump(term_dicts, fh, indent=2)
     return {
         "n": spec.n,
@@ -283,31 +345,23 @@ def _run_expand_ibp(params: dict) -> tuple[dict, Optional[bool]]:
         "crossing_rows": list(J.members),
         "n_terms": len(terms),
         "terms": term_dicts,
-        "terms_path": out or None,
+        "terms_path": p["out"] or None,
     }, None
 
 
-def _run_verify_ibp(params: dict) -> tuple[dict, Optional[bool]]:
-    spec = _spec_from_params(params)
-    if params.get("n") is not None and int(params["n"]) != spec.n:
-        raise ConfigError("n", f"n={params['n']} disagrees with sigma of length {spec.n}")
-    factor = _build_factor(params)
-    method = str(params.get("method", "mc"))
-    if method not in ("mc", "quadrature"):
-        raise ConfigError("method", f"expected mc or quadrature, got {method!r}")
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    if method == "quadrature":
-        budget = _parse_count("nodes", params.get("nodes", 30))
-    else:
-        budget = _parse_count("samples", params.get("samples", 200_000))
+def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
+    """Check direct vs expanded expectation and the product bound."""
+    spec = _build_spec(p)
+    if p["n"] is not None and p["n"] != spec.n:
+        raise ConfigError("n", f"n={p['n']} disagrees with sigma of length {spec.n}")
+    budget = p["nodes"] if p["method"] == "quadrature" else p["samples"]
     report = verify_identity(
-        spec, factor, method=method, budget=budget, seed=seed,
-        quad_rel_tol=_parse_float("rel_tol", params.get("rel_tol", 1e-6)),
-        se_width=_parse_float("se_width", params.get("se_width", 4.0)),
+        spec, _build_factor(p), method=p["method"], budget=budget, seed=p["seed"],
+        quad_rel_tol=p["rel_tol"], se_width=p["se_width"],
     )
     outputs = {
         "sigma": list(spec.sigma),
-        "method": method,
+        "method": p["method"],
         "direct": _estimate_dict(report.direct),
         "ibp": _estimate_dict(report.ibp),
         "bound": report.bound,
@@ -319,47 +373,38 @@ def _run_verify_ibp(params: dict) -> tuple[dict, Optional[bool]]:
     return outputs, report.passed
 
 
-def _run_verify_bound(params: dict) -> tuple[dict, Optional[bool]]:
-    trials = _parse_count("trials", params.get("trials", 50))
-    n_set = _parse_int_tuple("n_set", params.get("n_set", "2,3"))
-    samples = _parse_count("samples", params.get("samples", 100_000))
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    allowed = _parse_count("allowed_failures", params.get("allowed_failures", 1), minimum=0)
-    factor = _build_factor(params)
+def _run_verify_bound(p: dict) -> tuple[dict, Optional[bool]]:
+    """Random-configuration domination sweep of the product bound."""
+    seed = p["seed"]
+    factor = _build_factor(p)
     rng = keyed_generator(seed)
     violations = []
-    for trial in range(trials):
-        n = int(rng.choice(n_set))
+    for trial in range(p["trials"]):
+        n = int(rng.choice(p["n_set"]))
         sigma = tuple(int(v) for v in rng.permutation(n) + 1)
         s_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
         t_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
         spec = PermutationSpec(n, sigma, s_times, t_times)
-        est = direct_expectation(spec, factor, "mc", samples, derive_seed(seed, trial + 1))
+        est = direct_expectation(spec, factor, "mc", p["samples"], derive_seed(seed, trial + 1))
         bound = davie_bound(spec, factor.sup_norm)
         if abs(est.mean) + 4.0 * est.std_error > bound:
             violations.append({
                 "trial": trial, "n": n, "sigma": list(sigma),
                 "estimate": est.mean, "std_error": est.std_error, "bound": bound,
             })
-    passed = len(violations) <= allowed
+    passed = len(violations) <= p["allowed_failures"]
     return {
-        "trials": trials,
-        "n_set": list(n_set),
+        "trials": p["trials"],
+        "n_set": list(p["n_set"]),
         "violations": violations,
         "n_violations": len(violations),
-        "allowed_failures": allowed,
+        "allowed_failures": p["allowed_failures"],
     }, passed
 
 
-def _run_verify_shuffle(params: dict) -> tuple[dict, Optional[bool]]:
-    kind = str(params.get("kind", "nabla"))
-    if kind not in NABLA_KINDS + SPLIT_KINDS:
-        raise ConfigError("kind", f"expected one of {NABLA_KINDS + SPLIT_KINDS}, got {kind!r}")
-    m = _parse_count("m", params.get("m", 2))
-    k = _parse_count("k", params.get("k", 1))
-    n = _parse_count("n", params.get("n", 0), minimum=0)
-    samples = _parse_count("samples", params.get("samples", 100_000))
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
+def _run_verify_shuffle(p: dict) -> tuple[dict, Optional[bool]]:
+    """Sampled partition scan of a product order-region."""
+    kind, m, k, n = p["kind"], p["m"], p["k"], p["n"]
     if kind in NABLA_KINDS:
         region = RegionDescriptor(kind, k)
     else:
@@ -367,14 +412,14 @@ def _run_verify_shuffle(params: dict) -> tuple[dict, Optional[bool]]:
             raise ConfigError("n", f"kind {kind} needs n >= 1")
         mids = {"s_mid": 0.5, "t_mid": 0.5}
         region = RegionDescriptor(kind, k, n, **mids)
-    report = partition_report(region, m, samples, seed)
+    report = partition_report(region, m, p["samples"], p["seed"])
     family = enumerate_block_increasing(m, k)
     outputs = {
         "kind": kind,
         "m": m,
         "k": k,
         "n": n,
-        "n_samples": samples,
+        "n_samples": p["samples"],
         "n_cells": report.n_cells,
         "family_count": len(family.members),
         "expected_family_count": family.expected_count,
@@ -386,14 +431,11 @@ def _run_verify_shuffle(params: dict) -> tuple[dict, Optional[bool]]:
     return outputs, passed
 
 
-def _run_simplex_gamma(params: dict) -> tuple[dict, Optional[bool]]:
-    n = _parse_count("n", params.get("n", 1))
-    lower = _parse_float("lower", params.get("lower", 0.0))
-    upper = _parse_float("upper", params.get("upper", 1.0))
-    samples = _parse_count("mc_samples", params.get("mc_samples", 1_000_000))
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
+def _run_simplex_gamma(p: dict) -> tuple[dict, Optional[bool]]:
+    """Closed-form singular simplex integral vs its sampling oracle."""
+    n, lower, upper = p["n"], p["lower"], p["upper"]
     closed = simplex_singular_integral(n, lower, upper)
-    oracle = simplex_dirichlet_oracle(n, lower, upper, samples, seed)
+    oracle = simplex_dirichlet_oracle(n, lower, upper, p["mc_samples"], p["seed"])
     z = abs(closed - oracle.mean) / oracle.std_error
     return {
         "n": n,
@@ -405,31 +447,25 @@ def _run_simplex_gamma(params: dict) -> tuple[dict, Optional[bool]]:
     }, bool(z <= 4.0)
 
 
-def _run_solve_sde(params: dict) -> tuple[dict, Optional[bool]]:
-    grid = _build_grid(params, default_shape="16x16")
-    dim = _parse_count("dim", params.get("dim", 1))
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    x0 = _parse_float("x0", params.get("x0", 0.0))
-    drift = _build_drift(params, dim)
-    scheme = str(params.get("scheme", "euler"))
-    sheet = sample(grid, dim=dim, seed=seed)
+def _run_solve_sde(p: dict) -> tuple[dict, Optional[bool]]:
+    """Solve one realization of the sheet-driven SDE on a grid."""
+    grid = _build_grid(p)
+    drift = _build_drift(p, p["dim"])
+    sheet = sample(grid, dim=p["dim"], seed=p["seed"])
     sweeps = None
-    if scheme == "euler":
-        sol = solve_euler(grid, drift, x0, sheet)
-    elif scheme == "picard":
-        sol, sweeps = solve_picard(grid, drift, x0, sheet)
+    if p["scheme"] == "euler":
+        sol = solve_euler(grid, drift, p["x0"], sheet)
     else:
-        raise ConfigError("scheme", f"expected euler or picard, got {scheme!r}")
-    out = params.get("out")
-    if out:
-        _write_field_csv(out, grid, sol.values)
+        sol, sweeps = solve_picard(grid, drift, p["x0"], sheet)
+    if p["out"]:
+        _write_field_csv(p["out"], grid, sol.values)
     return {
-        "scheme": scheme,
-        "drift": str(params.get("drift", "tanh")),
+        "scheme": p["scheme"],
+        "drift": p["drift"],
         "sweeps": sweeps,
         "terminal_value": [float(v) for v in sol.values[-1, -1]],
         "sup_abs_value": float(np.abs(sol.values).max()),
-        "csv_path": out or None,
+        "csv_path": p["out"] or None,
     }, None
 
 
@@ -445,15 +481,13 @@ def _write_field_csv(path: str, grid: GridPartition, values: np.ndarray) -> None
                 writer.writerow(row)
 
 
-def _run_malliavin_check(params: dict) -> tuple[dict, Optional[bool]]:
-    grid = _build_grid(params, default_shape="32x32")
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    x0 = _parse_float("x0", params.get("x0", 0.0))
-    eps = _parse_float("eps", params.get("eps", 1e-4))
-    tol = _parse_float("tolerance", params.get("tolerance", 1e-2))
-    drift = _build_drift(params, 1)
+def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
+    """Directional-derivative identity under a drift shift of the sheet."""
+    grid = _build_grid(p)
+    x0, eps = p["x0"], p["eps"]
+    drift = _build_drift(p, 1)
     drift.require_jacobian()
-    sheet = sample(grid, dim=1, seed=seed)
+    sheet = sample(grid, dim=1, seed=p["seed"])
     sol = solve_euler(grid, drift, x0, sheet)
 
     s = np.asarray(grid.s_knots)
@@ -463,7 +497,7 @@ def _run_malliavin_check(params: dict) -> tuple[dict, Optional[bool]]:
     dn = solve_euler(grid, drift, x0, cameron_martin_shift(sheet, hdot, -eps))
     fd = float((up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * eps))
 
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
+    areas = grid.areas()
     predicted = 0.0
     for a in range(grid.n_s):
         for b in range(grid.n_t):
@@ -476,18 +510,16 @@ def _run_malliavin_check(params: dict) -> tuple[dict, Optional[bool]]:
         "finite_difference": fd,
         "predicted": predicted,
         "rel_err": rel_err,
-        "tolerance": tol,
-    }, bool(rel_err <= tol)
+        "tolerance": p["tolerance"],
+    }, bool(rel_err <= p["tolerance"])
 
 
-def _run_girsanov_check(params: dict) -> tuple[dict, Optional[bool]]:
-    grid = _build_grid(params, default_shape="64x64")
-    seed = _parse_count("seed", params.get("seed", 0), minimum=0)
-    samples = _parse_count("samples", params.get("samples", 100_000))
-    x0 = _parse_float("x0", params.get("x0", 0.0))
-    width = _parse_float("se_width", params.get("se_width", 4.0))
-    drift = _build_drift(params, 1)
-    phi = _build_phi(params)
+def _run_girsanov_check(p: dict) -> tuple[dict, Optional[bool]]:
+    """Two-estimator agreement of the weak solution and E[weight] = 1."""
+    grid = _build_grid(p)
+    seed, samples, x0, width = p["seed"], p["samples"], p["x0"], p["se_width"]
+    drift = _build_drift(p, 1)
+    phi = _PHIS[p["phi"]]
 
     girsanov = girsanov_weak_expectation(phi, drift, x0, grid, samples, seed)
     euler = euler_weak_expectation(phi, drift, x0, grid, samples, derive_seed(seed, 0xE0))
@@ -499,8 +531,8 @@ def _run_girsanov_check(params: dict) -> tuple[dict, Optional[bool]]:
     weight_z = abs(weight.mean - 1.0) / max(weight.std_error, 1e-300)
     passed = bool(gap_se <= width and weight_z <= width)
     return {
-        "drift": str(params.get("drift", "tanh")),
-        "phi": str(params.get("phi", "tanh")),
+        "drift": p["drift"],
+        "phi": p["phi"],
         "girsanov": _estimate_dict(girsanov),
         "euler": _estimate_dict(euler),
         "gap_se": gap_se,
@@ -509,32 +541,89 @@ def _run_girsanov_check(params: dict) -> tuple[dict, Optional[bool]]:
     }, passed
 
 
-_RUNNERS: dict[str, Callable[[dict], tuple[dict, Optional[bool]]]] = {
-    "sample-sheet": _run_sample_sheet,
-    "expand-ibp": _run_expand_ibp,
-    "verify-ibp": _run_verify_ibp,
-    "verify-bound": _run_verify_bound,
-    "verify-shuffle": _run_verify_shuffle,
-    "simplex-gamma": _run_simplex_gamma,
-    "solve-sde": _run_solve_sde,
-    "malliavin-check": _run_malliavin_check,
-    "girsanov-check": _run_girsanov_check,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler (whose docstring is the help text) and parameters."""
+
+    handler: Callable[[dict], tuple[dict, Optional[bool]]]
+    params: tuple[Param, ...]
+
+
+COMMANDS: dict[str, Command] = {
+    "sample-sheet": Command(_run_sample_sheet, (
+        *_grid("8x8"), _DIM,
+        Param("out", None, _parse_path, "CSV path for the increments."),
+    )),
+    "expand-ibp": Command(_run_expand_ibp, (
+        *_SIGMA,
+        Param("out", None, _parse_path, "JSON path for the term list."),
+    )),
+    "verify-ibp": Command(_run_verify_ibp, (
+        Param("n", None, _parse_count, "Redundant check of len(sigma)."),
+        *_SIGMA,
+        dataclasses.replace(_SAMPLES, default="200000"),
+        Param("method", "mc", _Choice(("mc", "quadrature"))),
+        Param("nodes", 30, _parse_count, "Quadrature nodes per dimension."),
+        Param("rel_tol", 1e-6, _parse_float, "Relative tolerance of the quadrature identity."),
+        _SE_WIDTH, *_grid(None), *_BUMP,
+    )),
+    "verify-bound": Command(_run_verify_bound, (
+        Param("trials", 50, _parse_count),
+        Param("n_set", "2,3", _parse_int_tuple, "Candidate n values."),
+        _SAMPLES,
+        Param("allowed_failures", 1, _parse_nonnegative),
+        *_BUMP,
+    )),
+    "verify-shuffle": Command(_run_verify_shuffle, (
+        Param("kind", "nabla", _Choice(NABLA_KINDS + SPLIT_KINDS)),
+        Param("m", 2, _parse_count, "Number of product blocks."),
+        Param("k", 1, _parse_count, "Points per block (upper group)."),
+        Param("n", 0, _parse_nonnegative, "Lower-group size for split kinds."),
+        _SAMPLES,
+    )),
+    "simplex-gamma": Command(_run_simplex_gamma, (
+        Param("n", 1, _parse_count),
+        Param("lower", 0.0, _parse_float),
+        Param("upper", 1.0, _parse_float),
+        Param("mc_samples", "1000000", _parse_count),
+    )),
+    "solve-sde": Command(_run_solve_sde, (
+        *_DRIFT, _X0, _DIM,
+        Param("scheme", "euler", _Choice(("euler", "picard"))),
+        Param("out", None, _parse_path, "CSV path for the solution field."),
+        *_grid("16x16"),
+    )),
+    "malliavin-check": Command(_run_malliavin_check, (
+        *_DRIFT, _X0,
+        Param("eps", 1e-4, _parse_float, "Cameron-Martin shift size."),
+        Param("tolerance", 1e-2, _parse_float, "Allowed relative error."),
+        *_grid("32x32"),
+    )),
+    "girsanov-check": Command(_run_girsanov_check, (
+        *_DRIFT,
+        Param("phi", "tanh", _Choice(tuple(_PHIS))),
+        _X0, _SAMPLES, _SE_WIDTH, *_grid("64x64"),
+    )),
 }
 
 
 def run(config: ExperimentConfig) -> ResultRecord:
     """Validate and execute one experiment, returning its record."""
-    handler = _RUNNERS[config.subcommand]
-    seed = _parse_count("seed", config.params.get("seed", 0), minimum=0)
+    command = COMMANDS[config.subcommand]
+    values = {}
+    for param in (SEED,) + command.params:
+        raw = config.params.get(param.name)
+        value = param.default if raw is None else raw
+        values[param.name] = None if value is None else param.parse(param.name, value)
     start = time.perf_counter()
-    outputs, passed = handler(dict(config.params))
+    outputs, passed = command.handler(values)
     wall = time.perf_counter() - start
     inputs = {k: v for k, v in sorted(config.params.items()) if v is not None}
-    return ResultRecord(config.subcommand, seed, inputs, outputs, passed, wall)
+    return ResultRecord(config.subcommand, values["seed"], inputs, outputs, passed, wall)
 
 
 # ---------------------------------------------------------------------------
-# click layer
+# click layer, generated from COMMANDS
 # ---------------------------------------------------------------------------
 
 
@@ -567,36 +656,22 @@ def _resolve_params(ctx: click.Context, kwargs: dict) -> dict:
     return params
 
 
-def _emit(ctx: click.Context, subcommand: str, kwargs: dict) -> int:
-    params = _resolve_params(ctx, kwargs)
-    record = run(ExperimentConfig(subcommand, params))
-    click.echo(record.to_json())
-    return record.exit_code
+# click types for parameters whose default is None; others follow their default
+_NONE_DEFAULT_TYPES = {_parse_count: click.INT, _parse_path: click.Path()}
 
 
-def _common(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="JSON file with parameter defaults; flags override.")(fn)
-    fn = click.option("--seed", default=0, envvar="SHEETSDE_SEED", show_default=True,
-                      help="Base seed; SHEETSDE_SEED supplies the default.")(fn)
-    return fn
-
-
-def _grid_opts(fn, default="16x16"):
-    fn = click.option("--grid", default=default, show_default=default is not None,
-                      help="Cells per axis, ROWSxCOLS.")(fn)
-    fn = click.option("--horizon", default=1.0, show_default=True,
-                      help="Upper time bound of both axes.")(fn)
-    fn = click.option("--geometric", is_flag=True, default=False,
-                      help="Geometrically graded knots instead of uniform.")(fn)
-    return fn
-
-
-def _bump_opts(fn):
-    fn = click.option("--bump-scale", default=1.0, show_default=True)(fn)
-    fn = click.option("--bump-width", default=2.5, show_default=True)(fn)
-    fn = click.option("--bump-center", default=0.25, show_default=True)(fn)
-    return fn
+def _option(param: Param) -> click.Option:
+    if isinstance(param.parse, _Choice):
+        option_type = click.Choice(list(param.parse.choices))
+    elif param.default is None:
+        option_type = _NONE_DEFAULT_TYPES.get(param.parse)
+    else:
+        option_type = None
+    return click.Option(
+        ["--" + param.name.replace("_", "-")], default=param.default, type=option_type,
+        is_flag=isinstance(param.default, bool), show_default=True, help=param.help,
+        envvar="SHEETSDE_SEED" if param is SEED else None,
+    )
 
 
 @click.group(name="sheetsde")
@@ -609,145 +684,25 @@ def cli() -> None:
     """
 
 
-@cli.command("sample-sheet")
-@click.pass_context
-@_common
-@click.option("--dim", default=1, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="CSV path for the increments.")
-def sample_sheet_cmd(ctx, **kwargs):
-    """Draw one sheet sample; optionally export increments as CSV."""
-    return _emit(ctx, "sample-sheet", kwargs)
+def _callback(subcommand: str):
+    def emit(**kwargs) -> int:
+        ctx = click.get_current_context()
+        record = run(ExperimentConfig(subcommand, _resolve_params(ctx, kwargs)))
+        click.echo(record.to_json())
+        return record.exit_code
+
+    return emit
 
 
-sample_sheet_cmd = _grid_opts(sample_sheet_cmd, default="8x8")
-
-
-@cli.command("expand-ibp")
-@click.pass_context
-@_common
-@click.option("--sigma", default=None, help="Permutation, comma separated, e.g. 2,1,3 (required).")
-@click.option("--s-times", default=None, help="Optional comma-separated s times.")
-@click.option("--t-times", default=None, help="Optional comma-separated t times.")
-@click.option("--out", type=click.Path(), default=None, help="JSON path for the term list.")
-def expand_ibp_cmd(ctx, **kwargs):
-    """Emit the signed term list of the rectangle-selection expansion."""
-    return _emit(ctx, "expand-ibp", kwargs)
-
-
-@cli.command("verify-ibp")
-@click.pass_context
-@_common
-@click.option("--n", default=None, type=int, help="Redundant check of len(sigma).")
-@click.option("--sigma", default=None, help="Permutation, comma separated (required).")
-@click.option("--samples", default="200000", show_default=True, help="MC samples (accepts 1e6).")
-@click.option("--method", default="mc", show_default=True, type=click.Choice(["mc", "quadrature"]))
-@click.option("--nodes", default=30, show_default=True, help="Quadrature nodes per dimension.")
-@click.option("--rel-tol", default=1e-6, show_default=True)
-@click.option("--se-width", default=4.0, show_default=True)
-def verify_ibp_cmd(ctx, **kwargs):
-    """Check direct vs expanded expectation and the product bound."""
-    return _emit(ctx, "verify-ibp", kwargs)
-
-
-verify_ibp_cmd = _grid_opts(verify_ibp_cmd, default=None)
-verify_ibp_cmd = _bump_opts(verify_ibp_cmd)
-
-
-@cli.command("verify-bound")
-@click.pass_context
-@_common
-@click.option("--trials", default=50, show_default=True)
-@click.option("--n-set", default="2,3", show_default=True, help="Candidate n values.")
-@click.option("--samples", default="100000", show_default=True)
-@click.option("--allowed-failures", default=1, show_default=True)
-def verify_bound_cmd(ctx, **kwargs):
-    """Random-configuration domination sweep of the product bound."""
-    return _emit(ctx, "verify-bound", kwargs)
-
-
-verify_bound_cmd = _bump_opts(verify_bound_cmd)
-
-
-@cli.command("verify-shuffle")
-@click.pass_context
-@_common
-@click.option("--kind", default="nabla", show_default=True,
-              type=click.Choice(list(NABLA_KINDS + SPLIT_KINDS)))
-@click.option("--m", default=2, show_default=True, help="Number of product blocks.")
-@click.option("--k", default=1, show_default=True, help="Points per block (upper group).")
-@click.option("--n", default=0, show_default=True, help="Lower-group size for split kinds.")
-@click.option("--samples", default="100000", show_default=True)
-def verify_shuffle_cmd(ctx, **kwargs):
-    """Sampled partition scan of a product order-region."""
-    return _emit(ctx, "verify-shuffle", kwargs)
-
-
-@cli.command("simplex-gamma")
-@click.pass_context
-@_common
-@click.option("--n", default=1, show_default=True)
-@click.option("--lower", default=0.0, show_default=True)
-@click.option("--upper", default=1.0, show_default=True)
-@click.option("--mc-samples", default="1000000", show_default=True)
-def simplex_gamma_cmd(ctx, **kwargs):
-    """Closed-form singular simplex integral vs its sampling oracle."""
-    return _emit(ctx, "simplex-gamma", kwargs)
-
-
-@cli.command("solve-sde")
-@click.pass_context
-@_common
-@click.option("--drift", default="tanh", show_default=True, type=click.Choice(list(_DRIFT_NAMES)))
-@click.option("--x0", default=0.0, show_default=True)
-@click.option("--dim", default=1, show_default=True)
-@click.option("--scheme", default="euler", show_default=True, type=click.Choice(["euler", "picard"]))
-@click.option("--amplitude", default=1.0, show_default=True, help="tanh drift amplitude.")
-@click.option("--rate", default=1.0, show_default=True, help="tanh drift rate.")
-@click.option("--level", default=1.0, show_default=True, help="const drift level.")
-@click.option("--out", type=click.Path(), default=None, help="CSV path for the solution field.")
-def solve_sde_cmd(ctx, **kwargs):
-    """Solve one realization of the sheet-driven SDE on a grid."""
-    return _emit(ctx, "solve-sde", kwargs)
-
-
-solve_sde_cmd = _grid_opts(solve_sde_cmd)
-
-
-@cli.command("malliavin-check")
-@click.pass_context
-@_common
-@click.option("--drift", default="tanh", show_default=True, type=click.Choice(list(_DRIFT_NAMES)))
-@click.option("--x0", default=0.0, show_default=True)
-@click.option("--eps", default=1e-4, show_default=True)
-@click.option("--tolerance", default=1e-2, show_default=True)
-@click.option("--amplitude", default=1.0, show_default=True)
-@click.option("--rate", default=1.0, show_default=True)
-@click.option("--level", default=1.0, show_default=True)
-def malliavin_check_cmd(ctx, **kwargs):
-    """Directional-derivative identity under a drift shift of the sheet."""
-    return _emit(ctx, "malliavin-check", kwargs)
-
-
-malliavin_check_cmd = _grid_opts(malliavin_check_cmd, default="32x32")
-
-
-@cli.command("girsanov-check")
-@click.pass_context
-@_common
-@click.option("--drift", default="tanh", show_default=True, type=click.Choice(list(_DRIFT_NAMES)))
-@click.option("--phi", default="tanh", show_default=True, type=click.Choice(list(_PHI_NAMES)))
-@click.option("--x0", default=0.0, show_default=True)
-@click.option("--samples", default="100000", show_default=True)
-@click.option("--se-width", default=4.0, show_default=True)
-@click.option("--amplitude", default=1.0, show_default=True)
-@click.option("--rate", default=1.0, show_default=True)
-@click.option("--level", default=1.0, show_default=True)
-def girsanov_check_cmd(ctx, **kwargs):
-    """Two-estimator agreement of the weak solution and E[weight] = 1."""
-    return _emit(ctx, "girsanov-check", kwargs)
-
-
-girsanov_check_cmd = _grid_opts(girsanov_check_cmd, default="64x64")
+for _name, _command in COMMANDS.items():
+    cli.add_command(click.Command(
+        _name, callback=_callback(_name), help=_command.handler.__doc__,
+        params=[
+            click.Option(["--config"], type=click.Path(), default=None,
+                         help="JSON file with parameter defaults; flags override."),
+            *map(_option, (SEED,) + _command.params),
+        ],
+    ))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -755,9 +710,6 @@ def main(argv: Optional[list] = None) -> int:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

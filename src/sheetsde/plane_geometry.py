@@ -96,6 +96,10 @@ class GridPartition:
     def t_gaps(self) -> np.ndarray:
         return np.diff(np.asarray(self.t_knots))
 
+    def areas(self) -> np.ndarray:
+        """Cell areas, shape (n_s, n_t); entry [i - 1, j - 1] is cell (i, j)."""
+        return np.outer(self.s_gaps(), self.t_gaps())
+
     def point(self, i: int, j: int) -> PlanePoint:
         """Grid point at knot indices (i, j); (0, 0) is the origin."""
         return PlanePoint(self.s_knots[i], self.t_knots[j])

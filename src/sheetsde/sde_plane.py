@@ -169,7 +169,7 @@ def _euler_values(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     batch = increments.shape[:-3]
     s_knots = np.asarray(grid.s_knots)
     t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
+    areas = grid.areas()
 
     x = np.zeros(batch + (n_s + 1, n_t + 1, d))
     x[..., 0, :, :] = x0
@@ -203,7 +203,7 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
     w = sheet_values(sheet)
     s_knots = np.asarray(grid.s_knots)
     t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())[:, :, None]
+    areas = grid.areas()[:, :, None]
 
     x = x0v + w if initial is None else np.array(initial.values, dtype=float)
     if x.shape != w.shape:
@@ -233,7 +233,7 @@ def malliavin_solve(grid: GridPartition, drift: DriftField, solution: SolutionFi
     d = solution.dim
     s_knots = np.asarray(grid.s_knots)
     t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
+    areas = grid.areas()
 
     dvals = np.zeros((n_s + 1, n_t + 1, d, d))
     eye = np.eye(d)
@@ -267,7 +267,7 @@ def malliavin_series(grid: GridPartition, drift: DriftField, solution: SolutionF
     d = solution.dim
     s_knots = np.asarray(grid.s_knots)
     t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
+    areas = grid.areas()
 
     jac_field = np.zeros((n_s, n_t, d, d))
     for i in range(u, n_s):
@@ -296,6 +296,18 @@ def malliavin_series(grid: GridPartition, drift: DriftField, solution: SolutionF
     return MalliavinField(grid, (u, v), total), tail
 
 
+def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-sample log stochastic exponential: sum b.z - 1/2 sum |b|^2 area.
+
+    args holds the states at each cell's lower-left corner and z the cell
+    increments, both shaped (batch, n_s, n_t, d); returns shape (batch,).
+    """
+    b_vals = drift.eval(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1], args)
+    return np.sum(b_vals * z, axis=(1, 2, 3)) - 0.5 * np.sum(
+        np.sum(b_vals**2, axis=-1) * grid.areas(), axis=(1, 2)
+    )
+
+
 def doleans_exponential(drift: DriftField, sheet: SheetSample, arg_values: np.ndarray) -> DoleansFactor:
     """Discrete stochastic exponential with the drift frozen at cell corners.
 
@@ -303,19 +315,13 @@ def doleans_exponential(drift: DriftField, sheet: SheetSample, arg_values: np.nd
     the weak-solution construction this is x0 + W.  Zero drift gives exactly
     one.
     """
-    grid = sheet.grid
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
-    b_vals = drift.eval(s_knots[:-1, None], t_knots[:-1], arg_values[:-1, :-1])
-    log_m = float(np.sum(b_vals * sheet.increments)) - 0.5 * float(
-        np.sum(np.sum(b_vals**2, axis=-1) * areas)
-    )
+    args = arg_values[None, :-1, :-1]
+    log_m = float(_log_weights(drift, sheet.grid, args, sheet.increments[None])[0])
     return DoleansFactor(math.exp(log_m), log_m)
 
 
 def _increment_sampler(grid: GridPartition, dim: int):
-    std = np.sqrt(np.outer(grid.s_gaps(), grid.t_gaps()))[:, :, None]
+    std = np.sqrt(grid.areas())[:, :, None]
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal((size, grid.n_s, grid.n_t, dim)) * std
@@ -339,17 +345,10 @@ def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Dr
     the corner Euler chain's expectation exactly, at every mesh.
     """
     x0v = _as_x0(x0, dim)
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    areas = np.outer(grid.s_gaps(), grid.t_gaps())
 
     def f(z: np.ndarray) -> np.ndarray:
         w = cumulative_values(z)
-        args = x0v + w[:, :-1, :-1, :]
-        b_vals = drift.eval(s_knots[:-1, None], t_knots[:-1], args)
-        log_m = np.sum(b_vals * z, axis=(1, 2, 3)) - 0.5 * np.sum(
-            np.sum(b_vals**2, axis=-1) * areas, axis=(1, 2)
-        )
+        log_m = _log_weights(drift, grid, x0v + w[:, :-1, :-1, :], z)
         return phi(x0v + w[:, -1, -1, :]) * np.exp(log_m)
 
     return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,

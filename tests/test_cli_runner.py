@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from sheetsde.brownian_sheet import cumulative_values, sample
 from sheetsde.cli_runner import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +13,7 @@ from sheetsde.cli_runner import (
     main,
     run,
 )
+from sheetsde.plane_geometry import uniform_grid
 
 RECORD_KEYS = [
     "schema_version",
@@ -104,6 +106,24 @@ class TestRunApi:
     def test_bad_grid_string(self):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("sample-sheet", {"grid": "4by4"}))
+
+    @pytest.mark.parametrize("seed", [12345678901234567, "12345678901234567"])
+    def test_seed_above_2_53_is_exact(self, seed):
+        rec = run(ExperimentConfig("sample-sheet", {"grid": "2x2", "seed": seed}))
+        assert rec.seed == 12345678901234567
+        sheet = sample(uniform_grid(2, 2), seed=12345678901234567)
+        terminal = cumulative_values(sheet.increments)[-1, -1, 0]
+        assert rec.outputs["terminal_value"] == [float(terminal)]
+
+    def test_count_accepts_integral_float_notation(self):
+        rec = run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": "1e5"}))
+        assert rec.outputs["oracle"]["n_samples"] == 100_000
+
+    @pytest.mark.parametrize("value", ["1.5", 2.5, "many"])
+    def test_count_rejects_non_integral(self, value):
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": value}))
+        assert info.value.field_name == "mc_samples"
 
 
 class TestRecordFormat:
@@ -233,6 +253,13 @@ class TestCliBehavior:
             rows = list(csv.reader(fh))
         assert rows[0] == ["i", "j", "s", "t", "x0"]
         assert len(rows) == 1 + 25
+
+    def test_verify_ibp_time_flags(self, capsys):
+        base = ["verify-ibp", "--sigma", "2,1", "--method", "quadrature", "--nodes", "16"]
+        _, on_grid = run_cli(capsys, base + ["--horizon", "0.25"])
+        _, explicit = run_cli(capsys, base + ["--s-times", "0.125,0.25", "--t-times", "0.125,0.25"])
+        assert record_of(explicit)["inputs"]["s_times"] == "0.125,0.25"
+        assert record_of(explicit)["outputs"] == record_of(on_grid)["outputs"]
 
     def test_expand_terms_json_export(self, capsys, tmp_path):
         path = tmp_path / "terms.json"
