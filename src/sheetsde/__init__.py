@@ -64,7 +64,6 @@ from .integrators import (
     simplex_singular_integral,
 )
 from .ibp_engine import (
-    CrossingSet,
     EmptySelectionError,
     GammaTauAssignment,
     IbpTerm,
@@ -77,6 +76,7 @@ from .ibp_engine import (
     orientation_points,
     span,
     spec_variances,
+    staircase,
     term_to_dict,
     uniform_spec,
 )

@@ -39,8 +39,8 @@ from .brownian_sheet import (
     sample,
 )
 from .estimate_lab import bump_factor, davie_bound, direct_expectation, verify_identity
-from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
-from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
+from .ibp_engine import PermutationSpec, crossing_set, expand, span, term_to_dict, uniform_spec
+from .integrators import MAX_GH_DIMS, simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
     constant_drift,
@@ -334,7 +334,6 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     """Emit the signed term list of the rectangle-selection expansion."""
     spec = _build_spec(p)
     terms = expand(spec)
-    J = crossing_set(spec)
     term_dicts = [term_to_dict(t) for t in terms]
     if p["out"]:
         with open(p["out"], "w") as fh:
@@ -342,7 +341,7 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     return {
         "n": spec.n,
         "sigma": list(spec.sigma),
-        "crossing_rows": list(J.members),
+        "crossing_rows": list(crossing_set(spec)),
         "n_terms": len(terms),
         "terms": term_dicts,
         "terms_path": p["out"] or None,
@@ -354,6 +353,10 @@ def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     spec = _build_spec(p)
     if p["n"] is not None and p["n"] != spec.n:
         raise ConfigError("n", f"n={p['n']} disagrees with sigma of length {spec.n}")
+    m = len(span(spec))
+    if p["method"] == "quadrature" and m > MAX_GH_DIMS:
+        raise ConfigError("method", f"quadrature supports spans of at most {MAX_GH_DIMS} cells, "
+                                    f"but sigma={spec.sigma} spans {m}")
     budget = p["nodes"] if p["method"] == "quadrature" else p["samples"]
     report = verify_identity(
         spec, _build_factor(p), method=p["method"], budget=budget, seed=p["seed"],

@@ -25,10 +25,10 @@ from .brownian_sheet import derive_seed, keyed_generator
 from .ibp_engine import (
     IbpTerm,
     PermutationSpec,
-    crossing_set,
     expand,
     span,
     spec_variances,
+    staircase,
 )
 from .integrators import (
     DEFAULT_C1,
@@ -40,7 +40,6 @@ from .integrators import (
     monte_carlo,
 )
 from .kernels import DEFAULT_C0
-from .plane_geometry import Cell
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +95,8 @@ def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SpanData:
-    cells: tuple[Cell, ...]
-    index: dict[Cell, int]
-    variances: np.ndarray
-    direct_args: np.ndarray  # (n, ncells) 0/1, staircase rectangles per row
-
-
-def _span_data(spec: PermutationSpec) -> _SpanData:
-    cells = span(spec)
-    index = {c: i for i, c in enumerate(cells)}
-    variances = spec_variances(spec, cells)
-    n = spec.n
-    direct_args = np.zeros((n, len(cells)))
-    for i in range(1, n + 1):
-        for c in cells:
-            if c.row <= i and c.col <= spec.sigma_of(i):
-                direct_args[i - 1, index[c]] = 1.0
-    return _SpanData(cells, index, variances, direct_args)
-
-
-def _direct_integrand(spec: PermutationSpec, factor: DriftScalarFactor, data: _SpanData):
-    coeffs = data.direct_args
+def _direct_integrand(coeffs: np.ndarray, factor: DriftScalarFactor):
+    """prod_i b'(sheet value at point i); coeffs is the staircase matrix of the span."""
 
     def f(x: np.ndarray) -> np.ndarray:
         w = x @ coeffs.T  # (m, n) sheet values at the scheme points
@@ -127,8 +105,8 @@ def _direct_integrand(spec: PermutationSpec, factor: DriftScalarFactor, data: _S
     return f
 
 
-def _term_integrand(spec: PermutationSpec, term: IbpTerm, factor: DriftScalarFactor,
-                    data: _SpanData, reduce_variance: bool = False):
+def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndarray,
+                    reduce_variance: bool = False):
     """Integrand of one expansion term in the raw (substituted) variables.
 
     With reduce_variance the exactly-mean-zero control b(0)^n * prod(weights)
@@ -136,21 +114,13 @@ def _term_integrand(spec: PermutationSpec, term: IbpTerm, factor: DriftScalarFac
     so the weight product integrates to zero against any constant) and the
     evaluation is antithetic in x; both transformations are unbiased.
     """
-    n = spec.n
-    ncells = len(data.cells)
-    tau_to_gamma = {
-        Cell(i, term.tau[i]): data.index[Cell(i, term.gamma[i - 1])] for i in term.tau
-    }
-    coeffs = np.zeros((n, ncells))
-    for i, args in enumerate(term.b_arg_sets):
-        for c in args:
-            coeffs[i, data.index[c]] += 1.0
-            if c in tau_to_gamma:
-                coeffs[i, tau_to_gamma[c]] += 1.0
+    substitution = np.flatnonzero(term.shift >= 0)
+    coeffs = term.args.copy()
+    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
 
-    b_idx = np.array([data.index[c] for c in term.b_cells])
-    b_var = data.variances[b_idx]
-    b0n = float(factor.b(np.zeros(1))[0]) ** n
+    b_idx = term.grad
+    b_var = variances[b_idx]
+    b0n = float(factor.b(np.zeros(1))[0]) ** len(b_idx)
 
     def raw(x: np.ndarray) -> np.ndarray:
         args = x @ coeffs.T
@@ -190,13 +160,13 @@ def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     """E[prod_i b'(W at (s_i, t_sigma(i)))] over independent span increments."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    data = _span_data(spec)
-    f = _direct_integrand(spec, factor, data)
+    cells = span(spec)
+    variances = spec_variances(spec, cells)
+    f = _direct_integrand(staircase(spec, cells), factor)
     if method == "quadrature":
-        val = gauss_hermite(f, dims=len(data.cells), nodes_per_dim=budget,
-                            variances=data.variances)
-        return McEstimate(val, 0.0, budget ** len(data.cells), None)
-    return monte_carlo(f, _gaussian_sampler(data.variances), budget, seed)
+        val = gauss_hermite(f, dims=len(cells), nodes_per_dim=budget, variances=variances)
+        return McEstimate(val, 0.0, budget ** len(cells), None)
+    return monte_carlo(f, _gaussian_sampler(variances), budget, seed)
 
 
 def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
@@ -210,20 +180,20 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    data = _span_data(spec)
+    variances = spec_variances(spec, span(spec))
     terms = expand(spec)
     total = 0.0
     var_sum = 0.0
     n_used = 0
     for idx, term in enumerate(terms):
         if method == "quadrature":
-            f = _term_integrand(spec, term, factor, data)
-            val = gauss_hermite(f, dims=len(data.cells), nodes_per_dim=budget,
-                                variances=data.variances)
-            est = McEstimate(val, 0.0, budget ** len(data.cells), None)
+            f = _term_integrand(term, factor, variances)
+            val = gauss_hermite(f, dims=len(variances), nodes_per_dim=budget,
+                                variances=variances)
+            est = McEstimate(val, 0.0, budget ** len(variances), None)
         else:
-            f = _term_integrand(spec, term, factor, data, reduce_variance=reduce_variance)
-            est = monte_carlo(f, _gaussian_sampler(data.variances), budget,
+            f = _term_integrand(term, factor, variances, reduce_variance=reduce_variance)
+            est = monte_carlo(f, _gaussian_sampler(variances), budget,
                               derive_seed(seed, 0x5EED + idx))
         total += term.sign * est.mean
         var_sum += est.std_error ** 2

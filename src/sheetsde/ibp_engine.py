@@ -20,9 +20,9 @@ contribute a single gradient cell (i, gamma_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -76,59 +76,56 @@ def uniform_spec(sigma: Sequence[int], horizon: float = 1.0) -> PermutationSpec:
     return PermutationSpec(n, tuple(sigma), times, times)
 
 
-@dataclass(frozen=True)
-class CrossingSet:
-    """Rows strictly dominated in both coordinates by a later point."""
-
-    members: tuple[int, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.members)
+def crossing_set(spec: PermutationSpec) -> tuple[int, ...]:
+    """Rows strictly dominated in both coordinates by a later point, ascending."""
+    return tuple(
+        i for i in range(1, spec.n + 1)
+        if any(spec.sigma_of(k) > spec.sigma_of(i) for k in range(i + 1, spec.n + 1))
+    )
 
 
-def crossing_set(spec: PermutationSpec) -> CrossingSet:
-    members = []
-    for i in range(1, spec.n + 1):
-        si = spec.sigma_of(i)
-        if any(spec.sigma_of(k) > si for k in range(i + 1, spec.n + 1)):
-            members.append(i)
-    return CrossingSet(tuple(members))
+def span(spec: PermutationSpec) -> np.ndarray:
+    """Union of the staircase rectangles {1..i} x {1..sigma(i)}.
+
+    Returns the (m, 2) integer array of (row, col) cells in row-major order;
+    row i reaches the largest sigma over rows i..n.
+    """
+    col_limit = np.maximum.accumulate(np.array(spec.sigma)[::-1])[::-1]
+    rows = np.repeat(np.arange(1, spec.n + 1), col_limit)
+    cols = np.concatenate([np.arange(1, c + 1) for c in col_limit])
+    return np.column_stack([rows, cols])
 
 
-def span(spec: PermutationSpec) -> tuple[Cell, ...]:
-    """Union of the staircase rectangles {1..i} x {1..sigma(i)}, row-major."""
-    cells = []
-    max_later = 0
-    col_limit = [0] * (spec.n + 1)
-    for i in range(spec.n, 0, -1):
-        max_later = max(max_later, spec.sigma_of(i))
-        col_limit[i] = max_later
-    for i in range(1, spec.n + 1):
-        for j in range(1, col_limit[i] + 1):
-            cells.append(Cell(i, j))
-    return tuple(cells)
+def staircase(spec: PermutationSpec, cells: np.ndarray) -> np.ndarray:
+    """(n, m) 0/1 matrix: row i marks the cells of the rectangle {1..i} x {1..sigma(i)}.
+
+    Row i holds the coefficients of the sheet value at the point
+    (s_i, t_sigma(i)) in the increments of the given cells.
+    """
+    rows = np.arange(1, spec.n + 1)[:, None]
+    sigma = np.array(spec.sigma)[:, None]
+    return ((cells[:, 0] <= rows) & (cells[:, 1] <= sigma)).astype(float)
 
 
-def spec_variances(spec: PermutationSpec, cells: Sequence[Cell]) -> np.ndarray:
-    """Rectangle areas (kernel variances) for the given cells."""
-    s = (0.0,) + spec.s_times
-    t = (0.0,) + spec.t_times
-    return np.array([(s[c.row] - s[c.row - 1]) * (t[c.col] - t[c.col - 1]) for c in cells])
+def spec_variances(spec: PermutationSpec, cells: np.ndarray) -> np.ndarray:
+    """Rectangle areas (kernel variances) of the (m, 2) array of (row, col) cells."""
+    s_gaps = np.diff((0.0,) + spec.s_times)
+    t_gaps = np.diff((0.0,) + spec.t_times)
+    return s_gaps[cells[:, 0] - 1] * t_gaps[cells[:, 1] - 1]
 
 
 @dataclass(frozen=True)
 class GammaTauAssignment:
     """Selection columns gamma (all rows) and substitution columns tau (crossing rows)."""
 
-    K: frozenset[int]
+    K: tuple[int, ...]
     gamma: dict[int, int]
     tau: dict[int, int]
 
 
 @dataclass(frozen=True)
 class ShiftCheck:
-    K: frozenset[int]
+    K: tuple[int, ...]
     row: int
     role: str  # "gamma" or "tau"
     pool: tuple[int, ...]
@@ -155,18 +152,18 @@ class ShiftLemmaReport:
 
 def _select_columns(
     spec: PermutationSpec,
-    K: frozenset[int],
+    K: tuple[int, ...],
+    J: tuple[int, ...],
     log: Optional[list[ShiftCheck]] = None,
 ) -> GammaTauAssignment:
-    """Run the staged gamma/tau selection for one crossing subset K.
+    """Run the staged gamma/tau selection for one crossing subset K of J = crossing_set(spec).
 
     Stage r handles the r-th crossing row.  The exclusions at each stage are
     the gamma columns already fixed for crossing rows in K and the tau
     columns already fixed for crossing rows outside K; non-crossing rows are
     then assigned their selection column against the final exclusion set.
     """
-    J = crossing_set(spec).members
-    if not K <= set(J):
+    if not set(K) <= set(J):
         raise ValueError(f"K = {set(K)} must be a subset of the crossing set {set(J)}")
     gamma: dict[int, int] = {}
     tau: dict[int, int] = {}
@@ -212,82 +209,61 @@ def _select_columns(
     return GammaTauAssignment(K, gamma, tau)
 
 
-def gamma_tau(spec: PermutationSpec, K: frozenset[int] | set[int]) -> GammaTauAssignment:
-    return _select_columns(spec, frozenset(K))
+def gamma_tau(spec: PermutationSpec, K: Iterable[int]) -> GammaTauAssignment:
+    return _select_columns(spec, tuple(sorted(K)), crossing_set(spec))
 
 
-def assert_shift_lemmas(spec: PermutationSpec, K: Optional[frozenset[int]] = None) -> ShiftLemmaReport:
+def assert_shift_lemmas(spec: PermutationSpec, K: Optional[Iterable[int]] = None) -> ShiftLemmaReport:
     """Diagnostic: record every selection pool and whether it was nonempty.
 
     Runs the selection for one subset K, or for every subset of the crossing
     set when K is None.  Never raises; empty pools are reported as failed
     checks instead.
     """
+    J = crossing_set(spec)
     checks: list[ShiftCheck] = []
-    subsets = [frozenset(K)] if K is not None else list(_crossing_subsets(spec))
+    subsets = [tuple(sorted(K))] if K is not None else list(_crossing_subsets(J))
     for sub in subsets:
         log: list[ShiftCheck] = []
         try:
-            _select_columns(spec, sub, log)
+            _select_columns(spec, sub, J, log)
         except EmptySelectionError:
             pass
         checks.extend(log)
     return ShiftLemmaReport(tuple(checks))
 
 
-def _crossing_subsets(spec: PermutationSpec) -> Iterator[frozenset[int]]:
-    """Subsets of the crossing set, full set first, empty set last."""
-    J = crossing_set(spec).members
+def _crossing_subsets(J: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Subsets of the crossing set J as sorted tuples, full set first, empty set last."""
     q = len(J)
     for mask in range(2 ** q - 1, -1, -1):
-        yield frozenset(J[m] for m in range(q) if mask & (1 << (q - 1 - m)))
+        yield tuple(J[m] for m in range(q) if mask & (1 << (q - 1 - m)))
 
 
-@dataclass(frozen=True)
-class CellFactor:
-    """Kernel factor of one cell: density (E) or gradient (B).
+@dataclass(frozen=True, eq=False)
+class IbpTerm:
+    """One summand of the expansion over a crossing subset K, as arrays over the span.
 
-    The kernel argument is z[cell] - z[shift] when shift is set (substitution
-    cells of crossing rows), otherwise z[cell].
+    A span index is a row of `cells`, the scheme's span in row-major order
+    (one array shared by all terms of the scheme).  The kernel argument of
+    cell c is z[c] - z[shift[c]] when shift[c] >= 0 (the substitution cells
+    of crossing rows), otherwise z[c]; the gradient cells carry Hermite
+    weights and every other cell a density.
     """
 
-    cell: Cell
-    kind: str  # "E" or "B"
-    shift: Optional[Cell] = None
-
-
-@dataclass(frozen=True)
-class IbpTerm:
-    """One summand of the expansion over a crossing subset K."""
-
-    K: frozenset[int]
+    K: tuple[int, ...]  # sorted crossing subset
     sign: int
     gamma: tuple[int, ...]  # selection column per row, index i-1
     tau: dict[int, int]  # substitution column per crossing row
-    factors: tuple[CellFactor, ...]  # one per integration cell, row-major
-    b_arg_sets: tuple[frozenset[Cell], ...]  # drift argument cells per row
-
-    def __post_init__(self) -> None:
-        b_cells = self.b_cells
-        n = len(self.gamma)
-        if len(b_cells) != n:
-            raise ValueError(f"expected {n} gradient cells, got {len(b_cells)}")
-        rows = [c.row for c in b_cells]
-        cols = [c.col for c in b_cells]
-        if len(set(rows)) != n or len(set(cols)) != n:
-            raise ValueError(
-                f"gradient cells must have pairwise distinct rows and columns, got {b_cells}"
-            )
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+    cells: np.ndarray  # (m, 2) span cells (row, col)
+    grad: np.ndarray  # (n,) span index of each row's kernel-gradient cell
+    shift: np.ndarray  # (m,) span index of the subtracted variable, else -1
+    args: np.ndarray  # (n, m) 0/1 drift-argument matrix, one row per factor
 
     @property
-    def b_cells(self) -> tuple[Cell, ...]:
-        return tuple(f.cell for f in self.factors if f.kind == "B")
-
-    @property
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(f.cell for f in self.factors)
+    def b_cells(self) -> np.ndarray:
+        """(n, 2) kernel-gradient cells in row order."""
+        return self.cells[self.grad]
 
 
 def expand(spec: PermutationSpec) -> tuple[IbpTerm, ...]:
@@ -297,57 +273,55 @@ def expand(spec: PermutationSpec) -> tuple[IbpTerm, ...]:
     integrations by parts contributes a minus sign, and splitting the
     derivative of a kernel pair on a crossing row flips the sign of the
     branch that moves the gradient to the substitution cell.
+
+    Row i's drift argument is its staircase rectangle without the selection
+    cells of the crossing rows, plus its own selection cell.
     """
-    J = crossing_set(spec).members
-    q = len(J)
+    J = crossing_set(spec)
     n = spec.n
-    span_cells = span(spec)
+    cells = span(spec)
+    cell_list = cells.tolist()
+    stair = staircase(spec, cells)
+    # index[i][j]: span index of cell (i, j), -1 outside the span; tau reaches column n + 1
+    index = np.full((n + 1, n + 2), -1)
+    index[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
+    index = index.tolist()
+    rows = np.arange(n)
     terms = []
-    for K in _crossing_subsets(spec):
-        assignment = _select_columns(spec, K)
-        gamma = assignment.gamma
+    for K in _crossing_subsets(J):
+        assignment = _select_columns(spec, K, J)
+        gamma = tuple(assignment.gamma[i] for i in range(1, n + 1))
         tau = assignment.tau
-
-        special: dict[Cell, CellFactor] = {}
-        for i in J:
-            g_cell = Cell(i, gamma[i])
-            t_cell = Cell(i, tau[i])
-            if i in K:
-                special[g_cell] = CellFactor(g_cell, "B")
-                special[t_cell] = CellFactor(t_cell, "E", shift=g_cell)
-            else:
-                special[g_cell] = CellFactor(g_cell, "E")
-                special[t_cell] = CellFactor(t_cell, "B", shift=g_cell)
-        for i in range(1, n + 1):
-            if i in J:
-                continue
-            g_cell = Cell(i, gamma[i])
-            special[g_cell] = CellFactor(g_cell, "B")
-
-        missing = [c for c in special if c not in span_cells]
-        if missing:
+        selected = [index[i][gamma[i - 1]] for i in range(1, n + 1)]
+        substituted = [index[i][tau[i]] for i in J]
+        if -1 in selected or -1 in substituted:
+            missing = [(i, gamma[i - 1]) for i in range(1, n + 1) if selected[i - 1] < 0]
+            missing += [(i, tau[i]) for i, idx in zip(J, substituted) if idx < 0]
             raise EmptySelectionError(
                 f"selection left the span: {missing} for sigma={spec.sigma}, K={sorted(K)}"
             )
-        factors = tuple(special.get(c, CellFactor(c, "E")) for c in span_cells)
 
-        selected = frozenset(Cell(j, gamma[j]) for j in J)
-        args = []
-        for i in range(1, n + 1):
-            lam = {Cell(k, l) for k in range(1, i + 1) for l in range(1, spec.sigma_of(i) + 1)}
-            args.append(frozenset(lam - selected) | {Cell(i, gamma[i])})
-
-        sign = (-1) ** len(K) * (-1) ** (n - q)
-        terms.append(
-            IbpTerm(
-                K=K,
-                sign=sign,
-                gamma=tuple(gamma[i] for i in range(1, n + 1)),
-                tau=dict(tau),
-                factors=factors,
-                b_arg_sets=tuple(args),
+        # rows of J outside K move their gradient to the substitution cell
+        grad = list(selected)
+        for i, idx in zip(J, substituted):
+            if i not in K:
+                grad[i - 1] = idx
+        b_cells = [cell_list[g] for g in grad]
+        if len({r for r, _ in b_cells}) != n or len({c for _, c in b_cells}) != n:
+            raise ValueError(
+                f"gradient cells must have pairwise distinct rows and columns, got {b_cells}"
             )
-        )
+        sign = (-1) ** len(K) * (-1) ** (n - len(J))
+        if sign not in (-1, 1):
+            raise ValueError("sign must be +1 or -1")
+
+        selected_J = [selected[i - 1] for i in J]
+        shift = np.full(len(cells), -1)
+        shift[substituted] = selected_J
+        args = stair.copy()
+        args[:, selected_J] = 0.0
+        args[rows, selected] = 1.0
+        terms.append(IbpTerm(K, sign, gamma, dict(tau), cells, np.array(grad), shift, args))
     return tuple(terms)
 
 
@@ -361,7 +335,7 @@ class OrientationPoint:
 
 
 def orientation_points(spec: PermutationSpec) -> tuple[OrientationPoint, ...]:
-    J = set(crossing_set(spec).members)
+    J = set(crossing_set(spec))
     out = []
     for i in range(1, spec.n + 1):
         si = spec.sigma_of(i)
@@ -372,14 +346,14 @@ def orientation_points(spec: PermutationSpec) -> tuple[OrientationPoint, ...]:
 
 def term_to_dict(term: IbpTerm) -> dict:
     """JSON-ready view: K, sign, gradient cells, density cells, drift arguments."""
+    cells = term.cells.tolist()
+    grad = term.grad.tolist()
     return {
-        "K": sorted(term.K),
+        "K": list(term.K),
         "sign": term.sign,
-        "B_cells": [[c.row, c.col] for c in term.b_cells],
-        "E_cells": [[f.cell.row, f.cell.col] for f in term.factors if f.kind == "E"],
-        "b_arg_sets": [
-            sorted([c.row, c.col] for c in args) for args in term.b_arg_sets
-        ],
+        "B_cells": term.b_cells.tolist(),
+        "E_cells": [c for k, c in enumerate(cells) if k not in grad],
+        "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in term.args.tolist()],
     }
 
 

@@ -5,10 +5,13 @@ records a single PASS/FAIL line via the terminal-summary hook.  Budgets are
 wall-clock ceilings; the statistical tolerances are fixed in-line.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import scipy.integrate
@@ -17,7 +20,7 @@ from conftest import record_criterion
 from sheetsde.brownian_sheet import coarsen, derive_seed, sample, values
 from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import bump_factor, verify_identity
-from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, uniform_spec
+from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
 from sheetsde.integrators import simplex_dirichlet_oracle, simplex_singular_integral
 from sheetsde.kernels import DEFAULT_C0, KernelCell, abs_gradient_l1, gradient_component
 from sheetsde.plane_geometry import Cell, geometric_grid, uniform_grid
@@ -41,6 +44,9 @@ from sheetsde.shuffle_combinatorics import (
 
 BUMP = bump_factor(scale=1.0, width=2.5, center=0.25)
 
+# sha256 per n of the term lists of every sigma; its "about" key gives the recipe
+EXPAND_DIGESTS = Path(__file__).parent / "data" / "expand_digests.json"
+
 
 @contextmanager
 def criterion(num: int, label: str, budget_s: float):
@@ -59,7 +65,7 @@ def criterion(num: int, label: str, budget_s: float):
 
 
 def _b_cells(term) -> list:
-    return sorted((c.row, c.col) for c in term.b_cells)
+    return sorted((row, col) for row, col in term.b_cells.tolist())
 
 
 def test_criterion_01_golden_term_lists():
@@ -83,23 +89,33 @@ def test_criterion_01_golden_term_lists():
 
 
 def test_criterion_02_selection_non_overlap_exhaustive():
-    with criterion(2, "all n<=6, all sigma, all K", 60.0) as state:
+    golden = json.loads(EXPAND_DIGESTS.read_text())["sha256"]
+    with criterion(2, "all n<=7, all sigma, all K", 60.0) as state:
         n_specs = 0
         n_terms = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
+            digest = hashlib.sha256()
             for sigma in itertools.permutations(range(1, n + 1)):
                 spec = uniform_spec(sigma)
                 terms = expand(spec)
                 n_specs += 1
                 n_terms += len(terms)
-                assert len(terms) == 2 ** len(crossing_set(spec).members), sigma
+                assert len(terms) == 2 ** len(crossing_set(spec)), sigma
                 for term in terms:
-                    rows = sorted(c.row for c in term.b_cells)
-                    cols = {c.col for c in term.b_cells}
+                    rows = sorted(term.b_cells[:, 0].tolist())
+                    cols = set(term.b_cells[:, 1].tolist())
                     assert rows == list(range(1, n + 1)), (sigma, term.K)
                     assert len(cols) == n, (sigma, term.K)
+                if n <= 6:  # term_to_dict over all 135,135 terms at n=7 would not fit the budget
+                    terms_json = [term_to_dict(t) for t in terms]
+                    digest.update(json.dumps(terms_json, separators=(",", ":")).encode() + b"\n")
+            if n <= 6:
+                assert digest.hexdigest() == golden[str(n)], f"term lists at n={n} changed"
         state["ok"] = True
-        state["detail"] = f"{n_specs} schemes, {n_terms} terms, all column-disjoint"
+        state["detail"] = (
+            f"{n_specs} schemes, {n_terms} terms, all column-disjoint; "
+            f"term lists for n<=6 match the pinned digests"
+        )
 
 
 def test_criterion_03_ibp_identity_quadrature_and_mc():

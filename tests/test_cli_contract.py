@@ -51,6 +51,7 @@ ARGVS = [
     ["verify-ibp"],
     ["verify-ibp", "--sigma", "2,1", "--n", "3"],
     ["verify-ibp", "--sigma", "2,1", "--method", "simpson"],
+    ["verify-ibp", "--sigma", "2,1,3", "--method", "quadrature"],
     ["sample-sheet", "--grid", "4by4"],
     ["solve-sde", "--grid", "0x4"],
     ["solve-sde", "--drift", "cubic"],

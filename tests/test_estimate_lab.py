@@ -1,12 +1,16 @@
 """Direct-vs-expanded expectation checks, product bound, integrated bounds."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sheetsde.estimate_lab import (
     DriftScalarFactor,
+    _direct_integrand,
+    _term_integrand,
     bump_factor,
     corollary_check,
     corollary_scaling_slope,
@@ -15,13 +19,26 @@ from sheetsde.estimate_lab import (
     ibp_expectation,
     verify_identity,
 )
-from sheetsde.ibp_engine import PermutationSpec, uniform_spec
+from sheetsde.ibp_engine import (
+    PermutationSpec,
+    all_permutation_specs,
+    expand,
+    span,
+    spec_variances,
+    staircase,
+    uniform_spec,
+)
 from sheetsde.integrators import TimeWindow
 
 # reference factor whose support edge sits far outside the sheet-value law
 # at horizon 1/4, keeping tensor quadrature spectrally convergent
 QUAD_FACTOR = bump_factor(scale=1.0, width=2.5, center=0.25)
 QUAD_HORIZON = 0.25
+
+# exact integrand values at fixed points, all sigma with n <= 4; regenerate with
+#     PYTHONPATH=src python tests/test_estimate_lab.py
+# only when a change to the integrands is intended
+INTEGRANDS = Path(__file__).parent / "data" / "integrand_values.json"
 
 
 def negated(factor: DriftScalarFactor) -> DriftScalarFactor:
@@ -138,6 +155,45 @@ class TestExpectations:
             direct_expectation(uniform_spec((1,)), QUAD_FACTOR, method="series")
 
 
+def probe_points(variances: np.ndarray) -> np.ndarray:
+    """Eight fixed points: closed-form values scaled by the cell standard deviations."""
+    k = np.arange(8)[:, None]
+    c = np.arange(len(variances))[None, :]
+    return 1.5 * np.sin(0.9 * k + 1.7 * c + 0.3) * np.sqrt(variances)
+
+
+def integrand_values() -> dict:
+    """Direct integrand and each signed raw term integrand at the probe points, all n <= 4."""
+    values = {}
+    for n in range(1, 5):
+        for spec in all_permutation_specs(n):
+            cells = span(spec)
+            variances = spec_variances(spec, cells)
+            x = probe_points(variances)
+            values[",".join(map(str, spec.sigma))] = {
+                "direct": _direct_integrand(staircase(spec, cells), QUAD_FACTOR)(x).tolist(),
+                "terms": [(t.sign * _term_integrand(t, QUAD_FACTOR, variances)(x)).tolist()
+                          for t in expand(spec)],
+            }
+    return values
+
+
+class TestIntegrandValues:
+    def test_match_pinned_values(self):
+        # exact pointwise values: a flipped sign, a dropped term or a wrong
+        # coefficient fails here, although the MC identity tolerance at n=3
+        # is wider than the expectation itself
+        want = json.loads(INTEGRANDS.read_text())
+        got = integrand_values()
+        assert list(got) == list(want)
+        assert sum(len(v["terms"]) for v in got.values()) == 124
+        for key, entry in want.items():
+            assert got[key]["direct"] == pytest.approx(entry["direct"], rel=1e-12, abs=0.0), key
+            assert len(got[key]["terms"]) == len(entry["terms"]), key
+            for g, w in zip(got[key]["terms"], entry["terms"]):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0), key
+
+
 class TestVerifyIdentity:
     @pytest.mark.parametrize("sigma", [(1, 2), (2, 1)])
     def test_quadrature_two_points(self, sigma):
@@ -191,3 +247,7 @@ class TestCorollary:
         factor = bump_factor(scale=1.0, width=2.5, center=0.25)
         slope = corollary_scaling_slope(1, factor, budget=200, seed=3)
         assert abs(slope - 1.0) <= 0.15
+
+
+if __name__ == "__main__":
+    INTEGRANDS.write_text(json.dumps(integrand_values()) + "\n")

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheetsde.ibp_engine import (
-    CrossingSet,
     PermutationSpec,
     all_permutation_specs,
     assert_shift_lemmas,
@@ -30,7 +29,11 @@ from sheetsde.plane_geometry import Cell, DegenerateGridError
 
 
 def b_set(term):
-    return sorted((c.row, c.col) for c in term.b_cells)
+    return sorted((row, col) for row, col in term.b_cells.tolist())
+
+
+def span_cells(spec):
+    return tuple(Cell(row, col) for row, col in span(spec).tolist())
 
 
 def random_sigma(draw_n):
@@ -78,18 +81,18 @@ class TestGolden:
 
 class TestCrossingSet:
     def test_examples(self):
-        assert crossing_set(uniform_spec((2, 1, 3))).members == (1, 2)
-        assert crossing_set(uniform_spec((3, 1, 2))).members == (2,)
+        assert crossing_set(uniform_spec((2, 1, 3))) == (1, 2)
+        assert crossing_set(uniform_spec((3, 1, 2))) == (2,)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_decreasing_is_empty(self, n):
         sig = tuple(range(n, 0, -1))
-        assert crossing_set(uniform_spec(sig)).members == ()
+        assert crossing_set(uniform_spec(sig)) == ()
 
     @given(st.integers(2, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_matches_dominance_scan(self, sigma):
         spec = uniform_spec(tuple(sigma))
-        got = set(crossing_set(spec).members)
+        got = set(crossing_set(spec))
         brute = {
             i
             for i in range(1, spec.n + 1)
@@ -100,17 +103,17 @@ class TestCrossingSet:
 
     @given(st.integers(2, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_size_bounded_by_n_minus_one(self, sigma):
-        q = crossing_set(uniform_spec(tuple(sigma))).q
+        q = len(crossing_set(uniform_spec(tuple(sigma))))
         assert q <= len(sigma) - 1
 
 
 class TestSpan:
     def test_full_grid_when_last_column_max(self):
-        cells = span(uniform_spec((2, 1, 3)))
+        cells = span_cells(uniform_spec((2, 1, 3)))
         assert set(cells) == {Cell(i, j) for i in range(1, 4) for j in range(1, 4)}
 
     def test_singleton(self):
-        assert span(uniform_spec((1,))) == (Cell(1, 1),)
+        assert span_cells(uniform_spec((1,))) == (Cell(1, 1),)
 
     @given(st.integers(2, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_union_of_row_rectangles(self, sigma):
@@ -122,11 +125,11 @@ class TestSpan:
                 for r in range(1, i + 1)
                 for c in range(1, spec.sigma_of(i) + 1)
             }
-        assert set(span(spec)) == brute
+        assert set(span_cells(spec)) == brute
 
     def test_variances_are_cell_areas(self):
         spec = PermutationSpec(2, (1, 2), (0.5, 1.0), (0.25, 1.0))
-        v = spec_variances(spec, [Cell(1, 1), Cell(2, 2)])
+        v = spec_variances(spec, np.array([[1, 1], [2, 2]]))
         assert v == pytest.approx([0.5 * 0.25, 0.5 * 0.75])
 
 
@@ -136,10 +139,10 @@ class TestExpand:
     def test_term_count_and_nonoverlap(self, sigma):
         spec = uniform_spec(tuple(sigma))
         terms = expand(spec)
-        assert len(terms) == 2 ** crossing_set(spec).q
+        assert len(terms) == 2 ** len(crossing_set(spec))
         for t in terms:
-            rows = [c.row for c in t.b_cells]
-            cols = [c.col for c in t.b_cells]
+            rows = t.b_cells[:, 0].tolist()
+            cols = t.b_cells[:, 1].tolist()
             assert len(set(rows)) == spec.n
             assert len(set(cols)) == spec.n
 
@@ -147,7 +150,7 @@ class TestExpand:
     @settings(max_examples=60, deadline=None)
     def test_sign_formula(self, sigma):
         spec = uniform_spec(tuple(sigma))
-        q = crossing_set(spec).q
+        q = len(crossing_set(spec))
         for t in expand(spec):
             assert t.sign == (-1) ** len(t.K) * (-1) ** (spec.n - q)
 
@@ -156,7 +159,7 @@ class TestExpand:
     def test_column_brackets_on_crossing_rows(self, sigma):
         # gamma_i <= sigma(i) < tau_i on every crossing row
         spec = uniform_spec(tuple(sigma))
-        J = crossing_set(spec).members
+        J = crossing_set(spec)
         for t in expand(spec):
             for idx, i in enumerate(range(1, spec.n + 1)):
                 if i in J:
@@ -173,8 +176,8 @@ class TestExpand:
 
     def test_drift_argument_sets_cover_gamma_cell(self):
         for t in expand(uniform_spec((2, 1, 3))):
-            for idx, args in enumerate(t.b_arg_sets):
-                assert Cell(idx + 1, t.gamma[idx]) in args
+            for idx, args in enumerate(term_to_dict(t)["b_arg_sets"]):
+                assert [idx + 1, t.gamma[idx]] in args
 
     def test_term_to_dict_shape(self):
         d = term_to_dict(expand(uniform_spec((2, 1, 3)))[0])
