@@ -120,6 +120,7 @@ from .sde_plane import (
     euler_weak_expectation,
     flow_derivative,
     girsanov_weak_expectation,
+    malliavin_adjoint,
     malliavin_series,
     malliavin_solve,
     sign_drift,

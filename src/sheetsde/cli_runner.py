@@ -38,15 +38,15 @@ from .brownian_sheet import (
     keyed_generator,
     sample,
 )
-from .estimate_lab import bump_factor, davie_bound, direct_expectation, verify_identity
-from .ibp_engine import PermutationSpec, crossing_set, expand, span, term_to_dict, uniform_spec
-from .integrators import MAX_GH_DIMS, simplex_dirichlet_oracle, simplex_singular_integral
+from .estimate_lab import bump_factor, check_method, davie_bound, direct_expectation, verify_identity
+from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
+from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
     constant_drift,
     euler_weak_expectation,
     girsanov_weak_expectation,
-    malliavin_solve,
+    malliavin_adjoint,
     sign_drift,
     solve_euler,
     solve_picard,
@@ -353,10 +353,10 @@ def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     spec = _build_spec(p)
     if p["n"] is not None and p["n"] != spec.n:
         raise ConfigError("n", f"n={p['n']} disagrees with sigma of length {spec.n}")
-    m = len(span(spec))
-    if p["method"] == "quadrature" and m > MAX_GH_DIMS:
-        raise ConfigError("method", f"quadrature supports spans of at most {MAX_GH_DIMS} cells, "
-                                    f"but sigma={spec.sigma} spans {m}")
+    try:
+        check_method(spec, p["method"])
+    except ValueError as exc:
+        raise ConfigError("method", str(exc)) from None
     budget = p["nodes"] if p["method"] == "quadrature" else p["samples"]
     report = verify_identity(
         spec, _build_factor(p), method=p["method"], budget=budget, seed=p["seed"],
@@ -500,12 +500,8 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     dn = solve_euler(grid, drift, x0, cameron_martin_shift(sheet, hdot, -eps))
     fd = float((up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * eps))
 
-    areas = grid.areas()
-    predicted = 0.0
-    for a in range(grid.n_s):
-        for b in range(grid.n_t):
-            deriv = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1))
-            predicted += float(deriv.values[-1, -1, 0, 0]) * hdot[a, b, 0] * areas[a, b]
+    terminal = malliavin_adjoint(grid, drift, sol)
+    predicted = float(np.sum(terminal[..., 0, 0] * hdot[..., 0] * grid.areas()))
     rel_err = abs(predicted - fd) / max(abs(fd), 1e-300)
     return {
         "grid": f"{grid.n_s}x{grid.n_t}",

@@ -32,6 +32,7 @@ from .ibp_engine import (
 )
 from .integrators import (
     DEFAULT_C1,
+    MAX_GH_DIMS,
     GammaBound,
     McEstimate,
     TimeWindow,
@@ -155,11 +156,19 @@ def _gaussian_sampler(variances: np.ndarray):
 METHODS = ("mc", "quadrature")
 
 
+def check_method(spec: PermutationSpec, method: str) -> None:
+    """Raise ValueError for an unknown method or a span too wide for quadrature."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if method == "quadrature" and (m := len(span(spec))) > MAX_GH_DIMS:
+        raise ValueError(f"quadrature supports spans of at most {MAX_GH_DIMS} cells, "
+                         f"but sigma={spec.sigma} spans {m}")
+
+
 def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
                        method: str = "mc", budget: int = 100_000, seed: int = 0) -> McEstimate:
     """E[prod_i b'(W at (s_i, t_sigma(i)))] over independent span increments."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    check_method(spec, method)
     cells = span(spec)
     variances = spec_variances(spec, cells)
     f = _direct_integrand(staircase(spec, cells), factor)
@@ -178,8 +187,7 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     Carlo terms use the unbiased control-variate and antithetic reduction
     by default; quadrature ignores the flag.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    check_method(spec, method)
     variances = spec_variances(spec, span(spec))
     terms = expand(spec)
     total = 0.0

@@ -247,6 +247,36 @@ def malliavin_solve(grid: GridPartition, drift: DriftField, solution: SolutionFi
     return MalliavinField(grid, (u, v), dvals)
 
 
+def malliavin_adjoint(grid: GridPartition, drift: DriftField, solution: SolutionField) -> np.ndarray:
+    """Terminal derivative for every base cell from one backward sweep.
+
+    Returns G of shape (n_s, n_t, d, d) with G[a, b] equal to
+    malliavin_solve(..., base=(a + 1, b + 1)).values[-1, -1], in
+    O(n_s n_t d^3) work instead of one forward solve per cell.  The sweep
+    carries lam[j] = dX_end / dD[i, j], the sensitivity of the terminal value
+    to row i of the recursion, from the top row down (adjoint method: Giles &
+    Glasserman, "Smoking adjoints", Risk 2006).  A base (i, k) sets row i to
+    the identity from column k on, so G[i-1, k-1] is the sum of lam[j] over
+    j >= k; stepping to row i - 1 adds the transpose of the forward row map.
+    """
+    jac = drift.require_jacobian()
+    n_s, n_t = grid.n_s, grid.n_t
+    d = solution.dim
+    s_knots = np.asarray(grid.s_knots)
+    t_knots = np.asarray(grid.t_knots)
+    # kernel[i, j] = b'(corner state) * area of cell (i, j), every cell at once
+    kernel = jac(s_knots[:-1, None], t_knots[:-1], solution.values[:-1, :-1])
+    kernel = kernel * grid.areas()[:, :, None, None]
+
+    out = np.empty((n_s, n_t, d, d))
+    lam = np.zeros((n_t + 1, d, d))
+    lam[n_t] = np.eye(d)
+    for i in range(n_s, 0, -1):
+        out[i - 1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
+        lam[:n_t] += np.einsum("jab,jbc->jac", out[i - 1], kernel[i - 1])
+    return out
+
+
 def flow_derivative(grid: GridPartition, drift: DriftField, solution: SolutionField) -> MalliavinField:
     """Sensitivity to the initial condition; same recursion based at the origin."""
     return malliavin_solve(grid, drift, solution, base=(0, 0))

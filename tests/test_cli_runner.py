@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from conftest import counting_jacobian
+from sheetsde import cli_runner
 from sheetsde.brownian_sheet import cumulative_values, sample
 from sheetsde.cli_runner import (
     ConfigError,
@@ -14,6 +16,7 @@ from sheetsde.cli_runner import (
     run,
 )
 from sheetsde.plane_geometry import uniform_grid
+from sheetsde.sde_plane import tanh_drift
 
 RECORD_KEYS = [
     "schema_version",
@@ -94,6 +97,16 @@ class TestRunApi:
         rec = run(ExperimentConfig("malliavin-check", {"grid": "8x8", "seed": 3}))
         assert rec.passed is True
         assert rec.outputs["rel_err"] <= 1e-2
+
+    def test_malliavin_check_evaluates_jacobian_once(self, monkeypatch):
+        # a per-cell derivative loop re-evaluates the Jacobian ~n^3/2 times
+        calls = []
+        monkeypatch.setattr(cli_runner, "tanh_drift",
+                            lambda *args: counting_jacobian(tanh_drift(*args), calls))
+        for op in range(2):
+            rec = run(ExperimentConfig("malliavin-check", {"grid": "16x16", "seed": op}))
+            assert rec.passed is True
+            assert calls == [(16, 16, 1)] * (op + 1)
 
     def test_girsanov_check(self):
         rec = run(ExperimentConfig("girsanov-check", {

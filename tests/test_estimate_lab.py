@@ -154,6 +154,14 @@ class TestExpectations:
         with pytest.raises(ValueError):
             direct_expectation(uniform_spec((1,)), QUAD_FACTOR, method="series")
 
+    @pytest.mark.parametrize("route", [direct_expectation, ibp_expectation, verify_identity])
+    def test_quadrature_span_guard(self, route):
+        # sigma = (2, 1, 3) spans 9 cells, beyond tensor Gauss-Hermite's 6
+        spec = uniform_spec((2, 1, 3))
+        message = r"quadrature supports spans of at most 6 cells, but sigma=\(2, 1, 3\) spans 9"
+        with pytest.raises(ValueError, match=message):
+            route(spec, QUAD_FACTOR, method="quadrature", budget=4)
+
 
 def probe_points(variances: np.ndarray) -> np.ndarray:
     """Eight fixed points: closed-form values scaled by the cell standard deviations."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import counting_jacobian
 from sheetsde.brownian_sheet import (
     cameron_martin_shift,
     coarsen,
@@ -12,9 +13,10 @@ from sheetsde.brownian_sheet import (
     sample,
     values,
 )
-from sheetsde.plane_geometry import uniform_grid
+from sheetsde.plane_geometry import geometric_grid, uniform_grid
 from sheetsde.sde_plane import (
     DoleansFactor,
+    DriftField,
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
@@ -23,6 +25,7 @@ from sheetsde.sde_plane import (
     euler_weak_expectation,
     flow_derivative,
     girsanov_weak_expectation,
+    malliavin_adjoint,
     malliavin_series,
     malliavin_solve,
     sign_drift,
@@ -171,6 +174,20 @@ class TestMeshOrder:
         assert slope >= 0.7
 
 
+def tanh_matrix_drift(m) -> DriftField:
+    """b(x) = tanh(Mx); its Jacobian sech^2(Mx) M is not symmetric unless M is."""
+    m = np.asarray(m, dtype=float)
+
+    def ev(s, t, x):
+        return np.tanh(np.asarray(x, dtype=float) @ m.T)
+
+    def jac(s, t, x):
+        y = np.asarray(x, dtype=float) @ m.T
+        return (1.0 / np.cosh(y) ** 2)[..., :, None] * m
+
+    return DriftField("tanh_matrix", m.shape[0], ev, jac, math.sqrt(m.shape[0]), True)
+
+
 class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
@@ -217,7 +234,39 @@ class TestMalliavin:
             for b in range(grid.n_t):
                 deriv = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1))
                 predicted += float(deriv.values[-1, -1, 0, 0]) * hdot[a, b, 0] * areas[a, b]
-        assert abs(predicted - fd) <= 1e-2 * abs(fd)
+        assert abs(predicted - fd) <= 1e-8 * abs(fd)
+
+    @pytest.mark.parametrize("grid, drift", [
+        (geometric_grid(9, 7, 1.0, 1.0), tanh_drift(0.9, 1.1, 1)),
+        (geometric_grid(6, 8, 1.0, 1.0), tanh_matrix_drift([[0.7, -1.1], [0.4, 0.9]])),
+    ], ids=["tanh-1d-geometric", "tanh-matrix-2d"])
+    def test_adjoint_matches_per_cell_solve(self, grid, drift):
+        # every cell's terminal derivative against its own forward solve; the
+        # non-symmetric 2-d Jacobian fails a transposed product in the sweep
+        sheet = sample(grid, dim=drift.dim, seed=5)
+        sol = solve_euler(grid, drift, 0.2, sheet)
+        adjoint = malliavin_adjoint(grid, drift, sol)
+        assert adjoint.shape == (grid.n_s, grid.n_t, drift.dim, drift.dim)
+        for a in range(grid.n_s):
+            for b in range(grid.n_t):
+                want = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1)).values[-1, -1]
+                err = np.linalg.norm(adjoint[a, b] - want)
+                assert err <= 1e-12 * np.linalg.norm(want), (a, b)
+
+    def test_adjoint_requires_jacobian(self):
+        grid = uniform_grid(4, 4, 1.0, 1.0)
+        sheet = sample(grid, dim=1, seed=0)
+        sol = solve_euler(grid, sign_drift(), 0.0, sheet)
+        with pytest.raises(MissingJacobianError):
+            malliavin_adjoint(grid, sign_drift(), sol)
+
+    def test_adjoint_evaluates_jacobian_once(self):
+        grid = uniform_grid(12, 10, 1.0, 1.0)
+        calls = []
+        drift = counting_jacobian(tanh_drift(0.9, 1.1, 1), calls)
+        sol = solve_euler(grid, drift, 0.2, sample(grid, dim=1, seed=2))
+        malliavin_adjoint(grid, drift, sol)
+        assert calls == [(12, 10, 1)]
 
     def test_series_matches_recursion(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
