@@ -40,7 +40,7 @@ from .brownian_sheet import (
 )
 from .estimate_lab import bump_factor, check_method, davie_bound, direct_expectation, verify_identity
 from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
-from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
+from .integrators import concurrently, simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
     constant_drift,
@@ -520,13 +520,16 @@ def _run_girsanov_check(p: dict) -> tuple[dict, Optional[bool]]:
     drift = _build_drift(p, 1)
     phi = _PHIS[p["phi"]]
 
-    girsanov = girsanov_weak_expectation(phi, drift, x0, grid, samples, seed)
-    euler = euler_weak_expectation(phi, drift, x0, grid, samples, derive_seed(seed, 0xE0))
+    ones = lambda x: np.ones(x.shape[:-1])
+    # independent streams, so running the three passes at once changes no bit
+    girsanov, euler, weight = concurrently(
+        lambda: girsanov_weak_expectation(phi, drift, x0, grid, samples, seed),
+        lambda: euler_weak_expectation(phi, drift, x0, grid, samples, derive_seed(seed, 0xE0)),
+        lambda: girsanov_weak_expectation(ones, drift, x0, grid, samples, derive_seed(seed, 0xA1)),
+    )
     gap_se = abs(girsanov.mean - euler.mean) / max(
         math.hypot(girsanov.std_error, euler.std_error), 1e-300
     )
-    ones = lambda x: np.ones(x.shape[:-1])
-    weight = girsanov_weak_expectation(ones, drift, x0, grid, samples, derive_seed(seed, 0xA1))
     weight_z = abs(weight.mean - 1.0) / max(weight.std_error, 1e-300)
     passed = bool(gap_se <= width and weight_z <= width)
     return {

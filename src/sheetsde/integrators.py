@@ -1,9 +1,10 @@
 """Quadrature and Monte Carlo plumbing shared by the estimators.
 
 Provides tensor-product Gauss-Hermite integration against centered Gaussian
-weights, a shardable Monte Carlo driver with deterministic merging, the
-closed form of the singular simplex integral, and the Gamma-function bounds
-that the rectangle-selection estimates are compared against.
+weights, a shardable Monte Carlo driver with deterministic merging, a thread
+runner for independent passes, the closed form of the singular simplex
+integral, and the Gamma-function bounds that the rectangle-selection
+estimates are compared against.
 """
 
 from __future__ import annotations
@@ -209,6 +210,24 @@ def monte_carlo(
         return parts[0]
     merged = merge_estimates(parts)
     return McEstimate(merged.mean, merged.std_error, merged.n_samples, seed)
+
+
+def concurrently(*calls: Callable[[], object]) -> list:
+    """Run zero-argument callables on one thread each; results in argument order.
+
+    Meant for independent Monte Carlo passes that each own their generator:
+    numpy releases the GIL in bulk RNG fills and large ufuncs, so the passes
+    overlap, and every result is bit-identical to the serial call whatever
+    the thread schedule.  All calls run to the end; the exception of the
+    first failing call in argument order is then re-raised.
+    """
+    # imported here: concurrent.futures pulls in logging, which commands that
+    # run no passes at once should not pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(len(calls), 1)) as pool:
+        futures = [pool.submit(call) for call in calls]
+    return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

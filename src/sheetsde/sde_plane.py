@@ -100,7 +100,12 @@ def tanh_drift(amplitude: float = 1.0, rate: float = 1.0, dim: int = 1) -> Drift
 
     def jac(s, t, x):
         x = np.asarray(x, dtype=float)
-        diag = amplitude * rate / np.cosh(rate * x) ** 2
+        # sech^2(y) = 4u / (1 + u)^2 with u = exp(-2|y|): 1 / cosh(y)^2 overflows
+        # once |y| > ~355 and 1 - tanh(y)^2 cancels to nothing in the tails;
+        # values below the normal range flush to zero without a warning
+        with np.errstate(under="ignore"):
+            u = np.exp(-2.0 * np.abs(rate * x))
+            diag = amplitude * rate * (4.0 * u / (1.0 + u) ** 2)
         out = np.zeros(x.shape + (x.shape[-1],))
         idx = np.arange(x.shape[-1])
         out[..., idx, idx] = diag
@@ -359,8 +364,12 @@ def _increment_sampler(grid: GridPartition, dim: int):
     return sampler
 
 
-def _sheet_mc_chunk(grid: GridPartition, dim: int, budget_bytes: int = 1 << 25) -> int:
-    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under budget."""
+def _sheet_mc_chunk(grid: GridPartition, dim: int, budget_bytes: int = 1 << 22) -> int:
+    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under budget.
+
+    The 4 MiB default keeps a chunk's temporaries near cache size and bounds
+    the memory of passes run at once (girsanov-check runs three).
+    """
     per_sample = grid.n_s * grid.n_t * dim * 8
     return max(1, budget_bytes // per_sample)
 

@@ -3,11 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from conftest import counting_jacobian
 from sheetsde import cli_runner
-from sheetsde.brownian_sheet import cumulative_values, sample
+from sheetsde.brownian_sheet import cumulative_values, derive_seed, sample
 from sheetsde.cli_runner import (
     ConfigError,
     ExperimentConfig,
@@ -16,7 +17,12 @@ from sheetsde.cli_runner import (
     run,
 )
 from sheetsde.plane_geometry import uniform_grid
-from sheetsde.sde_plane import tanh_drift
+from sheetsde.sde_plane import (
+    euler_weak_expectation,
+    girsanov_weak_expectation,
+    sign_drift,
+    tanh_drift,
+)
 
 RECORD_KEYS = [
     "schema_version",
@@ -115,6 +121,34 @@ class TestRunApi:
         assert rec.passed is True
         assert rec.outputs["gap_se"] <= 4.0
         assert rec.outputs["weight_z"] <= 4.0
+
+    GIRSANOV_CFG = {"grid": "32x32", "samples": 2048, "drift": "sign", "seed": 17, "x0": 0.1}
+
+    def test_girsanov_check_deterministic_under_threads(self):
+        # the three passes run on threads; each owns its stream, so the
+        # schedule cannot reach the record
+        texts = []
+        for _ in range(2):
+            lines = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG)).to_json().splitlines()
+            texts.append("\n".join(l for l in lines if "wall_time_s" not in l))
+        assert texts[0] == texts[1]
+
+    def test_girsanov_check_matches_serial_library_calls(self):
+        rec = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG))
+        grid, seed = uniform_grid(32, 32), 17
+        phi = lambda x: np.tanh(x[..., 0])
+        ones = lambda x: np.ones(x.shape[:-1])
+        serial = {
+            "girsanov": girsanov_weak_expectation(phi, sign_drift(), 0.1, grid, 2048, seed),
+            "euler": euler_weak_expectation(phi, sign_drift(), 0.1, grid, 2048,
+                                            derive_seed(seed, 0xE0)),
+            "mean_weight": girsanov_weak_expectation(ones, sign_drift(), 0.1, grid, 2048,
+                                                     derive_seed(seed, 0xA1)),
+        }
+        for key, est in serial.items():
+            assert rec.outputs[key] == {
+                "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
+            }
 
     def test_bad_grid_string(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Quadrature, Monte Carlo, and Gamma-function backends."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sheetsde.integrators import (
     MAX_GH_DIMS,
     McEstimate,
     TimeWindow,
+    concurrently,
     corollary_rhs,
     gamma_fn,
     gauss_hermite,
@@ -122,6 +124,34 @@ class TestMonteCarlo:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             monte_carlo(lambda z: z, normal_sampler, 1, seed=0)
+
+
+class TestConcurrently:
+    def test_results_in_argument_order(self):
+        # the first call cannot finish before the last one has run, so the
+        # calls overlap and finish out of argument order
+        last_ran = threading.Event()
+
+        def first():
+            assert last_ran.wait(timeout=10.0)
+            return "first"
+
+        def last():
+            last_ran.set()
+            return "last"
+
+        assert concurrently(first, lambda: "middle", last) == ["first", "middle", "last"]
+
+    def test_reraises_first_failure_in_argument_order(self):
+        ran = []
+
+        def fail(name):
+            ran.append(name)
+            raise ValueError(name)
+
+        with pytest.raises(ValueError, match="second"):
+            concurrently(lambda: ran.append("first"), lambda: fail("second"), lambda: fail("third"))
+        assert sorted(ran) == ["first", "second", "third"]
 
 
 class TestMergeEstimates:

@@ -20,6 +20,7 @@ from sheetsde.sde_plane import (
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
+    _sheet_mc_chunk,
     constant_drift,
     doleans_exponential,
     euler_weak_expectation,
@@ -68,6 +69,20 @@ class TestDriftFields:
             e[c] = h
             fd = (d.eval(0.1, 0.2, x + e) - d.eval(0.1, 0.2, x - e)) / (2 * h)
             assert np.max(np.abs(jac[..., :, c] - fd)) <= 1e-8
+
+    def test_tanh_jacobian_steep_tails_underflow_quietly(self):
+        # 1 / cosh(1024)^2 overflowed in the cosh form
+        with np.errstate(all="raise"):
+            jac = tanh_drift(rate=1024.0).jacobian(0.0, 0.0, np.array([[1.0], [-1.0]]))
+        assert np.all(jac == 0.0)
+
+    @pytest.mark.parametrize("amplitude, rate", [(1.0, 1.0), (0.9, 1.1), (1.0, 256.0), (2.5, 0.3)])
+    def test_tanh_jacobian_matches_cosh_form(self, amplitude, rate):
+        x = np.linspace(-350.0, 350.0, 20_001)[:, None] / rate
+        with np.errstate(all="raise"):
+            cosh_form = amplitude * rate / np.cosh(rate * x) ** 2
+        jac = tanh_drift(amplitude, rate).jacobian(0.0, 0.0, x)[..., 0, 0]
+        assert np.max(np.abs(jac - cosh_form[:, 0]) / cosh_form[:, 0]) <= 1e-14
 
     def test_tanh_bounded(self):
         d = tanh_drift(amplitude=0.8, rate=2.0, dim=1)
@@ -355,6 +370,10 @@ class TestDoleans:
 
 class TestWeakExpectations:
     PHI = staticmethod(lambda x: np.tanh(x[..., 0]))
+
+    def test_sheet_chunk_stays_cache_sized(self):
+        # girsanov-check runs three passes at once; 4 MiB chunks bound their memory
+        assert _sheet_mc_chunk(uniform_grid(64, 64), 1) * 64 * 64 * 8 <= 1 << 22
 
     def test_zero_drift_routes_agree(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
