@@ -11,8 +11,6 @@ integrals.
 
 __version__ = "0.1.0"
 
-import types as _types
-
 from .plane_geometry import (
     Cell,
     DegenerateGridError,
@@ -130,7 +128,31 @@ from .sde_plane import (
     zero_drift,
 )
 
+# the public surface, sorted; tests/test_package.py keeps it in step with the imports
 __all__ = [
-    name for name, value in sorted(globals().items())
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+    "BlockIncreasingFamily", "Cell", "CorollaryReport", "DEFAULT_C0", "DEFAULT_C1",
+    "DegenerateGridError", "DegenerateTiesError", "DoleansFactor", "DriftField",
+    "DriftScalarFactor", "EmptySelectionError", "GammaBound", "GammaTauAssignment",
+    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField",
+    "McEstimate", "MissingJacobianError", "NonConvergenceError",
+    "NotInProductError", "PartitionReport", "PermutationSpec", "PlanePoint",
+    "RegionDescriptor", "SheetSample", "SolutionField", "SplitIndexFamily",
+    "TimeWindow", "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
+    "bump_factor", "cameron_martin_shift", "cell_area", "coarsen", "constant_drift",
+    "corollary_check", "corollary_rhs", "corollary_scaling_slope", "crossing_set",
+    "cumulative_values", "davie_bound", "density", "derive_seed",
+    "direct_expectation", "doleans_exponential", "enumerate_block_increasing",
+    "enumerate_split_family", "euler_weak_expectation", "expand", "export_csv",
+    "flow_derivative", "gamma_fn", "gamma_tau", "gauss_hermite", "geometric_grid",
+    "girsanov_weak_expectation", "gradient_component", "grid_from_json",
+    "grid_to_json", "hermite_weight", "ibp_expectation", "import_csv",
+    "keyed_generator", "locate_cell", "locate_cell_split", "log_density",
+    "log_gamma", "malliavin_adjoint", "malliavin_series", "malliavin_solve",
+    "membership", "merge_estimates", "monte_carlo", "orientation_points",
+    "partition_report", "precedes", "product_identity_check", "rectangle_increment",
+    "sample", "sample_batch", "sample_region", "sign_drift",
+    "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
+    "solve_picard", "span", "spec_variances", "staircase", "tanh_drift",
+    "term_to_dict", "uniform_grid", "uniform_spec", "value_at", "values",
+    "verify_identity", "zero_drift",
 ]

@@ -92,13 +92,18 @@ def cumulative_values(increments: np.ndarray) -> np.ndarray:
 
     Accepts (..., n_s, n_t, dim) increments and returns (..., n_s+1, n_t+1, dim):
     out[..., i, j, :] = sum of increments over rows <= i, cols <= j.
+    Both prefix sums run in place in the interior of the output, and only
+    the two axis planes are zeroed.
     """
-    c = np.cumsum(np.cumsum(increments, axis=-3), axis=-2)
-    shape = list(c.shape)
-    shape[-3] += 1
-    shape[-2] += 1
-    out = np.zeros(shape, dtype=c.dtype)
-    out[..., 1:, 1:, :] = c
+    inc = np.asarray(increments)
+    *batch, n_s, n_t, dim = inc.shape
+    # the dtype np.cumsum would give: floats keep theirs, small ints widen
+    out = np.empty((*batch, n_s + 1, n_t + 1, dim), dtype=np.cumsum(inc[..., :0]).dtype)
+    out[..., 0, :, :] = 0
+    out[..., 1:, 0, :] = 0
+    body = out[..., 1:, 1:, :]
+    np.cumsum(inc, axis=-3, out=body)
+    np.cumsum(body, axis=-2, out=body)
     return out
 
 

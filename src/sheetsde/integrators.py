@@ -23,38 +23,12 @@ from .kernels import DEFAULT_C0
 # log Gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  This is the classic table
-# (Godfrey's computation); relative error below 1e-13 on [0.5, 50], which the
-# tests verify against an independent implementation.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise ValueError(f"log_gamma defined for positive arguments, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * math.log(base) - base + math.log(acc)
+    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:

@@ -161,37 +161,43 @@ def _as_x0(x0, dim: int) -> np.ndarray:
     return vec
 
 
-def _euler_values(grid: GridPartition, drift: DriftField, x0: np.ndarray,
-                  increments: np.ndarray) -> np.ndarray:
-    """Corner Euler recursion, vectorized over leading batch axes.
+def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
+                increments: np.ndarray):
+    """Corner Euler recursion, vectorized over leading batch axes, row by row.
 
-    increments: (..., n_s, n_t, d).  Returns (..., n_s+1, n_t+1, d).
-    The row update uses the telescoped form: the difference between
+    increments: (..., n_s, n_t, d).  Yields the state row i, shape
+    (..., n_t+1, d), for i = 1..n_s; every yield is the same buffer, updated
+    in place.  The row update uses the telescoped form: the difference between
     consecutive rows is the running column sum of drift * area + increment.
     """
     n_s, n_t = grid.n_s, grid.n_t
     d = increments.shape[-1]
     batch = increments.shape[:-3]
     s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    areas = grid.areas()
+    t_corners = np.asarray(grid.t_knots)[:-1]
+    areas = grid.areas()[:, :, None]
 
-    x = np.zeros(batch + (n_s + 1, n_t + 1, d))
-    x[..., 0, :, :] = x0
-    x[..., :, 0, :] = x0
-    t_corners = t_knots[:-1]
+    row = np.empty(batch + (n_t + 1, d))
+    row[...] = x0
+    g = np.empty(batch + (n_t, d))
     for i in range(1, n_s + 1):
-        prev = x[..., i - 1, :-1, :]  # states at (i-1, j-1), j = 1..n_t
-        b_vals = drift.eval(s_knots[i - 1], t_corners, prev)
-        g = b_vals * areas[i - 1][:, None] + increments[..., i - 1, :, :]
-        x[..., i, 1:, :] = x[..., i - 1, 1:, :] + np.cumsum(g, axis=-2)
-    return x
+        # states at the lower-left corners (i-1, j-1), j = 1..n_t
+        b_vals = drift.eval(s_knots[i - 1], t_corners, row[..., :-1, :])
+        np.multiply(b_vals, areas[i - 1], out=g)
+        g += increments[..., i - 1, :, :]
+        np.cumsum(g, axis=-2, out=g)
+        row[..., 1:, :] += g
+        yield row
 
 
 def solve_euler(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample) -> SolutionField:
     """One-pass corner scheme; exact fixed point of the lower-left-corner sum."""
     x0v = _as_x0(x0, sheet.dim)
-    return SolutionField(grid, x0v, _euler_values(grid, drift, x0v, sheet.increments))
+    x = np.empty((grid.n_s + 1, grid.n_t + 1, sheet.dim))
+    x[0] = x0v
+    for i, row in enumerate(_euler_rows(grid, drift, x0v, sheet.increments), start=1):
+        x[i] = row
+    return SolutionField(grid, x0v, x)
 
 
 def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
@@ -336,11 +342,11 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
 
     args holds the states at each cell's lower-left corner and z the cell
     increments, both shaped (batch, n_s, n_t, d); returns shape (batch,).
+    Both sums reduce in one pass each, without a b*z or b**2 temporary.
     """
     b_vals = drift.eval(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1], args)
-    return np.sum(b_vals * z, axis=(1, 2, 3)) - 0.5 * np.sum(
-        np.sum(b_vals**2, axis=-1) * grid.areas(), axis=(1, 2)
-    )
+    return (np.einsum("bijk,bijk->b", b_vals, z)
+            - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
 
 
 def doleans_exponential(drift: DriftField, sheet: SheetSample, arg_values: np.ndarray) -> DoleansFactor:
@@ -359,7 +365,9 @@ def _increment_sampler(grid: GridPartition, dim: int):
     std = np.sqrt(grid.areas())[:, :, None]
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.standard_normal((size, grid.n_s, grid.n_t, dim)) * std
+        z = rng.standard_normal((size, grid.n_s, grid.n_t, dim))
+        z *= std
+        return z
 
     return sampler
 
@@ -386,9 +394,10 @@ def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Dr
     x0v = _as_x0(x0, dim)
 
     def f(z: np.ndarray) -> np.ndarray:
-        w = cumulative_values(z)
-        log_m = _log_weights(drift, grid, x0v + w[:, :-1, :-1, :], z)
-        return phi(x0v + w[:, -1, -1, :]) * np.exp(log_m)
+        x = cumulative_values(z)
+        x += x0v  # the driftless field x0 + W, in place
+        log_m = _log_weights(drift, grid, x[:, :-1, :-1], z)
+        return phi(x[:, -1, -1]) * np.exp(log_m)
 
     return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
                        chunk=_sheet_mc_chunk(grid, dim))
@@ -397,12 +406,16 @@ def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Dr
 def euler_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
                            x0, grid: GridPartition, n_samples: int, seed: int,
                            dim: int = 1) -> McEstimate:
-    """E[phi(X at the far corner)] by direct simulation of the Euler chain."""
+    """E[phi(X at the far corner)] by direct simulation of the Euler chain.
+
+    Only the current row of the chain is kept, never the whole field.
+    """
     x0v = _as_x0(x0, dim)
 
     def f(z: np.ndarray) -> np.ndarray:
-        x = _euler_values(grid, drift, x0v, z)
-        return phi(x[:, -1, -1, :])
+        for row in _euler_rows(grid, drift, x0v, z):
+            pass
+        return phi(row[:, -1])
 
     return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
                        chunk=_sheet_mc_chunk(grid, dim))

@@ -288,36 +288,29 @@ def test_criterion_10_girsanov_weak_agreement():
         phi = lambda x: np.tanh(x[..., 0])
         ones = lambda x: np.ones(x.shape[:-1])
         drifts = (tanh_drift(1.0, 1.0, 1), sign_drift())
-        kinds = (("girsanov", girsanov_weak_expectation, 101),
-                 ("euler", euler_weak_expectation, 202))
-        grids = {mesh: uniform_grid(mesh, mesh, 1.0, 1.0) for mesh in (32, 64)}
-        # ten independent estimator calls, each on its own stream, run at once
+        grid = uniform_grid(64, 64, 1.0, 1.0)
+        # corner-frozen Girsanov has the Euler chain's law at every mesh, so the
+        # two estimators are compared at one mesh; six calls on their own streams
         calls = {}
         for drift_idx, drift in enumerate(drifts):
-            for kind, fn, seed0 in kinds:
-                for mesh in (32, 64):
-                    calls[drift_idx, kind, mesh] = partial(
-                        fn, phi, drift, 0.1, grids[mesh], samples, derive_seed(seed0, mesh))
+            for kind, fn, seed0 in (("girsanov", girsanov_weak_expectation, 101),
+                                    ("euler", euler_weak_expectation, 202)):
+                calls[drift_idx, kind] = partial(
+                    fn, phi, drift, 0.1, grid, samples, derive_seed(seed0, 64))
             calls[drift_idx, "weight"] = partial(
-                girsanov_weak_expectation, ones, drift, 0.1, grids[64], samples,
+                girsanov_weak_expectation, ones, drift, 0.1, grid, samples,
                 derive_seed(303, drift_idx))
         est = dict(zip(calls, concurrently(*calls.values())))
         details = []
         ok = True
         for drift_idx, drift in enumerate(drifts):
-            ext = {}
-            for kind, _, _ in kinds:
-                per_mesh = {mesh: est[drift_idx, kind, mesh] for mesh in (32, 64)}
-                mean = 2.0 * per_mesh[64].mean - per_mesh[32].mean
-                se = math.sqrt(4.0 * per_mesh[64].std_error ** 2
-                               + per_mesh[32].std_error ** 2)
-                ext[kind] = (mean, se)
-            gap = abs(ext["girsanov"][0] - ext["euler"][0])
-            combined = math.hypot(ext["girsanov"][1], ext["euler"][1])
+            g, e = est[drift_idx, "girsanov"], est[drift_idx, "euler"]
+            gap = abs(g.mean - e.mean)
+            combined = math.hypot(g.std_error, e.std_error)
             w = est[drift_idx, "weight"]
             weight_z = abs(w.mean - 1.0) / w.std_error
             ok = ok and gap <= 4.0 * combined and weight_z <= 4.0
-            details.append(f"{drift.name}: gap {gap / combined:.2f} SE, "
+            details.append(f"{drift.name}: gap {gap / combined:.2f} SE (SE {combined:.1e}), "
                            f"E[M] z {weight_z:.2f}")
         state["ok"] = ok
-        state["detail"] = "; ".join(details) + " (all <= 4 SE, extrapolated 32->64)"
+        state["detail"] = "; ".join(details) + " (all <= 4 SE, mesh 64)"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheetsde.brownian_sheet import (
+    SheetSample,
     cameron_martin_shift,
     coarsen,
     cumulative_values,
@@ -102,6 +103,26 @@ class TestValues:
         w = cumulative_values(z)
         back = w[1:, 1:] - w[:-1, 1:] - w[1:, :-1] + w[:-1, :-1]
         assert np.allclose(back, z, rtol=1e-12, atol=1e-14)
+
+    def test_cumulative_values_batch_matches_value_at(self):
+        # multiples of 1/8 sum exactly in any order, so value_at is a bit-exact oracle
+        grid = geometric_grid(5, 4)
+        z = keyed_generator(7).integers(-64, 65, size=(3, 5, 4, 2)) / 8.0
+        before = z.copy()
+        w = cumulative_values(z)
+        assert w.shape == (3, 6, 5, 2)
+        assert np.array_equal(z, before)
+        assert np.all(w[:, 0] == 0.0) and np.all(w[:, :, 0] == 0.0)
+        for r in range(3):
+            sheet = SheetSample(grid, 2, z[r], 0)
+            for i in range(6):
+                for j in range(5):
+                    assert np.array_equal(w[r, i, j], value_at(sheet, i, j))
+
+    def test_cumulative_values_is_two_prefix_sums(self):
+        z = keyed_generator(8).standard_normal((3, 5, 4, 2))
+        w = cumulative_values(z)
+        assert np.array_equal(w[..., 1:, 1:, :], np.cumsum(np.cumsum(z, axis=-3), axis=-2))
 
 
 class TestCameronMartin:

@@ -1,6 +1,7 @@
 """Solver exactness, mesh order, derivative fields, and reweighting checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,3 +402,50 @@ class TestWeakExpectations:
         ones = lambda x: np.ones(x.shape[:-1])
         w = girsanov_weak_expectation(ones, sign_drift(), 0.0, grid, 20_000, 21)
         assert abs(w.mean - 1.0) <= 4.0 * w.std_error
+
+    # values computed before the passes were fused (32x32, x0 0.1, 2048 samples,
+    # seed 7): (girsanov mean, girsanov SE, euler mean, euler SE)
+    PINNED = {
+        "tanh": (0.10278377407757847, 0.01893244040870285,
+                 0.10556608917670555, 0.01525877250522286),
+        "sign": (0.2676772716574711, 0.03314055142322462,
+                 0.26355720873310057, 0.015813981665347195),
+    }
+    DRIFTS = {"tanh": lambda: tanh_drift(1.0, 1.0, 1), "sign": sign_drift}
+
+    @pytest.mark.parametrize("name", ["tanh", "sign"])
+    def test_pinned_estimates(self, name):
+        grid = uniform_grid(32, 32, 1.0, 1.0)
+        drift = self.DRIFTS[name]()
+        g = girsanov_weak_expectation(self.PHI, drift, 0.1, grid, 2048, 7)
+        e = euler_weak_expectation(self.PHI, drift, 0.1, grid, 2048, 7)
+        g_mean, g_se, e_mean, e_se = self.PINNED[name]
+        # the Euler chain is bit-identical; the log-weight sums may reorder at round-off
+        assert (e.mean, e.std_error) == (e_mean, e_se)
+        assert g.mean == pytest.approx(g_mean, rel=1e-13)
+        assert g.std_error == pytest.approx(g_se, rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["tanh", "sign"])
+    @pytest.mark.parametrize("estimator, chunks, ceiling", [
+        (girsanov_weak_expectation, 8, 4.5),
+        (euler_weak_expectation, 8, 2.5),
+        # with one chunk no earlier chunk is alive while it is drawn, so only
+        # row buffers sit beside the increments; a whole field would double it
+        (euler_weak_expectation, 1, 1.25),
+    ])
+    def test_pass_allocates_a_few_chunks(self, estimator, chunks, ceiling, name):
+        # numpy reports its buffers to tracemalloc; the ceiling counts one
+        # chunk's increment array, so a full-field copy or temporary breaks it
+        grid = uniform_grid(64, 64, 1.0, 1.0)
+        drift = self.DRIFTS[name]()
+        chunk = _sheet_mc_chunk(grid, 1)
+        chunk_bytes = chunk * 64 * 64 * 8
+        # a first call may import lazily; keep that out of the count
+        estimator(self.PHI, drift, 0.1, uniform_grid(2, 2, 1.0, 1.0), 2, 11)
+        tracemalloc.start()
+        try:
+            estimator(self.PHI, drift, 0.1, grid, chunks * chunk, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
