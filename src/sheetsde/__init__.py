@@ -87,12 +87,12 @@ from .shuffle_combinatorics import (
     SplitIndexFamily,
     enumerate_block_increasing,
     enumerate_split_family,
-    locate_cell,
-    locate_cell_split,
-    membership,
+    locate_cell_batch,
+    locate_cell_split_batch,
+    membership_batch,
     partition_report,
     product_identity_check,
-    sample_region,
+    sample_region_batch,
 )
 from .estimate_lab import (
     CorollaryReport,
@@ -146,11 +146,11 @@ __all__ = [
     "flow_derivative", "gamma_fn", "gamma_tau", "gauss_hermite", "geometric_grid",
     "girsanov_weak_expectation", "gradient_component", "grid_from_json",
     "grid_to_json", "hermite_weight", "ibp_expectation", "import_csv",
-    "keyed_generator", "locate_cell", "locate_cell_split", "log_density",
+    "keyed_generator", "locate_cell_batch", "locate_cell_split_batch", "log_density",
     "log_gamma", "malliavin_adjoint", "malliavin_series", "malliavin_solve",
-    "membership", "merge_estimates", "monte_carlo", "orientation_points",
+    "membership_batch", "merge_estimates", "monte_carlo", "orientation_points",
     "partition_report", "precedes", "product_identity_check", "rectangle_increment",
-    "sample", "sample_batch", "sample_region", "sign_drift",
+    "sample", "sample_batch", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "tanh_drift",
     "term_to_dict", "uniform_grid", "uniform_spec", "value_at", "values",

@@ -488,6 +488,9 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     """Directional-derivative identity under a drift shift of the sheet."""
     grid = _build_grid(p)
     x0, eps = p["x0"], p["eps"]
+    # the central difference errs by O(eps^2); measured at most 5.9e-7, 5.9e-9
+    # and 6.6e-11 relative at eps = 1e-2, 1e-3 and 1e-4 (4x4 and 32x32 grids)
+    tolerance = eps ** 2 if p["tolerance"] is None else p["tolerance"]
     drift = _build_drift(p, 1)
     drift.require_jacobian()
     sheet = sample(grid, dim=1, seed=p["seed"])
@@ -509,8 +512,8 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
         "finite_difference": fd,
         "predicted": predicted,
         "rel_err": rel_err,
-        "tolerance": p["tolerance"],
-    }, bool(rel_err <= p["tolerance"])
+        "tolerance": tolerance,
+    }, bool(rel_err <= tolerance)
 
 
 def _run_girsanov_check(p: dict) -> tuple[dict, Optional[bool]]:
@@ -598,7 +601,7 @@ COMMANDS: dict[str, Command] = {
     "malliavin-check": Command(_run_malliavin_check, (
         *_DRIFT, _X0,
         Param("eps", 1e-4, _parse_float, "Cameron-Martin shift size."),
-        Param("tolerance", 1e-2, _parse_float, "Allowed relative error."),
+        Param("tolerance", None, _parse_float, "Allowed relative error; default eps**2."),
         *_grid("32x32"),
     )),
     "girsanov-check": Command(_run_girsanov_check, (
@@ -659,7 +662,7 @@ def _resolve_params(ctx: click.Context, kwargs: dict) -> dict:
 
 
 # click types for parameters whose default is None; others follow their default
-_NONE_DEFAULT_TYPES = {_parse_count: click.INT, _parse_path: click.Path()}
+_NONE_DEFAULT_TYPES = {_parse_count: click.INT, _parse_float: click.FLOAT, _parse_path: click.Path()}
 
 
 def _option(param: Param) -> click.Option:

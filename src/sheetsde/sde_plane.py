@@ -96,7 +96,12 @@ def sign_drift(dim: int = 1) -> DriftField:
 
 def tanh_drift(amplitude: float = 1.0, rate: float = 1.0, dim: int = 1) -> DriftField:
     def ev(s, t, x):
-        return amplitude * np.tanh(rate * np.asarray(x, dtype=float))
+        # in place, so one temporary: amplitude * np.tanh(rate * x) holds two at
+        # once, which would be the memory peak of a Girsanov pass
+        y = rate * np.asarray(x, dtype=float)
+        np.tanh(y, out=y)
+        y *= amplitude
+        return y
 
     def jac(s, t, x):
         x = np.asarray(x, dtype=float)

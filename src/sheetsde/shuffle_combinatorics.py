@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .brownian_sheet import keyed_generator
-from .plane_geometry import PlanePoint
 
 #: members are enumerated only while m * (k + n) stays at or below this
 ENUMERATION_LIMIT = 12
@@ -125,6 +124,14 @@ class SplitIndexFamily:
         return factorial(self.m * self.group_size) // factorial(self.group_size) ** self.m
 
 
+def _split_tokens(m: int, k: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Token numbers of the xi and zeta groups, block-major."""
+    return {
+        "xi": tuple(xi_token(i, j, k, n) for i in range(m) for j in range(1, k + 1)),
+        "zeta": tuple(zeta_token(i, j, k, n) for i in range(m) for j in range(1, n + 1)),
+    }
+
+
 def enumerate_split_family(m: int, k: int, n: int, group: str) -> SplitIndexFamily:
     """Family for the xi (upper, size k) or zeta (lower, size n) group."""
     if group not in ("xi", "zeta"):
@@ -133,10 +140,7 @@ def enumerate_split_family(m: int, k: int, n: int, group: str) -> SplitIndexFami
     if m < 1 or size < 1:
         raise ValueError("need m >= 1 and a positive group size")
     _guard_enumeration(m * size)
-    if group == "xi":
-        tokens = tuple(xi_token(i, j, k, n) for i in range(m) for j in range(1, k + 1))
-    else:
-        tokens = tuple(zeta_token(i, j, k, n) for i in range(m) for j in range(1, n + 1))
+    tokens = _split_tokens(m, k, n)[group]
     members = []
     for blocks in _block_partitions(tokens, size):
         member = []
@@ -152,6 +156,9 @@ def enumerate_split_family(m: int, k: int, n: int, group: str) -> SplitIndexFami
 
 NABLA_KINDS = ("nabla", "nabla_tilde")
 SPLIT_KINDS = ("lambda", "lambda_tilde", "delta", "delta_tilde")
+
+# the split coordinate is s for lambda/delta, t for the tilde kinds
+_SPLIT_AXIS = {"lambda": 0, "delta": 0, "lambda_tilde": 1, "delta_tilde": 1}
 
 
 @dataclass(frozen=True)
@@ -186,26 +193,61 @@ class RegionDescriptor:
         if self.kind in NABLA_KINDS:
             if self.n != 0:
                 raise ValueError(f"{self.kind} has a single group, n must be 0")
-        else:
-            if self.n < 1:
-                raise ValueError(f"{self.kind} needs n >= 1")
-            split_mid = self.s_mid if self.kind in ("lambda", "delta") else self.t_mid
-            if split_mid is None:
-                raise ValueError(f"{self.kind} needs the split coordinate's mid bound")
-            if self.kind in ("lambda", "delta"):
-                if not self.s_low < self.s_mid < self.s_high:
-                    raise ValueError("need s_low < s_mid < s_high")
-            else:
-                if not self.t_low < self.t_mid < self.t_high:
-                    raise ValueError("need t_low < t_mid < t_high")
-            if self.kind == "delta" and self.t_mid is None:
-                raise ValueError("delta needs t_mid for its extra constraint")
-            if self.kind == "delta_tilde" and self.s_mid is None:
-                raise ValueError("delta_tilde needs s_mid for its extra constraint")
+            return
+        if self.n < 1:
+            raise ValueError(f"{self.kind} needs n >= 1")
+        split, total = "st"[self.split_axis], "st"[1 - self.split_axis]
+        low, mid, high = self._bounds(self.split_axis)
+        if mid is None:
+            raise ValueError(f"{self.kind} needs the split coordinate's mid bound")
+        if not low < mid < high:
+            raise ValueError(f"need {split}_low < {split}_mid < {split}_high")
+        if self.kind.startswith("delta") and self._bounds(1 - self.split_axis)[1] is None:
+            raise ValueError(f"{self.kind} needs {total}_mid for its extra constraint")
 
     @property
     def arity(self) -> int:
-        return self.k if self.kind in NABLA_KINDS else self.k + self.n
+        return self.k + self.n
+
+    @property
+    def split_axis(self) -> Optional[int]:
+        """0 if the s-chain splits at its mid bound, 1 for t, None for nabla."""
+        return _SPLIT_AXIS.get(self.kind)
+
+    def _bounds(self, axis: int) -> tuple[float, Optional[float], float]:
+        if axis == 0:
+            return self.s_low, self.s_mid, self.s_high
+        return self.t_low, self.t_mid, self.t_high
+
+    @property
+    def groups(self) -> tuple[tuple[tuple[slice, float, float], ...], ...]:
+        """Per axis (s, then t), its descending chain groups (slots, low, high).
+
+        A split axis has the upper group (slots 1..k above mid) first and the
+        lower group (slots k+1..k+n below mid) second; any other axis is one
+        total group over all slots.
+        """
+        k, a = self.k, self.arity
+        out = []
+        for axis in (0, 1):
+            low, mid, high = self._bounds(axis)
+            if axis == self.split_axis:
+                out.append(((slice(0, k), mid, high), (slice(k, a), low, mid)))
+            else:
+                out.append(((slice(0, a), low, high),))
+        return tuple(out)
+
+    @property
+    def floors(self) -> tuple[tuple[int, int, float], ...]:
+        """Extra constraints (axis, slot, bound): coordinate > bound.
+
+        The delta kinds require the slot-k coordinate of the total axis to
+        exceed that axis's mid bound; the other kinds have none.
+        """
+        if not self.kind.startswith("delta"):
+            return ()
+        total = 1 - self.split_axis
+        return ((total, self.k - 1, self._bounds(total)[1]),)
 
 
 def _chain_desc(x: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -216,39 +258,16 @@ def _chain_desc(x: np.ndarray, low: float, high: float) -> np.ndarray:
     return ok
 
 
-def membership(region: RegionDescriptor, points: Sequence[PlanePoint]) -> bool:
-    """Exact chain test for one block of points in slot order."""
-    if len(points) != region.arity:
-        raise ValueError(f"expected {region.arity} points, got {len(points)}")
-    s = np.array([[p.s for p in points]])
-    t = np.array([[p.t for p in points]])
-    return bool(membership_batch(region, s, t)[0])
-
-
 def membership_batch(region: RegionDescriptor, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized membership; s and t have shape (N, arity) in slot order."""
-    k, n = region.k, region.n
-    if region.kind in NABLA_KINDS:
-        return _chain_desc(s, region.s_low, region.s_high) & _chain_desc(
-            t, region.t_low, region.t_high
-        )
-    if region.kind in ("lambda", "delta"):
-        ok = (
-            _chain_desc(s[:, :k], region.s_mid, region.s_high)
-            & _chain_desc(s[:, k:], region.s_low, region.s_mid)
-            & _chain_desc(t, region.t_low, region.t_high)
-        )
-        if region.kind == "delta":
-            ok &= t[:, k - 1] > region.t_mid
-        return ok
-    # lambda_tilde / delta_tilde: roles of s and t swap
-    ok = (
-        _chain_desc(t[:, :k], region.t_mid, region.t_high)
-        & _chain_desc(t[:, k:], region.t_low, region.t_mid)
-        & _chain_desc(s, region.s_low, region.s_high)
-    )
-    if region.kind == "delta_tilde":
-        ok &= s[:, k - 1] > region.s_mid
+    if s.shape[1] != region.arity or t.shape != s.shape:
+        raise ValueError(f"expected {region.arity} points, got {s.shape[1]}")
+    ok = np.ones(s.shape[0], dtype=bool)
+    for x, groups in zip((s, t), region.groups):
+        for slots, low, high in groups:
+            ok &= _chain_desc(x[:, slots], low, high)
+    for axis, slot, bound in region.floors:
+        ok &= (s, t)[axis][:, slot] > bound
     return ok
 
 
@@ -265,33 +284,19 @@ def sample_region_batch(region: RegionDescriptor, n_samples: int, seed: int) -> 
     simplex); the delta kinds reject against their extra constraint.
     """
     rng = keyed_generator(seed)
-    k, n = region.k, region.n
     out_s = np.empty((0, region.arity))
     out_t = np.empty((0, region.arity))
     need = n_samples
     while need > 0:
         batch = max(need, 128)
-        if region.kind in NABLA_KINDS:
-            s = _sorted_desc(rng, (batch, k), region.s_low, region.s_high)
-            t = _sorted_desc(rng, (batch, k), region.t_low, region.t_high)
-        elif region.kind in ("lambda", "delta"):
-            s = np.concatenate(
-                [
-                    _sorted_desc(rng, (batch, k), region.s_mid, region.s_high),
-                    _sorted_desc(rng, (batch, n), region.s_low, region.s_mid),
-                ],
-                axis=1,
-            )
-            t = _sorted_desc(rng, (batch, k + n), region.t_low, region.t_high)
-        else:
-            s = _sorted_desc(rng, (batch, k + n), region.s_low, region.s_high)
-            t = np.concatenate(
-                [
-                    _sorted_desc(rng, (batch, k), region.t_mid, region.t_high),
-                    _sorted_desc(rng, (batch, n), region.t_low, region.t_mid),
-                ],
-                axis=1,
-            )
+        # s before t and upper group before lower: this is the draw order
+        s, t = [
+            np.concatenate([
+                _sorted_desc(rng, (batch, slots.stop - slots.start), low, high)
+                for slots, low, high in groups
+            ], axis=1)
+            for groups in region.groups
+        ]
         keep = membership_batch(region, s, t)
         s, t = s[keep], t[keep]
         take = min(need, s.shape[0])
@@ -299,11 +304,6 @@ def sample_region_batch(region: RegionDescriptor, n_samples: int, seed: int) -> 
         out_t = np.concatenate([out_t, t[:take]])
         need -= take
     return out_s, out_t
-
-
-def sample_region(region: RegionDescriptor, seed: int) -> tuple[PlanePoint, ...]:
-    s, t = sample_region_batch(region, 1, seed)
-    return tuple(PlanePoint(float(a), float(b)) for a, b in zip(s[0], t[0]))
 
 
 def sample_product_batch(region: RegionDescriptor, m: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,21 +328,18 @@ def _ranks_desc(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _check_ties(*arrays: np.ndarray) -> np.ndarray:
-    """Rows having any tied coordinates."""
-    tied = np.zeros(arrays[0].shape[0], dtype=bool)
-    for x in arrays:
-        srt = np.sort(x, axis=1)
-        tied |= np.any(np.diff(srt, axis=1) == 0.0, axis=1)
-    return tied
-
-
-def _product_membership(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    a = region.arity
-    ok = np.ones(s.shape[0], dtype=bool)
-    for b in range(m):
-        ok &= membership_batch(region, s[:, b * a : (b + 1) * a], t[:, b * a : (b + 1) * a])
-    return ok
+def _check_product(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> None:
+    """Raise unless s and t hold untied points of the m-fold product region."""
+    width = m * region.arity
+    if s.shape[1] != width or t.shape != s.shape:
+        raise ValueError(f"expected {width} points, got {s.shape[1]}")
+    for x in (s, t):
+        if np.any(np.diff(np.sort(x, axis=1), axis=1) == 0.0):
+            raise DegenerateTiesError("tied coordinates")
+    # one row per block: sample-major, block-minor
+    blocks = membership_batch(region, s.reshape(-1, region.arity), t.reshape(-1, region.arity))
+    if not np.all(blocks):
+        raise NotInProductError("points outside the product region")
 
 
 def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,38 +350,8 @@ def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.nda
     """
     if region.kind not in NABLA_KINDS:
         raise ValueError("locate_cell_batch applies to the single-group region kinds")
-    if np.any(_check_ties(s, t)):
-        raise DegenerateTiesError("tied coordinates")
-    if not np.all(_product_membership(region, m, s, t)):
-        raise NotInProductError("points outside the product region")
-    sigma = _ranks_desc(s)
-    gamma = _ranks_desc(t)
-    return sigma, gamma
-
-
-def locate_cell(m: int, k: int, points: Sequence[PlanePoint],
-                region: Optional[RegionDescriptor] = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cell of one product point: blockwise-increasing rank pair (sigma, gamma)."""
-    if region is None:
-        region = RegionDescriptor("nabla", k)
-    if len(points) != m * k:
-        raise ValueError(f"expected {m * k} points, got {len(points)}")
-    s = np.array([[p.s for p in points]])
-    t = np.array([[p.t for p in points]])
-    sigma, gamma = locate_cell_batch(region, m, s, t)
-    sig, gam = tuple(int(v) for v in sigma[0]), tuple(int(v) for v in gamma[0])
-    for member, name in ((sig, "sigma"), (gam, "gamma")):
-        if not _is_block_increasing(member, m, k):
-            raise AssertionError(f"{name} rank labels not blockwise increasing: {member}")
-    return sig, gam
-
-
-def _is_block_increasing(member: tuple[int, ...], m: int, size: int) -> bool:
-    for i in range(m):
-        block = member[i * size : (i + 1) * size]
-        if any(block[j + 1] <= block[j] for j in range(size - 1)):
-            return False
-    return True
+    _check_product(region, m, s, t)
+    return _ranks_desc(s), _ranks_desc(t)
 
 
 def _tokens_by_coordinate(tokens: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -400,6 +367,15 @@ def _tokens_by_coordinate(tokens: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_view(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray):
+    """(split, total, group columns): the split and the total axis's
+    coordinates, and the product columns of the upper and lower groups."""
+    axis = region.split_axis
+    cols = np.arange(m * region.arity).reshape(m, region.arity)
+    group_cols = [cols[:, slots].ravel() for slots, _, _ in region.groups[axis]]
+    return (s, t)[axis], (s, t)[1 - axis], group_cols
+
+
 def locate_cell_split_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token assignments (pi, rho) and rank labels sigma for split regions.
 
@@ -409,64 +385,17 @@ def locate_cell_split_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: 
     """
     if region.kind not in SPLIT_KINDS:
         raise ValueError("locate_cell_split_batch applies to the split region kinds")
-    if np.any(_check_ties(s, t)):
-        raise DegenerateTiesError("tied coordinates")
-    if not np.all(_product_membership(region, m, s, t)):
-        raise NotInProductError("points outside the product region")
-    k, n = region.k, region.n
-    a = k + n
-    upper_cols = np.concatenate([np.arange(b * a, b * a + k) for b in range(m)])
-    lower_cols = np.concatenate([np.arange(b * a + k, (b + 1) * a) for b in range(m)])
-    xi_tokens = np.array([xi_token(i, j, k, n) for i in range(m) for j in range(1, k + 1)])
-    zeta_tokens = np.array([zeta_token(i, j, k, n) for i in range(m) for j in range(1, n + 1)])
-    # the split coordinate is s for lambda/delta, t for the tilde kinds
-    split = s if region.kind in ("lambda", "delta") else t
-    total = t if region.kind in ("lambda", "delta") else s
-    pi = _tokens_by_coordinate(xi_tokens, split[:, upper_cols])
-    rho = _tokens_by_coordinate(zeta_tokens, split[:, lower_cols])
-    sigma = _ranks_desc(total)
-    return pi, rho, sigma
-
-
-def locate_cell_split(m: int, k: int, n: int, points: Sequence[PlanePoint],
-                      region: Optional[RegionDescriptor] = None) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Cell of one split-region product point: (pi, rho, sigma).
-
-    pi and rho are token tuples over the upper/lower group positions in
-    block-major order; sigma is the blockwise-increasing rank tuple of the
-    totally ordered coordinate.
-    """
-    if region is None:
-        region = RegionDescriptor("lambda", k, n, s_mid=0.5)
-    if len(points) != m * (k + n):
-        raise ValueError(f"expected {m * (k + n)} points, got {len(points)}")
-    s = np.array([[p.s for p in points]])
-    t = np.array([[p.t for p in points]])
-    pi, rho, sigma = locate_cell_split_batch(region, m, s, t)
-    pi_t = tuple(int(v) for v in pi[0])
-    rho_t = tuple(int(v) for v in rho[0])
-    sig_t = tuple(int(v) for v in sigma[0])
-    # tokens must decrease along each block (ascending coordinate, ascending token)
-    for member, size in ((pi_t, k), (rho_t, n)):
-        for i in range(m):
-            block = member[i * size : (i + 1) * size]
-            if any(block[j + 1] >= block[j] for j in range(size - 1)):
-                raise AssertionError(f"token labels not blockwise decreasing: {member}")
-    if not _is_block_increasing(sig_t, m, k + n):
-        raise AssertionError(f"sigma rank labels not blockwise increasing: {sig_t}")
-    return pi_t, rho_t, sig_t
+    _check_product(region, m, s, t)
+    split, total, (upper_cols, lower_cols) = _split_view(region, m, s, t)
+    tokens = _split_tokens(m, region.k, region.n)
+    pi = _tokens_by_coordinate(np.array(tokens["xi"]), split[:, upper_cols])
+    rho = _tokens_by_coordinate(np.array(tokens["zeta"]), split[:, lower_cols])
+    return pi, rho, _ranks_desc(total)
 
 
 # ---------------------------------------------------------------------------
 # cell predicates (independent of locate; used by the partition scans)
 # ---------------------------------------------------------------------------
-
-
-def _inverse_permutation(member: Sequence[int]) -> np.ndarray:
-    inv = np.empty(len(member), dtype=int)
-    for pos, val in enumerate(member):
-        inv[val - 1] = pos
-    return inv
 
 
 def cell_membership_batch(region: RegionDescriptor, m: int, sigma: Sequence[int],
@@ -479,13 +408,11 @@ def cell_membership_batch(region: RegionDescriptor, m: int, sigma: Sequence[int]
     """
     if region.kind not in NABLA_KINDS:
         raise ValueError("cell predicate applies to the single-group region kinds")
-    inv_sig = _inverse_permutation(sigma)
-    inv_gam = _inverse_permutation(gamma)
-    s_chain = s[:, inv_sig]
-    t_chain = t[:, inv_gam]
-    return _chain_desc(s_chain, region.s_low, region.s_high) & _chain_desc(
-        t_chain, region.t_low, region.t_high
-    )
+    ok = np.ones(s.shape[0], dtype=bool)
+    for x, member, ((_, low, high),) in zip((s, t), (sigma, gamma), region.groups):
+        # argsort of a permutation of 1..n is its inverse: position of rank p
+        ok &= _chain_desc(x[:, np.argsort(member)], low, high)
+    return ok
 
 
 def cell_membership_split_batch(region: RegionDescriptor, m: int, pi: Sequence[int],
@@ -494,32 +421,16 @@ def cell_membership_split_batch(region: RegionDescriptor, m: int, pi: Sequence[i
     """Chain predicate of one (pi, rho, sigma) cell of a split product region."""
     if region.kind not in SPLIT_KINDS:
         raise ValueError("split cell predicate applies to the split region kinds")
-    k, n = region.k, region.n
-    a = k + n
-    upper_cols = np.concatenate([np.arange(b * a, b * a + k) for b in range(m)])
-    lower_cols = np.concatenate([np.arange(b * a + k, (b + 1) * a) for b in range(m)])
-    split = s if region.kind in ("lambda", "delta") else t
-    total = t if region.kind in ("lambda", "delta") else s
-    if region.kind in ("lambda", "delta"):
-        split_low, split_mid, split_high = region.s_low, region.s_mid, region.s_high
-        total_low, total_high = region.t_low, region.t_high
-    else:
-        split_low, split_mid, split_high = region.t_low, region.t_mid, region.t_high
-        total_low, total_high = region.s_low, region.s_high
-
-    # ascending token = ascending coordinate, so the coordinate read in
-    # descending token order must descend
-    def group_ok(cols: np.ndarray, member: Sequence[int], low: float, high: float) -> np.ndarray:
-        token_order = np.argsort(-np.asarray(member), kind="stable")
-        chain = split[:, cols[token_order]]
-        return _chain_desc(chain, low, high)
-
+    split, total, group_cols = _split_view(region, m, s, t)
+    ((_, total_low, total_high),) = region.groups[1 - region.split_axis]
     # the delta kinds' extra constraint is a property of the region, shared
     # by all cells, so the cell predicate only tests the chains
-    ok = group_ok(upper_cols, pi, split_mid, split_high)
-    ok &= group_ok(lower_cols, rho, split_low, split_mid)
-    inv_sig = _inverse_permutation(sigma)
-    ok &= _chain_desc(total[:, inv_sig], total_low, total_high)
+    ok = _chain_desc(total[:, np.argsort(sigma)], total_low, total_high)
+    for cols, member, (_, low, high) in zip(group_cols, (pi, rho), region.groups[region.split_axis]):
+        # ascending token = ascending coordinate, so the coordinate read in
+        # descending token order must descend
+        token_order = np.argsort(-np.asarray(member), kind="stable")
+        ok &= _chain_desc(split[:, cols[token_order]], low, high)
     return ok
 
 
@@ -562,6 +473,19 @@ def _enumerate_cells(region: RegionDescriptor, m: int) -> list[tuple]:
     return [(pi, rho, sig) for pi in xi_fam for rho in zeta_fam for sig in sig_fam]
 
 
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of `rows` in `table` (unique rows), -1 if absent.
+
+    Rows are compared as byte strings, one byte per label: labels never
+    exceed ENUMERATION_LIMIT, and bytes sort ~15x faster than row records.
+    """
+    both = np.concatenate([table, rows]).astype(np.uint8)
+    _, inverse = np.unique(both.view(np.dtype((np.void, both.shape[1]))).ravel(), return_inverse=True)
+    index = np.full(inverse.max() + 1, -1)
+    index[inverse[: len(table)]] = np.arange(len(table))
+    return index[inverse[len(table) :]]
+
+
 def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: int) -> PartitionReport:
     """Sample the product region and scan every cell's predicate.
 
@@ -570,26 +494,17 @@ def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: int
     """
     s, t = sample_product_batch(region, m, n_samples, seed)
     cells = _enumerate_cells(region, m)
-    cell_index = {cell: ci for ci, cell in enumerate(cells)}
     if region.kind in NABLA_KINDS:
-        sig, gam = locate_cell_batch(region, m, s, t)
-        located = np.array([
-            cell_index.get((tuple(map(int, a)), tuple(map(int, b))), -1)
-            for a, b in zip(sig, gam)
-        ])
+        locate, claims = locate_cell_batch, cell_membership_batch
     else:
-        pi, rho, sig = locate_cell_split_batch(region, m, s, t)
-        located = np.array([
-            cell_index.get((tuple(map(int, a)), tuple(map(int, b)), tuple(map(int, c))), -1)
-            for a, b, c in zip(pi, rho, sig)
-        ])
+        locate, claims = locate_cell_split_batch, cell_membership_split_batch
+    # a cell is its label tuples laid end to end, as are the located labels
+    table = np.array([sum(cell, ()) for cell in cells])
+    located = _row_index(table, np.concatenate(locate(region, m, s, t), axis=1))
     hits = np.zeros(n_samples, dtype=int)
     claimed = np.full(n_samples, -1, dtype=int)
     for ci, cell in enumerate(cells):
-        if region.kind in NABLA_KINDS:
-            mask = cell_membership_batch(region, m, cell[0], cell[1], s, t)
-        else:
-            mask = cell_membership_split_batch(region, m, cell[0], cell[1], cell[2], s, t)
+        mask = claims(region, m, *cell, s, t)
         hits += mask
         claimed[mask] = ci
     uncovered = int(np.sum(hits == 0))
@@ -629,12 +544,7 @@ def _cell_sampler(region: RegionDescriptor, sigma: Sequence[int], gamma: Sequenc
     size = len(sigma)
     s_chain = _sorted_desc(rng, (n_samples, size), region.s_low, region.s_high)
     t_chain = _sorted_desc(rng, (n_samples, size), region.t_low, region.t_high)
-    s = np.empty((n_samples, size))
-    t = np.empty((n_samples, size))
-    for pos in range(size):
-        s[:, pos] = s_chain[:, sigma[pos] - 1]
-        t[:, pos] = t_chain[:, gamma[pos] - 1]
-    return s, t
+    return s_chain[:, np.asarray(sigma) - 1], t_chain[:, np.asarray(gamma) - 1]
 
 
 def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000_000,
@@ -660,8 +570,7 @@ def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000
     lhs = single ** 2
     lhs_se = 2.0 * abs(single) * single_se  # delta method
 
-    fam = enumerate_block_increasing(2, k).members
-    cells = [(sig, gam) for sig in fam for gam in fam]
+    cells = _enumerate_cells(region, 2)
     per_cell = max(budget // len(cells), 2)
     cell_vol = (s_high ** (2 * k) / factorial(2 * k)) * (t_high ** (2 * k) / factorial(2 * k))
     rng = keyed_generator(seed ^ 0x9E3779B9)

@@ -102,7 +102,9 @@ class TestRunApi:
     def test_malliavin_check(self):
         rec = run(ExperimentConfig("malliavin-check", {"grid": "8x8", "seed": 3}))
         assert rec.passed is True
-        assert rec.outputs["rel_err"] <= 1e-2
+        # the default gate is eps^2, the order of the central difference's error
+        assert rec.outputs["tolerance"] == rec.outputs["eps"] ** 2 == 1e-8
+        assert rec.outputs["rel_err"] <= 1e-8
 
     def test_malliavin_check_evaluates_jacobian_once(self, monkeypatch):
         # a per-cell derivative loop re-evaluates the Jacobian ~n^3/2 times

@@ -427,7 +427,7 @@ class TestWeakExpectations:
 
     @pytest.mark.parametrize("name", ["tanh", "sign"])
     @pytest.mark.parametrize("estimator, chunks, ceiling", [
-        (girsanov_weak_expectation, 8, 4.5),
+        (girsanov_weak_expectation, 8, 3.5),
         (euler_weak_expectation, 8, 2.5),
         # with one chunk no earlier chunk is alive while it is drawn, so only
         # row buffers sit beside the increments; a whole field would double it
