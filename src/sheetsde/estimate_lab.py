@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,7 @@ from .integrators import (
     GammaBound,
     McEstimate,
     TimeWindow,
+    concurrently,
     corollary_rhs,
     gauss_hermite,
     monte_carlo,
@@ -72,11 +74,9 @@ def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> 
         x = np.asarray(x, dtype=float)
         u = (x - center) / width
         inside = np.abs(u) < 1.0
-        out = np.zeros_like(u)
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             t = np.where(inside, u * u - 1.0, -1.0)
-            out = np.where(inside, scale * np.exp(1.0 / t), 0.0)
-        return out
+            return np.where(inside, scale * np.exp(1.0 / t), 0.0)
 
     def b_prime(x):
         x = np.asarray(x, dtype=float)
@@ -113,7 +113,10 @@ def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndar
     With reduce_variance the exactly-mean-zero control b(0)^n * prod(weights)
     is subtracted (the gradient cells are distinct independent coordinates,
     so the weight product integrates to zero against any constant) and the
-    evaluation is antithetic in x; both transformations are unbiased.
+    evaluation is antithetic in x; both transformations are unbiased.  The
+    mirrored half reuses the draw: at -x the drift arguments are exactly
+    -args and the weight product is exactly (-1)^|grad| times the weights,
+    so the result equals 0.5 * (raw(x) + raw(-x)) bit for bit.
     """
     substitution = np.flatnonzero(term.shift >= 0)
     coeffs = term.args.copy()
@@ -121,21 +124,24 @@ def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndar
 
     b_idx = term.grad
     b_var = variances[b_idx]
-    b0n = float(factor.b(np.zeros(1))[0]) ** len(b_idx)
 
     def raw(x: np.ndarray) -> np.ndarray:
-        args = x @ coeffs.T
-        vals = np.prod(factor.b(args), axis=-1)
-        weights = np.prod(-x[:, b_idx] / b_var, axis=-1)
-        if reduce_variance:
-            vals = vals - b0n
-        return vals * weights
+        return np.prod(factor.b(x @ coeffs.T), axis=-1) * np.prod(-x[:, b_idx] / b_var, axis=-1)
 
     if not reduce_variance:
         return raw
 
+    b0n = float(factor.b(np.zeros(1))[0]) ** len(b_idx)
+    odd = len(b_idx) % 2 == 1
+
     def f(x: np.ndarray) -> np.ndarray:
-        return 0.5 * (raw(x) + raw(-x))
+        args = x @ coeffs.T
+        weights = np.prod(-x[:, b_idx] / b_var, axis=-1)
+        vals = (np.prod(factor.b(args), axis=-1) - b0n) * weights
+        if odd:
+            np.negative(weights, out=weights)
+        mirrored = (np.prod(factor.b(np.negative(args, out=args)), axis=-1) - b0n) * weights
+        return 0.5 * (vals + mirrored)
 
     return f
 
@@ -144,7 +150,9 @@ def _gaussian_sampler(variances: np.ndarray):
     std = np.sqrt(variances)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.standard_normal((size, std.shape[0])) * std
+        z = rng.standard_normal((size, std.shape[0]))
+        z *= std
+        return z
 
     return sampler
 
@@ -185,24 +193,31 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
 
     Standard errors of the terms combine by root sum of squares.  Monte
     Carlo terms use the unbiased control-variate and antithetic reduction
-    by default; quadrature ignores the flag.
+    by default and run at once, one thread per term (each owns its stream,
+    so the sum is the serial one bit for bit); quadrature ignores the flag
+    and runs serially.
     """
     check_method(spec, method)
     variances = spec_variances(spec, span(spec))
     terms = expand(spec)
-    total = 0.0
-    var_sum = 0.0
-    n_used = 0
-    for idx, term in enumerate(terms):
-        if method == "quadrature":
+    if method == "quadrature":
+        ests = []
+        for term in terms:
             f = _term_integrand(term, factor, variances)
             val = gauss_hermite(f, dims=len(variances), nodes_per_dim=budget,
                                 variances=variances)
-            est = McEstimate(val, 0.0, budget ** len(variances), None)
-        else:
-            f = _term_integrand(term, factor, variances, reduce_variance=reduce_variance)
-            est = monte_carlo(f, _gaussian_sampler(variances), budget,
-                              derive_seed(seed, 0x5EED + idx))
+            ests.append(McEstimate(val, 0.0, budget ** len(variances), None))
+    else:
+        sampler = _gaussian_sampler(variances)
+        ests = concurrently(*(
+            partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance),
+                    sampler, budget, derive_seed(seed, 0x5EED + idx))
+            for idx, term in enumerate(terms)
+        ))
+    total = 0.0
+    var_sum = 0.0
+    n_used = 0
+    for term, est in zip(terms, ests):
         total += term.sign * est.mean
         var_sum += est.std_error ** 2
         n_used += est.n_samples
@@ -245,8 +260,12 @@ class IdentityReport:
 def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
                     method: str = "mc", budget: int = 200_000, seed: int = 0,
                     quad_rel_tol: float = 1e-6, se_width: float = 4.0) -> IdentityReport:
-    direct = direct_expectation(spec, factor, method, budget, seed)
-    ibp = ibp_expectation(spec, factor, budget, seed=derive_seed(seed, 0xA17), method=method)
+    passes = (
+        lambda: direct_expectation(spec, factor, method, budget, seed),
+        lambda: ibp_expectation(spec, factor, budget, seed=derive_seed(seed, 0xA17), method=method),
+    )
+    # the Monte Carlo routes own independent streams, so they run at once
+    direct, ibp = concurrently(*passes) if method == "mc" else [call() for call in passes]
     bound = davie_bound(spec, factor.sup_norm)
     gap = abs(direct.mean - ibp.mean)
     if method == "quadrature":

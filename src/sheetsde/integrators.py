@@ -130,6 +130,9 @@ def gauss_hermite(
 # ---------------------------------------------------------------------------
 
 _MC_CHUNK = 1 << 17
+# rows drawn and evaluated at once inside a chunk: keeps each draw and the
+# integrand's temporaries in cache; the chunk stays the accumulation unit
+_MC_BLOCK = 1 << 12
 
 
 def monte_carlo(
@@ -145,9 +148,10 @@ def monte_carlo(
     The budget is split over `shards` keyed streams (keys seed XOR shard);
     running a shard on its own with the derived key and merging with
     merge_estimates reproduces the serial result.  `chunk` caps the batch
-    passed to the sampler; callers with large per-sample payloads lower it
-    to bound memory (the draw stream is unchanged, batching only regroups
-    the accumulation).
+    of each accumulation step; callers with large per-sample payloads lower
+    it to bound memory.  Within a chunk the sampler and f see at most
+    _MC_BLOCK rows at a time.  Neither changes the draw stream or the
+    per-sample values, so the estimate depends only on the chunk.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
@@ -167,10 +171,14 @@ def monte_carlo(
         m2 = 0.0
         while count < size:
             m = min(chunk_size, size - count)
-            batch = sampler(rng, m)
-            vals = np.asarray(f(batch), dtype=float)
-            if vals.shape != (m,):
-                raise ValueError("integrand must return one value per sample")
+            vals = np.empty(m)
+            for start in range(0, m, _MC_BLOCK):
+                b = min(_MC_BLOCK, m - start)
+                batch = sampler(rng, b)
+                block = np.asarray(f(batch), dtype=float)
+                if block.shape != (b,):
+                    raise ValueError("integrand must return one value per sample")
+                vals[start:start + b] = block
             bm = float(vals.mean())
             bm2 = float(((vals - bm) ** 2).sum())
             delta = bm - mean

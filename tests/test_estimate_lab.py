@@ -2,14 +2,19 @@
 
 import json
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sheetsde.brownian_sheet import derive_seed, keyed_generator
 from sheetsde.estimate_lab import (
     DriftScalarFactor,
+    IdentityReport,
     _direct_integrand,
+    _gaussian_sampler,
     _term_integrand,
     bump_factor,
     corollary_check,
@@ -28,7 +33,7 @@ from sheetsde.ibp_engine import (
     staircase,
     uniform_spec,
 )
-from sheetsde.integrators import TimeWindow
+from sheetsde.integrators import McEstimate, TimeWindow, monte_carlo
 
 # reference factor whose support edge sits far outside the sheet-value law
 # at horizon 1/4, keeping tensor quadrature spectrally convergent
@@ -39,6 +44,13 @@ QUAD_HORIZON = 0.25
 #     PYTHONPATH=src python tests/test_estimate_lab.py
 # only when a change to the integrands is intended
 INTEGRANDS = Path(__file__).parent / "data" / "integrand_values.json"
+
+# exact Monte Carlo estimates of both routes, regenerated by the same command;
+# the larger budget crosses a chunk boundary of integrators.monte_carlo
+ESTIMATES = Path(__file__).parent / "data" / "ibp_estimates.json"
+PINNED_SIGMAS = ((1, 2, 3), (3, 2, 1), (2, 1, 4, 3), (1, 2, 3, 4))
+PINNED_BUDGETS = (10_000, (1 << 17) + 3)
+MC_FACTOR = bump_factor(scale=1.0, width=2.5, center=0.25)
 
 
 def negated(factor: DriftScalarFactor) -> DriftScalarFactor:
@@ -202,6 +214,111 @@ class TestIntegrandValues:
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0), key
 
 
+def estimate_entry(est) -> list:
+    return [est.mean, est.std_error, est.n_samples]
+
+
+def mc_estimates() -> dict:
+    """direct_expectation and ibp_expectation (mc) at the pinned sigmas and budgets."""
+    values = {}
+    for sigma in PINNED_SIGMAS:
+        spec = uniform_spec(sigma)
+        for budget in PINNED_BUDGETS:
+            values[f"{','.join(map(str, sigma))}@{budget}"] = {
+                "direct": estimate_entry(direct_expectation(spec, MC_FACTOR, "mc", budget, seed=3)),
+                "ibp": estimate_entry(ibp_expectation(spec, MC_FACTOR, budget, seed=3)),
+            }
+    return values
+
+
+class TestPinnedEstimates:
+    def test_match_pinned_estimates(self):
+        # floats are stored by repr, so == compares every bit of the estimates
+        assert mc_estimates() == json.loads(ESTIMATES.read_text())
+
+
+def two_draw_antithetic(term, factor, variances):
+    """The antithetic integrand evaluated as 0.5 * (raw(x) + raw(-x)), controls included."""
+    substitution = np.flatnonzero(term.shift >= 0)
+    coeffs = term.args.copy()
+    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
+    b0n = float(factor.b(np.zeros(1))[0]) ** len(term.grad)
+
+    def raw(x):
+        vals = np.prod(factor.b(x @ coeffs.T), axis=-1) - b0n
+        return vals * np.prod(-x[:, term.grad] / variances[term.grad], axis=-1)
+
+    return lambda x: 0.5 * (raw(x) + raw(-x))
+
+
+def serial_ibp(spec, factor, budget, seed) -> McEstimate:
+    """ibp_expectation's Monte Carlo route, one term pass after the other."""
+    variances = spec_variances(spec, span(spec))
+    total, var_sum, n_used = 0.0, 0.0, 0
+    for idx, term in enumerate(expand(spec)):
+        est = monte_carlo(_term_integrand(term, factor, variances, True),
+                          _gaussian_sampler(variances), budget, derive_seed(seed, 0x5EED + idx))
+        total += term.sign * est.mean
+        var_sum += est.std_error ** 2
+        n_used += est.n_samples
+    return McEstimate(total, math.sqrt(var_sum), n_used, seed)
+
+
+class TestOneDrawAntithetic:
+    @pytest.mark.parametrize("sigma, parity", [((1, 2, 3), 1), ((1, 2, 3, 4), 0)])
+    def test_equals_two_draw_form(self, sigma, parity):
+        spec = uniform_spec(sigma)
+        variances = spec_variances(spec, span(spec))
+        x = _gaussian_sampler(variances)(keyed_generator(4), 3000)
+        for term in expand(spec):
+            assert len(term.grad) % 2 == parity
+            got = _term_integrand(term, MC_FACTOR, variances, reduce_variance=True)(x)
+            want = two_draw_antithetic(term, MC_FACTOR, variances)(x)
+            assert np.array_equal(got, want)
+
+
+class TestConcurrentPasses:
+    @pytest.mark.parametrize("sigma", [(2, 1, 3), (1, 2, 3, 4)])
+    def test_ibp_expectation_equals_serial_terms(self, sigma):
+        spec = uniform_spec(sigma)
+        assert ibp_expectation(spec, MC_FACTOR, 20_000, seed=6) == serial_ibp(
+            spec, MC_FACTOR, 20_000, 6)
+
+    def test_verify_identity_equals_serial_passes(self):
+        # five passes at once under a short switch interval: the passes
+        # share only read-only state, so no schedule changes a bit
+        spec = uniform_spec((2, 1, 4, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = verify_identity(spec, MC_FACTOR, "mc", budget=20_000, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        direct = direct_expectation(spec, MC_FACTOR, "mc", 20_000, 8)
+        ibp = serial_ibp(spec, MC_FACTOR, 20_000, derive_seed(8, 0xA17))
+        gap = abs(direct.mean - ibp.mean)
+        tol = 4.0 * math.hypot(direct.std_error, ibp.std_error)
+        bound = davie_bound(spec, MC_FACTOR.sup_norm)
+        assert report == IdentityReport(spec.sigma, direct, ibp, bound, gap, tol, gap <= tol,
+                                        abs(ibp.mean) + 4.0 * ibp.std_error <= bound)
+
+    def test_peak_memory_below_two_draws(self):
+        # numpy reports its buffers to tracemalloc, across threads; nine
+        # passes at once must stay below two full-size draws of the budget
+        spec = uniform_spec((1, 2, 3, 4))
+        budget = 100_000
+        draw_bytes = budget * len(span(spec)) * 8
+        # a first call imports lazily; keep that out of the count
+        verify_identity(spec, MC_FACTOR, "mc", budget=10, seed=1)
+        tracemalloc.start()
+        try:
+            verify_identity(spec, MC_FACTOR, "mc", budget=budget, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * draw_bytes, f"peak {peak / draw_bytes:.2f} draws"
+
+
 class TestVerifyIdentity:
     @pytest.mark.parametrize("sigma", [(1, 2), (2, 1)])
     def test_quadrature_two_points(self, sigma):
@@ -259,3 +376,4 @@ class TestCorollary:
 
 if __name__ == "__main__":
     INTEGRANDS.write_text(json.dumps(integrand_values()) + "\n")
+    ESTIMATES.write_text(json.dumps(mc_estimates(), indent=1) + "\n")

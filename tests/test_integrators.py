@@ -8,8 +8,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from sheetsde.brownian_sheet import derive_seed
+from sheetsde.brownian_sheet import derive_seed, keyed_generator
 from sheetsde.integrators import (
+    _MC_BLOCK,
+    _MC_CHUNK,
     DEFAULT_C1,
     MAX_GH_DIMS,
     McEstimate,
@@ -28,6 +30,31 @@ from sheetsde.integrators import (
 
 def normal_sampler(rng, n):
     return rng.standard_normal(n)
+
+
+def payload_sampler(rng, n):
+    return rng.standard_normal((n, 3))
+
+
+def payload_integrand(z):
+    return np.cos(z @ np.array([0.7, -1.3, 0.4]))
+
+
+def chunk_reference(f, sampler, n, seed, chunk):
+    """monte_carlo's accumulation with each chunk drawn and evaluated in one call."""
+    rng = keyed_generator(seed)
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < n:
+        m = min(chunk, n - count)
+        vals = f(sampler(rng, m))
+        bm = float(vals.mean())
+        bm2 = float(((vals - bm) ** 2).sum())
+        delta = bm - mean
+        new_count = count + m
+        mean += delta * m / new_count
+        m2 += bm2 + delta * delta * count * m / new_count
+        count = new_count
+    return McEstimate(mean, math.sqrt(m2 / (count * (count - 1))), count, seed)
 
 
 class TestLogGamma:
@@ -111,6 +138,26 @@ class TestMonteCarlo:
         a = monte_carlo(lambda z: np.cos(z), normal_sampler, 4096, seed=5)
         b = monte_carlo(lambda z: np.cos(z), normal_sampler, 4096, seed=5, chunk=97)
         assert abs(a.mean - b.mean) <= 1e-12
+
+    def test_integrand_sees_at_most_one_block(self):
+        rows = []
+
+        def f(z):
+            rows.append(z.shape[0])
+            return payload_integrand(z)
+
+        n = _MC_CHUNK + 5
+        monte_carlo(f, payload_sampler, n, seed=2)
+        assert max(rows) == _MC_BLOCK
+        assert sum(rows) == n
+
+    @pytest.mark.parametrize("n, chunk", [(3 * 10_000 + 17, 10_000), (_MC_CHUNK + 5, None)])
+    def test_blocks_match_whole_chunk_draws(self, n, chunk):
+        # blocks regroup the draws and the evaluation inside a chunk only,
+        # so every bit of the estimate is that of one draw per chunk
+        got = monte_carlo(payload_integrand, payload_sampler, n, seed=9, chunk=chunk)
+        want = chunk_reference(payload_integrand, payload_sampler, n, 9, chunk or _MC_CHUNK)
+        assert got == want
 
     def test_se_halves_when_budget_quadruples(self):
         a = monte_carlo(lambda z: np.exp(-z.clip(-20, 20)), normal_sampler, 20_000, seed=2)
