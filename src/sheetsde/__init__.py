@@ -113,6 +113,7 @@ from .sde_plane import (
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
+    WeakComparison,
     constant_drift,
     doleans_exponential,
     euler_weak_expectation,
@@ -121,6 +122,7 @@ from .sde_plane import (
     malliavin_adjoint,
     malliavin_series,
     malliavin_solve,
+    paired_weak_expectation,
     sign_drift,
     solve_euler,
     solve_picard,
@@ -137,7 +139,7 @@ __all__ = [
     "McEstimate", "MissingJacobianError", "NonConvergenceError",
     "NotInProductError", "PartitionReport", "PermutationSpec", "PlanePoint",
     "RegionDescriptor", "SheetSample", "SolutionField", "SplitIndexFamily",
-    "TimeWindow", "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
+    "TimeWindow", "WeakComparison", "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
     "bump_factor", "cameron_martin_shift", "cell_area", "coarsen", "constant_drift",
     "corollary_check", "corollary_rhs", "corollary_scaling_slope", "crossing_set",
     "cumulative_values", "davie_bound", "density", "derive_seed",
@@ -149,7 +151,7 @@ __all__ = [
     "keyed_generator", "locate_cell_batch", "locate_cell_split_batch", "log_density",
     "log_gamma", "malliavin_adjoint", "malliavin_series", "malliavin_solve",
     "membership_batch", "merge_estimates", "monte_carlo", "orientation_points",
-    "partition_report", "precedes", "product_identity_check", "rectangle_increment",
+    "paired_weak_expectation", "partition_report", "precedes", "product_identity_check", "rectangle_increment",
     "sample", "sample_batch", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "tanh_drift",

@@ -40,13 +40,12 @@ from .brownian_sheet import (
 )
 from .estimate_lab import bump_factor, check_method, davie_bound, direct_expectation, verify_identity
 from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
-from .integrators import concurrently, simplex_dirichlet_oracle, simplex_singular_integral
+from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
     constant_drift,
-    euler_weak_expectation,
-    girsanov_weak_expectation,
     malliavin_adjoint,
+    paired_weak_expectation,
     sign_drift,
     solve_euler,
     solve_picard,
@@ -519,29 +518,21 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
 def _run_girsanov_check(p: dict) -> tuple[dict, Optional[bool]]:
     """Two-estimator agreement of the weak solution and E[weight] = 1."""
     grid = _build_grid(p)
-    seed, samples, x0, width = p["seed"], p["samples"], p["x0"], p["se_width"]
-    drift = _build_drift(p, 1)
-    phi = _PHIS[p["phi"]]
-
-    ones = lambda x: np.ones(x.shape[:-1])
-    # independent streams, so running the three passes at once changes no bit
-    girsanov, euler, weight = concurrently(
-        lambda: girsanov_weak_expectation(phi, drift, x0, grid, samples, seed),
-        lambda: euler_weak_expectation(phi, drift, x0, grid, samples, derive_seed(seed, 0xE0)),
-        lambda: girsanov_weak_expectation(ones, drift, x0, grid, samples, derive_seed(seed, 0xA1)),
-    )
-    gap_se = abs(girsanov.mean - euler.mean) / max(
-        math.hypot(girsanov.std_error, euler.std_error), 1e-300
-    )
-    weight_z = abs(weight.mean - 1.0) / max(weight.std_error, 1e-300)
+    width = p["se_width"]
+    est = paired_weak_expectation(_PHIS[p["phi"]], _build_drift(p, 1), p["x0"], grid,
+                                  p["samples"], p["seed"])
+    # both estimators read the same sheets, so the gap's own SE is the paired SE
+    gap_se = abs(est.gap.mean) / max(est.gap.std_error, 1e-300)
+    weight_z = abs(est.weight.mean - 1.0) / max(est.weight.std_error, 1e-300)
     passed = bool(gap_se <= width and weight_z <= width)
     return {
         "drift": p["drift"],
         "phi": p["phi"],
-        "girsanov": _estimate_dict(girsanov),
-        "euler": _estimate_dict(euler),
+        "girsanov": _estimate_dict(est.girsanov),
+        "euler": _estimate_dict(est.euler),
+        "gap": _estimate_dict(est.gap),
         "gap_se": gap_se,
-        "mean_weight": _estimate_dict(weight),
+        "mean_weight": _estimate_dict(est.weight),
         "weight_z": weight_z,
     }, passed
 

@@ -10,13 +10,14 @@ estimates are compared against.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .brownian_sheet import derive_seed, keyed_generator
+from .brownian_sheet import _MASK64, keyed_generator
 from .kernels import DEFAULT_C0
 
 # ---------------------------------------------------------------------------
@@ -142,12 +143,17 @@ def monte_carlo(
     seed: int,
     shards: int = 1,
     chunk: Optional[int] = None,
-) -> McEstimate:
+) -> McEstimate | list[McEstimate]:
     """Mean of f over n draws from sampler with a stable running accumulation.
 
-    The budget is split over `shards` keyed streams (keys seed XOR shard);
-    running a shard on its own with the derived key and merging with
-    merge_estimates reproduces the serial result.  `chunk` caps the batch
+    f maps a batch of b draws to (b,) values, or to (b, k) rows for k
+    estimands on the same draws; the second form returns k estimates, one
+    per column, each reduced as a scalar f's values would be.  The budget is
+    split over `shards` streams, shard r keyed by the 128-bit Philox key
+    [seed, r] (shard 0 is keyed_generator(seed)).  Shards run on up to
+    _pool_workers(shards) threads and are merged in shard order, so the
+    result does not depend on the worker count; running a shard on its own
+    and merging with merge_estimates reproduces it.  `chunk` caps the batch
     of each accumulation step; callers with large per-sample payloads lower
     it to bound memory.  Within a chunk the sampler and f see at most
     _MC_BLOCK rows at a time.  Neither changes the draw stream or the
@@ -162,36 +168,72 @@ def monte_carlo(
         raise ValueError("chunk must be >= 1")
 
     sizes = [n // shards + (1 if r < n % shards else 0) for r in range(shards)]
-    parts = []
-    for r, size in enumerate(sizes):
-        key = seed if shards == 1 else derive_seed(seed, r)
-        rng = keyed_generator(key)
+
+    def run_shard(r: int) -> tuple[tuple[int, ...], list[McEstimate]]:
+        # Philox's 128-bit key [seed, r]: distinct (seed, shard) pairs never share
+        # a stream, and shard 0 draws what keyed_generator(seed) draws (Salmon
+        # et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+        rng = np.random.Generator(np.random.Philox(key=[int(seed) & _MASK64, r]))
+        cols = None  # () for a scalar f, (k,) for k columns
         count = 0
-        mean = 0.0
-        m2 = 0.0
-        while count < size:
-            m = min(chunk_size, size - count)
-            vals = np.empty(m)
+        mean = m2 = 0.0
+        while count < sizes[r]:
+            m = min(chunk_size, sizes[r] - count)
             for start in range(0, m, _MC_BLOCK):
                 b = min(_MC_BLOCK, m - start)
                 batch = sampler(rng, b)
                 block = np.asarray(f(batch), dtype=float)
-                if block.shape != (b,):
-                    raise ValueError("integrand must return one value per sample")
-                vals[start:start + b] = block
-            bm = float(vals.mean())
-            bm2 = float(((vals - bm) ** 2).sum())
+                if cols is None:
+                    cols = block.shape[1:]
+                if len(cols) > 1 or block.shape != (b,) + cols:
+                    raise ValueError("integrand must return one value or one row per sample")
+                if start == 0:
+                    vals = np.empty(cols + (m,))
+                # one contiguous row per column, reduced as a scalar f's values
+                vals[..., start:start + b] = block.T
+            bm = vals.mean(axis=-1)
+            bm2 = ((vals - bm[..., None]) ** 2).sum(axis=-1)
             delta = bm - mean
             new_count = count + m
-            mean += delta * m / new_count
-            m2 += bm2 + delta * delta * count * m / new_count
+            mean = mean + delta * m / new_count
+            m2 = m2 + (bm2 + delta * delta * count * m / new_count)
             count = new_count
-        se = math.sqrt(m2 / (count * (count - 1))) if count > 1 else 0.0
-        parts.append(McEstimate(mean, se, count, key))
+        se = np.sqrt(m2 / (count * (count - 1))) if count > 1 else np.zeros_like(m2)
+        return cols, [McEstimate(float(mu), float(e), count, seed)
+                      for mu, e in zip(np.atleast_1d(mean), np.atleast_1d(se))]
+
     if shards == 1:
-        return parts[0]
-    merged = merge_estimates(parts)
-    return McEstimate(merged.mean, merged.std_error, merged.n_samples, seed)
+        results = [run_shard(0)]
+    else:
+        results = _on_threads(run_shard, range(shards), _pool_workers(shards))
+    cols = results[0][0]
+    columns = [merge_estimates(parts) if shards > 1 else parts[0]
+               for parts in zip(*(ests for _, ests in results))]
+    return columns if cols else columns[0]
+
+
+def _pool_workers(shards: int) -> int:
+    """Threads for a sharded pass: one per shard, at most one per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(shards, cpus))
+
+
+def _on_threads(fn: Callable, items: Iterable, workers: int) -> list:
+    """fn over items on `workers` threads; results in item order.
+
+    Every call runs to the end; the exception of the first failing item in
+    order is then re-raised.
+    """
+    # imported here: concurrent.futures pulls in logging, which commands that
+    # run nothing on threads should not pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
 
 
 def concurrently(*calls: Callable[[], object]) -> list:
@@ -203,13 +245,7 @@ def concurrently(*calls: Callable[[], object]) -> list:
     the thread schedule.  All calls run to the end; the exception of the
     first failing call in argument order is then re-raised.
     """
-    # imported here: concurrent.futures pulls in logging, which commands that
-    # run no passes at once should not pay for at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(len(calls), 1)) as pool:
-        futures = [pool.submit(call) for call in calls]
-    return [future.result() for future in futures]
+    return _on_threads(lambda call: call(), calls, max(len(calls), 1))
 
 
 # ---------------------------------------------------------------------------

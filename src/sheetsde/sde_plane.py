@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -381,10 +381,32 @@ def _sheet_mc_chunk(grid: GridPartition, dim: int, budget_bytes: int = 1 << 22) 
     """Batch size keeping one (batch, n_s, n_t, dim) float64 array under budget.
 
     The 4 MiB default keeps a chunk's temporaries near cache size and bounds
-    the memory of passes run at once (girsanov-check runs three).
+    the memory of chunks in flight at once (a paired pass runs one shard per
+    chunk on the thread pool).
     """
     per_sample = grid.n_s * grid.n_t * dim * 8
     return max(1, budget_bytes // per_sample)
+
+
+def _girsanov_terms(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
+                    grid: GridPartition, x0v: np.ndarray,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(x0 + W at the far corner) and the weight M of each sheet in z."""
+    x = cumulative_values(z)
+    x += x0v  # the driftless field x0 + W, in place
+    log_m = _log_weights(drift, grid, x[:, :-1, :-1], z)
+    return phi(x[:, -1, -1]), np.exp(log_m)
+
+
+def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
+               grid: GridPartition, x0v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """phi(X at the far corner) of the Euler chain driven by each sheet in z.
+
+    Only the current row of the chain is kept, never the whole field.
+    """
+    for row in _euler_rows(grid, drift, x0v, z):
+        pass
+    return phi(row[:, -1])
 
 
 def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
@@ -399,10 +421,8 @@ def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Dr
     x0v = _as_x0(x0, dim)
 
     def f(z: np.ndarray) -> np.ndarray:
-        x = cumulative_values(z)
-        x += x0v  # the driftless field x0 + W, in place
-        log_m = _log_weights(drift, grid, x[:, :-1, :-1], z)
-        return phi(x[:, -1, -1]) * np.exp(log_m)
+        phi_w, weight = _girsanov_terms(phi, drift, grid, x0v, z)
+        return phi_w * weight
 
     return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
                        chunk=_sheet_mc_chunk(grid, dim))
@@ -411,16 +431,41 @@ def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Dr
 def euler_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
                            x0, grid: GridPartition, n_samples: int, seed: int,
                            dim: int = 1) -> McEstimate:
-    """E[phi(X at the far corner)] by direct simulation of the Euler chain.
+    """E[phi(X at the far corner)] by direct simulation of the Euler chain."""
+    x0v = _as_x0(x0, dim)
+    return monte_carlo(lambda z: _euler_phi(phi, drift, grid, x0v, z),
+                       _increment_sampler(grid, dim), n_samples, seed,
+                       chunk=_sheet_mc_chunk(grid, dim))
 
-    Only the current row of the chain is kept, never the whole field.
+
+class WeakComparison(NamedTuple):
+    """Girsanov and Euler weak estimates from the same sheets."""
+
+    girsanov: McEstimate  # phi(x0 + W) * M
+    euler: McEstimate  # phi(X^Euler)
+    weight: McEstimate  # M, whose exact mean is 1
+    gap: McEstimate  # girsanov - euler per sheet: its SE is the paired SE
+
+
+def paired_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
+                            x0, grid: GridPartition, n_samples: int, seed: int,
+                            dim: int = 1) -> WeakComparison:
+    """Both weak estimators of E[phi(X at the far corner)] in one paired pass.
+
+    Every sheet feeds the Girsanov integrand and the Euler chain, so the gap
+    column's SE is that of the per-sheet difference, far below the combined
+    SE of two independent passes.  The pass runs one shard per sheet chunk
+    on monte_carlo's thread pool; the shards, hence the estimates, depend
+    only on (seed, n_samples, grid, dim), never on the worker count.
     """
     x0v = _as_x0(x0, dim)
 
     def f(z: np.ndarray) -> np.ndarray:
-        for row in _euler_rows(grid, drift, x0v, z):
-            pass
-        return phi(row[:, -1])
+        phi_w, weight = _girsanov_terms(phi, drift, grid, x0v, z)
+        girsanov = phi_w * weight
+        euler = _euler_phi(phi, drift, grid, x0v, z)
+        return np.stack((girsanov, euler, weight, girsanov - euler), axis=-1)
 
-    return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
-                       chunk=_sheet_mc_chunk(grid, dim))
+    chunk = _sheet_mc_chunk(grid, dim)
+    return WeakComparison(*monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
+                                       shards=-(-n_samples // chunk), chunk=chunk))

@@ -11,7 +11,6 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import bump_factor, verify_identity
 from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
 from sheetsde.integrators import (
-    concurrently,
     simplex_dirichlet_oracle,
     simplex_singular_integral,
 )
@@ -31,9 +29,8 @@ from sheetsde.kernels import DEFAULT_C0, KernelCell, abs_gradient_l1, gradient_c
 from sheetsde.plane_geometry import Cell, geometric_grid, uniform_grid
 from sheetsde.sde_plane import (
     constant_drift,
-    euler_weak_expectation,
-    girsanov_weak_expectation,
     malliavin_solve,
+    paired_weak_expectation,
     sign_drift,
     solve_euler,
     solve_picard,
@@ -286,31 +283,19 @@ def test_criterion_10_girsanov_weak_agreement():
     with criterion(10, "reweighted vs simulated weak solution", 600.0) as state:
         samples = 100_000
         phi = lambda x: np.tanh(x[..., 0])
-        ones = lambda x: np.ones(x.shape[:-1])
-        drifts = (tanh_drift(1.0, 1.0, 1), sign_drift())
         grid = uniform_grid(64, 64, 1.0, 1.0)
         # corner-frozen Girsanov has the Euler chain's law at every mesh, so the
-        # two estimators are compared at one mesh; six calls on their own streams
-        calls = {}
-        for drift_idx, drift in enumerate(drifts):
-            for kind, fn, seed0 in (("girsanov", girsanov_weak_expectation, 101),
-                                    ("euler", euler_weak_expectation, 202)):
-                calls[drift_idx, kind] = partial(
-                    fn, phi, drift, 0.1, grid, samples, derive_seed(seed0, 64))
-            calls[drift_idx, "weight"] = partial(
-                girsanov_weak_expectation, ones, drift, 0.1, grid, samples,
-                derive_seed(303, drift_idx))
-        est = dict(zip(calls, concurrently(*calls.values())))
+        # two estimators are compared at one mesh, paired on the same sheets;
+        # each call already runs its shards on every core, so they run in turn
         details = []
         ok = True
-        for drift_idx, drift in enumerate(drifts):
-            g, e = est[drift_idx, "girsanov"], est[drift_idx, "euler"]
-            gap = abs(g.mean - e.mean)
-            combined = math.hypot(g.std_error, e.std_error)
-            w = est[drift_idx, "weight"]
-            weight_z = abs(w.mean - 1.0) / w.std_error
-            ok = ok and gap <= 4.0 * combined and weight_z <= 4.0
-            details.append(f"{drift.name}: gap {gap / combined:.2f} SE (SE {combined:.1e}), "
-                           f"E[M] z {weight_z:.2f}")
+        for drift in (tanh_drift(1.0, 1.0, 1), sign_drift()):
+            est = paired_weak_expectation(phi, drift, 0.1, grid, samples, derive_seed(101, 64))
+            gap_z = abs(est.gap.mean) / est.gap.std_error
+            weight_z = abs(est.weight.mean - 1.0) / est.weight.std_error
+            ok = ok and gap_z <= 4.0 and weight_z <= 4.0
+            unpaired = math.hypot(est.girsanov.std_error, est.euler.std_error)
+            details.append(f"{drift.name}: gap {gap_z:.2f} SE (paired SE {est.gap.std_error:.1e}, "
+                           f"unpaired {unpaired:.1e}), E[M] z {weight_z:.2f}")
         state["ok"] = ok
         state["detail"] = "; ".join(details) + " (all <= 4 SE, mesh 64)"

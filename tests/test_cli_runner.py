@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import counting_jacobian
-from sheetsde import cli_runner
-from sheetsde.brownian_sheet import cumulative_values, derive_seed, sample
+from sheetsde import cli_runner, integrators, sde_plane
+from sheetsde.brownian_sheet import cumulative_values, sample
 from sheetsde.cli_runner import (
     ConfigError,
     ExperimentConfig,
@@ -18,10 +18,10 @@ from sheetsde.cli_runner import (
 )
 from sheetsde.plane_geometry import uniform_grid
 from sheetsde.sde_plane import (
-    euler_weak_expectation,
-    girsanov_weak_expectation,
+    paired_weak_expectation,
     sign_drift,
     tanh_drift,
+    zero_drift,
 )
 
 RECORD_KEYS = [
@@ -126,31 +126,41 @@ class TestRunApi:
 
     GIRSANOV_CFG = {"grid": "32x32", "samples": 2048, "drift": "sign", "seed": 17, "x0": 0.1}
 
-    def test_girsanov_check_deterministic_under_threads(self):
-        # the three passes run on threads; each owns its stream, so the
-        # schedule cannot reach the record
+    def test_girsanov_check_deterministic_under_threads(self, monkeypatch):
+        # shards own their streams and merge in shard order, so neither the
+        # schedule nor the pool's size can reach the record
         texts = []
-        for _ in range(2):
+        for workers in (None, 1, 4):
+            if workers is not None:
+                monkeypatch.setattr(integrators, "_pool_workers", lambda shards, w=workers: w)
             lines = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG)).to_json().splitlines()
             texts.append("\n".join(l for l in lines if "wall_time_s" not in l))
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
 
-    def test_girsanov_check_matches_serial_library_calls(self):
+    def test_girsanov_check_matches_paired_library_call(self):
         rec = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG))
-        grid, seed = uniform_grid(32, 32), 17
-        phi = lambda x: np.tanh(x[..., 0])
-        ones = lambda x: np.ones(x.shape[:-1])
-        serial = {
-            "girsanov": girsanov_weak_expectation(phi, sign_drift(), 0.1, grid, 2048, seed),
-            "euler": euler_weak_expectation(phi, sign_drift(), 0.1, grid, 2048,
-                                            derive_seed(seed, 0xE0)),
-            "mean_weight": girsanov_weak_expectation(ones, sign_drift(), 0.1, grid, 2048,
-                                                     derive_seed(seed, 0xA1)),
-        }
-        for key, est in serial.items():
+        est = paired_weak_expectation(lambda x: np.tanh(x[..., 0]), sign_drift(), 0.1,
+                                      uniform_grid(32, 32), 2048, 17)
+        for key, part in (("girsanov", est.girsanov), ("euler", est.euler),
+                          ("gap", est.gap), ("mean_weight", est.weight)):
             assert rec.outputs[key] == {
-                "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
+                "mean": part.mean, "std_error": part.std_error, "n_samples": part.n_samples,
             }
+        # the gate reads the paired SE of the per-sheet difference
+        assert rec.outputs["gap_se"] == abs(est.gap.mean) / est.gap.std_error
+        assert rec.outputs["weight_z"] == abs(est.weight.mean - 1.0) / est.weight.std_error
+
+    def test_girsanov_check_gate_rejects_a_driftless_euler_column(self, monkeypatch):
+        # mutation: the Euler column ignores the drift while the Girsanov column
+        # reweights by tanh; the paired 4-SE gate must see the gap
+        euler_phi = sde_plane._euler_phi
+        monkeypatch.setattr(sde_plane, "_euler_phi",
+                            lambda phi, drift, *rest: euler_phi(phi, zero_drift(), *rest))
+        rec = run(ExperimentConfig("girsanov-check", {
+            "grid": "16x16", "samples": 10_000, "drift": "tanh", "seed": 5, "x0": 0.1,
+        }))
+        assert rec.outputs["gap_se"] > 4.0
+        assert rec.passed is False
 
     def test_bad_grid_string(self):
         with pytest.raises(ConfigError):

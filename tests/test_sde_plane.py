@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import counting_jacobian
+from sheetsde import integrators
 from sheetsde.brownian_sheet import (
     cameron_martin_shift,
     coarsen,
@@ -30,6 +31,7 @@ from sheetsde.sde_plane import (
     malliavin_adjoint,
     malliavin_series,
     malliavin_solve,
+    paired_weak_expectation,
     sign_drift,
     solve_euler,
     solve_picard,
@@ -373,7 +375,8 @@ class TestWeakExpectations:
     PHI = staticmethod(lambda x: np.tanh(x[..., 0]))
 
     def test_sheet_chunk_stays_cache_sized(self):
-        # girsanov-check runs three passes at once; 4 MiB chunks bound their memory
+        # a paired pass runs one shard per chunk on the pool; 4 MiB chunks bound
+        # the memory of the chunks in flight
         assert _sheet_mc_chunk(uniform_grid(64, 64), 1) * 64 * 64 * 8 <= 1 << 22
 
     def test_zero_drift_routes_agree(self):
@@ -424,6 +427,49 @@ class TestWeakExpectations:
         assert (e.mean, e.std_error) == (e_mean, e_se)
         assert g.mean == pytest.approx(g_mean, rel=1e-13)
         assert g.std_error == pytest.approx(g_se, rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["tanh", "sign"])
+    def test_paired_columns_are_the_single_estimators(self, name):
+        # below one chunk the paired pass is one shard on the unsharded stream,
+        # so its columns are the single-estimator passes bit for bit
+        grid = uniform_grid(32, 32, 1.0, 1.0)
+        drift = self.DRIFTS[name]()
+        n = _sheet_mc_chunk(grid, 1) - 12
+        ones = lambda x: np.ones(x.shape[:-1])
+        est = paired_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
+        assert est.girsanov == girsanov_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
+        assert est.euler == euler_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
+        assert est.weight == girsanov_weak_expectation(ones, drift, 0.1, grid, n, 7)
+        assert est.gap.mean == pytest.approx(est.girsanov.mean - est.euler.mean, abs=1e-15)
+
+    def test_paired_gap_se_is_below_the_combined_se(self):
+        # the measured per-sheet variance of the difference is a fraction of
+        # the sum of the two estimators' variances
+        grid = uniform_grid(32, 32, 1.0, 1.0)
+        est = paired_weak_expectation(self.PHI, tanh_drift(1.0, 1.0, 1), 0.1, grid, 8192, 5)
+        assert est.gap.n_samples == est.girsanov.n_samples == 8192
+        combined = math.hypot(est.girsanov.std_error, est.euler.std_error)
+        assert est.gap.std_error < 0.6 * combined
+        assert abs(est.gap.mean) <= 4.0 * est.gap.std_error
+        assert abs(est.weight.mean - 1.0) <= 4.0 * est.weight.std_error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_paired_pass_allocates_a_few_chunks_per_worker(self, workers, monkeypatch):
+        # each worker holds one chunk's increments, field and drift values; the
+        # Euler column adds only row buffers beside them
+        monkeypatch.setattr(integrators, "_pool_workers", lambda shards: min(shards, workers))
+        grid = uniform_grid(64, 64, 1.0, 1.0)
+        chunk = _sheet_mc_chunk(grid, 1)
+        chunk_bytes = chunk * 64 * 64 * 8
+        drift = tanh_drift(1.0, 1.0, 1)
+        paired_weak_expectation(self.PHI, drift, 0.1, uniform_grid(2, 2, 1.0, 1.0), 2, 11)
+        tracemalloc.start()
+        try:
+            paired_weak_expectation(self.PHI, drift, 0.1, grid, 8 * chunk, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * workers * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
 
     @pytest.mark.parametrize("name", ["tanh", "sign"])
     @pytest.mark.parametrize("estimator, chunks, ceiling", [
