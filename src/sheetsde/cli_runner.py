@@ -1,9 +1,9 @@
 """Experiment orchestration and the command-line interface.
 
 Every subcommand builds an ExperimentConfig, dispatches through run(), and
-prints one ResultRecord as JSON to stdout.  Records carry the seed, a schema
-version, the resolved inputs, and a pass verdict (null when the command has
-no quantitative check).  Re-running an identical config reproduces all
+prints one ResultRecord to stdout as one compact JSON line (JSON Lines).
+Records carry the seed, a schema version, the resolved inputs, and a pass
+verdict (null when the command has no quantitative check).  Re-running an identical config reproduces all
 stochastic outputs bit for bit; wall time is the only varying field.
 
 Each subcommand's parameters are declared once, in COMMANDS: run() parses
@@ -63,6 +63,11 @@ from .shuffle_combinatorics import (
 SCHEMA_VERSION = "1"
 
 
+def _json_line(obj) -> str:
+    """Compact JSON text without newlines; json's C encoder runs only without indent."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -107,7 +112,7 @@ class ResultRecord:
             "pass": self.passed,
             "wall_time_s": self.wall_time_s,
         }
-        return json.dumps(record, indent=2)
+        return _json_line(record)
 
     @property
     def exit_code(self) -> int:
@@ -336,7 +341,7 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     term_dicts = [term_to_dict(t) for t in terms]
     if p["out"]:
         with open(p["out"], "w") as fh:
-            json.dump(term_dicts, fh, indent=2)
+            fh.write(_json_line(term_dicts) + "\n")
     return {
         "n": spec.n,
         "sigma": list(spec.sigma),

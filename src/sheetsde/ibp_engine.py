@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,10 +78,8 @@ def uniform_spec(sigma: Sequence[int], horizon: float = 1.0) -> PermutationSpec:
 
 def crossing_set(spec: PermutationSpec) -> tuple[int, ...]:
     """Rows strictly dominated in both coordinates by a later point, ascending."""
-    return tuple(
-        i for i in range(1, spec.n + 1)
-        if any(spec.sigma_of(k) > spec.sigma_of(i) for k in range(i + 1, spec.n + 1))
-    )
+    sigma = spec.sigma
+    return tuple(i + 1 for i in range(spec.n) if any(v > sigma[i] for v in sigma[i + 1:]))
 
 
 def span(spec: PermutationSpec) -> np.ndarray:
@@ -150,67 +148,69 @@ class ShiftLemmaReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _select_columns(
-    spec: PermutationSpec,
-    K: tuple[int, ...],
-    J: tuple[int, ...],
-    log: Optional[list[ShiftCheck]] = None,
-) -> GammaTauAssignment:
-    """Run the staged gamma/tau selection for one crossing subset K of J = crossing_set(spec).
+def _column_selector(spec: PermutationSpec, J: tuple[int, ...]) -> Callable[..., GammaTauAssignment]:
+    """Staged gamma/tau selection for the crossing subsets K of J = crossing_set(spec).
 
-    Stage r handles the r-th crossing row.  The exclusions at each stage are
-    the gamma columns already fixed for crossing rows in K and the tau
-    columns already fixed for crossing rows outside K; non-crossing rows are
-    then assigned their selection column against the final exclusion set.
+    Stage r handles the r-th crossing row.  Its pools, the columns sigma(j)
+    and sigma(j) + 1 over the first r + 1 crossing rows, do not depend on K,
+    so they are built once here.  The exclusions grow stage by stage: the
+    gamma column of each crossing row in K and the tau column of each one
+    outside K.  Non-crossing rows are then assigned their selection column
+    against the final exclusion set.  The returned select(K, log=None) runs
+    the selection for one sorted K, appending a ShiftCheck per pick to log.
     """
-    if not set(K) <= set(J):
-        raise ValueError(f"K = {set(K)} must be a subset of the crossing set {set(J)}")
-    gamma: dict[int, int] = {}
-    tau: dict[int, int] = {}
-
-    def exclusions(stage_rows: Sequence[int]) -> set[int]:
-        out = set()
-        for j in stage_rows:
-            out.add(gamma[j] if j in K else tau[j])
-        return out
-
-    def pick(row: int, role: str, pool: set[int], excl: set[int],
-             maximize: bool, bound: int) -> int:
-        if maximize:
-            candidates = [c for c in pool if c <= bound and c not in excl]
-        else:
-            candidates = [c for c in pool if c >= bound and c not in excl]
-        chosen = (max(candidates) if maximize else min(candidates)) if candidates else None
-        if log is not None:
-            log.append(ShiftCheck(K, row, role, tuple(sorted(pool)),
-                                  tuple(sorted(excl)), chosen))
-        if chosen is None:
-            raise EmptySelectionError(
-                f"no admissible {role} column for row {row}, sigma={spec.sigma}, K={sorted(K)}"
-            )
-        return chosen
-
+    sigma = spec.sigma
+    crossing = set(J)
+    stages = []
     for r, i in enumerate(J):
-        prior = J[:r]
-        excl = exclusions(prior)
-        sigma_pool = {spec.sigma_of(j) for j in J[: r + 1]}
-        shift_pool = {spec.sigma_of(j) + 1 for j in J[: r + 1]}
-        gamma[i] = pick(i, "gamma", sigma_pool, excl, True, spec.sigma_of(i))
-        tau[i] = pick(i, "tau", shift_pool, excl, False, spec.sigma_of(i) + 1)
+        prefix = {sigma[j - 1] for j in J[: r + 1]}
+        stages.append((i, sigma[i - 1], tuple(sorted(prefix)), tuple(sorted(c + 1 for c in prefix))))
+    sigma_J = {sigma[j - 1] for j in J}
+    others = [(i, sigma[i - 1], tuple(sorted(sigma_J | {sigma[i - 1]})))
+              for i in range(1, spec.n + 1) if i not in crossing]
 
-    final_excl = exclusions(J)
-    sigma_J = {spec.sigma_of(j) for j in J}
-    for i in range(1, spec.n + 1):
-        if i in gamma:
-            continue
-        pool = sigma_J | {spec.sigma_of(i)}
-        gamma[i] = pick(i, "gamma", pool, final_excl, True, spec.sigma_of(i))
+    def select(K: tuple[int, ...], log: Optional[list[ShiftCheck]] = None) -> GammaTauAssignment:
+        if not crossing.issuperset(K):
+            raise ValueError(f"K = {set(K)} must be a subset of the crossing set {crossing}")
+        in_K = set(K)
+        excl: set[int] = set()
 
-    return GammaTauAssignment(K, gamma, tau)
+        def pick(row: int, role: str, pool: tuple[int, ...], bound: int) -> int:
+            # gamma takes the largest admissible column <= bound, tau the smallest >= bound
+            chosen = None
+            if role == "gamma":
+                for c in reversed(pool):
+                    if c <= bound and c not in excl:
+                        chosen = c
+                        break
+            else:
+                for c in pool:
+                    if c >= bound and c not in excl:
+                        chosen = c
+                        break
+            if log is not None:
+                log.append(ShiftCheck(K, row, role, pool, tuple(sorted(excl)), chosen))
+            if chosen is None:
+                raise EmptySelectionError(
+                    f"no admissible {role} column for row {row}, sigma={sigma}, K={sorted(K)}"
+                )
+            return chosen
+
+        gamma: dict[int, int] = {}
+        tau: dict[int, int] = {}
+        for i, s, sigma_pool, shift_pool in stages:
+            gamma[i] = pick(i, "gamma", sigma_pool, s)
+            tau[i] = pick(i, "tau", shift_pool, s + 1)
+            excl.add(gamma[i] if i in in_K else tau[i])
+        for i, s, pool in others:
+            gamma[i] = pick(i, "gamma", pool, s)
+        return GammaTauAssignment(K, gamma, tau)
+
+    return select
 
 
 def gamma_tau(spec: PermutationSpec, K: Iterable[int]) -> GammaTauAssignment:
-    return _select_columns(spec, tuple(sorted(K)), crossing_set(spec))
+    return _column_selector(spec, crossing_set(spec))(tuple(sorted(K)))
 
 
 def assert_shift_lemmas(spec: PermutationSpec, K: Optional[Iterable[int]] = None) -> ShiftLemmaReport:
@@ -221,15 +221,14 @@ def assert_shift_lemmas(spec: PermutationSpec, K: Optional[Iterable[int]] = None
     checks instead.
     """
     J = crossing_set(spec)
+    select = _column_selector(spec, J)
     checks: list[ShiftCheck] = []
     subsets = [tuple(sorted(K))] if K is not None else list(_crossing_subsets(J))
     for sub in subsets:
-        log: list[ShiftCheck] = []
         try:
-            _select_columns(spec, sub, J, log)
+            select(sub, checks)
         except EmptySelectionError:
             pass
-        checks.extend(log)
     return ShiftLemmaReport(tuple(checks))
 
 
@@ -288,8 +287,9 @@ def expand(spec: PermutationSpec) -> tuple[IbpTerm, ...]:
     index = index.tolist()
     rows = np.arange(n)
     terms = []
+    select = _column_selector(spec, J)
     for K in _crossing_subsets(J):
-        assignment = _select_columns(spec, K, J)
+        assignment = select(K)
         gamma = tuple(assignment.gamma[i] for i in range(1, n + 1))
         tau = assignment.tau
         selected = [index[i][gamma[i - 1]] for i in range(1, n + 1)]

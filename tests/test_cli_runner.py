@@ -1,7 +1,10 @@
 """Experiment runner API, JSON record contract, and CLI exit codes."""
 
 import csv
+import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from sheetsde.sde_plane import (
     zero_drift,
 )
 
+# sha256 per n of the term lists of every sigma; its "about" key gives the recipe
+EXPAND_DIGESTS = Path(__file__).parent / "data" / "expand_digests.json"
+
 RECORD_KEYS = [
     "schema_version",
     "artifact_version",
@@ -44,6 +50,14 @@ def run_cli(capsys, argv):
 
 def record_of(out: str) -> dict:
     return json.loads(out)
+
+
+def without_wall_time(text: str) -> str:
+    """The record re-dumped with every key in its own order, wall_time_s dropped."""
+    pairs = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+    kept = [(k, v) for k, v in pairs if k != "wall_time_s"]
+    assert len(kept) == len(pairs) - 1, "a record holds exactly one wall_time_s"
+    return json.dumps(kept)
 
 
 class TestRunApi:
@@ -133,8 +147,8 @@ class TestRunApi:
         for workers in (None, 1, 4):
             if workers is not None:
                 monkeypatch.setattr(integrators, "_pool_workers", lambda shards, w=workers: w)
-            lines = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG)).to_json().splitlines()
-            texts.append("\n".join(l for l in lines if "wall_time_s" not in l))
+            texts.append(without_wall_time(
+                run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG)).to_json()))
         assert texts[0] == texts[1] == texts[2]
 
     def test_girsanov_check_matches_paired_library_call(self):
@@ -191,6 +205,14 @@ class TestRecordFormat:
         parsed = json.loads(rec.to_json(), object_pairs_hook=lambda pairs: pairs)
         assert [k for k, _ in parsed] == RECORD_KEYS
 
+    def test_to_json_is_one_compact_line(self):
+        rec = run(ExperimentConfig("expand-ibp", {"sigma": "2,1,3"}))
+        values = (rec.schema_version, rec.artifact_version, rec.command, rec.seed, rec.inputs,
+                  rec.outputs, rec.passed, rec.wall_time_s)
+        text = rec.to_json()
+        assert "\n" not in text
+        assert text == json.dumps(dict(zip(RECORD_KEYS, values)), separators=(",", ":"))
+
     def test_exit_codes(self):
         base = dict(command="x", seed=0, inputs={}, outputs={}, wall_time_s=0.0)
         assert ResultRecord(passed=None, **base).exit_code == 0
@@ -203,8 +225,7 @@ class TestRecordFormat:
         })
         texts = []
         for _ in range(2):
-            lines = run(cfg).to_json().splitlines()
-            texts.append("\n".join(l for l in lines if "wall_time_s" not in l))
+            texts.append(without_wall_time(run(cfg).to_json()))
         assert texts[0] == texts[1]
 
 
@@ -255,12 +276,31 @@ class TestCliBehavior:
         assert rec["seed"] == 7
         assert list(rec) == RECORD_KEYS
 
+    @pytest.mark.parametrize("argv", [
+        ["sample-sheet", "--grid", "3x3"],
+        ["expand-ibp", "--sigma", "2,1,3"],
+        ["verify-ibp", "--sigma", "2,1", "--method", "quadrature", "--nodes", "8"],
+    ])
+    def test_stdout_is_one_line(self, capsys, argv):
+        _, out = run_cli(capsys, argv)
+        assert out.endswith("\n") and out.count("\n") == 1
+
+    def test_record_terms_are_the_digested_bytes(self, capsys):
+        # the terms array inside each record is byte for byte the canonical
+        # form that the golden digests hash, one sigma per line
+        digest = hashlib.sha256()
+        for sigma in itertools.permutations("123"):
+            _, out = run_cli(capsys, ["expand-ibp", "--sigma", ",".join(sigma)])
+            start = out.index('"terms":') + len('"terms":')
+            digest.update(out[start:out.index(',"terms_path":', start)].encode() + b"\n")
+        assert digest.hexdigest() == json.loads(EXPAND_DIGESTS.read_text())["sha256"]["3"]
+
     def test_byte_determinism(self, capsys):
         argv = ["expand-ibp", "--sigma", "3,1,2"]
         outs = []
         for _ in range(2):
             _, out = run_cli(capsys, argv)
-            outs.append("\n".join(l for l in out.splitlines() if "wall_time_s" not in l))
+            outs.append(without_wall_time(out))
         assert outs[0] == outs[1]
 
     def test_env_seed_default(self, capsys, monkeypatch):
@@ -322,9 +362,12 @@ class TestCliBehavior:
 
     def test_expand_terms_json_export(self, capsys, tmp_path):
         path = tmp_path / "terms.json"
-        code, _ = run_cli(capsys, ["expand-ibp", "--sigma", "2,1,3", "--out", str(path)])
+        code, out = run_cli(capsys, ["expand-ibp", "--sigma", "2,1,3", "--out", str(path)])
         assert code == 0
         with open(path) as fh:
-            terms = json.load(fh)
+            text = fh.read()
+        terms = json.loads(text)
         assert len(terms) == 4
         assert {t["sign"] for t in terms} == {-1, 1}
+        # the file holds the record's terms array in the same one-line form
+        assert text == json.dumps(record_of(out)["outputs"]["terms"], separators=(",", ":")) + "\n"
