@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent tree and a change tree, written to one JSON file.
 
-For each workload and each of its fixed seeds, runs
+For every workload and each of its ten fixed seeds, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
 
@@ -11,7 +11,9 @@ alike.  Each run's last stdout line (the benchmark's result) is kept, with
 its "# FAILED" lines and its provenance.  The output file holds every run,
 the per-workload medians of each side, the change/parent ratio of the
 medians, the number of pairs the change wins per metric, the parent's
-interquartile range, and the failed ops of both sides.
+interquartile range, whether the median moved by more than that range (a
+gain or a loss), and the failed ops of both sides.  A run that exits
+non-zero or outlasts its timeout is kept as an error entry.
 
 Seeds are fixed per workload and include the ones whose runs have had failed
 ops on correct code: ibp_identity 91 (op 21) and 130 (op 15), the tail of
@@ -23,8 +25,8 @@ A tree is a directory holding a checkout, or a git revision of the
 repository this script sits in, which is extracted with ``git archive`` into
 a temporary directory.  Usage, from the root of a checkout:
 
+    python3 scripts/bench_pair.py --parent HEAD~1 --change HEAD --out BENCH.json
     python3 scripts/bench_pair.py --parent HEAD~1 --change . --out BENCH.json
-    python3 scripts/bench_pair.py --parent HEAD~1 --workloads expand_sweep --pairs 10 --out b.json
 
 Each run lasts the benchmark's own run_seconds (BENCHMARK.json of the change tree).
 """
@@ -76,7 +78,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     start = time.monotonic()
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"seed": seed, "exit_code": None, "elapsed_s": round(time.monotonic() - start, 1),
+                "error": [f"timed out after {RUN_TIMEOUT_S:g} s"]}
     lines = proc.stdout.strip().splitlines()
     run = {"seed": seed, "exit_code": proc.returncode, "elapsed_s": round(time.monotonic() - start, 1)}
     if proc.returncode != 0 or not lines:
@@ -103,7 +109,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Medians per side, change/parent ratio, wins per metric, parent IQR, failed ops."""
+    """Medians per side, change/parent ratio, wins and IQR-resolved shift per metric, failed ops."""
     ok = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     summary = {"pairs": len(pairs), "complete_pairs": len(ok), "metrics": {}}
     for name, direction in better.items():
@@ -114,6 +120,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "higher" else -1.0
         q1, q3 = quartiles(parent)
         med_p, med_c = statistics.median(parent), statistics.median(change)
+        gain = sign * (med_c - med_p)
         summary["metrics"][name] = {
             "better": direction,
             "parent_median": med_p,
@@ -121,7 +128,8 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "ratio": med_c / med_p if med_p else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "parent_iqr": q3 - q1,
-            "median_gain_beyond_parent_iqr": sign * (med_c - med_p) > q3 - q1,
+            "median_shift_beyond_parent_iqr": ("gain" if gain > q3 - q1 else
+                                               "loss" if -gain > q3 - q1 else None),
         }
     for side in ("parent", "change"):
         runs = [p[side] for p in pairs]
@@ -136,14 +144,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent tree: directory or git revision")
     ap.add_argument("--change", default=str(ROOT), help="change tree: directory or git revision")
-    ap.add_argument("--workloads", default=",".join(SEEDS), help="comma-separated workload names")
-    ap.add_argument("--pairs", type=int, default=5, help="pairs per workload, at most 10")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
-    workloads = [w for w in args.workloads.split(",") if w]
-    unknown = set(workloads) - set(SEEDS)
-    if unknown or not 1 <= args.pairs <= 10:
-        ap.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be 1..10")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
@@ -160,9 +162,9 @@ def main() -> int:
             "sides": sides,
             "workloads": {},
         }
-        for workload in workloads:
+        for workload, seeds in SEEDS.items():
             pairs = []
-            for k, seed in enumerate(SEEDS[workload][:args.pairs]):
+            for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
