@@ -15,12 +15,7 @@ from .plane_geometry import (
     Cell,
     DegenerateGridError,
     GridPartition,
-    PlanePoint,
-    cell_area,
     geometric_grid,
-    grid_from_json,
-    grid_to_json,
-    precedes,
     uniform_grid,
 )
 from .brownian_sheet import (
@@ -30,12 +25,8 @@ from .brownian_sheet import (
     cumulative_values,
     derive_seed,
     export_csv,
-    import_csv,
     keyed_generator,
-    rectangle_increment,
     sample,
-    sample_batch,
-    value_at,
     values,
 )
 from .kernels import (
@@ -53,7 +44,6 @@ from .integrators import (
     McEstimate,
     TimeWindow,
     corollary_rhs,
-    gamma_fn,
     gauss_hermite,
     log_gamma,
     merge_estimates,
@@ -107,7 +97,6 @@ from .estimate_lab import (
     verify_identity,
 )
 from .sde_plane import (
-    DoleansFactor,
     DriftField,
     MalliavinField,
     MissingJacobianError,
@@ -115,12 +104,7 @@ from .sde_plane import (
     SolutionField,
     WeakComparison,
     constant_drift,
-    doleans_exponential,
-    euler_weak_expectation,
-    flow_derivative,
-    girsanov_weak_expectation,
     malliavin_adjoint,
-    malliavin_series,
     malliavin_solve,
     paired_weak_expectation,
     sign_drift,
@@ -133,28 +117,25 @@ from .sde_plane import (
 # the public surface, sorted; tests/test_package.py keeps it in step with the imports
 __all__ = [
     "BlockIncreasingFamily", "Cell", "CorollaryReport", "DEFAULT_C0", "DEFAULT_C1",
-    "DegenerateGridError", "DegenerateTiesError", "DoleansFactor", "DriftField",
-    "DriftScalarFactor", "EmptySelectionError", "GammaBound", "GammaTauAssignment",
-    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField",
-    "McEstimate", "MissingJacobianError", "NonConvergenceError",
-    "NotInProductError", "PartitionReport", "PermutationSpec", "PlanePoint",
-    "RegionDescriptor", "SheetSample", "SolutionField", "SplitIndexFamily",
-    "TimeWindow", "WeakComparison", "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
-    "bump_factor", "cameron_martin_shift", "cell_area", "coarsen", "constant_drift",
+    "DegenerateGridError", "DegenerateTiesError", "DriftField", "DriftScalarFactor",
+    "EmptySelectionError", "GammaBound", "GammaTauAssignment", "GridPartition",
+    "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
+    "MissingJacobianError", "NonConvergenceError", "NotInProductError",
+    "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
+    "SolutionField", "SplitIndexFamily", "TimeWindow", "WeakComparison",
+    "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
+    "bump_factor", "cameron_martin_shift", "coarsen", "constant_drift",
     "corollary_check", "corollary_rhs", "corollary_scaling_slope", "crossing_set",
     "cumulative_values", "davie_bound", "density", "derive_seed",
-    "direct_expectation", "doleans_exponential", "enumerate_block_increasing",
-    "enumerate_split_family", "euler_weak_expectation", "expand", "export_csv",
-    "flow_derivative", "gamma_fn", "gamma_tau", "gauss_hermite", "geometric_grid",
-    "girsanov_weak_expectation", "gradient_component", "grid_from_json",
-    "grid_to_json", "hermite_weight", "ibp_expectation", "import_csv",
-    "keyed_generator", "locate_cell_batch", "locate_cell_split_batch", "log_density",
-    "log_gamma", "malliavin_adjoint", "malliavin_series", "malliavin_solve",
-    "membership_batch", "merge_estimates", "monte_carlo", "orientation_points",
-    "paired_weak_expectation", "partition_report", "precedes", "product_identity_check", "rectangle_increment",
-    "sample", "sample_batch", "sample_region_batch", "sign_drift",
-    "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
-    "solve_picard", "span", "spec_variances", "staircase", "tanh_drift",
-    "term_to_dict", "uniform_grid", "uniform_spec", "value_at", "values",
+    "direct_expectation", "enumerate_block_increasing", "enumerate_split_family",
+    "expand", "export_csv", "gamma_tau", "gauss_hermite", "geometric_grid",
+    "gradient_component", "hermite_weight", "ibp_expectation", "keyed_generator",
+    "locate_cell_batch", "locate_cell_split_batch", "log_density", "log_gamma",
+    "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",
+    "monte_carlo", "orientation_points", "paired_weak_expectation",
+    "partition_report", "product_identity_check", "sample", "sample_region_batch",
+    "sign_drift", "simplex_dirichlet_oracle", "simplex_singular_integral",
+    "solve_euler", "solve_picard", "span", "spec_variances", "staircase",
+    "tanh_drift", "term_to_dict", "uniform_grid", "uniform_spec", "values",
     "verify_identity", "zero_drift",
 ]

@@ -8,19 +8,21 @@ axes are identically zero.
 
 Randomness is counter based: a Philox stream keyed by the seed fills the
 whole increment array in one fixed C-ordered draw, so the draw attached to
-(row, col, component) does not depend on any iteration order.  Replications
-use derived keys seed XOR replication-index.
+(row, col, component) does not depend on any iteration order.  Batches of
+sheets for Monte Carlo come from integrators.monte_carlo, whose shard r
+draws from the Philox key [seed, r]; derive_seed (seed XOR index) keys the
+separate seeds that callers hand to independent passes.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .plane_geometry import Cell, GridPartition
+from .plane_geometry import GridPartition
 
 _UINT64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -60,31 +62,13 @@ class SheetSample:
             )
 
 
-def _cell_std(grid: GridPartition) -> np.ndarray:
-    return np.sqrt(grid.areas())[:, :, None]
-
-
 def sample(grid: GridPartition, dim: int = 1, seed: int = 0) -> SheetSample:
     """One sheet realization; increments are sqrt(area) times standard normals."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = keyed_generator(seed)
     z = rng.standard_normal((grid.n_s, grid.n_t, dim))
-    return SheetSample(grid, dim, z * _cell_std(grid), seed)
-
-
-def sample_batch(grid: GridPartition, dim: int, seed: int, n: int) -> np.ndarray:
-    """Increments for n independent replications, shape (n, n_s, n_t, dim).
-
-    Replication r uses the derived key seed XOR r, so any contiguous sub-batch
-    can be regenerated independently.
-    """
-    out = np.empty((n, grid.n_s, grid.n_t, dim))
-    std = _cell_std(grid)
-    for r in range(n):
-        rng = keyed_generator(derive_seed(seed, r))
-        out[r] = rng.standard_normal((grid.n_s, grid.n_t, dim)) * std
-    return out
+    return SheetSample(grid, dim, z * np.sqrt(grid.areas())[:, :, None], seed)
 
 
 def cumulative_values(increments: np.ndarray) -> np.ndarray:
@@ -112,23 +96,6 @@ def values(sheet: SheetSample) -> np.ndarray:
     return cumulative_values(sheet.increments)
 
 
-def value_at(sheet: SheetSample, i: int, j: int) -> np.ndarray:
-    """Sheet value at grid point (i, j); zero whenever i == 0 or j == 0."""
-    if not (0 <= i <= sheet.grid.n_s and 0 <= j <= sheet.grid.n_t):
-        raise ValueError(f"grid point ({i}, {j}) outside grid")
-    if i == 0 or j == 0:
-        return np.zeros(sheet.dim)
-    return sheet.increments[:i, :j].sum(axis=(0, 1))
-
-
-def rectangle_increment(sheet: SheetSample, lower: tuple[int, int], upper: tuple[int, int]) -> np.ndarray:
-    """Inclusion-exclusion increment over the grid rectangle (lower, upper]."""
-    (i1, j1), (i2, j2) = lower, upper
-    if not (i1 <= i2 and j1 <= j2):
-        raise ValueError("lower corner must precede upper corner")
-    return sheet.increments[i1:i2, j1:j2].sum(axis=(0, 1))
-
-
 def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -> SheetSample:
     """Aggregate cell increments in blocks onto the subsampled knot grid.
 
@@ -150,25 +117,16 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
     return SheetSample(coarse, sheet.dim, inc, sheet.seed)
 
 
-HdotLike = Union[np.ndarray, Callable[[Cell], np.ndarray]]
+def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> SheetSample:
+    """Shift each cell increment by eps * hdot * area.
 
-
-def cameron_martin_shift(sheet: SheetSample, hdot: HdotLike, eps: float) -> SheetSample:
-    """Shift each cell increment by eps * hdot(cell) * area.
-
-    hdot may be an (n_s, n_t, dim) array of densities or a callable on cells.
-    The shifted sample keeps the seed token of its parent.
+    hdot is an (n_s, n_t, dim) array of densities.  The shifted sample keeps
+    the seed token of its parent.
     """
     grid = sheet.grid
-    if callable(hdot):
-        dens = np.empty_like(sheet.increments)
-        for i in range(1, grid.n_s + 1):
-            for j in range(1, grid.n_t + 1):
-                dens[i - 1, j - 1] = np.asarray(hdot(Cell(i, j)), dtype=float)
-    else:
-        dens = np.asarray(hdot, dtype=float)
-        if dens.shape != sheet.increments.shape:
-            raise ValueError(f"hdot shape {dens.shape} != {sheet.increments.shape}")
+    dens = np.asarray(hdot, dtype=float)
+    if dens.shape != sheet.increments.shape:
+        raise ValueError(f"hdot shape {dens.shape} != {sheet.increments.shape}")
     areas = grid.areas()[:, :, None]
     return SheetSample(grid, sheet.dim, sheet.increments + eps * dens * areas, sheet.seed)
 
@@ -183,12 +141,3 @@ def export_csv(sheet: SheetSample, path: str) -> None:
                 for c in range(sheet.dim):
                     writer.writerow([i, j, c + 1, CSV_FLOAT_FORMAT % sheet.increments[i - 1, j - 1, c]])
 
-
-def import_csv(grid: GridPartition, dim: int, path: str, seed: int = 0) -> SheetSample:
-    """Inverse of export_csv for a known grid shape."""
-    z = np.zeros((grid.n_s, grid.n_t, dim))
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            z[int(row["i"]) - 1, int(row["j"]) - 1, int(row["component"]) - 1] = float(row["z"])
-    return SheetSample(grid, dim, z, seed)

@@ -124,13 +124,14 @@ class ResultRecord:
 # ---------------------------------------------------------------------------
 
 
+def _items(value) -> list:
+    """A JSON list's items, or the comma-separated fields of a flag value."""
+    return list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
+
+
 def _parse_int_tuple(name: str, value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = str(value).split(",")
     try:
-        return tuple(int(v) for v in items)
+        return tuple(int(v) for v in _items(value))
     except (TypeError, ValueError):
         raise ConfigError(name, f"expected comma-separated integers, got {value!r}")
 
@@ -163,7 +164,7 @@ def _parse_float(name: str, value) -> float:
 
 
 def _parse_float_list(name: str, value) -> tuple[float, ...]:
-    return tuple(_parse_float(name, v) for v in str(value).split(",") if v)
+    return tuple(_parse_float(name, v) for v in _items(value) if v != "")
 
 
 def _parse_positive(name: str, value) -> float:
@@ -174,7 +175,10 @@ def _parse_positive(name: str, value) -> float:
 
 
 def _parse_flag(name: str, value) -> bool:
-    return bool(value)
+    # a config file's "false" is a true string, so only real booleans count
+    if not isinstance(value, bool):
+        raise ConfigError(name, f"expected true or false, got {value!r}")
+    return value
 
 
 def _parse_path(name: str, value) -> str:
@@ -596,7 +600,7 @@ COMMANDS: dict[str, Command] = {
     )),
     "malliavin-check": Command(_run_malliavin_check, (
         *_DRIFT, _X0,
-        Param("eps", 1e-4, _parse_float, "Cameron-Martin shift size."),
+        Param("eps", 1e-4, _parse_positive, "Cameron-Martin shift size."),
         Param("tolerance", None, _parse_float, "Allowed relative error; default eps**2."),
         *_grid("32x32"),
     )),

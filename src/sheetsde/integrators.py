@@ -32,10 +32,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_fn(x: float) -> float:
-    return math.exp(log_gamma(x))
-
-
 # ---------------------------------------------------------------------------
 # estimates
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Points, partial order, and grid partitions on the positive quadrant.
+"""Cells and grid partitions of the positive quadrant.
 
 The time parameter is two dimensional: a point (s, t) lies in [0, T]^2 and
 points are compared coordinatewise.  A grid partition carries two knot
@@ -8,7 +8,6 @@ refers to the axes, where every sheet value vanishes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,18 +19,6 @@ MIN_KNOT_GAP = 1e-12
 
 class DegenerateGridError(ValueError):
     """Raised when a knot vector is unsorted or has near-coincident knots."""
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point (s, t) of the two dimensional time domain."""
-
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (self.s >= 0.0 and self.t >= 0.0):
-            raise ValueError(f"plane points live in the positive quadrant, got {(self.s, self.t)}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +60,10 @@ class GridPartition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_knots", _validated_knots("s_knots", self.s_knots))
         object.__setattr__(self, "t_knots", _validated_knots("t_knots", self.t_knots))
+        # built once: samplers and solvers read the areas on every call
+        areas = np.outer(self.s_gaps(), self.t_gaps())
+        areas.flags.writeable = False
+        object.__setattr__(self, "_areas", areas)
 
     @property
     def n_s(self) -> int:
@@ -97,15 +88,8 @@ class GridPartition:
         return np.diff(np.asarray(self.t_knots))
 
     def areas(self) -> np.ndarray:
-        """Cell areas, shape (n_s, n_t); entry [i - 1, j - 1] is cell (i, j)."""
-        return np.outer(self.s_gaps(), self.t_gaps())
-
-    def point(self, i: int, j: int) -> PlanePoint:
-        """Grid point at knot indices (i, j); (0, 0) is the origin."""
-        return PlanePoint(self.s_knots[i], self.t_knots[j])
-
-    def contains_cell(self, cell: Cell) -> bool:
-        return cell.row <= self.n_s and cell.col <= self.n_t
+        """Cell areas, shape (n_s, n_t), read-only; entry [i - 1, j - 1] is cell (i, j)."""
+        return self._areas
 
 
 def uniform_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0) -> GridPartition:
@@ -130,26 +114,3 @@ def geometric_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0,
 
     return GridPartition(knots(n_s, s_max), knots(n_t, t_max))
 
-
-def precedes(a: PlanePoint, b: PlanePoint, strict: bool = False) -> bool:
-    """Coordinatewise partial order; strict requires strict inequality in both."""
-    if strict:
-        return a.s < b.s and a.t < b.t
-    return a.s <= b.s and a.t <= b.t
-
-
-def cell_area(grid: GridPartition, cell: Cell) -> float:
-    if not grid.contains_cell(cell):
-        raise ValueError(f"cell {cell} outside grid with shape ({grid.n_s}, {grid.n_t})")
-    ds = grid.s_knots[cell.row] - grid.s_knots[cell.row - 1]
-    dt = grid.t_knots[cell.col] - grid.t_knots[cell.col - 1]
-    return ds * dt
-
-
-def grid_to_json(grid: GridPartition) -> str:
-    return json.dumps({"s_knots": list(grid.s_knots), "t_knots": list(grid.t_knots)})
-
-
-def grid_from_json(text: str) -> GridPartition:
-    data = json.loads(text)
-    return GridPartition(tuple(data["s_knots"]), tuple(data["t_knots"]))

@@ -6,9 +6,10 @@ Euler scheme (drift frozen at each cell's lower-left grid state, solved in
 one forward pass) and a Picard iteration of the integral map with the drift
 read at the cell's upper-right grid state, which differs from Euler at
 O(mesh) and therefore supports mesh-order comparisons.  On top of the flow
-live the Malliavin-derivative recursion, its Picard-series truncation, the
-flow derivative in the initial condition, and the discrete Girsanov
-reweighting of the driftless field.
+live the Malliavin-derivative recursion (forward for one base point, whose
+base at the origin is the flow derivative in x0, and adjoint for every base
+at once) and the weak solution's two estimators, the Girsanov reweighting of
+the driftless field and the Euler chain, paired on the same sheets.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class SolutionField:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    def at(self, i: int, j: int) -> np.ndarray:
-        return self.values[i, j]
-
 
 @dataclass(frozen=True)
 class MalliavinField:
@@ -145,16 +143,6 @@ class MalliavinField:
     grid: GridPartition
     base: tuple[int, int]
     values: np.ndarray  # (n_s + 1, n_t + 1, d, d)
-
-
-@dataclass(frozen=True)
-class DoleansFactor:
-    value: float
-    log_value: float
-
-    def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise ValueError("stochastic exponential must be positive")
 
 
 def _as_x0(x0, dim: int) -> np.ndarray:
@@ -293,55 +281,6 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField, solution: Solution
     return out
 
 
-def flow_derivative(grid: GridPartition, drift: DriftField, solution: SolutionField) -> MalliavinField:
-    """Sensitivity to the initial condition; same recursion based at the origin."""
-    return malliavin_solve(grid, drift, solution, base=(0, 0))
-
-
-def malliavin_series(grid: GridPartition, drift: DriftField, solution: SolutionField,
-                     base: tuple[int, int] = (0, 0), depth: int = 4) -> tuple[MalliavinField, float]:
-    """Picard-series truncation of the derivative field plus its tail bound.
-
-    The series iterates the kernel-application map starting from the
-    identity; truncating after `depth` applications leaves a tail dominated
-    by (sup|b'| * area)^{depth+1} / ((depth+1)!)^2, the factorial-squared
-    decay of nested two-parameter simplices.
-    """
-    jac = drift.require_jacobian()
-    u, v = base
-    n_s, n_t = grid.n_s, grid.n_t
-    d = solution.dim
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    areas = grid.areas()
-
-    jac_field = np.zeros((n_s, n_t, d, d))
-    for i in range(u, n_s):
-        jac_field[i, v:] = jac(s_knots[i], t_knots[v:n_t], solution.values[i, v:n_t])
-
-    def apply_map(m: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(m)
-        integ = np.einsum("ijab,ijbc->ijac", jac_field, m[:-1, :-1]) * areas[:, :, None, None]
-        integ[:u, :] = 0.0
-        integ[:, :v] = 0.0
-        cum = np.cumsum(np.cumsum(integ, axis=0), axis=1)
-        out[u + 1 :, v + 1 :] = cum[u:, v:]
-        return out
-
-    term = np.zeros((n_s + 1, n_t + 1, d, d))
-    eye = np.eye(d)
-    term[u:, v:] = eye
-    total = term.copy()
-    for _ in range(depth):
-        term = apply_map(term)
-        total += term
-
-    sup_jac = float(np.max(np.abs(jac_field))) * d
-    area_total = (grid.s_max - s_knots[u]) * (grid.t_max - t_knots[v])
-    tail = (sup_jac * area_total) ** (depth + 1) / math.factorial(depth + 1) ** 2
-    return MalliavinField(grid, (u, v), total), tail
-
-
 def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per-sample log stochastic exponential: sum b.z - 1/2 sum |b|^2 area.
 
@@ -352,18 +291,6 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
     b_vals = drift.eval(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1], args)
     return (np.einsum("bijk,bijk->b", b_vals, z)
             - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
-
-
-def doleans_exponential(drift: DriftField, sheet: SheetSample, arg_values: np.ndarray) -> DoleansFactor:
-    """Discrete stochastic exponential with the drift frozen at cell corners.
-
-    arg_values supplies the state entering b, shape (n_s+1, n_t+1, d); for
-    the weak-solution construction this is x0 + W.  Zero drift gives exactly
-    one.
-    """
-    args = arg_values[None, :-1, :-1]
-    log_m = float(_log_weights(drift, sheet.grid, args, sheet.increments[None])[0])
-    return DoleansFactor(math.exp(log_m), log_m)
 
 
 def _increment_sampler(grid: GridPartition, dim: int):
@@ -388,16 +315,6 @@ def _sheet_mc_chunk(grid: GridPartition, dim: int, budget_bytes: int = 1 << 22) 
     return max(1, budget_bytes // per_sample)
 
 
-def _girsanov_terms(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
-                    grid: GridPartition, x0v: np.ndarray,
-                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi(x0 + W at the far corner) and the weight M of each sheet in z."""
-    x = cumulative_values(z)
-    x += x0v  # the driftless field x0 + W, in place
-    log_m = _log_weights(drift, grid, x[:, :-1, :-1], z)
-    return phi(x[:, -1, -1]), np.exp(log_m)
-
-
 def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
                grid: GridPartition, x0v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """phi(X at the far corner) of the Euler chain driven by each sheet in z.
@@ -409,33 +326,24 @@ def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
     return phi(row[:, -1])
 
 
-def girsanov_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
-                              x0, grid: GridPartition, n_samples: int, seed: int,
-                              dim: int = 1) -> McEstimate:
-    """E[phi(X at the far corner)] via reweighting of the driftless field.
+def _paired_integrand(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
+                      grid: GridPartition, x0v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Sheets (b, n_s, n_t, d) -> rows (girsanov, euler, weight, gap), shape (b, 4).
 
-    Estimates E[phi(x0 + W_{smax,tmax}) * M] with M the discrete stochastic
-    exponential of the drift along x0 + W.  With corner freezing this equals
-    the corner Euler chain's expectation exactly, at every mesh.
+    The Girsanov column is phi(x0 + W at the far corner) times the weight M,
+    the discrete stochastic exponential of the drift along x0 + W.
     """
-    x0v = _as_x0(x0, dim)
 
     def f(z: np.ndarray) -> np.ndarray:
-        phi_w, weight = _girsanov_terms(phi, drift, grid, x0v, z)
-        return phi_w * weight
+        x = cumulative_values(z)
+        x += x0v  # the driftless field x0 + W, in place
+        weight = np.exp(_log_weights(drift, grid, x[:, :-1, :-1], z))
+        girsanov = phi(x[:, -1, -1]) * weight
+        del x  # freed before the Euler chain runs, so the two never coexist
+        euler = _euler_phi(phi, drift, grid, x0v, z)
+        return np.stack((girsanov, euler, weight, girsanov - euler), axis=-1)
 
-    return monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
-                       chunk=_sheet_mc_chunk(grid, dim))
-
-
-def euler_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
-                           x0, grid: GridPartition, n_samples: int, seed: int,
-                           dim: int = 1) -> McEstimate:
-    """E[phi(X at the far corner)] by direct simulation of the Euler chain."""
-    x0v = _as_x0(x0, dim)
-    return monte_carlo(lambda z: _euler_phi(phi, drift, grid, x0v, z),
-                       _increment_sampler(grid, dim), n_samples, seed,
-                       chunk=_sheet_mc_chunk(grid, dim))
+    return f
 
 
 class WeakComparison(NamedTuple):
@@ -458,14 +366,7 @@ def paired_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Drif
     on monte_carlo's thread pool; the shards, hence the estimates, depend
     only on (seed, n_samples, grid, dim), never on the worker count.
     """
-    x0v = _as_x0(x0, dim)
-
-    def f(z: np.ndarray) -> np.ndarray:
-        phi_w, weight = _girsanov_terms(phi, drift, grid, x0v, z)
-        girsanov = phi_w * weight
-        euler = _euler_phi(phi, drift, grid, x0v, z)
-        return np.stack((girsanov, euler, weight, girsanov - euler), axis=-1)
-
+    f = _paired_integrand(phi, drift, grid, _as_x0(x0, dim))
     chunk = _sheet_mc_chunk(grid, dim)
     return WeakComparison(*monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
                                        shards=-(-n_samples // chunk), chunk=chunk))

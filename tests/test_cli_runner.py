@@ -198,6 +198,37 @@ class TestRunApi:
             run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": value}))
         assert info.value.field_name == "mc_samples"
 
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_geometric_rejects_non_booleans(self, value):
+        # bool("false") is True, so a config file's "false" once built a geometric grid
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("sample-sheet", {"grid": "3x3", "geometric": value}))
+        assert info.value.field_name == "geometric"
+
+    def test_geometric_accepts_true(self):
+        params = {"grid": "3x3", "horizon": 2.0, "seed": 4}
+        graded = run(ExperimentConfig("sample-sheet", {**params, "geometric": True}))
+        uniform = run(ExperimentConfig("sample-sheet", {**params, "geometric": False}))
+        assert graded.outputs["sup_abs_value"] != uniform.outputs["sup_abs_value"]
+
+    @pytest.mark.parametrize("times", [[0.125, 0.25], (0.125, 0.25), "0.125,0.25"])
+    def test_time_lists_accept_lists_and_strings(self, times):
+        # a config file gives s_times as a JSON list, the command line as a string
+        rec = run(ExperimentConfig("verify-ibp", {
+            "sigma": "2,1", "method": "quadrature", "nodes": 16,
+            "s_times": times, "t_times": times,
+        }))
+        on_grid = run(ExperimentConfig("verify-ibp", {
+            "sigma": "2,1", "method": "quadrature", "nodes": 16, "horizon": 0.25,
+        }))
+        assert rec.outputs == on_grid.outputs
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4])
+    def test_malliavin_check_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("malliavin-check", {"grid": "4x4", "eps": eps}))
+        assert info.value.field_name == "eps"
+
 
 class TestRecordFormat:
     def test_key_order(self):
@@ -254,6 +285,12 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "sigma" in err
+
+    def test_zero_eps_is_one(self, capsys):
+        # eps 0 divides by zero in the central difference: a NaN record, not a check
+        code, out = run_cli(capsys, ["malliavin-check", "--grid", "4x4", "--eps", "0"])
+        assert code == 1
+        assert out == ""
 
     def test_missing_required_is_one(self, capsys):
         assert main(["verify-ibp"]) == 1

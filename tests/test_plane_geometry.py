@@ -1,4 +1,4 @@
-"""Partial order and grid partitions of the two-parameter time domain."""
+"""Cells and grid partitions of the two-parameter time domain."""
 
 import math
 
@@ -10,72 +10,26 @@ from sheetsde.plane_geometry import (
     Cell,
     DegenerateGridError,
     GridPartition,
-    PlanePoint,
-    cell_area,
     geometric_grid,
-    grid_from_json,
-    grid_to_json,
-    precedes,
     uniform_grid,
 )
-
-coords = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
-points = st.builds(PlanePoint, coords, coords)
-
-
-class TestPrecedes:
-    def test_weak_order_examples(self):
-        assert precedes(PlanePoint(0, 0), PlanePoint(1, 1))
-        assert precedes(PlanePoint(1, 2), PlanePoint(3, 3), strict=True)
-        assert not precedes(PlanePoint(1, 3), PlanePoint(3, 2), strict=True)
-
-    def test_weak_reflexive_strict_irreflexive(self):
-        p = PlanePoint(0.7, 0.2)
-        assert precedes(p, p)
-        assert not precedes(p, p, strict=True)
-
-    @given(points, points, points)
-    def test_transitivity(self, a, b, c):
-        if precedes(a, b) and precedes(b, c):
-            assert precedes(a, c)
-        if precedes(a, b, strict=True) and precedes(b, c, strict=True):
-            assert precedes(a, c, strict=True)
-
-    @given(points, points)
-    def test_antisymmetry(self, a, b):
-        if precedes(a, b) and precedes(b, a):
-            assert a.s == b.s and a.t == b.t
-
-    @given(points, points)
-    def test_strict_implies_weak(self, a, b):
-        if precedes(a, b, strict=True):
-            assert precedes(a, b)
-            assert not precedes(b, a)
-
-    def test_negative_quadrant_rejected(self):
-        with pytest.raises(ValueError):
-            PlanePoint(-0.1, 0.5)
 
 
 class TestGridPartition:
     def test_unit_grid_cell_area(self):
         g = uniform_grid(1, 1)
-        assert cell_area(g, Cell(1, 1)) == 1.0
+        assert g.areas()[0, 0] == 1.0
 
     def test_mixed_knot_cell_area(self):
         g = GridPartition((0.0, 0.5, 1.0), (0.0, 0.25))
-        assert cell_area(g, Cell(2, 1)) == 0.125
+        assert g.areas()[1, 0] == 0.125
 
     @given(st.integers(1, 6), st.integers(1, 6),
            st.floats(0.1, 5.0), st.floats(0.1, 5.0))
     def test_areas_tile_the_rectangle(self, n_s, n_t, s_max, t_max):
         g = uniform_grid(n_s, n_t, s_max, t_max)
-        total = sum(
-            cell_area(g, Cell(i, j))
-            for i in range(1, n_s + 1)
-            for j in range(1, n_t + 1)
-        )
-        assert math.isclose(total, s_max * t_max, rel_tol=1e-12)
+        assert g.areas().shape == (n_s, n_t)
+        assert math.isclose(g.areas().sum(), s_max * t_max, rel_tol=1e-12)
 
     def test_geometric_grid_tiles_and_grows(self):
         g = geometric_grid(5, 4, s_max=2.0, t_max=1.0, ratio=1.35)
@@ -83,11 +37,6 @@ class TestGridPartition:
         assert math.isclose(sum(g.t_gaps()), 1.0, rel_tol=1e-12)
         ratios = g.s_gaps()[1:] / g.s_gaps()[:-1]
         assert np.allclose(ratios, 1.35, rtol=1e-9)
-
-    def test_point_accessor(self):
-        g = uniform_grid(4, 2, s_max=2.0)
-        assert g.point(0, 0) == PlanePoint(0.0, 0.0)
-        assert g.point(4, 2) == PlanePoint(2.0, 1.0)
 
     def test_duplicate_knots_rejected(self):
         with pytest.raises(DegenerateGridError):
@@ -105,16 +54,11 @@ class TestGridPartition:
         with pytest.raises(DegenerateGridError):
             GridPartition((0.0,), (0.0, 1.0))
 
-    def test_cell_outside_grid_rejected(self):
+    def test_areas_are_read_only(self):
         g = uniform_grid(2, 2)
         with pytest.raises(ValueError):
-            cell_area(g, Cell(3, 1))
+            g.areas()[0, 0] = 2.0
 
     def test_cell_indices_one_based(self):
         with pytest.raises(ValueError):
             Cell(0, 1)
-
-    def test_json_round_trip(self):
-        g = geometric_grid(3, 5, s_max=1.5, t_max=0.75)
-        back = grid_from_json(grid_to_json(g))
-        assert back == g

@@ -7,29 +7,29 @@ import numpy as np
 import pytest
 
 from conftest import counting_jacobian
-from sheetsde import integrators
+from sheetsde import integrators, sde_plane
 from sheetsde.brownian_sheet import (
     cameron_martin_shift,
     coarsen,
+    cumulative_values,
     derive_seed,
     sample,
     values,
 )
+from sheetsde.integrators import monte_carlo
 from sheetsde.plane_geometry import geometric_grid, uniform_grid
 from sheetsde.sde_plane import (
-    DoleansFactor,
     DriftField,
+    MalliavinField,
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
+    _increment_sampler,
+    _log_weights,
+    _paired_integrand,
     _sheet_mc_chunk,
     constant_drift,
-    doleans_exponential,
-    euler_weak_expectation,
-    flow_derivative,
-    girsanov_weak_expectation,
     malliavin_adjoint,
-    malliavin_series,
     malliavin_solve,
     paired_weak_expectation,
     sign_drift,
@@ -206,6 +206,49 @@ def tanh_matrix_drift(m) -> DriftField:
     return DriftField("tanh_matrix", m.shape[0], ev, jac, math.sqrt(m.shape[0]), True)
 
 
+def picard_series(grid, drift, solution, base=(0, 0), depth=4):
+    """Picard-series truncation of the derivative field plus its tail bound.
+
+    The series iterates the kernel-application map starting from the
+    identity; truncating after `depth` applications leaves a tail dominated
+    by (sup|b'| * area)^{depth+1} / ((depth+1)!)^2, the factorial-squared
+    decay of nested two-parameter simplices.  An independent oracle for
+    malliavin_solve's row recursion.
+    """
+    jac = drift.require_jacobian()
+    u, v = base
+    n_s, n_t = grid.n_s, grid.n_t
+    d = solution.dim
+    s_knots = np.asarray(grid.s_knots)
+    t_knots = np.asarray(grid.t_knots)
+    areas = grid.areas()
+
+    jac_field = np.zeros((n_s, n_t, d, d))
+    for i in range(u, n_s):
+        jac_field[i, v:] = jac(s_knots[i], t_knots[v:n_t], solution.values[i, v:n_t])
+
+    def apply_map(m):
+        out = np.zeros_like(m)
+        integ = np.einsum("ijab,ijbc->ijac", jac_field, m[:-1, :-1]) * areas[:, :, None, None]
+        integ[:u, :] = 0.0
+        integ[:, :v] = 0.0
+        cum = np.cumsum(np.cumsum(integ, axis=0), axis=1)
+        out[u + 1:, v + 1:] = cum[u:, v:]
+        return out
+
+    term = np.zeros((n_s + 1, n_t + 1, d, d))
+    term[u:, v:] = np.eye(d)
+    total = term.copy()
+    for _ in range(depth):
+        term = apply_map(term)
+        total += term
+
+    sup_jac = float(np.max(np.abs(jac_field))) * d
+    area_total = (grid.s_max - s_knots[u]) * (grid.t_max - t_knots[v])
+    tail = (sup_jac * area_total) ** (depth + 1) / math.factorial(depth + 1) ** 2
+    return MalliavinField(grid, (u, v), total), tail
+
+
 class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
@@ -292,7 +335,7 @@ class TestMalliavin:
         sheet = sample(grid, dim=1, seed=11)
         sol = solve_euler(grid, drift, 0.1, sheet)
         exact = malliavin_solve(grid, drift, sol, base=(1, 2))
-        approx, tail = malliavin_series(grid, drift, sol, base=(1, 2), depth=8)
+        approx, tail = picard_series(grid, drift, sol, base=(1, 2), depth=8)
         assert tail <= 1e-10
         assert np.max(np.abs(approx.values - exact.values)) <= tail + 1e-10
 
@@ -301,17 +344,25 @@ class TestMalliavin:
         drift = tanh_drift(1.0, 1.0, 1)
         sheet = sample(grid, dim=1, seed=1)
         sol = solve_euler(grid, drift, 0.0, sheet)
-        _, t2 = malliavin_series(grid, drift, sol, depth=2)
-        _, t5 = malliavin_series(grid, drift, sol, depth=5)
-        assert t5 < t2
+        exact = malliavin_solve(grid, drift, sol)
+        errs, tails = [], []
+        for depth in (2, 5):
+            approx, tail = picard_series(grid, drift, sol, depth=depth)
+            errs.append(float(np.max(np.abs(approx.values - exact.values))))
+            tails.append(tail)
+        assert tails[1] < tails[0]
+        # the recursion sits inside both truncations' tail bounds, nearer the deeper one
+        assert errs[0] <= tails[0] and errs[1] <= tails[1]
+        assert errs[1] < errs[0]
 
 
 class TestFlowDerivative:
+    # the flow derivative in x0 is the derivative field based at the origin
     def test_zero_drift_identity(self):
         grid = uniform_grid(5, 5, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=2)
         sol = solve_euler(grid, zero_drift(1), 0.4, sheet)
-        field = flow_derivative(grid, zero_drift(1), sol)
+        field = malliavin_solve(grid, zero_drift(1), sol, base=(0, 0))
         assert np.all(field.values == 1.0)
 
     def test_matches_fd_in_x0(self):
@@ -319,7 +370,7 @@ class TestFlowDerivative:
         drift = tanh_drift(0.9, 1.1, 1)
         sheet = sample(grid, dim=1, seed=8)
         sol = solve_euler(grid, drift, 0.3, sheet)
-        field = flow_derivative(grid, drift, sol)
+        field = malliavin_solve(grid, drift, sol, base=(0, 0))
         h = 1e-5
         up = solve_euler(grid, drift, 0.3 + h, sheet)
         dn = solve_euler(grid, drift, 0.3 - h, sheet)
@@ -334,21 +385,18 @@ class TestFlowDerivative:
             sheet = coarsen(fine, factor)
             grid = sheet.grid
             sol = solve_euler(grid, drift, 0.2, sheet)
-            vals.append(float(flow_derivative(grid, drift, sol).values[-1, -1, 0, 0]))
+            vals.append(float(malliavin_solve(grid, drift, sol, base=(0, 0)).values[-1, -1, 0, 0]))
         assert 0.8 <= vals[1] / vals[0] <= 1.25
 
 
 class TestDoleans:
+    # the Doleans (stochastic) exponential M of the Girsanov weight, via its log
     def test_zero_drift_is_one(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
-        sheet = sample(grid, dim=1, seed=0)
-        m = doleans_exponential(zero_drift(1), sheet, 0.0 + values(sheet))
-        assert m.value == 1.0
-        assert m.log_value == 0.0
-
-    def test_positive_guard(self):
-        with pytest.raises(ValueError):
-            DoleansFactor(0.0, -math.inf)
+        z = sample(grid, dim=1, seed=0).increments[None]
+        log_m = _log_weights(zero_drift(1), grid, cumulative_values(z)[:, :-1, :-1], z)
+        assert log_m.shape == (1,)
+        assert log_m[0] == 0.0 and np.exp(log_m[0]) == 1.0
 
     def test_constant_drift_log_moments(self):
         # frozen constant drift gives log M = c W(smax, tmax) - c^2 A / 2,
@@ -357,10 +405,8 @@ class TestDoleans:
         drift = constant_drift(0.7)
         c2a = 0.49
         n = 4000
-        logs = np.empty(n)
-        for k in range(n):
-            sheet = sample(grid, dim=1, seed=derive_seed(17, k))
-            logs[k] = doleans_exponential(drift, sheet, values(sheet)).log_value
+        z = np.stack([sample(grid, dim=1, seed=derive_seed(17, k)).increments for k in range(n)])
+        logs = _log_weights(drift, grid, cumulative_values(z)[:, :-1, :-1], z)
         mean_se = logs.std(ddof=1) / math.sqrt(n)
         assert abs(logs.mean() + 0.5 * c2a) <= 4.0 * mean_se
         var = logs.var(ddof=1)
@@ -381,33 +427,29 @@ class TestWeakExpectations:
 
     def test_zero_drift_routes_agree(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
-        g = girsanov_weak_expectation(self.PHI, zero_drift(1), 0.1, grid, 4000, 5)
-        e = euler_weak_expectation(self.PHI, zero_drift(1), 0.1, grid, 4000, 5)
-        assert g.mean == pytest.approx(e.mean, abs=1e-12)
-        assert g.std_error == pytest.approx(e.std_error, abs=1e-12)
+        est = paired_weak_expectation(self.PHI, zero_drift(1), 0.1, grid, 4000, 5)
+        assert est.girsanov.mean == pytest.approx(est.euler.mean, abs=1e-12)
+        assert est.girsanov.std_error == pytest.approx(est.euler.std_error, abs=1e-12)
+        assert (est.weight.mean, est.weight.std_error) == (1.0, 0.0)
 
     def test_reproducible(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
-        a = girsanov_weak_expectation(self.PHI, tanh_drift(1, 1, 1), 0.0, grid, 2000, 9)
-        b = girsanov_weak_expectation(self.PHI, tanh_drift(1, 1, 1), 0.0, grid, 2000, 9)
+        a = paired_weak_expectation(self.PHI, tanh_drift(1, 1, 1), 0.0, grid, 2000, 9)
+        b = paired_weak_expectation(self.PHI, tanh_drift(1, 1, 1), 0.0, grid, 2000, 9)
         assert a == b
 
     def test_smooth_drift_two_estimators(self):
         grid = uniform_grid(12, 12, 1.0, 1.0)
-        drift = tanh_drift(1.0, 1.0, 1)
-        g = girsanov_weak_expectation(self.PHI, drift, 0.0, grid, 20_000, 3)
-        e = euler_weak_expectation(self.PHI, drift, 0.0, grid, 20_000, derive_seed(3, 0xE0))
-        gap = abs(g.mean - e.mean)
-        assert gap <= 4.0 * math.hypot(g.std_error, e.std_error)
+        est = paired_weak_expectation(self.PHI, tanh_drift(1.0, 1.0, 1), 0.0, grid, 20_000, 3)
+        assert abs(est.gap.mean) <= 4.0 * est.gap.std_error
 
     def test_weight_mean_one_nonsmooth(self):
         grid = uniform_grid(12, 12, 1.0, 1.0)
-        ones = lambda x: np.ones(x.shape[:-1])
-        w = girsanov_weak_expectation(ones, sign_drift(), 0.0, grid, 20_000, 21)
+        w = paired_weak_expectation(self.PHI, sign_drift(), 0.0, grid, 20_000, 21).weight
         assert abs(w.mean - 1.0) <= 4.0 * w.std_error
 
     # values computed before the passes were fused (32x32, x0 0.1, 2048 samples,
-    # seed 7): (girsanov mean, girsanov SE, euler mean, euler SE)
+    # seed 7, one unsharded stream): (girsanov mean, girsanov SE, euler mean, euler SE)
     PINNED = {
         "tanh": (0.10278377407757847, 0.01893244040870285,
                  0.10556608917670555, 0.01525877250522286),
@@ -418,28 +460,39 @@ class TestWeakExpectations:
 
     @pytest.mark.parametrize("name", ["tanh", "sign"])
     def test_pinned_estimates(self, name):
+        # the paired pass's integrand over one unsharded stream, as the
+        # separate Girsanov and Euler passes once drew it
         grid = uniform_grid(32, 32, 1.0, 1.0)
-        drift = self.DRIFTS[name]()
-        g = girsanov_weak_expectation(self.PHI, drift, 0.1, grid, 2048, 7)
-        e = euler_weak_expectation(self.PHI, drift, 0.1, grid, 2048, 7)
+        f = _paired_integrand(self.PHI, self.DRIFTS[name](), grid, np.array([0.1]))
+        g, e, _, _ = monte_carlo(f, _increment_sampler(grid, 1), 2048, 7,
+                                 chunk=_sheet_mc_chunk(grid, 1))
         g_mean, g_se, e_mean, e_se = self.PINNED[name]
         # the Euler chain is bit-identical; the log-weight sums may reorder at round-off
         assert (e.mean, e.std_error) == (e_mean, e_se)
         assert g.mean == pytest.approx(g_mean, rel=1e-13)
         assert g.std_error == pytest.approx(g_se, rel=1e-13)
 
+    # the separate Girsanov, Euler and weight passes at 32x32, x0 0.1, seed 7 and
+    # n = chunk - 12 = 500 samples: (mean, SE) of each column
+    SINGLE_PASSES = {
+        "tanh": ((0.0895721240975122, 0.036825258623386814),
+                 (0.1116475859905062, 0.03051575161913909),
+                 (1.0016650041776796, 0.019354013720611143)),
+        "sign": ((0.2529286114778319, 0.06141215593715155),
+                 (0.27550627484586243, 0.031612811358863256),
+                 (0.9918221727933518, 0.05676639297986859)),
+    }
+
     @pytest.mark.parametrize("name", ["tanh", "sign"])
     def test_paired_columns_are_the_single_estimators(self, name):
         # below one chunk the paired pass is one shard on the unsharded stream,
         # so its columns are the single-estimator passes bit for bit
         grid = uniform_grid(32, 32, 1.0, 1.0)
-        drift = self.DRIFTS[name]()
         n = _sheet_mc_chunk(grid, 1) - 12
-        ones = lambda x: np.ones(x.shape[:-1])
-        est = paired_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
-        assert est.girsanov == girsanov_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
-        assert est.euler == euler_weak_expectation(self.PHI, drift, 0.1, grid, n, 7)
-        assert est.weight == girsanov_weak_expectation(ones, drift, 0.1, grid, n, 7)
+        est = paired_weak_expectation(self.PHI, self.DRIFTS[name](), 0.1, grid, n, 7)
+        columns = (est.girsanov, est.euler, est.weight)
+        assert [(c.mean, c.std_error) for c in columns] == list(self.SINGLE_PASSES[name])
+        assert all((c.n_samples, c.seed) == (500, 7) for c in columns)
         assert est.gap.mean == pytest.approx(est.girsanov.mean - est.euler.mean, abs=1e-15)
 
     def test_paired_gap_se_is_below_the_combined_se(self):
@@ -471,27 +524,28 @@ class TestWeakExpectations:
             tracemalloc.stop()
         assert peak <= 3.5 * workers * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
 
-    @pytest.mark.parametrize("name", ["tanh", "sign"])
-    @pytest.mark.parametrize("estimator, chunks, ceiling", [
-        (girsanov_weak_expectation, 8, 3.5),
-        (euler_weak_expectation, 8, 2.5),
-        # with one chunk no earlier chunk is alive while it is drawn, so only
-        # row buffers sit beside the increments; a whole field would double it
-        (euler_weak_expectation, 1, 1.25),
-    ])
-    def test_pass_allocates_a_few_chunks(self, estimator, chunks, ceiling, name):
-        # numpy reports its buffers to tracemalloc; the ceiling counts one
-        # chunk's increment array, so a full-field copy or temporary breaks it
+    def test_paired_euler_column_keeps_only_rows(self, monkeypatch):
+        # the Girsanov column sets the pass's peak, so the ceiling above cannot
+        # see the Euler column; traced on its own, the chain holds row buffers
+        # beside the chunk's increments, where a whole field would add a chunk
+        monkeypatch.setattr(integrators, "_pool_workers", lambda shards: 1)
+        euler_phi, grown = sde_plane._euler_phi, []
+
+        def traced(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = euler_phi(*args)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(sde_plane, "_euler_phi", traced)
         grid = uniform_grid(64, 64, 1.0, 1.0)
-        drift = self.DRIFTS[name]()
         chunk = _sheet_mc_chunk(grid, 1)
         chunk_bytes = chunk * 64 * 64 * 8
-        # a first call may import lazily; keep that out of the count
-        estimator(self.PHI, drift, 0.1, uniform_grid(2, 2, 1.0, 1.0), 2, 11)
         tracemalloc.start()
         try:
-            estimator(self.PHI, drift, 0.1, grid, chunks * chunk, 11)
-            peak = tracemalloc.get_traced_memory()[1]
+            paired_weak_expectation(self.PHI, tanh_drift(1.0, 1.0, 1), 0.1, grid, 2 * chunk, 11)
         finally:
             tracemalloc.stop()
-        assert peak <= ceiling * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks"
+        assert len(grown) == 2
+        assert max(grown) <= 0.25 * chunk_bytes, f"grew {max(grown) / chunk_bytes:.2f} chunks"
