@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from sheetsde.brownian_sheet import derive_seed
 from sheetsde.plane_geometry import uniform_grid
 from sheetsde.sde_plane import paired_weak_expectation, sign_drift, tanh_drift
 
@@ -41,7 +40,7 @@ def main() -> int:
     for mesh in meshes:
         grid = uniform_grid(mesh, mesh, 1.0, 1.0)
         est = paired_weak_expectation(phi, drift, args.x0, grid, args.samples,
-                                      derive_seed(args.seed, mesh))
+                                      (args.seed, mesh))
         g, e = est.girsanov, est.euler
         gap_se = abs(est.gap.mean) / est.gap.std_error
         rows[mesh] = est

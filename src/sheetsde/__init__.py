@@ -23,10 +23,9 @@ from .brownian_sheet import (
     cameron_martin_shift,
     coarsen,
     cumulative_values,
-    derive_seed,
     export_csv,
-    keyed_generator,
     sample,
+    stream,
     values,
 )
 from .kernels import (
@@ -123,19 +122,18 @@ __all__ = [
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
     "SolutionField", "SplitIndexFamily", "TimeWindow", "WeakComparison",
-    "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas",
-    "bump_factor", "cameron_martin_shift", "coarsen", "constant_drift",
-    "corollary_check", "corollary_rhs", "corollary_scaling_slope", "crossing_set",
-    "cumulative_values", "davie_bound", "density", "derive_seed",
-    "direct_expectation", "enumerate_block_increasing", "enumerate_split_family",
-    "expand", "export_csv", "gamma_tau", "gauss_hermite", "geometric_grid",
-    "gradient_component", "hermite_weight", "ibp_expectation", "keyed_generator",
+    "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas", "bump_factor",
+    "cameron_martin_shift", "coarsen", "constant_drift", "corollary_check",
+    "corollary_rhs", "corollary_scaling_slope", "crossing_set", "cumulative_values",
+    "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
+    "enumerate_split_family", "expand", "export_csv", "gamma_tau", "gauss_hermite",
+    "geometric_grid", "gradient_component", "hermite_weight", "ibp_expectation",
     "locate_cell_batch", "locate_cell_split_batch", "log_density", "log_gamma",
     "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",
-    "monte_carlo", "orientation_points", "paired_weak_expectation",
-    "partition_report", "product_identity_check", "sample", "sample_region_batch",
-    "sign_drift", "simplex_dirichlet_oracle", "simplex_singular_integral",
-    "solve_euler", "solve_picard", "span", "spec_variances", "staircase",
-    "tanh_drift", "term_to_dict", "uniform_grid", "uniform_spec", "values",
-    "verify_identity", "zero_drift",
+    "monte_carlo", "orientation_points", "paired_weak_expectation", "partition_report",
+    "product_identity_check", "sample", "sample_region_batch", "sign_drift",
+    "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
+    "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
+    "term_to_dict", "uniform_grid", "uniform_spec", "values", "verify_identity",
+    "zero_drift",
 ]

@@ -6,39 +6,47 @@ distinct cells are independent, and the sheet value at a grid point is the
 inclusion-exclusion sum of all increments below-left of it.  Values on the
 axes are identically zero.
 
-Randomness is counter based: a Philox stream keyed by the seed fills the
-whole increment array in one fixed C-ordered draw, so the draw attached to
-(row, col, component) does not depend on any iteration order.  Batches of
-sheets for Monte Carlo come from integrators.monte_carlo, whose shard r
-draws from the Philox key [seed, r]; derive_seed (seed XOR index) keys the
-separate seeds that callers hand to independent passes.
+Randomness is counter based, and stream(key, *path) is the one place that
+makes a generator: Philox keyed through numpy's SeedSequence spawn keys
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A
+key is a seed or a tuple (seed, *path).  A function with several consumers
+hands them the children (key, 0), (key, 1), ... in a fixed order, and shard
+r of a Monte Carlo run draws stream(key, r).  Distinct keys give distinct
+streams: stream rejects seeds from 2**128 and path components from 2**32 on,
+where spawn keys would collide.  A sheet sample fills its whole increment
+array in one fixed C-ordered draw, so no draw depends on an iteration order.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .plane_geometry import GridPartition
 
-_UINT64 = np.uint64
-_MASK64 = (1 << 64) - 1
-
 #: significant digits used for all CSV exports
 CSV_FLOAT_FORMAT = "%.17g"
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Replication seed contract: seed XOR index, reduced to 64 bits."""
-    return (int(seed) ^ int(index)) & _MASK64
+Key = Union[int, tuple]
 
 
-def keyed_generator(seed: int) -> np.random.Generator:
-    """Counter-based generator for a 64-bit key."""
-    return np.random.Generator(np.random.Philox(key=_UINT64(int(seed) & _MASK64)))
+def _flat(key: Key) -> list[int]:
+    if isinstance(key, tuple):
+        return [part for item in key for part in _flat(item)]
+    return [operator.index(key)]
+
+
+def stream(seed: Key, *path: Key) -> np.random.Generator:
+    """The Philox generator of key (seed, *path); nested tuples read flat."""
+    head, *rest = _flat((seed, path))
+    if head >> 128 or any(part >> 32 for part in rest):  # beyond, SeedSequence keys collide
+        raise ValueError(f"key {(head, *rest)}: need 0 <= seed < 2**128, 0 <= path < 2**32")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(head, spawn_key=rest)))
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,6 @@ class SheetSample:
     grid: GridPartition
     dim: int
     increments: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         expected = (self.grid.n_s, self.grid.n_t, self.dim)
@@ -62,13 +69,12 @@ class SheetSample:
             )
 
 
-def sample(grid: GridPartition, dim: int = 1, seed: int = 0) -> SheetSample:
-    """One sheet realization; increments are sqrt(area) times standard normals."""
+def sample(grid: GridPartition, dim: int = 1, seed: Key = 0) -> SheetSample:
+    """One sheet realization from stream(seed): sqrt(area) times standard normals."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = keyed_generator(seed)
-    z = rng.standard_normal((grid.n_s, grid.n_t, dim))
-    return SheetSample(grid, dim, z * np.sqrt(grid.areas())[:, :, None], seed)
+    z = stream(seed).standard_normal((grid.n_s, grid.n_t, dim))
+    return SheetSample(grid, dim, z * np.sqrt(grid.areas())[:, :, None])
 
 
 def cumulative_values(increments: np.ndarray) -> np.ndarray:
@@ -114,21 +120,20 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
     ns, nt = grid.n_s // factor_s, grid.n_t // factor_t
     inc = sheet.increments.reshape(ns, factor_s, nt, factor_t, sheet.dim).sum(axis=(1, 3))
     coarse = GridPartition(grid.s_knots[::factor_s], grid.t_knots[::factor_t])
-    return SheetSample(coarse, sheet.dim, inc, sheet.seed)
+    return SheetSample(coarse, sheet.dim, inc)
 
 
 def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> SheetSample:
     """Shift each cell increment by eps * hdot * area.
 
-    hdot is an (n_s, n_t, dim) array of densities.  The shifted sample keeps
-    the seed token of its parent.
+    hdot is an (n_s, n_t, dim) array of densities.
     """
     grid = sheet.grid
     dens = np.asarray(hdot, dtype=float)
     if dens.shape != sheet.increments.shape:
         raise ValueError(f"hdot shape {dens.shape} != {sheet.increments.shape}")
     areas = grid.areas()[:, :, None]
-    return SheetSample(grid, sheet.dim, sheet.increments + eps * dens * areas, sheet.seed)
+    return SheetSample(grid, sheet.dim, sheet.increments + eps * dens * areas)
 
 
 def export_csv(sheet: SheetSample, path: str) -> None:

@@ -33,10 +33,9 @@ from .brownian_sheet import (
     CSV_FLOAT_FORMAT,
     cameron_martin_shift,
     cumulative_values,
-    derive_seed,
     export_csv,
-    keyed_generator,
     sample,
+    stream,
 )
 from .estimate_lab import bump_factor, check_method, davie_bound, direct_expectation, verify_identity
 from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
@@ -64,8 +63,8 @@ SCHEMA_VERSION = "1"
 
 
 def _json_line(obj) -> str:
-    """Compact JSON text without newlines; json's C encoder runs only without indent."""
-    return json.dumps(obj, separators=(",", ":"))
+    """One line of compact JSON by json's C encoder; NaN or Infinity raise ValueError."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
 class ConfigError(ValueError):
@@ -158,9 +157,12 @@ _parse_nonnegative = partial(_parse_count, minimum=0)
 
 def _parse_float(name: str, value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(name, f"expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(name, "must be finite")
+    return number
 
 
 def _parse_float_list(name: str, value) -> tuple[float, ...]:
@@ -388,7 +390,8 @@ def _run_verify_bound(p: dict) -> tuple[dict, Optional[bool]]:
     """Random-configuration domination sweep of the product bound."""
     seed = p["seed"]
     factor = _build_factor(p)
-    rng = keyed_generator(seed)
+    # the configurations draw from key (seed, 0), trial i from (seed, i + 1)
+    rng = stream(seed, 0)
     violations = []
     for trial in range(p["trials"]):
         n = int(rng.choice(p["n_set"]))
@@ -396,7 +399,7 @@ def _run_verify_bound(p: dict) -> tuple[dict, Optional[bool]]:
         s_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
         t_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
         spec = PermutationSpec(n, sigma, s_times, t_times)
-        est = direct_expectation(spec, factor, "mc", p["samples"], derive_seed(seed, trial + 1))
+        est = direct_expectation(spec, factor, "mc", p["samples"], (seed, trial + 1))
         bound = davie_bound(spec, factor.sup_norm)
         if abs(est.mean) + 4.0 * est.std_error > bound:
             violations.append({

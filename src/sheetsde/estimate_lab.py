@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian_sheet import derive_seed, keyed_generator
+from .brownian_sheet import Key, stream
 from .ibp_engine import (
     IbpTerm,
     PermutationSpec,
@@ -174,7 +174,7 @@ def check_method(spec: PermutationSpec, method: str) -> None:
 
 
 def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
-                       method: str = "mc", budget: int = 100_000, seed: int = 0) -> McEstimate:
+                       method: str = "mc", budget: int = 100_000, seed: Key = 0) -> McEstimate:
     """E[prod_i b'(W at (s_i, t_sigma(i)))] over independent span increments."""
     check_method(spec, method)
     cells = span(spec)
@@ -182,14 +182,14 @@ def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     f = _direct_integrand(staircase(spec, cells), factor)
     if method == "quadrature":
         val = gauss_hermite(f, dims=len(cells), nodes_per_dim=budget, variances=variances)
-        return McEstimate(val, 0.0, budget ** len(cells), None)
+        return McEstimate(val, 0.0, budget ** len(cells))
     return monte_carlo(f, _gaussian_sampler(variances), budget, seed)
 
 
 def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
-                    budget: int = 100_000, seed: int = 0, method: str = "mc",
+                    budget: int = 100_000, seed: Key = 0, method: str = "mc",
                     reduce_variance: bool = True) -> McEstimate:
-    """Signed sum of the expansion terms; independent seed stream per term.
+    """Signed sum of the expansion terms; term idx draws from key (seed, idx).
 
     Standard errors of the terms combine by root sum of squares.  Monte
     Carlo terms use the unbiased control-variate and antithetic reduction
@@ -206,12 +206,12 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
             f = _term_integrand(term, factor, variances)
             val = gauss_hermite(f, dims=len(variances), nodes_per_dim=budget,
                                 variances=variances)
-            ests.append(McEstimate(val, 0.0, budget ** len(variances), None))
+            ests.append(McEstimate(val, 0.0, budget ** len(variances)))
     else:
         sampler = _gaussian_sampler(variances)
         ests = concurrently(*(
             partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance),
-                    sampler, budget, derive_seed(seed, 0x5EED + idx))
+                    sampler, budget, (seed, idx))
             for idx, term in enumerate(terms)
         ))
     total = 0.0
@@ -221,7 +221,7 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
         total += term.sign * est.mean
         var_sum += est.std_error ** 2
         n_used += est.n_samples
-    return McEstimate(total, math.sqrt(var_sum), n_used, seed if method == "mc" else None)
+    return McEstimate(total, math.sqrt(var_sum), n_used)
 
 
 def davie_bound(spec: PermutationSpec, sup_norm: float, c0: float = DEFAULT_C0) -> float:
@@ -258,13 +258,13 @@ class IdentityReport:
 
 
 def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
-                    method: str = "mc", budget: int = 200_000, seed: int = 0,
+                    method: str = "mc", budget: int = 200_000, seed: Key = 0,
                     quad_rel_tol: float = 1e-6, se_width: float = 4.0) -> IdentityReport:
     passes = (
-        lambda: direct_expectation(spec, factor, method, budget, seed),
-        lambda: ibp_expectation(spec, factor, budget, seed=derive_seed(seed, 0xA17), method=method),
+        lambda: direct_expectation(spec, factor, method, budget, (seed, 0)),
+        lambda: ibp_expectation(spec, factor, budget, seed=(seed, 1), method=method),
     )
-    # the Monte Carlo routes own independent streams, so they run at once
+    # the Monte Carlo routes own the child keys (seed, 0) and (seed, 1), so they run at once
     direct, ibp = concurrently(*passes) if method == "mc" else [call() for call in passes]
     bound = davie_bound(spec, factor.sup_norm)
     gap = abs(direct.mean - ibp.mean)
@@ -293,7 +293,7 @@ class CorollaryReport:
 
 
 def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
-                    budget: int = 200, seed: int = 0, c1: float = DEFAULT_C1,
+                    budget: int = 200, seed: Key = 0, c1: float = DEFAULT_C1,
                     inner_nodes: int = 16) -> CorollaryReport:
     """Window integral of |E[prod b']| over chain configurations vs the bound.
 
@@ -310,7 +310,7 @@ def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
     if not (window.r < window.s and window.u < window.t):
         raise ValueError("window must satisfy r < s and u < t")
 
-    rng = keyed_generator(seed)
+    rng = stream(seed)
     sigma = tuple(range(1, n + 1))
     vals = np.empty(budget)
     for it in range(budget):
@@ -323,14 +323,14 @@ def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
     volume = ((window.s - window.r) * (window.t - window.u) / math.factorial(n) ** 2) ** n
     mean = float(vals.mean()) * volume
     se = float(vals.std(ddof=1)) / math.sqrt(budget) * volume
-    lhs = McEstimate(mean, se, budget, seed)
+    lhs = McEstimate(mean, se, budget)
     rhs = corollary_rhs("mD", n, 0, factor.sup_norm, window, c1)
     ratio = lhs.mean / rhs.value if rhs.value > 0 else math.inf
     return CorollaryReport(n, lhs, rhs, ratio, lhs.mean <= rhs.value)
 
 
 def corollary_scaling_slope(n: int, factor: DriftScalarFactor, budget: int = 300,
-                            seed: int = 0, base_side: float = 0.25,
+                            seed: Key = 0, base_side: float = 0.25,
                             n_windows: int = 3, inner_nodes: int = 16) -> float:
     """Measured area-exponent of the window integral under side-halving.
 

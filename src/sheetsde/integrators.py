@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .brownian_sheet import _MASK64, keyed_generator
+from .brownian_sheet import Key, stream
 from .kernels import DEFAULT_C0
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,6 @@ class McEstimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: Optional[int]
 
     def interval(self, width: float = 4.0) -> tuple[float, float]:
         return (self.mean - width * self.std_error, self.mean + width * self.std_error)
@@ -55,10 +54,7 @@ def merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
     n_tot = 0
     mean = 0.0
     m2 = 0.0
-    seed = None
     for part in parts:
-        if seed is None:
-            seed = part.seed
         pn = part.n_samples
         pm2 = part.std_error ** 2 * pn * max(pn - 1, 1)
         delta = part.mean - mean
@@ -68,7 +64,7 @@ def merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
         n_tot = new_n
     if n_tot < 2:
         raise ValueError("need at least two samples in total")
-    return McEstimate(mean, math.sqrt(m2 / (n_tot * (n_tot - 1))), n_tot, seed)
+    return McEstimate(mean, math.sqrt(m2 / (n_tot * (n_tot - 1))), n_tot)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,7 @@ def monte_carlo(
     f: Callable[[np.ndarray], np.ndarray],
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
-    seed: int,
+    seed: Key,
     shards: int = 1,
     chunk: Optional[int] = None,
 ) -> McEstimate | list[McEstimate]:
@@ -145,15 +141,14 @@ def monte_carlo(
     f maps a batch of b draws to (b,) values, or to (b, k) rows for k
     estimands on the same draws; the second form returns k estimates, one
     per column, each reduced as a scalar f's values would be.  The budget is
-    split over `shards` streams, shard r keyed by the 128-bit Philox key
-    [seed, r] (shard 0 is keyed_generator(seed)).  Shards run on up to
-    _pool_workers(shards) threads and are merged in shard order, so the
-    result does not depend on the worker count; running a shard on its own
-    and merging with merge_estimates reproduces it.  `chunk` caps the batch
-    of each accumulation step; callers with large per-sample payloads lower
-    it to bound memory.  Within a chunk the sampler and f see at most
-    _MC_BLOCK rows at a time.  Neither changes the draw stream or the
-    per-sample values, so the estimate depends only on the chunk.
+    split over `shards` shards; shard r draws stream(seed, r), so shard 0 is
+    the shards=1 stream.  Shards run on up to _pool_workers(shards) threads
+    and merge in shard order, so the result depends only on the key, never
+    on the worker count; merging standalone shards reproduces it.  `chunk`
+    caps the batch of each accumulation step; callers with large per-sample
+    payloads lower it to bound memory.  Within a chunk the sampler and f see
+    at most _MC_BLOCK rows at a time.  Neither changes the draw stream or
+    the per-sample values, so the estimate depends only on the chunk.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
@@ -166,10 +161,7 @@ def monte_carlo(
     sizes = [n // shards + (1 if r < n % shards else 0) for r in range(shards)]
 
     def run_shard(r: int) -> tuple[tuple[int, ...], list[McEstimate]]:
-        # Philox's 128-bit key [seed, r]: distinct (seed, shard) pairs never share
-        # a stream, and shard 0 draws what keyed_generator(seed) draws (Salmon
-        # et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
-        rng = np.random.Generator(np.random.Philox(key=[int(seed) & _MASK64, r]))
+        rng = stream(seed, r)
         cols = None  # () for a scalar f, (k,) for k columns
         count = 0
         mean = m2 = 0.0
@@ -195,7 +187,7 @@ def monte_carlo(
             m2 = m2 + (bm2 + delta * delta * count * m / new_count)
             count = new_count
         se = np.sqrt(m2 / (count * (count - 1))) if count > 1 else np.zeros_like(m2)
-        return cols, [McEstimate(float(mu), float(e), count, seed)
+        return cols, [McEstimate(float(mu), float(e), count)
                       for mu, e in zip(np.atleast_1d(mean), np.atleast_1d(se))]
 
     if shards == 1:
@@ -266,7 +258,7 @@ def simplex_singular_integral(n: int, lower: float = 0.0, upper: float = 1.0) ->
 
 
 def simplex_dirichlet_oracle(n: int, lower: float = 0.0, upper: float = 1.0,
-                             n_samples: int = 1_000_000, seed: int = 0) -> McEstimate:
+                             n_samples: int = 1_000_000, seed: Key = 0) -> McEstimate:
     """Independent estimate of the singular simplex integral.
 
     The normalized gaps of an ordered configuration are Dirichlet(1/2, ...)
@@ -280,8 +272,7 @@ def simplex_dirichlet_oracle(n: int, lower: float = 0.0, upper: float = 1.0,
         raise ValueError("n must be >= 1")
     if not upper > lower:
         raise ValueError("upper must exceed lower")
-    rng = keyed_generator(seed)
-    x = rng.dirichlet(np.full(n + 1, 0.5), size=n_samples)
+    x = stream(seed).dirichlet(np.full(n + 1, 0.5), size=n_samples)
     vals = np.sqrt(x).prod(axis=1)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n_samples)
@@ -289,7 +280,7 @@ def simplex_dirichlet_oracle(n: int, lower: float = 0.0, upper: float = 1.0,
     z = inv_vol / mean
     z_se = z * se / mean
     scale = (upper - lower) ** ((n - 1) / 2.0)
-    return McEstimate(z * scale, z_se * scale, n_samples, seed)
+    return McEstimate(z * scale, z_se * scale, n_samples)
 
 
 #: default constant of the integrated corollary bounds: C0 * Gamma(1/2)^2

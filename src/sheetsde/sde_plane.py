@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .brownian_sheet import SheetSample, cumulative_values, values as sheet_values
+from .brownian_sheet import Key, SheetSample, cumulative_values, values as sheet_values
 from .integrators import McEstimate, monte_carlo
 from .plane_geometry import GridPartition
 
@@ -203,6 +203,8 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
     the field and the number of map applications.  Raises
     NonConvergenceError when tolerance is not met within max_iter.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     x0v = _as_x0(x0, sheet.dim)
     w = sheet_values(sheet)
     s_knots = np.asarray(grid.s_knots)
@@ -356,15 +358,15 @@ class WeakComparison(NamedTuple):
 
 
 def paired_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
-                            x0, grid: GridPartition, n_samples: int, seed: int,
+                            x0, grid: GridPartition, n_samples: int, seed: Key,
                             dim: int = 1) -> WeakComparison:
     """Both weak estimators of E[phi(X at the far corner)] in one paired pass.
 
     Every sheet feeds the Girsanov integrand and the Euler chain, so the gap
     column's SE is that of the per-sheet difference, far below the combined
     SE of two independent passes.  The pass runs one shard per sheet chunk
-    on monte_carlo's thread pool; the shards, hence the estimates, depend
-    only on (seed, n_samples, grid, dim), never on the worker count.
+    on monte_carlo's thread pool, shard r on stream(seed, r); the estimates
+    depend only on (seed, n_samples, grid, dim), never on the worker count.
     """
     f = _paired_integrand(phi, drift, grid, _as_x0(x0, dim))
     chunk = _sheet_mc_chunk(grid, dim)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .brownian_sheet import keyed_generator
+from .brownian_sheet import Key, stream
 
 #: members are enumerated only while m * (k + n) stays at or below this
 ENUMERATION_LIMIT = 12
@@ -277,13 +277,13 @@ def _sorted_desc(rng: np.random.Generator, size: tuple[int, int], low: float, hi
     return u[:, ::-1]
 
 
-def sample_region_batch(region: RegionDescriptor, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_region_batch(region: RegionDescriptor, n_samples: int, seed: Key) -> tuple[np.ndarray, np.ndarray]:
     """Uniform draws from the region; returns (s, t) of shape (N, arity).
 
     Chain groups are sampled as sorted uniforms (uniform on the order
     simplex); the delta kinds reject against their extra constraint.
     """
-    rng = keyed_generator(seed)
+    rng = stream(seed)
     out_s = np.empty((0, region.arity))
     out_t = np.empty((0, region.arity))
     need = n_samples
@@ -306,9 +306,9 @@ def sample_region_batch(region: RegionDescriptor, n_samples: int, seed: int) -> 
     return out_s, out_t
 
 
-def sample_product_batch(region: RegionDescriptor, m: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """m independent blocks per sample; shape (N, m * arity), block-major."""
-    parts = [sample_region_batch(region, n_samples, seed + 1000003 * i) for i in range(m)]
+def sample_product_batch(region: RegionDescriptor, m: int, n_samples: int, seed: Key) -> tuple[np.ndarray, np.ndarray]:
+    """m independent blocks per sample, block i on key (seed, i); shape (N, m * arity), block-major."""
+    parts = [sample_region_batch(region, n_samples, (seed, i)) for i in range(m)]
     return (
         np.concatenate([p[0] for p in parts], axis=1),
         np.concatenate([p[1] for p in parts], axis=1),
@@ -486,7 +486,7 @@ def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return index[inverse[len(table) :]]
 
 
-def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: int) -> PartitionReport:
+def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key) -> PartitionReport:
     """Sample the product region and scan every cell's predicate.
 
     Checks that the cells cover each sample exactly once and that the
@@ -548,20 +548,20 @@ def _cell_sampler(region: RegionDescriptor, sigma: Sequence[int], gamma: Sequenc
 
 
 def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000_000,
-                           seed: int = 0, s_high: float = 1.0, t_high: float = 1.0) -> ProductIdentityReport:
+                           seed: Key = 0, s_high: float = 1.0, t_high: float = 1.0) -> ProductIdentityReport:
     """Monte Carlo check that the squared block integral equals the cell sum.
 
     slot_functions supplies one vectorized f_j(s, t) per in-block slot; both
     blocks of the product carry the same functions, so the left side is the
     square of a single k-point chain integral, estimated independently of
-    the per-cell estimates on the right.
+    the per-cell estimates on the right: keys (seed, 0) and (seed, 1).
     """
     if len(slot_functions) != k:
         raise ValueError(f"need {k} slot functions, got {len(slot_functions)}")
     region = RegionDescriptor("nabla", k, s_high=s_high, t_high=t_high)
     block_vol = (s_high ** k / factorial(k)) * (t_high ** k / factorial(k))
 
-    s, t = sample_region_batch(region, budget, seed)
+    s, t = sample_region_batch(region, budget, (seed, 0))
     vals = np.ones(budget)
     for j, f in enumerate(slot_functions):
         vals *= f(s[:, j], t[:, j])
@@ -573,7 +573,7 @@ def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000
     cells = _enumerate_cells(region, 2)
     per_cell = max(budget // len(cells), 2)
     cell_vol = (s_high ** (2 * k) / factorial(2 * k)) * (t_high ** (2 * k) / factorial(2 * k))
-    rng = keyed_generator(seed ^ 0x9E3779B9)
+    rng = stream(seed, 1)
     rhs = 0.0
     rhs_var = 0.0
     for sigma, gamma in cells:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.integrate
 
 from conftest import record_criterion
-from sheetsde.brownian_sheet import coarsen, derive_seed, sample, values
+from sheetsde.brownian_sheet import coarsen, sample, values
 from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import bump_factor, verify_identity
 from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
@@ -138,7 +138,7 @@ def test_criterion_03_ibp_identity_quadrature_and_mc():
             for pos, sigma in enumerate(itertools.permutations((1, 2, 3))):
                 spec = PermutationSpec(3, sigma, times, times)
                 rep = verify_identity(spec, BUMP, method="mc", budget=1_000_000,
-                                      seed=derive_seed(29, 10 * grid.n_s + pos))
+                                      seed=(29, 10 * grid.n_s + pos))
                 assert rep.identity_ok and rep.bound_ok, (sigma, rep)
                 worst_se = max(worst_se, 4.0 * rep.identity_gap / rep.identity_tol)
         state["ok"] = True
@@ -290,7 +290,7 @@ def test_criterion_10_girsanov_weak_agreement():
         details = []
         ok = True
         for drift in (tanh_drift(1.0, 1.0, 1), sign_drift()):
-            est = paired_weak_expectation(phi, drift, 0.1, grid, samples, derive_seed(101, 64))
+            est = paired_weak_expectation(phi, drift, 0.1, grid, samples, (101, 64))
             gap_z = abs(est.gap.mean) / est.gap.std_error
             weight_z = abs(est.weight.mean - 1.0) / est.weight.std_error
             ok = ok and gap_z <= 4.0 and weight_z <= 4.0

@@ -1,6 +1,7 @@
 """Sheet sampling: distributional laws, exact algebra, and serialization."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -10,18 +11,17 @@ from sheetsde.brownian_sheet import (
     cameron_martin_shift,
     coarsen,
     cumulative_values,
-    derive_seed,
     export_csv,
-    keyed_generator,
     sample,
+    stream,
     values,
 )
 from sheetsde.plane_geometry import GridPartition, geometric_grid, uniform_grid
 
 
 def replications(grid: GridPartition, dim: int, seed: int, n: int) -> np.ndarray:
-    """Increments of n sheets, shape (n, n_s, n_t, dim); sheet r is seeded derive_seed(seed, r)."""
-    return np.stack([sample(grid, dim, derive_seed(seed, r)).increments for r in range(n)])
+    """Increments of n sheets, shape (n, n_s, n_t, dim); sheet r draws from key (seed, r)."""
+    return np.stack([sample(grid, dim, (seed, r)).increments for r in range(n)])
 
 
 def value_at(sheet: SheetSample, i: int, j: int) -> np.ndarray:
@@ -46,7 +46,6 @@ class TestSampling:
         a = sample(g, dim=2, seed=42)
         b = sample(g, dim=2, seed=42)
         assert np.array_equal(a.increments, b.increments)
-        assert a.seed == b.seed == 42
 
     def test_different_seeds_differ(self):
         g = uniform_grid(4, 4)
@@ -119,7 +118,7 @@ class TestValues:
         assert np.allclose(four, block, rtol=1e-12, atol=1e-14)
 
     def test_cumulative_values_inverse(self):
-        z = keyed_generator(2).standard_normal((4, 6, 1))
+        z = stream(2).standard_normal((4, 6, 1))
         w = cumulative_values(z)
         back = w[1:, 1:] - w[:-1, 1:] - w[1:, :-1] + w[:-1, :-1]
         assert np.allclose(back, z, rtol=1e-12, atol=1e-14)
@@ -127,20 +126,20 @@ class TestValues:
     def test_cumulative_values_batch_matches_value_at(self):
         # multiples of 1/8 sum exactly in any order, so value_at is a bit-exact oracle
         grid = geometric_grid(5, 4)
-        z = keyed_generator(7).integers(-64, 65, size=(3, 5, 4, 2)) / 8.0
+        z = stream(7).integers(-64, 65, size=(3, 5, 4, 2)) / 8.0
         before = z.copy()
         w = cumulative_values(z)
         assert w.shape == (3, 6, 5, 2)
         assert np.array_equal(z, before)
         assert np.all(w[:, 0] == 0.0) and np.all(w[:, :, 0] == 0.0)
         for r in range(3):
-            sheet = SheetSample(grid, 2, z[r], 0)
+            sheet = SheetSample(grid, 2, z[r])
             for i in range(6):
                 for j in range(5):
                     assert np.array_equal(w[r, i, j], value_at(sheet, i, j))
 
     def test_cumulative_values_is_two_prefix_sums(self):
-        z = keyed_generator(8).standard_normal((3, 5, 4, 2))
+        z = stream(8).standard_normal((3, 5, 4, 2))
         w = cumulative_values(z)
         assert np.array_equal(w[..., 1:, 1:, :], np.cumsum(np.cumsum(z, axis=-3), axis=-2))
 
@@ -159,7 +158,7 @@ class TestCameronMartin:
     def test_shift_matches_summation_oracle(self):
         g = geometric_grid(4, 3, s_max=1.2)
         sh = sample(g, seed=13)
-        rng = keyed_generator(99)
+        rng = stream(99)
         hdot = rng.uniform(-1.0, 1.0, size=sh.increments.shape)
         eps = 0.25
         shifted = cameron_martin_shift(sh, hdot, eps)
@@ -184,7 +183,6 @@ class TestCoarsen:
         wf, wc = values(fine), values(coarse)
         # surviving knots carry identical sheet values
         assert np.allclose(wc, wf[::2, ::2], rtol=1e-12, atol=1e-15)
-        assert coarse.seed == fine.seed
 
     def test_anisotropic_factors(self):
         fine = sample(uniform_grid(6, 4), seed=2)
@@ -213,15 +211,30 @@ class TestSerialization:
             assert fh.readline().strip() == "i,j,component,z"
 
 
-class TestSeeds:
-    def test_derive_seed_stable(self):
-        assert derive_seed(123, 4) == derive_seed(123, 4)
+class TestStreams:
+    def test_reproducible(self):
+        assert np.array_equal(stream(5, 1, 2).standard_normal(4), stream(5, 1, 2).standard_normal(4))
 
-    def test_derive_seed_spreads(self):
-        seen = {derive_seed(7, k) for k in range(100)}
-        assert len(seen) == 100
+    def test_distinct_first_draws(self):
+        # every seed 0-3 with every path of length 0-3 over components 0-3, and
+        # seed 2**64, which a 64-bit key reduced to seed 0
+        keys = [(seed, *path) for seed in range(4) for length in range(4)
+                for path in itertools.product(range(4), repeat=length)]
+        firsts = {stream(*key).integers(1 << 63) for key in keys}
+        assert len(firsts) == len(keys) == 340
+        assert stream(1 << 64).integers(1 << 63) not in firsts
 
-    def test_keyed_generator_reproducible(self):
-        a = keyed_generator(5).standard_normal(4)
-        b = keyed_generator(5).standard_normal(4)
-        assert np.array_equal(a, b)
+    def test_key_tuples_read_flat(self):
+        # a child (key, i) of a tuple key is the flat path (seed, *path, i)
+        want = stream(7, 1, 2).standard_normal(3)
+        for key in [((7, 1), 2), (7, (1, 2)), (((7,), 1), (2,))]:
+            assert np.array_equal(stream(key).standard_normal(3), want)
+        assert np.array_equal(stream((7, 1), 2).standard_normal(3), want)
+
+    # from seed 2**128 or a path component 2**32 on, SeedSequence's words
+    # collide: seed 2**128 would draw stream(0, 1), and stream(5, 2**32)
+    # would draw stream(5, 0, 1)
+    @pytest.mark.parametrize("key", [-1, 1.0, (3, -2), "3", 1 << 128, (5, 1 << 32)])
+    def test_invalid_keys_rejected(self, key):
+        with pytest.raises((TypeError, ValueError)):
+            stream(key)

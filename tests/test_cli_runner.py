@@ -11,7 +11,7 @@ import pytest
 
 from conftest import counting_jacobian
 from sheetsde import cli_runner, integrators, sde_plane
-from sheetsde.brownian_sheet import cumulative_values, sample
+from sheetsde.brownian_sheet import cumulative_values, sample, stream
 from sheetsde.cli_runner import (
     ConfigError,
     ExperimentConfig,
@@ -96,6 +96,27 @@ class TestRunApi:
         }))
         assert rec.passed is True
         assert rec.outputs["n_violations"] == 0
+
+    def test_verify_bound_trials_never_draw_a_configuration_stream(self, monkeypatch):
+        # under keys seed XOR index, trial 0 at seed 0 drew the configuration
+        # stream of seed 1; record the first draw of every generator made
+        firsts = {"configurations": [], "trials": []}
+
+        def recording(kind):
+            def make(*key):
+                firsts[kind].append(stream(*key).random())
+                return stream(*key)
+            return make
+
+        monkeypatch.setattr(cli_runner, "stream", recording("configurations"))
+        monkeypatch.setattr(integrators, "stream", recording("trials"))
+        for seed in range(4):
+            run(ExperimentConfig("verify-bound", {
+                "trials": 4, "n_set": "2", "samples": 50, "allowed_failures": 4, "seed": seed,
+            }))
+        configurations, trials = firsts["configurations"], firsts["trials"]
+        assert (len(configurations), len(trials)) == (4, 16)
+        assert len(set(configurations + trials)) == 20
 
     def test_verify_shuffle(self):
         rec = run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 2, "k": 1,
@@ -291,6 +312,27 @@ class TestCliExitCodes:
         code, out = run_cli(capsys, ["malliavin-check", "--grid", "4x4", "--eps", "0"])
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["solve-sde", "--grid", "4x4", "--x0", "nan"], "x0"),
+        (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "inf"], "se_width"),
+        (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "inf"], "se_width"),
+    ])
+    def test_non_finite_number_is_one(self, capsys, argv, field):
+        # NaN is not JSON, and an infinite SE width makes a gate that cannot fail
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert f"{field}: must be finite" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_output_is_one(self, capsys):
+        # finite inputs whose solution overflows: Infinity is not JSON either
+        code = main(["solve-sde", "--grid", "2x2", "--drift", "const", "--level", "1e308",
+                     "--x0", "1e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "not JSON compliant" in captured.err
 
     def test_missing_required_is_one(self, capsys):
         assert main(["verify-ibp"]) == 1

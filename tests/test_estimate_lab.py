@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetsde.brownian_sheet import derive_seed, keyed_generator
+from sheetsde.brownian_sheet import stream
 from sheetsde.estimate_lab import (
     DriftScalarFactor,
     IdentityReport,
@@ -257,11 +257,11 @@ def serial_ibp(spec, factor, budget, seed) -> McEstimate:
     total, var_sum, n_used = 0.0, 0.0, 0
     for idx, term in enumerate(expand(spec)):
         est = monte_carlo(_term_integrand(term, factor, variances, True),
-                          _gaussian_sampler(variances), budget, derive_seed(seed, 0x5EED + idx))
+                          _gaussian_sampler(variances), budget, (seed, idx))
         total += term.sign * est.mean
         var_sum += est.std_error ** 2
         n_used += est.n_samples
-    return McEstimate(total, math.sqrt(var_sum), n_used, seed)
+    return McEstimate(total, math.sqrt(var_sum), n_used)
 
 
 class TestOneDrawAntithetic:
@@ -269,7 +269,7 @@ class TestOneDrawAntithetic:
     def test_equals_two_draw_form(self, sigma, parity):
         spec = uniform_spec(sigma)
         variances = spec_variances(spec, span(spec))
-        x = _gaussian_sampler(variances)(keyed_generator(4), 3000)
+        x = _gaussian_sampler(variances)(stream(4), 3000)
         for term in expand(spec):
             assert len(term.grad) % 2 == parity
             got = _term_integrand(term, MC_FACTOR, variances, reduce_variance=True)(x)
@@ -294,8 +294,8 @@ class TestConcurrentPasses:
             report = verify_identity(spec, MC_FACTOR, "mc", budget=20_000, seed=8)
         finally:
             sys.setswitchinterval(interval)
-        direct = direct_expectation(spec, MC_FACTOR, "mc", 20_000, 8)
-        ibp = serial_ibp(spec, MC_FACTOR, 20_000, derive_seed(8, 0xA17))
+        direct = direct_expectation(spec, MC_FACTOR, "mc", 20_000, (8, 0))
+        ibp = serial_ibp(spec, MC_FACTOR, 20_000, (8, 1))
         gap = abs(direct.mean - ibp.mean)
         tol = 4.0 * math.hypot(direct.std_error, ibp.std_error)
         bound = davie_bound(spec, MC_FACTOR.sup_norm)

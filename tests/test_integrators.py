@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from sheetsde import integrators
-from sheetsde.brownian_sheet import keyed_generator
+from sheetsde.brownian_sheet import stream
 from sheetsde.integrators import (
     _MC_BLOCK,
     _MC_CHUNK,
@@ -46,14 +46,14 @@ def vector_integrand(z):
 
 
 def keyed_sampler(seed, shard):
-    """Normal draws from Philox keyed [seed, shard], ignoring the generator monte_carlo passes."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
+    """Normal draws from stream(seed, shard), ignoring the generator monte_carlo passes."""
+    rng = stream(seed, shard)
     return lambda _rng, n: rng.standard_normal(n)
 
 
 def chunk_reference(f, sampler, n, seed, chunk):
     """monte_carlo's accumulation with each chunk drawn and evaluated in one call."""
-    rng = keyed_generator(seed)
+    rng = stream(seed, 0)
     count, mean, m2 = 0, 0.0, 0.0
     while count < n:
         m = min(chunk, n - count)
@@ -65,7 +65,7 @@ def chunk_reference(f, sampler, n, seed, chunk):
         mean += delta * m / new_count
         m2 += bm2 + delta * delta * count * m / new_count
         count = new_count
-    return McEstimate(mean, math.sqrt(m2 / (count * (count - 1))), count, seed)
+    return McEstimate(mean, math.sqrt(m2 / (count * (count - 1))), count)
 
 
 class TestLogGamma:
@@ -132,8 +132,8 @@ class TestMonteCarlo:
         assert a == b
 
     def test_shard_merge_law(self):
-        # each shard rerun standalone on its own Philox key [seed, r], then
-        # merged, reproduces the sharded run
+        # each shard rerun standalone on stream(seed, r), then merged,
+        # reproduces the sharded run bit for bit
         n, seed, shards = 10_000, 7, 4
         whole = monte_carlo(lambda z: np.tanh(z), normal_sampler, n, seed, shards=shards)
         sizes = [n // shards + (1 if r < n % shards else 0) for r in range(shards)]
@@ -145,17 +145,16 @@ class TestMonteCarlo:
 
     def test_shard_keys_do_not_collide_across_seeds(self):
         # with keys seed XOR r, seeds 0..3 drew the same four shard streams in
-        # another order, so their means agreed up to the merge's round-off
-        means = sorted(monte_carlo(np.tanh, normal_sampler, 4000, seed, shards=4).mean
-                       for seed in range(4))
+        # another order, so their means agreed up to the merge's round-off;
+        # the same holds for the tuple keys (s, 0) .. (s, 3) of one parent
+        means = sorted(monte_carlo(np.tanh, normal_sampler, 4000, key, shards=4).mean
+                       for key in [*range(4), *((9, r) for r in range(4))])
         assert min(np.diff(means)) > 1e-6
 
     def test_shard_zero_is_the_unsharded_stream(self):
         whole = monte_carlo(np.cos, normal_sampler, 1000, seed=12)
         shard0 = monte_carlo(np.cos, keyed_sampler(12, 0), 1000, seed=12)
         assert whole == shard0
-        first = keyed_generator(12).standard_normal(8)
-        assert np.array_equal(first, keyed_sampler(12, 0)(None, 8))
 
     def test_result_independent_of_worker_count(self, monkeypatch):
         # more workers than cores and a short switch interval interleave the
@@ -218,7 +217,7 @@ class TestMonteCarlo:
         assert 0.8 <= (a.std_error / b.std_error) / 2.0 <= 1.2
 
     def test_interval(self):
-        est = McEstimate(1.0, 0.1, 100, 0)
+        est = McEstimate(1.0, 0.1, 100)
         assert est.interval(2.0) == (0.8, 1.2)
 
     def test_budget_guard(self):
@@ -259,7 +258,7 @@ class TestMergeEstimates:
         rng = np.random.default_rng(17)
         blocks = [rng.normal(size=m) for m in (100, 257, 33)]
         parts = [
-            McEstimate(float(b.mean()), float(b.std(ddof=1) / math.sqrt(len(b))), len(b), 0)
+            McEstimate(float(b.mean()), float(b.std(ddof=1) / math.sqrt(len(b))), len(b))
             for b in blocks
         ]
         merged = merge_estimates(parts)

@@ -12,7 +12,6 @@ from sheetsde.brownian_sheet import (
     cameron_martin_shift,
     coarsen,
     cumulative_values,
-    derive_seed,
     sample,
     values,
 )
@@ -38,6 +37,17 @@ from sheetsde.sde_plane import (
     tanh_drift,
     zero_drift,
 )
+
+
+def pre_contract_sampler(grid, key):
+    """Increments from Philox(key=key), the stream the single unsharded passes drew.
+
+    The generator monte_carlo hands in is ignored, so values pinned before
+    the seed-stream contract still check the integrands bit for bit.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    draw = _increment_sampler(grid, 1)
+    return lambda _rng, size: draw(rng, size)
 
 
 class TestDriftFields:
@@ -160,6 +170,9 @@ class TestPicard:
         sheet = sample(grid, dim=1, seed=7)
         with pytest.raises(NonConvergenceError):
             solve_picard(grid, tanh_drift(1.0, 1.0, 1), 0.0, sheet, tol=1e-30, max_iter=4)
+        # no sweep leaves no residual to report
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_picard(grid, tanh_drift(1.0, 1.0, 1), 0.0, sheet, max_iter=0)
 
     def test_matches_euler_at_first_order(self):
         # the two schemes read the drift at opposite cell corners; their gap
@@ -405,7 +418,7 @@ class TestDoleans:
         drift = constant_drift(0.7)
         c2a = 0.49
         n = 4000
-        z = np.stack([sample(grid, dim=1, seed=derive_seed(17, k)).increments for k in range(n)])
+        z = np.stack([sample(grid, dim=1, seed=(17, k)).increments for k in range(n)])
         logs = _log_weights(drift, grid, cumulative_values(z)[:, :-1, :-1], z)
         mean_se = logs.std(ddof=1) / math.sqrt(n)
         assert abs(logs.mean() + 0.5 * c2a) <= 4.0 * mean_se
@@ -464,7 +477,7 @@ class TestWeakExpectations:
         # separate Girsanov and Euler passes once drew it
         grid = uniform_grid(32, 32, 1.0, 1.0)
         f = _paired_integrand(self.PHI, self.DRIFTS[name](), grid, np.array([0.1]))
-        g, e, _, _ = monte_carlo(f, _increment_sampler(grid, 1), 2048, 7,
+        g, e, _, _ = monte_carlo(f, pre_contract_sampler(grid, 7), 2048, 7,
                                  chunk=_sheet_mc_chunk(grid, 1))
         g_mean, g_se, e_mean, e_se = self.PINNED[name]
         # the Euler chain is bit-identical; the log-weight sums may reorder at round-off
@@ -484,15 +497,16 @@ class TestWeakExpectations:
     }
 
     @pytest.mark.parametrize("name", ["tanh", "sign"])
-    def test_paired_columns_are_the_single_estimators(self, name):
-        # below one chunk the paired pass is one shard on the unsharded stream,
-        # so its columns are the single-estimator passes bit for bit
+    def test_paired_columns_are_the_single_estimators(self, name, monkeypatch):
+        # below one chunk the paired pass is one shard, so on the stream the
+        # single-estimator passes drew its columns are theirs bit for bit
         grid = uniform_grid(32, 32, 1.0, 1.0)
+        monkeypatch.setattr(sde_plane, "_increment_sampler", lambda g, dim: pre_contract_sampler(g, 7))
         n = _sheet_mc_chunk(grid, 1) - 12
         est = paired_weak_expectation(self.PHI, self.DRIFTS[name](), 0.1, grid, n, 7)
         columns = (est.girsanov, est.euler, est.weight)
         assert [(c.mean, c.std_error) for c in columns] == list(self.SINGLE_PASSES[name])
-        assert all((c.n_samples, c.seed) == (500, 7) for c in columns)
+        assert all(c.n_samples == 500 for c in columns)
         assert est.gap.mean == pytest.approx(est.girsanov.mean - est.euler.mean, abs=1e-15)
 
     def test_paired_gap_se_is_below_the_combined_se(self):

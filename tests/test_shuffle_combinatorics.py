@@ -166,6 +166,18 @@ class TestMembership:
             s, t = sample_region_batch(region, 500, seed=3)
             assert membership_batch(region, s, t).all(), kind
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_product_blocks_draw_distinct_streams(self, seed):
+        # with block i keyed seed + 1000003 * i, block 1 at seed s was block 0
+        # at seed s + 1000003
+        region = RegionDescriptor("nabla", 2)
+        blocks = {
+            block.tobytes()
+            for key in (seed, seed + 1000003)
+            for block in np.split(sample_product_batch(region, 3, 8, key)[0], 3, axis=1)
+        }
+        assert len(blocks) == 6
+
 
 class TestLocateCell:
     def test_sort_rank_oracle_two_blocks(self):
