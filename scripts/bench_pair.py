@@ -12,7 +12,9 @@ its "# FAILED" lines and its provenance.  The output file holds every run,
 the per-workload medians of each side, the change/parent ratio of the
 medians, the number of pairs the change wins per metric, the parent's
 interquartile range, whether the median moved by more than that range (a
-gain or a loss), and the failed ops of both sides.  A run that exits
+gain or a loss), and the failed ops of both sides.  Next to each gain/loss
+flag stands parent_iqr_rel, the parent's IQR over the parent's median: the
+smallest relative move of the median that the flag can resolve.  A run that exits
 non-zero or outlasts its timeout is kept as an error entry.
 
 Seeds are fixed per workload and include the ones whose runs have had failed
@@ -109,7 +111,12 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Medians per side, change/parent ratio, wins and IQR-resolved shift per metric, failed ops."""
+    """Medians per side, change/parent ratio, wins and IQR-resolved shift per metric, failed ops.
+
+    The shift is flagged "gain" or "loss" only when the median moved by more
+    than the parent's IQR; parent_iqr_rel gives that resolution relative to
+    the parent's median.
+    """
     ok = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     summary = {"pairs": len(pairs), "complete_pairs": len(ok), "metrics": {}}
     for name, direction in better.items():
@@ -128,6 +135,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "ratio": med_c / med_p if med_p else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "parent_iqr": q3 - q1,
+            "parent_iqr_rel": (q3 - q1) / med_p if med_p else None,
             "median_shift_beyond_parent_iqr": ("gain" if gain > q3 - q1 else
                                                "loss" if -gain > q3 - q1 else None),
         }

@@ -51,10 +51,10 @@ def stream(seed: Key, *path: Key) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SheetSample:
-    """Per-cell increments of one sheet realization.
+    """Per-cell increments of one sheet realization, or of a batch of them.
 
-    increments[i-1, j-1, c] is the rectangle increment of component c over
-    cell (i, j).
+    increments[..., i-1, j-1, c] is the rectangle increment of component c
+    over cell (i, j); leading axes, when present, index the sheets.
     """
 
     grid: GridPartition
@@ -63,10 +63,15 @@ class SheetSample:
 
     def __post_init__(self) -> None:
         expected = (self.grid.n_s, self.grid.n_t, self.dim)
-        if self.increments.shape != expected:
+        if self.increments.shape[-3:] != expected:
             raise ValueError(
                 f"increments shape {self.increments.shape} != grid shape {expected}"
             )
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading sample axes of the increments; () for one sheet."""
+        return self.increments.shape[:-3]
 
 
 def sample(grid: GridPartition, dim: int = 1, seed: Key = 0) -> SheetSample:
@@ -98,7 +103,7 @@ def cumulative_values(increments: np.ndarray) -> np.ndarray:
 
 
 def values(sheet: SheetSample) -> np.ndarray:
-    """All grid-point values of the sample, shape (n_s+1, n_t+1, dim)."""
+    """All grid-point values of the sample, shape (..., n_s+1, n_t+1, dim)."""
     return cumulative_values(sheet.increments)
 
 
@@ -107,6 +112,7 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
 
     The same underlying sheet restricted to every factor-th knot; used for
     coupled mesh-refinement studies.  Requires the cell counts to divide.
+    Leading sample axes are kept: one reshape-sum over (..., n_s, n_t, dim).
     """
     if factor_t is None:
         factor_t = factor_s
@@ -118,7 +124,8 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
             f"factors ({factor_s}, {factor_t}) do not divide cell counts ({grid.n_s}, {grid.n_t})"
         )
     ns, nt = grid.n_s // factor_s, grid.n_t // factor_t
-    inc = sheet.increments.reshape(ns, factor_s, nt, factor_t, sheet.dim).sum(axis=(1, 3))
+    shape = (*sheet.batch_shape, ns, factor_s, nt, factor_t, sheet.dim)
+    inc = sheet.increments.reshape(shape).sum(axis=(-4, -2))
     coarse = GridPartition(grid.s_knots[::factor_s], grid.t_knots[::factor_t])
     return SheetSample(coarse, sheet.dim, inc)
 
@@ -126,7 +133,7 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
 def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> SheetSample:
     """Shift each cell increment by eps * hdot * area.
 
-    hdot is an (n_s, n_t, dim) array of densities.
+    hdot is an array of densities shaped like the increments.
     """
     grid = sheet.grid
     dens = np.asarray(hdot, dtype=float)
@@ -138,6 +145,8 @@ def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> Sh
 
 def export_csv(sheet: SheetSample, path: str) -> None:
     """Write one row (i, j, component, z) per increment, 1-based indices."""
+    if sheet.batch_shape:
+        raise ValueError(f"export_csv takes one sheet, got leading shape {sheet.batch_shape}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "component", "z"])

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .brownian_sheet import (
     CSV_FLOAT_FORMAT,
+    SheetSample,
     cameron_martin_shift,
     cumulative_values,
     export_csv,
@@ -42,6 +43,7 @@ from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uni
 from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
+    SolutionField,
     constant_drift,
     malliavin_adjoint,
     paired_weak_expectation,
@@ -155,6 +157,13 @@ def _parse_count(name: str, value, minimum: int = 1) -> int:
 _parse_nonnegative = partial(_parse_count, minimum=0)
 
 
+def _parse_seed(name: str, value) -> int:
+    seed = _parse_nonnegative(name, value)
+    if seed >> 128:  # stream keys collide from 2**128 on
+        raise ConfigError(name, f"must be < 2**128, got {seed}")
+    return seed
+
+
 def _parse_float(name: str, value) -> float:
     try:
         number = float(value)
@@ -241,7 +250,7 @@ class Param:
     help: Optional[str] = None
 
 
-SEED = Param("seed", 0, _parse_nonnegative, "Base seed; SHEETSDE_SEED supplies the default.")
+SEED = Param("seed", 0, _parse_seed, "Base seed; SHEETSDE_SEED supplies the default.")
 
 
 def _grid(default: Optional[str]) -> tuple[Param, ...]:
@@ -505,16 +514,15 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     drift = _build_drift(p, 1)
     drift.require_jacobian()
     sheet = sample(grid, dim=1, seed=p["seed"])
-    sol = solve_euler(grid, drift, x0, sheet)
-
     s = np.asarray(grid.s_knots)
     t = np.asarray(grid.t_knots)
     hdot = (np.cos(2.1 * s[1:])[:, None] * np.sin(1.7 * t[1:] + 0.3)[None, :])[:, :, None]
-    up = solve_euler(grid, drift, x0, cameron_martin_shift(sheet, hdot, eps))
-    dn = solve_euler(grid, drift, x0, cameron_martin_shift(sheet, hdot, -eps))
-    fd = float((up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * eps))
+    # the sheet and its two shifts in one row sweep: samples base, up, down
+    shifted = (cameron_martin_shift(sheet, hdot, e).increments for e in (eps, -eps))
+    sol = solve_euler(grid, drift, x0, SheetSample(grid, 1, np.stack((sheet.increments, *shifted))))
+    fd = float((sol.values[1, -1, -1, 0] - sol.values[2, -1, -1, 0]) / (2.0 * eps))
 
-    terminal = malliavin_adjoint(grid, drift, sol)
+    terminal = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[0]))
     predicted = float(np.sum(terminal[..., 0, 0] * hdot[..., 0] * grid.areas()))
     rel_err = abs(predicted - fd) / max(abs(fd), 1e-300)
     return {

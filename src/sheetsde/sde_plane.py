@@ -10,6 +10,13 @@ live the Malliavin-derivative recursion (forward for one base point, whose
 base at the origin is the flow derivative in x0, and adjoint for every base
 at once) and the weak solution's two estimators, the Girsanov reweighting of
 the driftless field and the Euler chain, paired on the same sheets.
+
+solve_euler takes a sheet sample with leading sample axes and integrates
+every sheet of the batch in one row sweep; malliavin-check solves its base
+sheet and both Cameron-Martin shifts that way.  solve_picard,
+malliavin_solve and malliavin_adjoint take one sheet and raise ValueError,
+naming the leading shape, on a batch.  Both solvers raise ValueError when
+the solution is not finite.
 """
 
 from __future__ import annotations
@@ -126,11 +133,15 @@ class SolutionField:
 
     grid: GridPartition
     x0: np.ndarray
-    values: np.ndarray  # (n_s + 1, n_t + 1, d)
+    values: np.ndarray  # (..., n_s + 1, n_t + 1, d), leading axes as the sheet's
 
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.values.shape[:-3]
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,20 @@ class MalliavinField:
     grid: GridPartition
     base: tuple[int, int]
     values: np.ndarray  # (n_s + 1, n_t + 1, d, d)
+
+
+def _one_sheet(name: str, batch_shape: tuple[int, ...]) -> None:
+    if batch_shape:
+        raise ValueError(f"{name} takes one sheet, got leading sample shape {batch_shape}")
+
+
+def _require_finite(scheme: str, x: np.ndarray) -> None:
+    """ValueError naming the first non-finite grid point (and sample) of x."""
+    if np.isfinite(x).all():
+        return
+    *sample, i, j, _ = np.argwhere(~np.isfinite(x))[0].tolist()
+    where = f" of sample {tuple(sample)}" if sample else ""
+    raise ValueError(f"{scheme} solution is not finite at grid point ({i}, {j}){where}")
 
 
 def _as_x0(x0, dim: int) -> np.ndarray:
@@ -184,12 +209,17 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
 
 
 def solve_euler(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample) -> SolutionField:
-    """One-pass corner scheme; exact fixed point of the lower-left-corner sum."""
+    """One-pass corner scheme; exact fixed point of the lower-left-corner sum.
+
+    Every sheet of a batch runs in the same row sweep, one drift evaluation
+    per row, and gets the values a single solve of it gives, bit for bit.
+    """
     x0v = _as_x0(x0, sheet.dim)
-    x = np.empty((grid.n_s + 1, grid.n_t + 1, sheet.dim))
-    x[0] = x0v
+    x = np.empty(sheet.batch_shape + (grid.n_s + 1, grid.n_t + 1, sheet.dim))
+    x[..., 0, :, :] = x0v
     for i, row in enumerate(_euler_rows(grid, drift, x0v, sheet.increments), start=1):
-        x[i] = row
+        x[..., i, :, :] = row
+    _require_finite("euler", x)
     return SolutionField(grid, x0v, x)
 
 
@@ -205,6 +235,7 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _one_sheet("solve_picard", sheet.batch_shape)
     x0v = _as_x0(x0, sheet.dim)
     w = sheet_values(sheet)
     s_knots = np.asarray(grid.s_knots)
@@ -220,6 +251,8 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
         x_new = x0v + w
         x_new[1:, 1:] += cum
         err = float(np.max(np.abs(x_new - x)))
+        if not math.isfinite(err):  # a non-finite map never converges
+            _require_finite("picard", x_new)
         x = x_new
         if err <= tol:
             return SolutionField(grid, x0v, x), sweep
@@ -232,6 +265,7 @@ def malliavin_solve(grid: GridPartition, drift: DriftField, solution: SolutionFi
                     base: tuple[int, int] = (0, 0)) -> MalliavinField:
     """Derivative field with respect to the sheet, based at grid point (u, v)."""
     jac = drift.require_jacobian()
+    _one_sheet("malliavin_solve", solution.batch_shape)
     u, v = base
     n_s, n_t = grid.n_s, grid.n_t
     if not (0 <= u <= n_s and 0 <= v <= n_t):
@@ -266,6 +300,7 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField, solution: Solution
     j >= k; stepping to row i - 1 adds the transpose of the forward row map.
     """
     jac = drift.require_jacobian()
+    _one_sheet("malliavin_adjoint", solution.batch_shape)
     n_s, n_t = grid.n_s, grid.n_t
     d = solution.dim
     s_knots = np.asarray(grid.s_knots)

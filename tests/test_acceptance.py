@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import scipy.integrate
 
-from conftest import record_criterion
-from sheetsde.brownian_sheet import coarsen, sample, values
+from conftest import linear_drift, record_criterion
+from sheetsde.brownian_sheet import SheetSample, coarsen, sample, values
 from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import bump_factor, verify_identity
 from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
@@ -235,6 +235,18 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         st = np.outer(grid.s_knots, grid.t_knots)[:, :, None]
         err_const = float(np.max(np.abs(const.values - (0.1 + c * st + values(sheet)))))
         assert err_const <= 1e-12
+        # b(x) = a x on a zero sheet: the far corner is x0 sum_k (a A)^k C(n, k)^2
+        # exactly, so a drift read at any other cell corner than the lower-left
+        # one shows; constant drift cannot see which corner is read
+        a = 1.0
+        err_linear = 0.0
+        for n in (8, 64):
+            g = uniform_grid(n, n, 1.0, 1.0)
+            zero_sheet = SheetSample(g, 1, np.zeros((n, n, 1)))
+            corner = solve_euler(g, linear_drift(a), 1.0, zero_sheet).values[-1, -1, 0]
+            exact = math.fsum((a / n**2) ** k * math.comb(n, k) ** 2 for k in range(n + 1))
+            err_linear = max(err_linear, abs(corner - exact) / exact)
+        assert err_linear <= 1e-12
 
         fine = sample(uniform_grid(128, 128, 1.0, 1.0), dim=1, seed=23)
         drift = tanh_drift(0.8, 1.3, 1)
@@ -250,6 +262,7 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         state["ok"] = slope >= 0.9
         state["detail"] = (
             f"driftless error {err_zero:.1e}, constant-drift error {err_const:.1e}, "
+            f"linear-drift corner rel error {err_linear:.1e} <= 1e-12, "
             f"scheme-gap mesh order {slope:.3f} >= 0.9"
         )
 

@@ -194,6 +194,21 @@ class TestCoarsen:
         with pytest.raises(ValueError):
             coarsen(fine, 4)
 
+    def test_single_sheet_is_the_block_sum(self):
+        fine = sample(geometric_grid(12, 8), dim=2, seed=4)
+        want = fine.increments.reshape(4, 3, 4, 2, 2).sum(axis=(1, 3))
+        assert np.array_equal(coarsen(fine, 3, 2).increments, want)
+
+    def test_batch_matches_each_sheet(self):
+        grid = geometric_grid(12, 8)
+        z = replications(grid, 2, 6, 6).reshape(2, 3, 12, 8, 2)
+        coarse = coarsen(SheetSample(grid, 2, z), 3, 2)
+        assert coarse.batch_shape == (2, 3)
+        for r in np.ndindex(2, 3):
+            one = coarsen(SheetSample(grid, 2, z[r]), 3, 2)
+            assert np.array_equal(coarse.increments[r], one.increments), r
+        assert coarse.grid == one.grid
+
 
 class TestSerialization:
     def test_csv_round_trip_bitwise(self, tmp_path):
@@ -203,6 +218,11 @@ class TestSerialization:
         export_csv(sh, path)
         # 17 significant digits round-trip doubles exactly
         assert np.array_equal(read_csv(g, 2, path), sh.increments)
+
+    def test_csv_rejects_a_batch(self, tmp_path):
+        batch = SheetSample(uniform_grid(2, 2), 1, np.zeros((2, 2, 2, 1)))
+        with pytest.raises(ValueError, match=r"leading shape \(2,\)"):
+            export_csv(batch, str(tmp_path / "z.csv"))
 
     def test_csv_header(self, tmp_path):
         path = str(tmp_path / "sheet.csv")

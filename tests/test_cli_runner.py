@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import counting_jacobian
+from conftest import counting_eval, counting_jacobian
 from sheetsde import cli_runner, integrators, sde_plane
 from sheetsde.brownian_sheet import cumulative_values, sample, stream
 from sheetsde.cli_runner import (
@@ -142,14 +142,16 @@ class TestRunApi:
         assert rec.outputs["rel_err"] <= 1e-8
 
     def test_malliavin_check_evaluates_jacobian_once(self, monkeypatch):
-        # a per-cell derivative loop re-evaluates the Jacobian ~n^3/2 times
-        calls = []
-        monkeypatch.setattr(cli_runner, "tanh_drift",
-                            lambda *args: counting_jacobian(tanh_drift(*args), calls))
+        # a per-cell derivative loop re-evaluates the Jacobian ~n^3/2 times, and
+        # three separate Euler solves evaluate the drift on 16-row slices 48 times
+        calls, evals = [], []
+        monkeypatch.setattr(cli_runner, "tanh_drift", lambda *args: counting_jacobian(
+            counting_eval(tanh_drift(*args), evals), calls))
         for op in range(2):
             rec = run(ExperimentConfig("malliavin-check", {"grid": "16x16", "seed": op}))
             assert rec.passed is True
             assert calls == [(16, 16, 1)] * (op + 1)
+            assert evals == [(3, 16, 1)] * 16 * (op + 1)
 
     def test_girsanov_check(self):
         rec = run(ExperimentConfig("girsanov-check", {
@@ -200,6 +202,14 @@ class TestRunApi:
     def test_bad_grid_string(self):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("sample-sheet", {"grid": "4by4"}))
+
+    def test_seed_from_2_128_is_a_config_error(self):
+        # stream keys collide from 2**128 on, so the largest seed is 2**128 - 1
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("sample-sheet", {"seed": 2**128}))
+        assert info.value.field_name == "seed"
+        rec = run(ExperimentConfig("sample-sheet", {"grid": "2x2", "seed": 2**128 - 1}))
+        assert rec.seed == 2**128 - 1
 
     @pytest.mark.parametrize("seed", [12345678901234567, "12345678901234567"])
     def test_seed_above_2_53_is_exact(self, seed):
@@ -327,12 +337,20 @@ class TestCliExitCodes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_output_is_one(self, capsys):
-        # finite inputs whose solution overflows: Infinity is not JSON either
+        # finite inputs whose solution overflows: the solver names the point,
+        # before the JSON encoder ever sees an Infinity
         code = main(["solve-sde", "--grid", "2x2", "--drift", "const", "--level", "1e308",
                      "--x0", "1e308"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
-        assert "not JSON compliant" in captured.err
+        assert "euler solution is not finite at grid point (2, 2)" in captured.err
+        assert "JSON" not in captured.err
+
+    def test_seed_from_2_128_is_one(self, capsys):
+        code = main(["sample-sheet", "--seed", str(2**128)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: seed: must be < 2**128")
 
     def test_missing_required_is_one(self, capsys):
         assert main(["verify-ibp"]) == 1

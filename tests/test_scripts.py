@@ -2,9 +2,11 @@
 
 Each script runs in its own subprocess, so an API change that breaks a
 script fails here.  The three start together when the module's first test
-asks for them, so the module costs about one script's wall time.
+asks for them, so the module costs about one script's wall time.  The
+benchmark pair script's summary is checked on synthetic runs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +53,30 @@ def test_script_writes_its_csv(launched, name):
     lines = out.splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_flags_only_shifts_beyond_the_parent_iqr():
+    summarise = load_script("bench_pair").summarise
+    parent = [100.0 + k for k in range(10)]  # inclusive quartiles 102.25 and 106.75
+
+    def pairs(shift):
+        return [{"seed": k, "parent": {"metrics": {"ops_per_s": p}, "attempted": 5, "failed": 0},
+                 "change": {"metrics": {"ops_per_s": p + shift}, "attempted": 5, "failed": 0}}
+                for k, p in enumerate(parent)]
+
+    wide = summarise(pairs(10.0), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
+    assert (wide["change_wins"], wide["median_shift_beyond_parent_iqr"]) == (10, "gain")
+    assert wide["parent_iqr"] == 4.5
+    assert wide["parent_iqr_rel"] == 4.5 / 104.5
+    # every pair wins, but the median moves by less than the parent's own spread
+    narrow = summarise(pairs(2.0), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
+    assert (narrow["change_wins"], narrow["median_shift_beyond_parent_iqr"]) == (10, None)
+    loss = summarise(pairs(10.0), {"ops_per_s": "lower"})["metrics"]["ops_per_s"]
+    assert (loss["change_wins"], loss["median_shift_beyond_parent_iqr"]) == (0, "loss")

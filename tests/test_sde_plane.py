@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import counting_jacobian
+from conftest import counting_jacobian, linear_drift
 from sheetsde import integrators, sde_plane
 from sheetsde.brownian_sheet import (
+    SheetSample,
     cameron_martin_shift,
     coarsen,
     cumulative_values,
@@ -262,6 +263,53 @@ def picard_series(grid, drift, solution, base=(0, 0), depth=4):
     return MalliavinField(grid, (u, v), total), tail
 
 
+class TestBatch:
+    @pytest.mark.parametrize("drift", [
+        tanh_drift(0.9, 1.1, 1), sign_drift(), constant_drift(-0.6),
+        tanh_matrix_drift([[0.7, -1.1], [0.4, 0.9]]),
+    ], ids=["tanh", "sign", "const", "tanh-matrix-2d"])
+    def test_batched_euler_is_each_sheet_solve(self, drift):
+        grid = geometric_grid(9, 7, 1.0, 1.0)
+        z = np.stack([sample(grid, drift.dim, (8, r)).increments for r in range(6)])
+        z = z.reshape(2, 3, 9, 7, drift.dim)
+        batch = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z))
+        assert batch.values.shape == (2, 3, 10, 8, drift.dim)
+        assert batch.batch_shape == (2, 3)
+        for r in np.ndindex(2, 3):
+            one = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z[r]))
+            assert np.array_equal(batch.values[r], one.values), r
+
+    def test_single_sheet_routines_reject_a_batch(self):
+        grid = uniform_grid(4, 4, 1.0, 1.0)
+        drift = tanh_drift(0.9, 1.1, 1)
+        z = np.stack([sample(grid, 1, seed=r).increments for r in range(2)])
+        sol = solve_euler(grid, drift, 0.2, SheetSample(grid, 1, z))
+        shape = r"got leading sample shape \(2,\)"
+        with pytest.raises(ValueError, match="solve_picard takes one sheet, " + shape):
+            solve_picard(grid, drift, 0.2, SheetSample(grid, 1, z))
+        with pytest.raises(ValueError, match="malliavin_solve takes one sheet, " + shape):
+            malliavin_solve(grid, drift, sol)
+        with pytest.raises(ValueError, match="malliavin_adjoint takes one sheet, " + shape):
+            malliavin_adjoint(grid, drift, sol)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_solution_names_scheme_and_grid_point(self):
+        grid = uniform_grid(2, 2, 1.0, 1.0)
+        drift = constant_drift(1e308)
+        zero = np.zeros((2, 2, 1))
+        # X(s, t) = x0 + c s t overflows at the far corner only
+        with pytest.raises(ValueError, match=r"^euler solution is not finite at grid point \(2, 2\)$"):
+            solve_euler(grid, drift, 1e308, SheetSample(grid, 1, zero))
+        with pytest.raises(ValueError, match=r"^picard solution is not finite at grid point \(2, 2\)$"):
+            solve_picard(grid, drift, 1e308, SheetSample(grid, 1, zero))
+        # a sheet whose first cell pulls the field down stays finite, so the
+        # first non-finite point belongs to the second sample
+        pulled = zero.copy()
+        pulled[0, 0, 0] = -1e308
+        with pytest.raises(ValueError, match=r"grid point \(2, 2\) of sample \(1,\)$"):
+            solve_euler(grid, drift, 1e308, SheetSample(grid, 1, np.stack((pulled, zero))))
+
+
 class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
@@ -326,6 +374,20 @@ class TestMalliavin:
                 want = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1)).values[-1, -1]
                 err = np.linalg.norm(adjoint[a, b] - want)
                 assert err <= 1e-12 * np.linalg.norm(want), (a, b)
+
+    def test_adjoint_matches_linear_drift_closed_form(self):
+        # under b(x) = a x the derivative is the same on every sheet:
+        # G[i, j] = sum_k (a A)^k C(n_s - i - 1, k) C(n_t - j - 1, k)
+        n_s, n_t, a = 9, 6, -0.8
+        grid = uniform_grid(n_s, n_t, 1.0, 1.5)
+        aa = a * 1.5 / (n_s * n_t)
+        exact = np.array([[math.fsum(aa ** k * math.comb(n_s - i - 1, k) * math.comb(n_t - j - 1, k)
+                                     for k in range(min(n_s - i, n_t - j)))
+                           for j in range(n_t)] for i in range(n_s)])
+        for seed in (0, 1):
+            sol = solve_euler(grid, linear_drift(a), 0.2, sample(grid, dim=1, seed=seed))
+            adjoint = malliavin_adjoint(grid, linear_drift(a), sol)[..., 0, 0]
+            assert np.max(np.abs(adjoint - exact) / np.abs(exact)) <= 1e-12
 
     def test_adjoint_requires_jacobian(self):
         grid = uniform_grid(4, 4, 1.0, 1.0)
