@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep the direct-vs-expanded identity over permutations and budgets.
 
-Writes one CSV row per (sigma, method, budget) with the two estimates, the
-gap in combined-SE units (or relative units for quadrature), and the product
-bound.  Intended for convergence plots; the quadrature column should flatline
-at machine precision while MC gaps stay O(1) in SE units.
+Uses gaussian_factor() throughout.  Writes one CSV row per sigma for the
+exact route (budget 0, gated at a relative EXACT_REL_TOL) and one per
+(sigma, MC budget), with the two estimates, the gap, its tolerance and the
+product bound.  Intended for convergence plots: the exact gaps sit near
+machine precision while MC gaps stay O(1) in SE units.  Exits 2 if any
+row's gap exceeds its tolerance.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import csv
 import itertools
 import sys
 
-from sheetsde.estimate_lab import bump_factor, verify_identity
+from sheetsde.estimate_lab import gaussian_factor, verify_identity
 from sheetsde.ibp_engine import uniform_spec
 
 
@@ -22,20 +24,16 @@ def main() -> int:
     ap.add_argument("--horizon", type=float, default=1.0)
     ap.add_argument("--mc-budgets", default="10000,100000",
                     help="comma-separated MC sample counts")
-    ap.add_argument("--quad-nodes", default="16,24,30",
-                    help="comma-separated nodes per dimension (n <= 2 only)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="-", help="CSV path, - for stdout")
     args = ap.parse_args()
 
-    factor = bump_factor(scale=1.0, width=2.5, center=0.25)
+    factor = gaussian_factor()
     runs = []
     for sigma in itertools.permutations(range(1, args.n + 1)):
+        runs.append((sigma, "exact", 0))
         for budget in (int(float(b)) for b in args.mc_budgets.split(",") if b):
             runs.append((sigma, "mc", budget))
-        if args.n <= 2:
-            for nodes in (int(b) for b in args.quad_nodes.split(",") if b):
-                runs.append((sigma, "quadrature", nodes))
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(fh)

@@ -43,7 +43,6 @@ from .integrators import (
     McEstimate,
     TimeWindow,
     corollary_rhs,
-    gauss_hermite,
     log_gamma,
     merge_estimates,
     monte_carlo,
@@ -92,6 +91,7 @@ from .estimate_lab import (
     corollary_scaling_slope,
     davie_bound,
     direct_expectation,
+    gaussian_factor,
     ibp_expectation,
     verify_identity,
 )
@@ -126,7 +126,7 @@ __all__ = [
     "cameron_martin_shift", "coarsen", "constant_drift", "corollary_check",
     "corollary_rhs", "corollary_scaling_slope", "crossing_set", "cumulative_values",
     "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
-    "enumerate_split_family", "expand", "export_csv", "gamma_tau", "gauss_hermite",
+    "enumerate_split_family", "expand", "export_csv", "gamma_tau", "gaussian_factor",
     "geometric_grid", "gradient_component", "hermite_weight", "ibp_expectation",
     "locate_cell_batch", "locate_cell_split_batch", "log_density", "log_gamma",
     "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",

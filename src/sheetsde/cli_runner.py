@@ -38,7 +38,14 @@ from .brownian_sheet import (
     sample,
     stream,
 )
-from .estimate_lab import bump_factor, check_method, davie_bound, direct_expectation, verify_identity
+from .estimate_lab import (
+    bump_factor,
+    check_method,
+    davie_bound,
+    direct_expectation,
+    gaussian_factor,
+    verify_identity,
+)
 from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
 from .integrators import simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
@@ -301,6 +308,8 @@ def _build_drift(p: dict, dim: int):
 
 
 def _build_factor(p: dict):
+    if p.get("factor") == "gaussian":
+        return gaussian_factor()
     return bump_factor(scale=p["bump_scale"], width=p["bump_width"], center=p["bump_center"])
 
 
@@ -372,15 +381,13 @@ def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     spec = _build_spec(p)
     if p["n"] is not None and p["n"] != spec.n:
         raise ConfigError("n", f"n={p['n']} disagrees with sigma of length {spec.n}")
+    factor = _build_factor(p)
     try:
-        check_method(spec, p["method"])
+        check_method(p["method"], factor)
     except ValueError as exc:
         raise ConfigError("method", str(exc)) from None
-    budget = p["nodes"] if p["method"] == "quadrature" else p["samples"]
-    report = verify_identity(
-        spec, _build_factor(p), method=p["method"], budget=budget, seed=p["seed"],
-        quad_rel_tol=p["rel_tol"], se_width=p["se_width"],
-    )
+    report = verify_identity(spec, factor, method=p["method"], budget=p["samples"],
+                             seed=p["seed"], se_width=p["se_width"])
     outputs = {
         "sigma": list(spec.sigma),
         "method": p["method"],
@@ -578,9 +585,8 @@ COMMANDS: dict[str, Command] = {
         Param("n", None, _parse_count, "Redundant check of len(sigma)."),
         *_SIGMA,
         dataclasses.replace(_SAMPLES, default="200000"),
-        Param("method", "mc", _Choice(("mc", "quadrature"))),
-        Param("nodes", 30, _parse_count, "Quadrature nodes per dimension."),
-        Param("rel_tol", 1e-6, _parse_float, "Relative tolerance of the quadrature identity."),
+        Param("method", "mc", _Choice(("mc", "exact")), "exact needs --factor gaussian."),
+        Param("factor", "bump", _Choice(("bump", "gaussian")), "gaussian: gaussian_factor()."),
         _SE_WIDTH, *_grid(None), *_BUMP,
     )),
     "verify-bound": Command(_run_verify_bound, (

@@ -4,7 +4,8 @@ Provides the two independent routes to the same expectation: the direct
 evaluation of E[prod b'(sheet at the scheme points)] over the span cells,
 and the expanded form with undifferentiated drift factors and Hermite
 weights; plus the Davie-type product bound and the integrated Gamma-function
-corollary checks.
+corollary checks.  Each route runs by variance-reduced Monte Carlo, or, for
+a Gaussian drift factor, exactly, as a moment of a tilted Gaussian.
 
 Both routes integrate over independent cell variables.  On the expansion
 side the substitution cells of crossing rows are handled by sampling the
@@ -33,13 +34,11 @@ from .ibp_engine import (
 )
 from .integrators import (
     DEFAULT_C1,
-    MAX_GH_DIMS,
     GammaBound,
     McEstimate,
     TimeWindow,
     concurrently,
     corollary_rhs,
-    gauss_hermite,
     monte_carlo,
 )
 from .kernels import DEFAULT_C0
@@ -58,6 +57,7 @@ class DriftScalarFactor:
     b: callable
     b_prime: callable
     sup_norm: float
+    gaussian: Optional[tuple[float, float, float]] = None  # gaussian_factor's (scale, center, width)
 
 
 def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> DriftScalarFactor:
@@ -91,6 +91,26 @@ def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> 
     return DriftScalarFactor("bump", b, b_prime, scale / math.e)
 
 
+def gaussian_factor(scale: float = 1.0, center: float = 0.25, width: float = 0.8) -> DriftScalarFactor:
+    """scale * exp(-(x - c)^2 / (2 w^2)), b'(x) = (c - x) / w^2 * b(x): the exact route's factor.
+
+    The defaults keep the expansion well conditioned: over every sigma with n <= 6, on uniform
+    times on (0, 1] and on geometric_grid(n, n, 1, 1) knots, the terms cancel by at most 1.4e4
+    (sum |term| / |sum term|) and the routes agree to a relative 5e-13.  Flat factors cancel
+    badly: at w = 2.5 and n = 6 the terms cancel by 5.6e6 and the gap reaches 2.2e-10.
+    """
+    if width <= 0.0:
+        raise ValueError("width must be positive")
+
+    def b(x):
+        return scale * np.exp(-0.5 * ((np.asarray(x, dtype=float) - center) / width) ** 2)
+
+    def b_prime(x):
+        return (center - np.asarray(x, dtype=float)) / width ** 2 * b(x)
+
+    return DriftScalarFactor("gaussian", b, b_prime, abs(scale), (scale, center, width))
+
+
 # ---------------------------------------------------------------------------
 # integrand assembly
 # ---------------------------------------------------------------------------
@@ -106,6 +126,14 @@ def _direct_integrand(coeffs: np.ndarray, factor: DriftScalarFactor):
     return f
 
 
+def _term_coeffs(term: IbpTerm) -> np.ndarray:
+    """(n, m) drift arguments in the raw variables, z[c] - z[shift[c]] where shift[c] >= 0."""
+    substitution = np.flatnonzero(term.shift >= 0)
+    coeffs = term.args.copy()
+    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
+    return coeffs
+
+
 def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndarray,
                     reduce_variance: bool = False):
     """Integrand of one expansion term in the raw (substituted) variables.
@@ -118,10 +146,7 @@ def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndar
     -args and the weight product is exactly (-1)^|grad| times the weights,
     so the result equals 0.5 * (raw(x) + raw(-x)) bit for bit.
     """
-    substitution = np.flatnonzero(term.shift >= 0)
-    coeffs = term.args.copy()
-    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
-
+    coeffs = _term_coeffs(term)
     b_idx = term.grad
     b_var = variances[b_idx]
 
@@ -157,33 +182,68 @@ def _gaussian_sampler(variances: np.ndarray):
     return sampler
 
 
+def _tilted_moment(coeffs: np.ndarray, variances: np.ndarray, gaussian: tuple[float, float, float],
+                   loadings: np.ndarray, offset: float = 0.0) -> float:
+    """E[prod_i b(coeffs_i . x) prod_j (offset + loadings_j . x)] for x ~ N(0, V = diag variances).
+
+    prod_i b(A_i . x) is scale^k (2 pi w^2)^(k/2) times the likelihood of c 1 = A x + N(0, w^2 I):
+    one Cholesky factor of M = A V A^T + w^2 I gives its mean and the posterior
+    N(V A^T M^-1 c 1, V - V A^T M^-1 A V), under which the Isserlis recursion over
+    bitmasks (Isserlis, Biometrika 1918) gives the affine factors' moment.
+    """
+    scale, center, width = gaussian
+    k = coeffs.shape[0]
+    chol = np.linalg.cholesky((coeffs * variances) @ coeffs.T + width * width * np.eye(k))
+    u = np.linalg.solve(chol, np.full(k, center))  # L^-1 c 1
+    g = np.linalg.solve(chol, coeffs * variances)  # L^-1 A V
+    mass = (scale * width) ** k * math.exp(-np.log(np.diag(chol)).sum() - 0.5 * (u @ u))
+    lg = loadings @ g.T
+    m = (offset + lg @ u).tolist()
+    cov = ((loadings * variances) @ loadings.T - lg @ lg.T).tolist()
+    moments = [1.0]  # moments[S]: E[prod of the affine factors in bitmask S]
+    for mask in range(1, 1 << len(m)):
+        j = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << j)
+        moments.append(m[j] * moments[rest] + sum(
+            cov[j][l] * moments[rest ^ (1 << l)] for l in range(j + 1, len(m)) if rest >> l & 1))
+    return mass * moments[-1]
+
+
+def _exact_term(term: IbpTerm, gaussian: tuple[float, float, float], variances: np.ndarray) -> float:
+    """One unsigned expansion term: Hermite weights -x_g / v_g as the affine factors."""
+    loadings = -np.eye(len(variances))[term.grad] / variances[term.grad, None]
+    return _tilted_moment(_term_coeffs(term), variances, gaussian, loadings)
+
+
 # ---------------------------------------------------------------------------
 # the two expectation routes
 # ---------------------------------------------------------------------------
 
-METHODS = ("mc", "quadrature")
+METHODS = ("mc", "exact")
+#: relative gate of the exact identity (worst gap under gaussian_factor(), n <= 6: 5e-13)
+EXACT_REL_TOL = 1e-10
 
 
-def check_method(spec: PermutationSpec, method: str) -> None:
-    """Raise ValueError for an unknown method or a span too wide for quadrature."""
+def check_method(method: str, factor: DriftScalarFactor) -> None:
+    """Raise ValueError for an unknown method, or for the exact one on a non-Gaussian factor."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if method == "quadrature" and (m := len(span(spec))) > MAX_GH_DIMS:
-        raise ValueError(f"quadrature supports spans of at most {MAX_GH_DIMS} cells, "
-                         f"but sigma={spec.sigma} spans {m}")
+    if method == "exact" and factor.gaussian is None:
+        raise ValueError(f"the exact route needs a gaussian_factor, got the {factor.name} factor")
 
 
 def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
                        method: str = "mc", budget: int = 100_000, seed: Key = 0) -> McEstimate:
-    """E[prod_i b'(W at (s_i, t_sigma(i)))] over independent span increments."""
-    check_method(spec, method)
+    """E[prod_i b'(W at (s_i, t_sigma(i)))] over the span increments; exact ignores budget, seed."""
+    check_method(method, factor)
     cells = span(spec)
+    stair = staircase(spec, cells)
     variances = spec_variances(spec, cells)
-    f = _direct_integrand(staircase(spec, cells), factor)
-    if method == "quadrature":
-        val = gauss_hermite(f, dims=len(cells), nodes_per_dim=budget, variances=variances)
-        return McEstimate(val, 0.0, budget ** len(cells))
-    return monte_carlo(f, _gaussian_sampler(variances), budget, seed)
+    if method == "exact":
+        _, c, w = factor.gaussian  # b'(y) = (c - y) / w^2 * b(y)
+        value = _tilted_moment(stair, variances, factor.gaussian, -stair / w ** 2, c / w ** 2)
+        return McEstimate(value, 0.0, 0)
+    return monte_carlo(_direct_integrand(stair, factor), _gaussian_sampler(variances), budget, seed)
 
 
 def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
@@ -194,19 +254,14 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     Standard errors of the terms combine by root sum of squares.  Monte
     Carlo terms use the unbiased control-variate and antithetic reduction
     by default and run at once, one thread per term (each owns its stream,
-    so the sum is the serial one bit for bit); quadrature ignores the flag
-    and runs serially.
+    so the sum is the serial one bit for bit).  The exact method evaluates
+    the terms in order and ignores budget, seed and the flag.
     """
-    check_method(spec, method)
+    check_method(method, factor)
     variances = spec_variances(spec, span(spec))
     terms = expand(spec)
-    if method == "quadrature":
-        ests = []
-        for term in terms:
-            f = _term_integrand(term, factor, variances)
-            val = gauss_hermite(f, dims=len(variances), nodes_per_dim=budget,
-                                variances=variances)
-            ests.append(McEstimate(val, 0.0, budget ** len(variances)))
+    if method == "exact":
+        ests = [McEstimate(_exact_term(term, factor.gaussian, variances), 0.0, 0) for term in terms]
     else:
         sampler = _gaussian_sampler(variances)
         ests = concurrently(*(
@@ -214,14 +269,9 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
                     sampler, budget, (seed, idx))
             for idx, term in enumerate(terms)
         ))
-    total = 0.0
-    var_sum = 0.0
-    n_used = 0
-    for term, est in zip(terms, ests):
-        total += term.sign * est.mean
-        var_sum += est.std_error ** 2
-        n_used += est.n_samples
-    return McEstimate(total, math.sqrt(var_sum), n_used)
+    total = sum(term.sign * est.mean for term, est in zip(terms, ests))
+    std_error = math.sqrt(sum(est.std_error ** 2 for est in ests))
+    return McEstimate(total, std_error, sum(est.n_samples for est in ests))
 
 
 def davie_bound(spec: PermutationSpec, sup_norm: float, c0: float = DEFAULT_C0) -> float:
@@ -259,7 +309,8 @@ class IdentityReport:
 
 def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
                     method: str = "mc", budget: int = 200_000, seed: Key = 0,
-                    quad_rel_tol: float = 1e-6, se_width: float = 4.0) -> IdentityReport:
+                    se_width: float = 4.0) -> IdentityReport:
+    """Direct vs expanded expectation within se_width combined SEs, or EXACT_REL_TOL relative."""
     passes = (
         lambda: direct_expectation(spec, factor, method, budget, (seed, 0)),
         lambda: ibp_expectation(spec, factor, budget, seed=(seed, 1), method=method),
@@ -268,9 +319,8 @@ def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
     direct, ibp = concurrently(*passes) if method == "mc" else [call() for call in passes]
     bound = davie_bound(spec, factor.sup_norm)
     gap = abs(direct.mean - ibp.mean)
-    if method == "quadrature":
-        scale = max(abs(direct.mean), abs(ibp.mean), 1e-300)
-        tol = quad_rel_tol * scale
+    if method == "exact":
+        tol = EXACT_REL_TOL * max(abs(direct.mean), abs(ibp.mean))
     else:
         tol = se_width * math.hypot(direct.std_error, ibp.std_error)
     identity_ok = gap <= tol
@@ -293,17 +343,13 @@ class CorollaryReport:
 
 
 def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
-                    budget: int = 200, seed: Key = 0, c1: float = DEFAULT_C1,
-                    inner_nodes: int = 16) -> CorollaryReport:
+                    budget: int = 200, seed: Key = 0, c1: float = DEFAULT_C1) -> CorollaryReport:
     """Window integral of |E[prod b']| over chain configurations vs the bound.
 
     Outer Monte Carlo over the time simplex (both coordinates sorted,
-    identity pairing); inner deterministic quadrature of the expectation.
-    Only n <= 2 is supported: the identity pairing spans n^2 cells and the
-    inner quadrature is tensorized.
+    identity pairing); the inner expectation is exact, so the factor must be
+    a gaussian_factor.
     """
-    if n < 1 or n > 2:
-        raise ValueError("corollary_check supports n in {1, 2}")
     for bound_name in ("r", "s", "u", "t"):
         if getattr(window, bound_name) is None:
             raise ValueError(f"window bound {bound_name} required")
@@ -317,8 +363,7 @@ def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
         s_times = np.sort(rng.uniform(window.r, window.s, size=n))
         t_times = np.sort(rng.uniform(window.u, window.t, size=n))
         spec = PermutationSpec(n, sigma, tuple(s_times), tuple(t_times))
-        est = direct_expectation(spec, factor, "quadrature", inner_nodes)
-        vals[it] = abs(est.mean)
+        vals[it] = abs(direct_expectation(spec, factor, "exact").mean)
 
     volume = ((window.s - window.r) * (window.t - window.u) / math.factorial(n) ** 2) ** n
     mean = float(vals.mean()) * volume
@@ -331,7 +376,7 @@ def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
 
 def corollary_scaling_slope(n: int, factor: DriftScalarFactor, budget: int = 300,
                             seed: Key = 0, base_side: float = 0.25,
-                            n_windows: int = 3, inner_nodes: int = 16) -> float:
+                            n_windows: int = 3) -> float:
     """Measured area-exponent of the window integral under side-halving.
 
     For smooth drift with b'(0) != 0 the integrand tends to a constant on
@@ -347,7 +392,7 @@ def corollary_scaling_slope(n: int, factor: DriftScalarFactor, budget: int = 300
     for level in range(n_windows):
         side = base_side / 2.0 ** level
         window = TimeWindow(r=0.0, s=side, u=0.0, t=side)
-        rep = corollary_check(n, window, factor, budget, seed, inner_nodes=inner_nodes)
+        rep = corollary_check(n, window, factor, budget, seed)
         log_area.append(2.0 * math.log(side))
         log_lhs.append(math.log(rep.lhs.mean))
     return float(np.polyfit(log_area, log_lhs, 1)[0])

@@ -1,7 +1,6 @@
-"""Quadrature and Monte Carlo plumbing shared by the estimators.
+"""Monte Carlo plumbing shared by the estimators.
 
-Provides tensor-product Gauss-Hermite integration against centered Gaussian
-weights, a shardable Monte Carlo driver with deterministic merging, a thread
+Provides a shardable Monte Carlo driver with deterministic merging, a thread
 runner for independent passes, the closed form of the singular simplex
 integral, and the Gamma-function bounds that the rectangle-selection
 estimates are compared against.
@@ -12,10 +11,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .brownian_sheet import Key, stream
 from .kernels import DEFAULT_C0
@@ -39,7 +37,7 @@ def log_gamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo (or quadrature) result; quadrature reports std_error 0."""
+    """Monte Carlo (or exact) result; an exact value reports std_error 0 and n_samples 0."""
 
     mean: float
     std_error: float
@@ -65,57 +63,6 @@ def merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
     if n_tot < 2:
         raise ValueError("need at least two samples in total")
     return McEstimate(mean, math.sqrt(m2 / (n_tot * (n_tot - 1))), n_tot)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Hermite tensor quadrature
-# ---------------------------------------------------------------------------
-
-MAX_GH_DIMS = 6
-MAX_GH_NODES = 64
-# hard cap on the tensor grid so infeasible requests fail fast
-MAX_GH_POINTS = 1 << 24
-
-
-def gauss_hermite(
-    f: Callable[[np.ndarray], np.ndarray],
-    dims: int,
-    nodes_per_dim: int,
-    variances: Sequence[float] | float = 1.0,
-) -> float:
-    """E[f(Z)] for Z ~ N(0, diag(variances)) by tensor Gauss-Hermite.
-
-    f receives an (m, dims) array and must return (m,) values.  Exact for
-    polynomial integrands of degree <= 2 * nodes_per_dim - 1 per coordinate.
-    """
-    if not 1 <= dims <= MAX_GH_DIMS:
-        raise ValueError(f"dims must be in [1, {MAX_GH_DIMS}], got {dims}")
-    if not 1 <= nodes_per_dim <= MAX_GH_NODES:
-        raise ValueError(f"nodes_per_dim must be in [1, {MAX_GH_NODES}], got {nodes_per_dim}")
-    if nodes_per_dim ** dims > MAX_GH_POINTS:
-        raise ValueError(
-            f"tensor grid {nodes_per_dim}^{dims} exceeds {MAX_GH_POINTS} points"
-        )
-    var = np.broadcast_to(np.asarray(variances, dtype=float), (dims,))
-    if np.any(var <= 0.0):
-        raise ValueError("variances must be positive")
-
-    x, w = hermegauss(nodes_per_dim)
-    w = w / math.sqrt(2.0 * math.pi)  # normalize the e^{-x^2/2} weight to N(0,1)
-
-    axes = [x * math.sqrt(v) for v in var]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-    weights = w
-    for _ in range(dims - 1):
-        weights = np.multiply.outer(weights, w)
-    weights = weights.reshape(-1)
-
-    vals = np.asarray(f(points), dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise ValueError("integrand must return one value per point")
-    return float(weights @ vals)
 
 
 # ---------------------------------------------------------------------------

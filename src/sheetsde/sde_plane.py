@@ -90,7 +90,7 @@ def constant_drift(c, dim: Optional[int] = None) -> DriftField:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (d,))
 
-    return DriftField("const", d, ev, jac, float(np.linalg.norm(vec)), True)
+    return DriftField("const", d, ev, jac, math.hypot(*vec), True)  # hypot does not square
 
 
 def sign_drift(dim: int = 1) -> DriftField:

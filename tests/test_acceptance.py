@@ -19,7 +19,7 @@ import scipy.integrate
 from conftest import linear_drift, record_criterion
 from sheetsde.brownian_sheet import SheetSample, coarsen, sample, values
 from sheetsde.cli_runner import ExperimentConfig, run
-from sheetsde.estimate_lab import bump_factor, verify_identity
+from sheetsde.estimate_lab import EXACT_REL_TOL, bump_factor, gaussian_factor, verify_identity
 from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
 from sheetsde.integrators import (
     simplex_dirichlet_oracle,
@@ -120,18 +120,27 @@ def test_criterion_02_selection_non_overlap_exhaustive():
         )
 
 
-def test_criterion_03_ibp_identity_quadrature_and_mc():
+def test_criterion_03_ibp_identity_exact_and_mc():
     with criterion(3, "direct vs expanded expectation", 600.0) as state:
+        # exact half: every sigma with n <= 6 under the Gaussian factor, both time sets
+        gauss = gaussian_factor()
         worst_rel = 0.0
-        for make_grid in (uniform_grid, geometric_grid):
-            grid = make_grid(2, 2, 0.25, 0.25)
-            times = tuple(grid.s_knots[1:3])
-            for sigma in ((1, 2), (2, 1)):
-                spec = PermutationSpec(2, sigma, times, times)
-                rep = verify_identity(spec, BUMP, method="quadrature", budget=30)
-                assert rep.identity_ok and rep.bound_ok, (sigma, rep)
-                worst_rel = max(worst_rel, rep.identity_gap / abs(rep.direct.mean))
+        n_checked = 0
+        for n in range(1, 7):
+            for make_grid in (uniform_grid, geometric_grid):
+                grid = make_grid(n, n, 1.0, 1.0)
+                times = tuple(grid.s_knots[1:n + 1])
+                for sigma in itertools.permutations(range(1, n + 1)):
+                    spec = PermutationSpec(n, sigma, times, times)
+                    rep = verify_identity(spec, gauss, method="exact")
+                    assert rep.identity_ok and rep.bound_ok, (sigma, rep)
+                    scale = max(abs(rep.direct.mean), abs(rep.ibp.mean))
+                    worst_rel = max(worst_rel, rep.identity_gap / scale)
+                    n_checked += 1
+        assert n_checked == 2 * 873 and worst_rel <= EXACT_REL_TOL
+        # MC half, a pipeline smoke test: its tolerance exceeds |E| itself
         worst_se = 0.0
+        power = []
         for make_grid in (uniform_grid, geometric_grid):
             grid = make_grid(3, 3, 1.0, 1.0)
             times = tuple(grid.s_knots[1:4])
@@ -141,10 +150,13 @@ def test_criterion_03_ibp_identity_quadrature_and_mc():
                                       seed=(29, 10 * grid.n_s + pos))
                 assert rep.identity_ok and rep.bound_ok, (sigma, rep)
                 worst_se = max(worst_se, 4.0 * rep.identity_gap / rep.identity_tol)
+                power.append(rep.identity_tol / abs(rep.direct.mean))
         state["ok"] = True
         state["detail"] = (
-            f"n=2 quadrature(30 nodes) worst rel gap {worst_rel:.2e} <= 1e-6; "
-            f"n=3 MC(1e6) worst gap {worst_se:.2f} SE <= 4"
+            f"exact: {n_checked // 2} schemes (n<=6) x 2 time sets, worst rel gap {worst_rel:.1e} "
+            f"<= {EXACT_REL_TOL:g}; n=3 MC(1e6) pipeline smoke test: worst gap {worst_se:.2f} "
+            f"SE <= 4, tol/|direct| {min(power):.1f}-{max(power):.1f} (> 1: a zero expansion "
+            f"would pass)"
         )
 
 

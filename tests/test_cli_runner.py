@@ -79,9 +79,9 @@ class TestRunApi:
         signs = [t["sign"] for t in rec.outputs["terms"]]
         assert signs == [-1, 1, 1, -1]
 
-    def test_verify_ibp_quadrature(self):
+    def test_verify_ibp_exact(self):
         rec = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "quadrature", "nodes": 16, "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "factor": "gaussian", "horizon": 0.25,
         }))
         assert rec.passed is True
         assert rec.outputs["identity_gap"] <= rec.outputs["identity_tol"]
@@ -246,11 +246,11 @@ class TestRunApi:
     def test_time_lists_accept_lists_and_strings(self, times):
         # a config file gives s_times as a JSON list, the command line as a string
         rec = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "quadrature", "nodes": 16,
+            "sigma": "2,1", "method": "exact", "factor": "gaussian",
             "s_times": times, "t_times": times,
         }))
         on_grid = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "quadrature", "nodes": 16, "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "factor": "gaussian", "horizon": 0.25,
         }))
         assert rec.outputs == on_grid.outputs
 
@@ -283,7 +283,7 @@ class TestRecordFormat:
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig("verify-ibp", {
-            "sigma": "1,2", "method": "quadrature", "nodes": 12, "horizon": 0.25,
+            "sigma": "1,2", "method": "exact", "factor": "gaussian", "horizon": 0.25,
         })
         texts = []
         for _ in range(2):
@@ -294,17 +294,17 @@ class TestRecordFormat:
 class TestCliExitCodes:
     def test_pass_is_zero(self, capsys):
         code, out = run_cli(capsys, [
-            "verify-ibp", "--sigma", "2,1", "--method", "quadrature",
-            "--nodes", "16", "--horizon", "0.25",
+            "verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian",
+            "--horizon", "0.25",
         ])
         assert code == 0
         assert record_of(out)["pass"] is True
 
     def test_quantitative_failure_is_two(self, capsys):
-        # an unreachable relative tolerance flips the verdict, not the exit path
+        # a pass window far narrower than one SE flips the verdict, not the exit path
         code, out = run_cli(capsys, [
-            "verify-ibp", "--sigma", "2,1", "--method", "quadrature",
-            "--nodes", "16", "--horizon", "0.25", "--rel-tol", "1e-18",
+            "verify-ibp", "--sigma", "2,1", "--method", "mc", "--samples", "1e3",
+            "--se-width", "1e-9",
         ])
         assert code == 2
         rec = record_of(out)
@@ -376,7 +376,7 @@ class TestCliBehavior:
     @pytest.mark.parametrize("argv", [
         ["sample-sheet", "--grid", "3x3"],
         ["expand-ibp", "--sigma", "2,1,3"],
-        ["verify-ibp", "--sigma", "2,1", "--method", "quadrature", "--nodes", "8"],
+        ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian"],
     ])
     def test_stdout_is_one_line(self, capsys, argv):
         _, out = run_cli(capsys, argv)
@@ -451,7 +451,7 @@ class TestCliBehavior:
         assert len(rows) == 1 + 25
 
     def test_verify_ibp_time_flags(self, capsys):
-        base = ["verify-ibp", "--sigma", "2,1", "--method", "quadrature", "--nodes", "16"]
+        base = ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian"]
         _, on_grid = run_cli(capsys, base + ["--horizon", "0.25"])
         _, explicit = run_cli(capsys, base + ["--s-times", "0.125,0.25", "--t-times", "0.125,0.25"])
         assert record_of(explicit)["inputs"]["s_times"] == "0.125,0.25"

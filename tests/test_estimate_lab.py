@@ -1,5 +1,6 @@
 """Direct-vs-expanded expectation checks, product bound, integrated bounds."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -11,22 +12,27 @@ import pytest
 
 from sheetsde.brownian_sheet import stream
 from sheetsde.estimate_lab import (
+    EXACT_REL_TOL,
     DriftScalarFactor,
     IdentityReport,
     _direct_integrand,
+    _exact_term,
     _gaussian_sampler,
     _term_integrand,
+    _tilted_moment,
     bump_factor,
     corollary_check,
     corollary_scaling_slope,
     davie_bound,
     direct_expectation,
+    gaussian_factor,
     ibp_expectation,
     verify_identity,
 )
 from sheetsde.ibp_engine import (
     PermutationSpec,
     all_permutation_specs,
+    crossing_set,
     expand,
     span,
     spec_variances,
@@ -35,10 +41,10 @@ from sheetsde.ibp_engine import (
 )
 from sheetsde.integrators import McEstimate, TimeWindow, monte_carlo
 
-# reference factor whose support edge sits far outside the sheet-value law
-# at horizon 1/4, keeping tensor quadrature spectrally convergent
-QUAD_FACTOR = bump_factor(scale=1.0, width=2.5, center=0.25)
-QUAD_HORIZON = 0.25
+# reference factor of the Monte Carlo route and the pinned data
+BUMP = bump_factor(scale=1.0, width=2.5, center=0.25)
+# the exact route's factor
+GAUSS = gaussian_factor()
 
 # exact integrand values at fixed points, all sigma with n <= 4; regenerate with
 #     PYTHONPATH=src python tests/test_estimate_lab.py
@@ -50,7 +56,6 @@ INTEGRANDS = Path(__file__).parent / "data" / "integrand_values.json"
 ESTIMATES = Path(__file__).parent / "data" / "ibp_estimates.json"
 PINNED_SIGMAS = ((1, 2, 3), (3, 2, 1), (2, 1, 4, 3), (1, 2, 3, 4))
 PINNED_BUDGETS = (10_000, (1 << 17) + 3)
-MC_FACTOR = bump_factor(scale=1.0, width=2.5, center=0.25)
 
 
 def negated(factor: DriftScalarFactor) -> DriftScalarFactor:
@@ -119,13 +124,13 @@ class TestExpectations:
         spec = uniform_spec((1,))
         est = direct_expectation(spec, f, method="mc", budget=40_000, seed=3)
         assert abs(est.mean) <= 4.0 * est.std_error
-        exact = direct_expectation(spec, f, method="quadrature", budget=40)
+        exact = direct_expectation(spec, gaussian_factor(center=0.0), method="exact")
         assert abs(exact.mean) <= 1e-12
 
-    def test_single_point_quadrature_identity(self):
-        spec = PermutationSpec(1, (1,), (QUAD_HORIZON,), (QUAD_HORIZON,))
-        d = direct_expectation(spec, QUAD_FACTOR, method="quadrature", budget=40)
-        e = ibp_expectation(spec, QUAD_FACTOR, method="quadrature", budget=40)
+    def test_single_point_exact_identity(self):
+        spec = uniform_spec((1,))
+        d = direct_expectation(spec, GAUSS, method="exact")
+        e = ibp_expectation(spec, GAUSS, method="exact")
         assert e.mean == pytest.approx(d.mean, rel=1e-10)
 
     def test_zero_drift_exactly_zero(self):
@@ -158,21 +163,19 @@ class TestExpectations:
 
     def test_mc_reproducible(self):
         spec = uniform_spec((2, 1))
-        a = ibp_expectation(spec, QUAD_FACTOR, budget=5000, seed=11)
-        b = ibp_expectation(spec, QUAD_FACTOR, budget=5000, seed=11)
+        a = ibp_expectation(spec, BUMP, budget=5000, seed=11)
+        b = ibp_expectation(spec, BUMP, budget=5000, seed=11)
         assert a == b
 
     def test_method_guard(self):
         with pytest.raises(ValueError):
-            direct_expectation(uniform_spec((1,)), QUAD_FACTOR, method="series")
+            direct_expectation(uniform_spec((1,)), BUMP, method="series")
 
     @pytest.mark.parametrize("route", [direct_expectation, ibp_expectation, verify_identity])
-    def test_quadrature_span_guard(self, route):
-        # sigma = (2, 1, 3) spans 9 cells, beyond tensor Gauss-Hermite's 6
-        spec = uniform_spec((2, 1, 3))
-        message = r"quadrature supports spans of at most 6 cells, but sigma=\(2, 1, 3\) spans 9"
+    def test_exact_needs_a_gaussian_factor(self, route):
+        message = "the exact route needs a gaussian_factor, got the bump factor"
         with pytest.raises(ValueError, match=message):
-            route(spec, QUAD_FACTOR, method="quadrature", budget=4)
+            route(uniform_spec((2, 1, 3)), BUMP, method="exact")
 
 
 def probe_points(variances: np.ndarray) -> np.ndarray:
@@ -191,8 +194,8 @@ def integrand_values() -> dict:
             variances = spec_variances(spec, cells)
             x = probe_points(variances)
             values[",".join(map(str, spec.sigma))] = {
-                "direct": _direct_integrand(staircase(spec, cells), QUAD_FACTOR)(x).tolist(),
-                "terms": [(t.sign * _term_integrand(t, QUAD_FACTOR, variances)(x)).tolist()
+                "direct": _direct_integrand(staircase(spec, cells), BUMP)(x).tolist(),
+                "terms": [(t.sign * _term_integrand(t, BUMP, variances)(x)).tolist()
                           for t in expand(spec)],
             }
     return values
@@ -225,8 +228,8 @@ def mc_estimates() -> dict:
         spec = uniform_spec(sigma)
         for budget in PINNED_BUDGETS:
             values[f"{','.join(map(str, sigma))}@{budget}"] = {
-                "direct": estimate_entry(direct_expectation(spec, MC_FACTOR, "mc", budget, seed=3)),
-                "ibp": estimate_entry(ibp_expectation(spec, MC_FACTOR, budget, seed=3)),
+                "direct": estimate_entry(direct_expectation(spec, BUMP, "mc", budget, seed=3)),
+                "ibp": estimate_entry(ibp_expectation(spec, BUMP, budget, seed=3)),
             }
     return values
 
@@ -272,8 +275,8 @@ class TestOneDrawAntithetic:
         x = _gaussian_sampler(variances)(stream(4), 3000)
         for term in expand(spec):
             assert len(term.grad) % 2 == parity
-            got = _term_integrand(term, MC_FACTOR, variances, reduce_variance=True)(x)
-            want = two_draw_antithetic(term, MC_FACTOR, variances)(x)
+            got = _term_integrand(term, BUMP, variances, reduce_variance=True)(x)
+            want = two_draw_antithetic(term, BUMP, variances)(x)
             assert np.array_equal(got, want)
 
 
@@ -281,8 +284,8 @@ class TestConcurrentPasses:
     @pytest.mark.parametrize("sigma", [(2, 1, 3), (1, 2, 3, 4)])
     def test_ibp_expectation_equals_serial_terms(self, sigma):
         spec = uniform_spec(sigma)
-        assert ibp_expectation(spec, MC_FACTOR, 20_000, seed=6) == serial_ibp(
-            spec, MC_FACTOR, 20_000, 6)
+        assert ibp_expectation(spec, BUMP, 20_000, seed=6) == serial_ibp(
+            spec, BUMP, 20_000, 6)
 
     def test_verify_identity_equals_serial_passes(self):
         # five passes at once under a short switch interval: the passes
@@ -291,14 +294,14 @@ class TestConcurrentPasses:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            report = verify_identity(spec, MC_FACTOR, "mc", budget=20_000, seed=8)
+            report = verify_identity(spec, BUMP, "mc", budget=20_000, seed=8)
         finally:
             sys.setswitchinterval(interval)
-        direct = direct_expectation(spec, MC_FACTOR, "mc", 20_000, (8, 0))
-        ibp = serial_ibp(spec, MC_FACTOR, 20_000, (8, 1))
+        direct = direct_expectation(spec, BUMP, "mc", 20_000, (8, 0))
+        ibp = serial_ibp(spec, BUMP, 20_000, (8, 1))
         gap = abs(direct.mean - ibp.mean)
         tol = 4.0 * math.hypot(direct.std_error, ibp.std_error)
-        bound = davie_bound(spec, MC_FACTOR.sup_norm)
+        bound = davie_bound(spec, BUMP.sup_norm)
         assert report == IdentityReport(spec.sigma, direct, ibp, bound, gap, tol, gap <= tol,
                                         abs(ibp.mean) + 4.0 * ibp.std_error <= bound)
 
@@ -309,10 +312,10 @@ class TestConcurrentPasses:
         budget = 100_000
         draw_bytes = budget * len(span(spec)) * 8
         # a first call imports lazily; keep that out of the count
-        verify_identity(spec, MC_FACTOR, "mc", budget=10, seed=1)
+        verify_identity(spec, BUMP, "mc", budget=10, seed=1)
         tracemalloc.start()
         try:
-            verify_identity(spec, MC_FACTOR, "mc", budget=budget, seed=1)
+            verify_identity(spec, BUMP, "mc", budget=budget, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,9 +324,9 @@ class TestConcurrentPasses:
 
 class TestVerifyIdentity:
     @pytest.mark.parametrize("sigma", [(1, 2), (2, 1)])
-    def test_quadrature_two_points(self, sigma):
-        spec = uniform_spec(sigma, horizon=QUAD_HORIZON)
-        report = verify_identity(spec, QUAD_FACTOR, method="quadrature", budget=24)
+    def test_exact_two_points(self, sigma):
+        spec = uniform_spec(sigma)
+        report = verify_identity(spec, GAUSS, method="exact")
         assert report.identity_ok, report
         assert report.bound_ok, report
         assert report.passed
@@ -342,36 +345,99 @@ class TestVerifyIdentity:
         assert report.identity_ok, report
 
     def test_report_gap_consistent(self):
-        spec = uniform_spec((1, 2), horizon=QUAD_HORIZON)
-        report = verify_identity(spec, QUAD_FACTOR, method="quadrature", budget=20)
+        spec = uniform_spec((1, 2))
+        report = verify_identity(spec, GAUSS, method="exact")
         assert report.identity_gap == pytest.approx(abs(report.direct.mean - report.ibp.mean))
-        assert report.bound == davie_bound(spec, QUAD_FACTOR.sup_norm)
+        assert report.bound == davie_bound(spec, GAUSS.sup_norm)
 
 
 class TestCorollary:
     WINDOW = TimeWindow(r=0.25, s=0.75, u=0.25, t=0.75)
 
     def test_single_order_bounded(self):
-        factor = bump_factor(scale=1.0, width=2.5, center=0.25)
-        report = corollary_check(1, self.WINDOW, factor, budget=150, seed=1)
+        report = corollary_check(1, self.WINDOW, GAUSS, budget=150, seed=1)
         assert report.passed
         assert report.lhs.mean <= report.rhs.value
         assert report.ratio == pytest.approx(report.lhs.mean / report.rhs.value)
 
+    def test_third_order_bounded(self):
+        report = corollary_check(3, self.WINDOW, GAUSS, budget=100, seed=2)
+        assert report.passed
+        assert 0.0 < report.lhs.mean <= report.rhs.value
+
     def test_zero_drift_lhs_zero(self):
-        zero = DriftScalarFactor("zero", lambda x: np.zeros_like(np.asarray(x, float)),
-                                 lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-        report = corollary_check(1, self.WINDOW, zero, budget=60, seed=0)
+        report = corollary_check(1, self.WINDOW, gaussian_factor(scale=0.0), budget=60, seed=0)
         assert report.lhs.mean == 0.0
 
-    def test_order_guard(self):
-        with pytest.raises(ValueError):
-            corollary_check(3, self.WINDOW, QUAD_FACTOR, budget=10, seed=0)
+    def test_needs_a_gaussian_factor(self):
+        with pytest.raises(ValueError, match="needs a gaussian_factor"):
+            corollary_check(1, self.WINDOW, BUMP, budget=10, seed=0)
 
     def test_window_scaling_slope_single_order(self):
-        factor = bump_factor(scale=1.0, width=2.5, center=0.25)
-        slope = corollary_scaling_slope(1, factor, budget=200, seed=3)
+        slope = corollary_scaling_slope(1, GAUSS, budget=200, seed=3)
         assert abs(slope - 1.0) <= 0.15
+
+
+class TestExactRoute:
+    @pytest.mark.parametrize("v", [0.25, 1.0, 3.7])
+    def test_one_cell_moments_closed_form(self, v):
+        # x ~ N(0, v) tilted by b(x) has mass scale w / sqrt(v + w^2) exp(-c^2 / 2(v + w^2)),
+        # mean m = v c / (v + w^2) and variance q = v w^2 / (v + w^2)
+        scale, c, w = 1.3, 0.25, 0.8
+        r = v + w * w
+        mass = scale * w / math.sqrt(r) * math.exp(-c * c / (2.0 * r))
+        m, q = v * c / r, v * w * w / r
+        moments = {0: 1.0, 1: m, 2: m * m + q, 3: m ** 3 + 3 * m * q,
+                   4: m ** 4 + 6 * m * m * q + 3 * q * q}
+        for k, want in moments.items():
+            got = _tilted_moment(np.ones((1, 1)), np.array([v]), (scale, c, w), np.ones((k, 1)))
+            assert got == pytest.approx(mass * want, rel=1e-13), k
+
+    @pytest.mark.parametrize("sigma", [(2, 1), (1, 2), (3, 1, 2), (2, 1, 4, 3)])
+    def test_both_routes_match_monte_carlo(self, sigma):
+        spec = uniform_spec(sigma)
+        exact = direct_expectation(spec, GAUSS, "exact")
+        assert (exact.std_error, exact.n_samples) == (0.0, 0)
+        for est in (direct_expectation(spec, GAUSS, "mc", 100_000, seed=1),
+                    ibp_expectation(spec, GAUSS, 100_000, seed=2)):
+            assert abs(est.mean - exact.mean) <= 4.0 * est.std_error, (est, exact)
+
+
+def mutant_sums(spec, variances, terms):
+    """Signed term sums with one term dropped, one sign flipped or one substitution moved."""
+    values = [t.sign * _exact_term(t, GAUSS.gaussian, variances) for t in terms]
+    total = sum(values)
+    for idx, term in enumerate(terms):
+        yield f"drop {idx}", total - values[idx]
+        yield f"flip {idx}", total - 2.0 * values[idx]
+        for cell in np.flatnonzero(term.shift >= 0):
+            for target in range(len(variances)):
+                if target in (cell, term.shift[cell]):
+                    continue
+                shift = term.shift.copy()
+                shift[cell] = target
+                moved = _exact_term(dataclasses.replace(term, shift=shift), GAUSS.gaussian, variances)
+                yield f"move {idx}: {cell} -> {target}", total - values[idx] + term.sign * moved
+
+
+class TestExactIdentityMutants:
+    def test_every_n4_mutant_fails_the_gate(self):
+        # each of these moved the sum by at least 0.1% (drop 19%, flip 37%),
+        # against a gate of 1e-10 that the unmutated sum passes
+        n_schemes = n_mutants = 0
+        for spec in all_permutation_specs(4):
+            if not crossing_set(spec):
+                continue
+            n_schemes += 1
+            variances = spec_variances(spec, span(spec))
+            terms = expand(spec)
+            direct = direct_expectation(spec, GAUSS, "exact").mean
+            assert verify_identity(spec, GAUSS, "exact").identity_ok, spec.sigma
+            for name, value in mutant_sums(spec, variances, terms):
+                n_mutants += 1
+                gap = abs(direct - value)
+                assert gap > EXACT_REL_TOL * max(abs(direct), abs(value)), (spec.sigma, name)
+        assert (n_schemes, n_mutants) == (23, 2 * 104 + 3156)  # 104 terms, 3156 moves
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Quadrature, Monte Carlo, and Gamma-function backends."""
+"""Monte Carlo and Gamma-function backends."""
 
 import math
 import sys
@@ -15,12 +15,10 @@ from sheetsde.integrators import (
     _MC_BLOCK,
     _MC_CHUNK,
     DEFAULT_C1,
-    MAX_GH_DIMS,
     McEstimate,
     TimeWindow,
     concurrently,
     corollary_rhs,
-    gauss_hermite,
     log_gamma,
     merge_estimates,
     monte_carlo,
@@ -84,36 +82,6 @@ class TestLogGamma:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             log_gamma(0.0)
-
-
-class TestGaussHermite:
-    def test_constant(self):
-        assert gauss_hermite(lambda z: np.ones(z.shape[0]), 1, 12) == pytest.approx(1.0, abs=1e-13)
-
-    @pytest.mark.parametrize("v", [0.25, 1.0, 3.7])
-    def test_second_moment(self, v):
-        got = gauss_hermite(lambda z: z[:, 0] ** 2, 1, 16, variances=v)
-        assert got == pytest.approx(v, rel=1e-12)
-
-    def test_fourth_moment(self):
-        got = gauss_hermite(lambda z: z[:, 0] ** 4, 1, 16)
-        assert got == pytest.approx(3.0, rel=1e-12)
-
-    def test_polynomial_exactness_to_degree(self):
-        # nodes-per-dim p integrates monomials up to degree 2p - 1 exactly
-        p = 6
-        moments = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0, 10: 945.0}
-        for deg, want in moments.items():
-            got = gauss_hermite(lambda z, d=deg: z[:, 0] ** d, 1, p)
-            assert got == pytest.approx(want, rel=1e-12), f"degree {deg}"
-
-    def test_product_factorizes_over_dims(self):
-        got = gauss_hermite(lambda z: z[:, 0] ** 2 * z[:, 1] ** 2, 2, 10, variances=[0.5, 2.0])
-        assert got == pytest.approx(1.0, rel=1e-12)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            gauss_hermite(lambda z: np.ones(z.shape[0]), MAX_GH_DIMS + 1, 4)
 
 
 class TestMonteCarlo:

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # script: (arguments, CSV header, number of data rows)
 RUNS = {
     "identity_sweep.py": (
-        ["--n", "2", "--horizon", "0.25", "--mc-budgets", "2000", "--quad-nodes", "30"],
+        ["--n", "2", "--mc-budgets", "2000"],
         "sigma,method,budget,direct,ibp,gap,tol,bound,identity_ok,bound_ok", 4),
     "mesh_order_study.py": (
         ["--fine", "16", "--levels", "3"],

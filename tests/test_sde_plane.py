@@ -67,6 +67,12 @@ class TestDriftFields:
         assert np.all(out == 0.7)
         assert d.sup_norm == pytest.approx(0.7 * math.sqrt(3.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_sup_norm_does_not_overflow(self):
+        # squaring 1e200 overflows; the norm itself is finite
+        assert constant_drift(1e200).sup_norm == 1e200
+        assert constant_drift([3e200, 4e200]).sup_norm == pytest.approx(5e200)
+
     def test_sign_has_no_jacobian(self):
         d = sign_drift()
         assert np.all(d.eval(0.0, 0.0, np.array([[-2.0], [3.0]])) == [[-1.0], [1.0]])
