@@ -40,7 +40,6 @@ from .brownian_sheet import (
 )
 from .estimate_lab import (
     bump_factor,
-    check_method,
     davie_bound,
     direct_expectation,
     gaussian_factor,
@@ -308,8 +307,6 @@ def _build_drift(p: dict, dim: int):
 
 
 def _build_factor(p: dict):
-    if p.get("factor") == "gaussian":
-        return gaussian_factor()
     return bump_factor(scale=p["bump_scale"], width=p["bump_width"], center=p["bump_center"])
 
 
@@ -381,11 +378,7 @@ def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     spec = _build_spec(p)
     if p["n"] is not None and p["n"] != spec.n:
         raise ConfigError("n", f"n={p['n']} disagrees with sigma of length {spec.n}")
-    factor = _build_factor(p)
-    try:
-        check_method(p["method"], factor)
-    except ValueError as exc:
-        raise ConfigError("method", str(exc)) from None
+    factor = gaussian_factor() if p["method"] == "exact" else _build_factor(p)
     report = verify_identity(spec, factor, method=p["method"], budget=p["samples"],
                              seed=p["seed"], se_width=p["se_width"])
     outputs = {
@@ -585,8 +578,8 @@ COMMANDS: dict[str, Command] = {
         Param("n", None, _parse_count, "Redundant check of len(sigma)."),
         *_SIGMA,
         dataclasses.replace(_SAMPLES, default="200000"),
-        Param("method", "mc", _Choice(("mc", "exact")), "exact needs --factor gaussian."),
-        Param("factor", "bump", _Choice(("bump", "gaussian")), "gaussian: gaussian_factor()."),
+        Param("method", "mc", _Choice(("mc", "exact")),
+              "exact: closed form on gaussian_factor(); the --bump-* flags set mc's bump."),
         _SE_WIDTH, *_grid(None), *_BUMP,
     )),
     "verify-bound": Command(_run_verify_bound, (

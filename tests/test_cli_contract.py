@@ -30,11 +30,11 @@ ARGVS = [
     ["sample-sheet", "--config", "{config}", "--dim", "3"],
     ["expand-ibp", "--sigma", "2,1,3"],
     ["expand-ibp", "--sigma", "3,1,2", "--s-times", "0.2,0.5,0.9", "--t-times", "0.1,0.4,0.7"],
-    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian", "--horizon", "0.25"],
+    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--horizon", "0.25"],
     ["verify-ibp", "--sigma", "2,1,3", "--samples", "1e3", "--seed", "3", "--grid", "4x4",
      "--geometric"],
-    ["verify-ibp", "--sigma", "2,1", "--n", "2", "--method", "exact", "--factor", "gaussian",
-     "--bump-scale", "0.5"],
+    ["verify-ibp", "--sigma", "2,1", "--n", "2", "--samples", "1e3", "--bump-scale", "0.5",
+     "--se-width", "1e-9"],
     ["verify-bound", "--trials", "3", "--n-set", "2", "--samples", "2000",
      "--allowed-failures", "0"],
     ["verify-shuffle", "--kind", "nabla", "--m", "2", "--k", "1", "--samples", "2000"],
@@ -53,7 +53,6 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,1", "--method", "simpson"],
     ["verify-ibp", "--sigma", "2,1,3", "--method", "quadrature"],
     ["verify-ibp", "--sigma", "2,1", "--nodes", "8"],
-    ["verify-ibp", "--sigma", "2,1,3", "--method", "exact"],
     ["sample-sheet", "--grid", "4by4"],
     ["solve-sde", "--grid", "0x4"],
     ["solve-sde", "--drift", "cubic"],

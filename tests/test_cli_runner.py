@@ -81,7 +81,7 @@ class TestRunApi:
 
     def test_verify_ibp_exact(self):
         rec = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "exact", "factor": "gaussian", "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "horizon": 0.25,
         }))
         assert rec.passed is True
         assert rec.outputs["identity_gap"] <= rec.outputs["identity_tol"]
@@ -246,11 +246,11 @@ class TestRunApi:
     def test_time_lists_accept_lists_and_strings(self, times):
         # a config file gives s_times as a JSON list, the command line as a string
         rec = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "exact", "factor": "gaussian",
+            "sigma": "2,1", "method": "exact",
             "s_times": times, "t_times": times,
         }))
         on_grid = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "exact", "factor": "gaussian", "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "horizon": 0.25,
         }))
         assert rec.outputs == on_grid.outputs
 
@@ -283,7 +283,7 @@ class TestRecordFormat:
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig("verify-ibp", {
-            "sigma": "1,2", "method": "exact", "factor": "gaussian", "horizon": 0.25,
+            "sigma": "1,2", "method": "exact", "horizon": 0.25,
         })
         texts = []
         for _ in range(2):
@@ -294,8 +294,7 @@ class TestRecordFormat:
 class TestCliExitCodes:
     def test_pass_is_zero(self, capsys):
         code, out = run_cli(capsys, [
-            "verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian",
-            "--horizon", "0.25",
+            "verify-ibp", "--sigma", "2,1", "--method", "exact", "--horizon", "0.25",
         ])
         assert code == 0
         assert record_of(out)["pass"] is True
@@ -376,7 +375,7 @@ class TestCliBehavior:
     @pytest.mark.parametrize("argv", [
         ["sample-sheet", "--grid", "3x3"],
         ["expand-ibp", "--sigma", "2,1,3"],
-        ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian"],
+        ["verify-ibp", "--sigma", "2,1", "--method", "exact"],
     ])
     def test_stdout_is_one_line(self, capsys, argv):
         _, out = run_cli(capsys, argv)
@@ -451,7 +450,7 @@ class TestCliBehavior:
         assert len(rows) == 1 + 25
 
     def test_verify_ibp_time_flags(self, capsys):
-        base = ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--factor", "gaussian"]
+        base = ["verify-ibp", "--sigma", "2,1", "--method", "exact"]
         _, on_grid = run_cli(capsys, base + ["--horizon", "0.25"])
         _, explicit = run_cli(capsys, base + ["--s-times", "0.125,0.25", "--t-times", "0.125,0.25"])
         assert record_of(explicit)["inputs"]["s_times"] == "0.125,0.25"
