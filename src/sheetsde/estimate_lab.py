@@ -253,9 +253,10 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
 
     Standard errors of the terms combine by root sum of squares.  Monte
     Carlo terms use the unbiased control-variate and antithetic reduction
-    by default and run at once, one thread per term (each owns its stream,
-    so the sum is the serial one bit for bit).  The exact method evaluates
-    the terms in order and ignores budget, seed and the flag.
+    by default and run on concurrently's pool of min(terms, CPUs) threads
+    (each owns its stream, so the sum is the serial one bit for bit).  The
+    exact method evaluates the terms in order and ignores budget, seed and
+    the flag.
     """
     check_method(method, factor)
     variances = spec_variances(spec, span(spec))
@@ -315,7 +316,8 @@ def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
         lambda: direct_expectation(spec, factor, method, budget, (seed, 0)),
         lambda: ibp_expectation(spec, factor, budget, seed=(seed, 1), method=method),
     )
-    # the Monte Carlo routes own the child keys (seed, 0) and (seed, 1), so they run at once
+    # the Monte Carlo routes own the child keys (seed, 0) and (seed, 1), so they run at once;
+    # the expanded route pools its own term passes, so at most 1 + CPUs passes are in flight
     direct, ibp = concurrently(*passes) if method == "mc" else [call() for call in passes]
     bound = davie_bound(spec, factor.sup_norm)
     gap = abs(direct.mean - ibp.mean)
@@ -348,7 +350,8 @@ def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
 
     Outer Monte Carlo over the time simplex (both coordinates sorted,
     identity pairing); the inner expectation is exact, so the factor must be
-    a gaussian_factor.
+    a gaussian_factor.  A smoke test, not a check: on TimeWindow(0.25, 0.75, 0.25, 0.75)
+    lhs/rhs is 1.3e-2, 2.9e-5, 3.0e-10 and 9.9e-18 at n = 1..4, so it cannot fail.
     """
     for bound_name in ("r", "s", "u", "t"):
         if getattr(window, bound_name) is None:

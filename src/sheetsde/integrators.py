@@ -147,13 +147,13 @@ def monte_carlo(
     return columns if cols else columns[0]
 
 
-def _pool_workers(shards: int) -> int:
-    """Threads for a sharded pass: one per shard, at most one per usable CPU."""
+def _pool_workers(tasks: int) -> int:
+    """Threads for independent tasks (shards or passes): one per task, at most one per usable CPU."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(shards, cpus))
+    return max(1, min(tasks, cpus))
 
 
 def _on_threads(fn: Callable, items: Iterable, workers: int) -> list:
@@ -172,15 +172,16 @@ def _on_threads(fn: Callable, items: Iterable, workers: int) -> list:
 
 
 def concurrently(*calls: Callable[[], object]) -> list:
-    """Run zero-argument callables on one thread each; results in argument order.
+    """Run zero-argument callables on _pool_workers(len(calls)) threads; results in argument order.
 
     Meant for independent Monte Carlo passes that each own their generator:
     numpy releases the GIL in bulk RNG fills and large ufuncs, so the passes
     overlap, and every result is bit-identical to the serial call whatever
-    the thread schedule.  All calls run to the end; the exception of the
-    first failing call in argument order is then re-raised.
+    the thread schedule or pool size.  More threads than CPUs only make the
+    passes wait for one another.  All calls run to the end; the exception of
+    the first failing call in argument order is then re-raised.
     """
-    return _on_threads(lambda call: call(), calls, max(len(calls), 1))
+    return _on_threads(lambda call: call(), calls, _pool_workers(len(calls)))
 
 
 # ---------------------------------------------------------------------------

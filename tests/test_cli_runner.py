@@ -174,6 +174,20 @@ class TestRunApi:
                 run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG)).to_json()))
         assert texts[0] == texts[1] == texts[2]
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("verify-ibp", {"sigma": "2,1,4,3", "samples": 20_000}),
+        ("verify-bound", {"trials": 6}),
+    ])
+    def test_independent_passes_deterministic_under_pool_size(self, monkeypatch, command, cfg):
+        # each pass owns its stream and results come back in argument order,
+        # so the pool's size cannot reach the record
+        texts = []
+        for workers in (None, 1, 4):
+            if workers is not None:
+                monkeypatch.setattr(integrators, "_pool_workers", lambda tasks, w=workers: w)
+            texts.append(without_wall_time(run(ExperimentConfig(command, cfg)).to_json()))
+        assert texts[0] == texts[1] == texts[2]
+
     def test_girsanov_check_matches_paired_library_call(self):
         rec = run(ExperimentConfig("girsanov-check", self.GIRSANOV_CFG))
         est = paired_weak_expectation(lambda x: np.tanh(x[..., 0]), sign_drift(), 0.1,

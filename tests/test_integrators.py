@@ -3,6 +3,8 @@
 import math
 import sys
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -194,6 +196,11 @@ class TestMonteCarlo:
 
 
 class TestConcurrently:
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        # the order test needs two threads even on a one-CPU machine
+        monkeypatch.setattr(integrators, "_pool_workers", lambda tasks: min(tasks, 2))
+
     def test_results_in_argument_order(self):
         # the first call cannot finish before the last one has run, so the
         # calls overlap and finish out of argument order
@@ -219,6 +226,25 @@ class TestConcurrently:
         with pytest.raises(ValueError, match="second"):
             concurrently(lambda: ran.append("first"), lambda: fail("second"), lambda: fail("third"))
         assert sorted(ran) == ["first", "second", "third"]
+
+    def test_runs_at_most_pool_size_calls_at_once(self):
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+        two_met = threading.Barrier(2)
+
+        def call(i):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            if i < 2:  # the first two calls can only pass the barrier together
+                two_met.wait(timeout=10.0)
+            time.sleep(0.01)
+            with lock:
+                in_flight[0] -= 1
+            return i
+
+        assert concurrently(*(partial(call, i) for i in range(5))) == list(range(5))
+        assert peak[0] == 2
 
 
 class TestMergeEstimates:
