@@ -54,6 +54,7 @@ from .ibp_engine import (
     GammaTauAssignment,
     IbpTerm,
     PermutationSpec,
+    TermTable,
     all_permutation_specs,
     assert_shift_lemmas,
     crossing_set,
@@ -63,7 +64,6 @@ from .ibp_engine import (
     span,
     spec_variances,
     staircase,
-    term_to_dict,
     uniform_spec,
 )
 from .shuffle_combinatorics import (
@@ -121,7 +121,7 @@ __all__ = [
     "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
-    "SolutionField", "SplitIndexFamily", "TimeWindow", "WeakComparison",
+    "SolutionField", "SplitIndexFamily", "TermTable", "TimeWindow", "WeakComparison",
     "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas", "bump_factor",
     "cameron_martin_shift", "coarsen", "constant_drift", "corollary_check",
     "corollary_rhs", "corollary_scaling_slope", "crossing_set", "cumulative_values",
@@ -134,6 +134,6 @@ __all__ = [
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
-    "term_to_dict", "uniform_grid", "uniform_spec", "values", "verify_identity",
+    "uniform_grid", "uniform_spec", "values", "verify_identity",
     "zero_drift",
 ]

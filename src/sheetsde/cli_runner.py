@@ -45,7 +45,7 @@ from .estimate_lab import (
     gaussian_factor,
     verify_identity,
 )
-from .ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
+from .ibp_engine import PermutationSpec, expand, uniform_spec
 from .integrators import concurrently, simplex_dirichlet_oracle, simplex_singular_integral
 from .plane_geometry import GridPartition, geometric_grid, uniform_grid
 from .sde_plane import (
@@ -359,14 +359,14 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     """Emit the signed term list of the rectangle-selection expansion."""
     spec = _build_spec(p)
     terms = expand(spec)
-    term_dicts = [term_to_dict(t) for t in terms]
+    term_dicts = terms.to_dicts()
     if p["out"]:
         with open(p["out"], "w") as fh:
             fh.write(_json_line(term_dicts) + "\n")
     return {
         "n": spec.n,
         "sigma": list(spec.sigma),
-        "crossing_rows": list(crossing_set(spec)),
+        "crossing_rows": list(terms.crossing),
         "n_terms": len(terms),
         "terms": term_dicts,
         "terms_path": p["out"] or None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .brownian_sheet import Key, stream
 from .ibp_engine import (
     IbpTerm,
     PermutationSpec,
+    TermTable,
     expand,
     span,
     spec_variances,
@@ -96,7 +97,7 @@ def gaussian_factor(scale: float = 1.0, center: float = 0.25, width: float = 0.8
 
     The defaults keep the expansion well conditioned: over every sigma with n <= 6, on uniform
     times on (0, 1] and on geometric_grid(n, n, 1, 1) knots, the terms cancel by at most 1.4e4
-    (sum |term| / |sum term|) and the routes agree to a relative 5e-13.  Flat factors cancel
+    (sum |term| / |sum term|) and the routes agree to a relative 7.6e-13.  Flat factors cancel
     badly: at w = 2.5 and n = 6 the terms cancel by 5.6e6 and the gap reaches 2.2e-10.
     """
     if width <= 0.0:
@@ -126,11 +127,14 @@ def _direct_integrand(coeffs: np.ndarray, factor: DriftScalarFactor):
     return f
 
 
-def _term_coeffs(term: IbpTerm) -> np.ndarray:
-    """(n, m) drift arguments in the raw variables, z[c] - z[shift[c]] where shift[c] >= 0."""
-    substitution = np.flatnonzero(term.shift >= 0)
-    coeffs = term.args.copy()
-    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
+def _term_coeffs(args: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """(..., n, m) drift arguments in the raw variables, z[c] - z[shift[c]] where shift[c] >= 0.
+
+    Takes one term's args (n, m) and shift (m,), or a table's stacked (T, n, m) and (T, m).
+    """
+    *terms, cells = np.nonzero(shift >= 0)
+    coeffs = args.copy()
+    coeffs[(*terms, slice(None), shift[(*terms, cells)])] += args[(*terms, slice(None), cells)]
     return coeffs
 
 
@@ -146,7 +150,7 @@ def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndar
     -args and the weight product is exactly (-1)^|grad| times the weights,
     so the result equals 0.5 * (raw(x) + raw(-x)) bit for bit.
     """
-    coeffs = _term_coeffs(term)
+    coeffs = _term_coeffs(term.args, term.shift)
     b_idx = term.grad
     b_var = variances[b_idx]
 
@@ -182,37 +186,63 @@ def _gaussian_sampler(variances: np.ndarray):
     return sampler
 
 
-def _tilted_moment(coeffs: np.ndarray, variances: np.ndarray, gaussian: tuple[float, float, float],
-                   loadings: np.ndarray, offset: float = 0.0) -> float:
-    """E[prod_i b(coeffs_i . x) prod_j (offset + loadings_j . x)] for x ~ N(0, V = diag variances).
+def _tilted_moments(coeffs: np.ndarray, variances: np.ndarray, gaussian: tuple[float, float, float],
+                    loadings: np.ndarray, offset: float = 0.0) -> np.ndarray:
+    """E[prod_i b(A_i . x) prod_j (offset + l_j . x)] for x ~ N(0, V = diag variances), per entry.
 
+    coeffs (T, k, m) stacks T matrices A and loadings (T, p, m) their affine factors l; returns (T,).
     prod_i b(A_i . x) is scale^k (2 pi w^2)^(k/2) times the likelihood of c 1 = A x + N(0, w^2 I):
     one Cholesky factor of M = A V A^T + w^2 I gives its mean and the posterior
     N(V A^T M^-1 c 1, V - V A^T M^-1 A V), under which the Isserlis recursion over
-    bitmasks (Isserlis, Biometrika 1918) gives the affine factors' moment.
+    bitmasks (Isserlis, Biometrika 1918), carried on (T,) arrays, gives the affine factors' moment.
     """
     scale, center, width = gaussian
-    k = coeffs.shape[0]
-    chol = np.linalg.cholesky((coeffs * variances) @ coeffs.T + width * width * np.eye(k))
-    u = np.linalg.solve(chol, np.full(k, center))  # L^-1 c 1
-    g = np.linalg.solve(chol, coeffs * variances)  # L^-1 A V
-    mass = (scale * width) ** k * math.exp(-np.log(np.diag(chol)).sum() - 0.5 * (u @ u))
-    lg = loadings @ g.T
-    m = (offset + lg @ u).tolist()
-    cov = ((loadings * variances) @ loadings.T - lg @ lg.T).tolist()
-    moments = [1.0]  # moments[S]: E[prod of the affine factors in bitmask S]
-    for mask in range(1, 1 << len(m)):
-        j = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << j)
-        moments.append(m[j] * moments[rest] + sum(
-            cov[j][l] * moments[rest ^ (1 << l)] for l in range(j + 1, len(m)) if rest >> l & 1))
+    k = coeffs.shape[1]
+    av = coeffs * variances
+    chol = np.linalg.cholesky(av @ coeffs.transpose(0, 2, 1) + width * width * np.eye(k))
+    # one solve for L^-1 c 1 (T, k) and L^-1 A V (T, k, m)
+    solved = np.linalg.solve(chol, np.concatenate([np.full((len(av), k, 1), center), av], axis=2))
+    u, g = solved[:, :, 0], solved[:, :, 1:]
+    mass = (scale * width) ** k * np.exp(-np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                                         - 0.5 * np.einsum("tk,tk->t", u, u))
+    lg = loadings @ g.transpose(0, 2, 1)  # (T, p, k)
+    m = offset + np.einsum("tpk,tk->pt", lg, u)
+    cov = (loadings * variances) @ loadings.transpose(0, 2, 1) - lg @ lg.transpose(0, 2, 1)
+    cov = np.ascontiguousarray(cov.transpose(1, 2, 0))  # (p, p, T)
+    moments = np.ones((1 << len(m), len(u)))  # moments[S]: E[prod of the affine factors in bitmask S]
+    for masks, low, rest, others, without in _isserlis_levels(len(m)):
+        pairs = (cov[low[:, None], others] * moments[without]).sum(axis=1)
+        moments[masks] = m[low] * moments[rest] + pairs
     return mass * moments[-1]
 
 
-def _exact_term(term: IbpTerm, gaussian: tuple[float, float, float], variances: np.ndarray) -> float:
-    """One unsigned expansion term: Hermite weights -x_g / v_g as the affine factors."""
-    loadings = -np.eye(len(variances))[term.grad] / variances[term.grad, None]
-    return _tilted_moment(_term_coeffs(term), variances, gaussian, loadings)
+@lru_cache(maxsize=None)
+def _isserlis_levels(p: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The nonempty bitmasks over p factors, grouped by size, with their Isserlis expansions.
+
+    The moment of mask S expands along its lowest factor j: m_j E[S - j] plus
+    cov(j, l) E[S - j - l] over the other factors l of S.  Per size r: the
+    masks, j, S - j, and the (r - 1) factors l and masks S - j - l of each.
+    """
+    masks = np.arange(1, 1 << p)
+    sizes = np.array([mask.bit_count() for mask in masks.tolist()])
+    levels = []
+    for size in range(1, p + 1):
+        level = masks[sizes == size]
+        low = np.log2(level & -level).astype(int)
+        rest = level ^ (1 << low)
+        others = np.nonzero(rest[:, None] >> np.arange(p) & 1)[1].reshape(len(level), size - 1)
+        levels.append((level, low, rest, others, rest[:, None] ^ (1 << others)))
+    return tuple(levels)
+
+
+def _exact_terms(terms: TermTable, gaussian: tuple[float, float, float],
+                 variances: np.ndarray) -> np.ndarray:
+    """(T,) unsigned expansion terms: Hermite weights -x_g / v_g as the affine factors."""
+    T, n = terms.grad.shape
+    loadings = np.zeros((T, n, len(variances)))
+    loadings[np.arange(T)[:, None], np.arange(n), terms.grad] = -1.0 / variances[terms.grad]
+    return _tilted_moments(_term_coeffs(terms.args, terms.shift), variances, gaussian, loadings)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +250,7 @@ def _exact_term(term: IbpTerm, gaussian: tuple[float, float, float], variances: 
 # ---------------------------------------------------------------------------
 
 METHODS = ("mc", "exact")
-#: relative gate of the exact identity (worst gap under gaussian_factor(), n <= 6: 5e-13)
+#: relative gate of the exact identity (worst gap under gaussian_factor(), n <= 6: 7.6e-13)
 EXACT_REL_TOL = 1e-10
 
 
@@ -241,8 +271,9 @@ def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     variances = spec_variances(spec, cells)
     if method == "exact":
         _, c, w = factor.gaussian  # b'(y) = (c - y) / w^2 * b(y)
-        value = _tilted_moment(stair, variances, factor.gaussian, -stair / w ** 2, c / w ** 2)
-        return McEstimate(value, 0.0, 0)
+        value = _tilted_moments(stair[None], variances, factor.gaussian, -stair[None] / w ** 2,
+                                c / w ** 2)
+        return McEstimate(float(value[0]), 0.0, 0)
     return monte_carlo(_direct_integrand(stair, factor), _gaussian_sampler(variances), budget, seed)
 
 
@@ -262,14 +293,14 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     variances = spec_variances(spec, span(spec))
     terms = expand(spec)
     if method == "exact":
-        ests = [McEstimate(_exact_term(term, factor.gaussian, variances), 0.0, 0) for term in terms]
-    else:
-        sampler = _gaussian_sampler(variances)
-        ests = concurrently(*(
-            partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance),
-                    sampler, budget, (seed, idx))
-            for idx, term in enumerate(terms)
-        ))
+        values = _exact_terms(terms, factor.gaussian, variances)
+        return McEstimate(sum((terms.sign * values).tolist()), 0.0, 0)
+    sampler = _gaussian_sampler(variances)
+    ests = concurrently(*(
+        partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance),
+                sampler, budget, (seed, idx))
+        for idx, term in enumerate(terms)
+    ))
     total = sum(term.sign * est.mean for term, est in zip(terms, ests))
     std_error = math.sqrt(sum(est.std_error ** 2 for est in ests))
     return McEstimate(total, std_error, sum(est.n_samples for est in ests))

@@ -21,7 +21,7 @@ contribute a single gradient cell (i, gamma_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -241,7 +241,7 @@ def _crossing_subsets(J: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class IbpTerm:
-    """One summand of the expansion over a crossing subset K, as arrays over the span.
+    """Row view of one term of a TermTable: the term over the crossing subset K.
 
     A span index is a row of `cells`, the scheme's span in row-major order
     (one array shared by all terms of the scheme).  The kernel argument of
@@ -265,8 +265,66 @@ class IbpTerm:
         return self.cells[self.grad]
 
 
-def expand(spec: PermutationSpec) -> tuple[IbpTerm, ...]:
-    """All 2^q expansion terms, K ordered from the full crossing set down to empty.
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """The 2^q expansion terms of one scheme, stacked along a leading term axis of length T.
+
+    Row k is the term over the k-th crossing subset, from the full crossing
+    set down to the empty one; indexing or iterating yields IbpTerm row views.
+    """
+
+    cells: np.ndarray  # (m, 2) span cells (row, col), shared by every term
+    crossing: tuple[int, ...]  # the crossing rows J, ascending
+    in_K: np.ndarray  # (T, q) bool: crossing row J[r] lies in the term's K
+    sign: np.ndarray  # (T,) +1 or -1
+    gamma: np.ndarray  # (T, n) selection column per row
+    tau: np.ndarray  # (T, q) substitution column per crossing row
+    grad: np.ndarray  # (T, n) span index of each row's kernel-gradient cell
+    shift: np.ndarray  # (T, m) span index of the subtracted variable, else -1
+    args: np.ndarray  # (T, n, m) 0/1 drift-argument matrices
+
+    def __len__(self) -> int:
+        return len(self.sign)
+
+    def __getitem__(self, k: int) -> IbpTerm:
+        J = self.crossing
+        return IbpTerm(tuple(compress(J, self.in_K[k].tolist())), int(self.sign[k]),
+                       tuple(self.gamma[k].tolist()), dict(zip(J, self.tau[k].tolist())),
+                       self.cells, self.grad[k], self.shift[k], self.args[k])
+
+    def __iter__(self) -> Iterator[IbpTerm]:
+        return (self[k] for k in range(len(self)))
+
+    def to_dicts(self) -> list[dict]:
+        """JSON-ready view per term: K, sign, gradient cells, density cells, drift arguments.
+
+        One pass over the stacked arrays: each kind of cell list is one flat
+        list, cut per term, of the pairs of one cells.tolist().
+        """
+        T, n = self.grad.shape
+        cell = self.cells.tolist().__getitem__
+        density = np.ones(self.shift.shape, dtype=bool)
+        density[np.arange(T)[:, None], self.grad] = False
+        b_cells = list(map(cell, self.grad.ravel().tolist()))
+        e_cells = list(map(cell, np.nonzero(density)[1].tolist()))
+        a_cells = list(map(cell, np.nonzero(self.args)[2].tolist()))
+        a_ends = np.cumsum(np.count_nonzero(self.args, axis=2)).tolist()
+        a_sets = [a_cells[lo:hi] for lo, hi in zip([0] + a_ends, a_ends)]
+        e = len(e_cells) // T  # m - n density cells per term
+        return [
+            {
+                "K": list(compress(self.crossing, in_K)),
+                "sign": sign,
+                "B_cells": b_cells[k * n:(k + 1) * n],
+                "E_cells": e_cells[k * e:(k + 1) * e],
+                "b_arg_sets": a_sets[k * n:(k + 1) * n],
+            }
+            for k, (in_K, sign) in enumerate(zip(self.in_K.tolist(), self.sign.tolist()))
+        ]
+
+
+def expand(spec: PermutationSpec) -> TermTable:
+    """All 2^q expansion terms as one table, K ordered from the full crossing set down to empty.
 
     The sign of the K term is (-1)^{#K} * (-1)^{n - q}: each of the n row
     integrations by parts contributes a minus sign, and splitting the
@@ -277,52 +335,44 @@ def expand(spec: PermutationSpec) -> tuple[IbpTerm, ...]:
     cells of the crossing rows, plus its own selection cell.
     """
     J = crossing_set(spec)
-    n = spec.n
+    n, q = spec.n, len(J)
     cells = span(spec)
-    cell_list = cells.tolist()
-    stair = staircase(spec, cells)
-    # index[i][j]: span index of cell (i, j), -1 outside the span; tau reaches column n + 1
+    select = _column_selector(spec, J)
+    picks = [select(K) for K in _crossing_subsets(J)]
+    T = len(picks)
+    gamma = np.array([[a.gamma[i] for i in range(1, n + 1)] for a in picks])
+    tau = np.array([[a.tau[i] for i in J] for a in picks], dtype=int)
+    in_K = np.array([[i in a.K for i in J] for a in picks], dtype=bool)
+
+    # index[i, j]: span index of cell (i, j), -1 outside the span; tau reaches column n + 1
     index = np.full((n + 1, n + 2), -1)
     index[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
-    index = index.tolist()
-    rows = np.arange(n)
-    terms = []
-    select = _column_selector(spec, J)
-    for K in _crossing_subsets(J):
-        assignment = select(K)
-        gamma = tuple(assignment.gamma[i] for i in range(1, n + 1))
-        tau = assignment.tau
-        selected = [index[i][gamma[i - 1]] for i in range(1, n + 1)]
-        substituted = [index[i][tau[i]] for i in J]
-        if -1 in selected or -1 in substituted:
-            missing = [(i, gamma[i - 1]) for i in range(1, n + 1) if selected[i - 1] < 0]
-            missing += [(i, tau[i]) for i, idx in zip(J, substituted) if idx < 0]
-            raise EmptySelectionError(
-                f"selection left the span: {missing} for sigma={spec.sigma}, K={sorted(K)}"
-            )
+    rows = np.arange(1, n + 1)
+    J_rows = np.array(J, dtype=int)
+    selected = index[rows, gamma]  # (T, n)
+    substituted = index[J_rows, tau]  # (T, q)
+    outside = (selected < 0).any(axis=1) | (substituted < 0).any(axis=1)
+    if outside.any():
+        K = picks[outside.argmax()].K
+        raise EmptySelectionError(f"selection left the span for sigma={spec.sigma}, K={list(K)}")
 
-        # rows of J outside K move their gradient to the substitution cell
-        grad = list(selected)
-        for i, idx in zip(J, substituted):
-            if i not in K:
-                grad[i - 1] = idx
-        b_cells = [cell_list[g] for g in grad]
-        if len({r for r, _ in b_cells}) != n or len({c for _, c in b_cells}) != n:
-            raise ValueError(
-                f"gradient cells must have pairwise distinct rows and columns, got {b_cells}"
-            )
-        sign = (-1) ** len(K) * (-1) ** (n - len(J))
-        if sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+    # rows of J outside K move their gradient to the substitution cell
+    selected_J = selected[:, J_rows - 1]
+    grad = selected.copy()
+    grad[:, J_rows - 1] = np.where(in_K, selected_J, substituted)
+    clash = (np.diff(np.sort(cells[grad], axis=1), axis=1) == 0).any(axis=(1, 2))
+    if clash.any():
+        b_cells = cells[grad[clash.argmax()]].tolist()
+        raise ValueError(f"gradient cells must have pairwise distinct rows and columns, got {b_cells}")
+    sign = (-1) ** (n - q) * (1 - 2 * (in_K.sum(axis=1) % 2))
 
-        selected_J = [selected[i - 1] for i in J]
-        shift = np.full(len(cells), -1)
-        shift[substituted] = selected_J
-        args = stair.copy()
-        args[:, selected_J] = 0.0
-        args[rows, selected] = 1.0
-        terms.append(IbpTerm(K, sign, gamma, dict(tau), cells, np.array(grad), shift, args))
-    return tuple(terms)
+    terms = np.arange(T)[:, None]
+    shift = np.full((T, len(cells)), -1)
+    shift[terms, substituted] = selected_J
+    args = np.repeat(staircase(spec, cells)[None], T, axis=0)
+    args[terms, :, selected_J] = 0.0
+    args[terms, rows - 1, selected] = 1.0
+    return TermTable(cells, J, in_K, sign, gamma, tau, grad, shift, args)
 
 
 @dataclass(frozen=True)
@@ -342,19 +392,6 @@ def orientation_points(spec: PermutationSpec) -> tuple[OrientationPoint, ...]:
         sub = Cell(i, si + 1) if i in J else None
         out.append(OrientationPoint(i, Cell(i, si), sub))
     return tuple(out)
-
-
-def term_to_dict(term: IbpTerm) -> dict:
-    """JSON-ready view: K, sign, gradient cells, density cells, drift arguments."""
-    cells = term.cells.tolist()
-    grad = term.grad.tolist()
-    return {
-        "K": list(term.K),
-        "sign": term.sign,
-        "B_cells": term.b_cells.tolist(),
-        "E_cells": [c for k, c in enumerate(cells) if k not in grad],
-        "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in term.args.tolist()],
-    }
 
 
 def all_permutation_specs(n: int, horizon: float = 1.0) -> Iterator[PermutationSpec]:

@@ -20,7 +20,7 @@ from conftest import linear_drift, record_criterion
 from sheetsde.brownian_sheet import SheetSample, coarsen, sample, values
 from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import EXACT_REL_TOL, bump_factor, gaussian_factor, verify_identity
-from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, term_to_dict, uniform_spec
+from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, uniform_spec
 from sheetsde.integrators import (
     simplex_dirichlet_oracle,
     simplex_singular_integral,
@@ -103,14 +103,12 @@ def test_criterion_02_selection_non_overlap_exhaustive():
                 n_specs += 1
                 n_terms += len(terms)
                 assert len(terms) == 2 ** len(crossing_set(spec)), sigma
-                for term in terms:
-                    rows = sorted(term.b_cells[:, 0].tolist())
-                    cols = set(term.b_cells[:, 1].tolist())
-                    assert rows == list(range(1, n + 1)), (sigma, term.K)
-                    assert len(cols) == n, (sigma, term.K)
-                if n <= 6:  # term_to_dict over all 135,135 terms at n=7 would not fit the budget
-                    terms_json = [term_to_dict(t) for t in terms]
-                    digest.update(json.dumps(terms_json, separators=(",", ":")).encode() + b"\n")
+                # per term: gradient rows exactly 1..n, n distinct gradient columns
+                b_cells = np.sort(terms.cells[terms.grad], axis=1)
+                assert (b_cells[:, :, 0] == np.arange(1, n + 1)).all(), sigma
+                assert (np.diff(b_cells[:, :, 1], axis=1) > 0).all(), sigma
+                if n <= 6:  # serializing all 135,135 terms at n=7 would not fit the budget
+                    digest.update(json.dumps(terms.to_dicts(), separators=(",", ":")).encode() + b"\n")
             if n <= 6:
                 assert digest.hexdigest() == golden[str(n)], f"term lists at n={n} changed"
         state["ok"] = True

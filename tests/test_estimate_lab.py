@@ -18,10 +18,10 @@ from sheetsde.estimate_lab import (
     DriftScalarFactor,
     IdentityReport,
     _direct_integrand,
-    _exact_term,
+    _exact_terms,
     _gaussian_sampler,
     _term_integrand,
-    _tilted_moment,
+    _tilted_moments,
     bump_factor,
     corollary_check,
     corollary_scaling_slope,
@@ -56,6 +56,8 @@ INTEGRANDS = Path(__file__).parent / "data" / "integrand_values.json"
 # exact Monte Carlo estimates of both routes, regenerated by the same command;
 # the larger budget crosses a chunk boundary of integrators.monte_carlo
 ESTIMATES = Path(__file__).parent / "data" / "ibp_estimates.json"
+# unsigned exact terms, all sigma with n <= 4, as the scalar per-term route computed them
+EXACT_TERMS = Path(__file__).parent / "data" / "exact_terms.json"
 PINNED_SIGMAS = ((1, 2, 3), (3, 2, 1), (2, 1, 4, 3), (1, 2, 3, 4))
 PINNED_BUDGETS = (10_000, (1 << 17) + 3)
 
@@ -415,7 +417,7 @@ class TestExactRoute:
         moments = {0: 1.0, 1: m, 2: m * m + q, 3: m ** 3 + 3 * m * q,
                    4: m ** 4 + 6 * m * m * q + 3 * q * q}
         for k, want in moments.items():
-            got = _tilted_moment(np.ones((1, 1)), np.array([v]), (scale, c, w), np.ones((k, 1)))
+            got = _tilted_moments(np.ones((1, 1, 1)), np.array([v]), (scale, c, w), np.ones((1, k, 1)))[0]
             assert got == pytest.approx(mass * want, rel=1e-13), k
 
     @pytest.mark.parametrize("sigma", [(2, 1), (1, 2), (3, 1, 2), (2, 1, 4, 3)])
@@ -428,21 +430,48 @@ class TestExactRoute:
             assert abs(est.mean - exact.mean) <= 4.0 * est.std_error, (est, exact)
 
 
+    def test_batched_terms_match_per_term_values(self):
+        want = json.loads(EXACT_TERMS.read_text())["terms"]
+        n_terms = 0
+        for n in range(1, 5):
+            for spec in all_permutation_specs(n):
+                got = _exact_terms(expand(spec), GAUSS.gaussian, spec_variances(spec, span(spec)))
+                pinned = want[",".join(map(str, spec.sigma))]
+                assert got.tolist() == pytest.approx(pinned, rel=1e-12, abs=0.0), spec.sigma
+                n_terms += len(pinned)
+        assert n_terms == 124
+
+
+def table_rows(terms, rows, shift):
+    """The given rows of a term table, stacked as a table, with their shift rows replaced."""
+    fields = ("in_K", "sign", "gamma", "tau", "grad", "args")
+    return dataclasses.replace(terms, shift=shift, **{f: getattr(terms, f)[rows] for f in fields})
+
+
 def mutant_sums(spec, variances, terms):
-    """Signed term sums with one term dropped, one sign flipped or one substitution moved."""
-    values = [t.sign * _exact_term(t, GAUSS.gaussian, variances) for t in terms]
+    """Signed term sums with one term dropped, one sign flipped or one substitution moved.
+
+    Every moved substitution is one mutated shift row; all of a scheme's
+    mutated rows go through the exact route as one table.
+    """
+    values = (terms.sign * _exact_terms(terms, GAUSS.gaussian, variances)).tolist()
     total = sum(values)
-    for idx, term in enumerate(terms):
+    names, rows, shifts = [], [], []
+    for idx, shift in enumerate(terms.shift):
         yield f"drop {idx}", total - values[idx]
         yield f"flip {idx}", total - 2.0 * values[idx]
-        for cell in np.flatnonzero(term.shift >= 0):
+        for cell in np.flatnonzero(shift >= 0):
             for target in range(len(variances)):
-                if target in (cell, term.shift[cell]):
+                if target in (cell, shift[cell]):
                     continue
-                shift = term.shift.copy()
-                shift[cell] = target
-                moved = _exact_term(dataclasses.replace(term, shift=shift), GAUSS.gaussian, variances)
-                yield f"move {idx}: {cell} -> {target}", total - values[idx] + term.sign * moved
+                moved = shift.copy()
+                moved[cell] = target
+                names.append(f"move {idx}: {cell} -> {target}")
+                rows.append(idx)
+                shifts.append(moved)
+    moved = _exact_terms(table_rows(terms, rows, np.array(shifts)), GAUSS.gaussian, variances)
+    for name, idx, value in zip(names, rows, moved.tolist()):
+        yield name, total - values[idx] + int(terms.sign[idx]) * value
 
 
 class TestExactIdentityMutants:

@@ -6,7 +6,10 @@ lists.  The two-term case's signs follow the subset formula
 (exercised in the estimate-lab tests) is what pins them down.
 """
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,11 @@ from sheetsde.ibp_engine import (
     orientation_points,
     span,
     spec_variances,
-    term_to_dict,
     uniform_spec,
 )
 from sheetsde.plane_geometry import Cell, DegenerateGridError
+
+EXPAND_DIGESTS = Path(__file__).parent / "data" / "expand_digests.json"
 
 
 def b_set(term):
@@ -175,16 +179,47 @@ class TestExpand:
         assert b_set(term) == sorted((i, sig[i - 1]) for i in range(1, n + 1))
 
     def test_drift_argument_sets_cover_gamma_cell(self):
-        for t in expand(uniform_spec((2, 1, 3))):
-            for idx, args in enumerate(term_to_dict(t)["b_arg_sets"]):
+        terms = expand(uniform_spec((2, 1, 3)))
+        for t, d in zip(terms, terms.to_dicts()):
+            for idx, args in enumerate(d["b_arg_sets"]):
                 assert [idx + 1, t.gamma[idx]] in args
 
     def test_term_to_dict_shape(self):
-        d = term_to_dict(expand(uniform_spec((2, 1, 3)))[0])
+        terms = expand(uniform_spec((2, 1, 3)))
+        dicts = terms.to_dicts()
+        assert len(dicts) == len(terms) == 4
+        d = dicts[0]
         assert set(d) == {"K", "sign", "B_cells", "E_cells", "b_arg_sets"}
         assert d["K"] == [1, 2]
         assert len(d["B_cells"]) == 3
         assert all(len(c) == 2 for c in d["B_cells"])
+
+    @pytest.mark.parametrize("sigma", [(2, 1, 3), (1, 2, 3, 4), (2, 4, 1, 5, 3)])
+    def test_dicts_match_row_views(self, sigma):
+        # the one-pass serializer against a cell-by-cell scan of each row view
+        terms = expand(uniform_spec(sigma))
+        cells = terms.cells.tolist()
+        for t, d in zip(terms, terms.to_dicts()):
+            grad = t.grad.tolist()
+            assert d == {
+                "K": list(t.K),
+                "sign": t.sign,
+                "B_cells": t.b_cells.tolist(),
+                "E_cells": [c for k, c in enumerate(cells) if k not in grad],
+                "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in t.args.tolist()],
+            }
+
+    def test_table_reproduces_pinned_gamma_tau_shift(self):
+        # the term dicts omit gamma, tau and shift; these digests pin them
+        golden = json.loads(EXPAND_DIGESTS.read_text())["table_sha256"]
+        for n in range(1, 7):
+            digest = hashlib.sha256()
+            for sigma in itertools.permutations(range(1, n + 1)):
+                terms = expand(uniform_spec(sigma))
+                rows = [list(row) for row in zip(terms.gamma.tolist(), terms.tau.tolist(),
+                                                 terms.shift.tolist())]
+                digest.update(json.dumps(rows, separators=(",", ":")).encode() + b"\n")
+            assert digest.hexdigest() == golden[str(n)], n
 
 
 class TestOrientationPoints:
