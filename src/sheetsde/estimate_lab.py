@@ -98,7 +98,8 @@ def gaussian_factor(scale: float = 1.0, center: float = 0.25, width: float = 0.8
     The defaults keep the expansion well conditioned: over every sigma with n <= 6, on uniform
     times on (0, 1] and on geometric_grid(n, n, 1, 1) knots, the terms cancel by at most 1.4e4
     (sum |term| / |sum term|) and the routes agree to a relative 7.6e-13.  Flat factors cancel
-    badly: at w = 2.5 and n = 6 the terms cancel by 5.6e6 and the gap reaches 2.2e-10.
+    badly: at w = 2.5 and n = 6 the terms cancel by 5.6e6 on uniform times, where the gap
+    reaches 2.3e-10 (1.4e-9 on the geometric knots).
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
