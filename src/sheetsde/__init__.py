@@ -51,16 +51,12 @@ from .integrators import (
 )
 from .ibp_engine import (
     EmptySelectionError,
-    GammaTauAssignment,
     IbpTerm,
     PermutationSpec,
     TermTable,
     all_permutation_specs,
-    assert_shift_lemmas,
     crossing_set,
     expand,
-    gamma_tau,
-    orientation_points,
     span,
     spec_variances,
     staircase,
@@ -117,20 +113,20 @@ from .sde_plane import (
 __all__ = [
     "BlockIncreasingFamily", "Cell", "CorollaryReport", "DEFAULT_C0", "DEFAULT_C1",
     "DegenerateGridError", "DegenerateTiesError", "DriftField", "DriftScalarFactor",
-    "EmptySelectionError", "GammaBound", "GammaTauAssignment", "GridPartition",
+    "EmptySelectionError", "GammaBound", "GridPartition",
     "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
     "SolutionField", "SplitIndexFamily", "TermTable", "TimeWindow", "WeakComparison",
-    "abs_gradient_l1", "all_permutation_specs", "assert_shift_lemmas", "bump_factor",
+    "abs_gradient_l1", "all_permutation_specs", "bump_factor",
     "cameron_martin_shift", "coarsen", "constant_drift", "corollary_check",
     "corollary_rhs", "corollary_scaling_slope", "crossing_set", "cumulative_values",
     "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
-    "enumerate_split_family", "expand", "export_csv", "gamma_tau", "gaussian_factor",
+    "enumerate_split_family", "expand", "export_csv", "gaussian_factor",
     "geometric_grid", "gradient_component", "hermite_weight", "ibp_expectation",
     "locate_cell_batch", "locate_cell_split_batch", "log_density", "log_gamma",
     "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",
-    "monte_carlo", "orientation_points", "paired_weak_expectation", "partition_report",
+    "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",

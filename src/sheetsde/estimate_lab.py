@@ -287,8 +287,8 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     Carlo terms use the unbiased control-variate and antithetic reduction
     by default and run on concurrently's pool of min(terms, CPUs) threads
     (each owns its stream, so the sum is the serial one bit for bit).  The
-    exact method evaluates the terms in order and ignores budget, seed and
-    the flag.
+    exact method evaluates the whole term table at once and ignores budget,
+    seed and the flag.
     """
     check_method(method, factor)
     variances = spec_variances(spec, span(spec))

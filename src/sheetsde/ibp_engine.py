@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, permutations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .plane_geometry import Cell, DegenerateGridError, MIN_KNOT_GAP
+from .plane_geometry import DegenerateGridError, MIN_KNOT_GAP
 
 
 class EmptySelectionError(RuntimeError):
@@ -112,131 +112,50 @@ def spec_variances(spec: PermutationSpec, cells: np.ndarray) -> np.ndarray:
     return s_gaps[cells[:, 0] - 1] * t_gaps[cells[:, 1] - 1]
 
 
-@dataclass(frozen=True)
-class GammaTauAssignment:
-    """Selection columns gamma (all rows) and substitution columns tau (crossing rows)."""
+def _select_columns(spec: PermutationSpec, J: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Staged gamma/tau selection for all T = 2^q crossing subsets K of J = crossing_set(spec) at once.
 
-    K: tuple[int, ...]
-    gamma: dict[int, int]
-    tau: dict[int, int]
-
-
-@dataclass(frozen=True)
-class ShiftCheck:
-    K: tuple[int, ...]
-    row: int
-    role: str  # "gamma" or "tau"
-    pool: tuple[int, ...]
-    excluded: tuple[int, ...]
-    chosen: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.chosen is not None
-
-
-@dataclass(frozen=True)
-class ShiftLemmaReport:
-    checks: tuple[ShiftCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[ShiftCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def _column_selector(spec: PermutationSpec, J: tuple[int, ...]) -> Callable[..., GammaTauAssignment]:
-    """Staged gamma/tau selection for the crossing subsets K of J = crossing_set(spec).
-
-    Stage r handles the r-th crossing row.  Its pools, the columns sigma(j)
-    and sigma(j) + 1 over the first r + 1 crossing rows, do not depend on K,
-    so they are built once here.  The exclusions grow stage by stage: the
-    gamma column of each crossing row in K and the tau column of each one
-    outside K.  Non-crossing rows are then assigned their selection column
-    against the final exclusion set.  The returned select(K, log=None) runs
-    the selection for one sorted K, appending a ShiftCheck per pick to log.
+    Returns in_K (T, q), gamma (T, n) and tau (T, q); row k is the k-th
+    subset, from the full crossing set down to the empty one.  Stage r handles
+    the r-th crossing row i: gamma_i is the largest free column <= sigma(i)
+    among sigma(j), and tau_i the smallest free column >= sigma(i) + 1 among
+    sigma(j) + 1, over the first r + 1 crossing rows j.  A (T, n + 2) mask
+    holds the excluded columns, which grow stage by stage: the gamma column of
+    each crossing row in K and the tau column of each one outside K.
+    Non-crossing rows then pick gamma from sigma(J) and their own sigma(i)
+    against the final mask.
     """
+    n, q = spec.n, len(J)
+    T = 2 ** q
     sigma = spec.sigma
-    crossing = set(J)
-    stages = []
+    # row k holds the bits of T - 1 - k, the first crossing row the most significant
+    in_K = ((T - 1 - np.arange(T))[:, None] >> np.arange(q - 1, -1, -1) & 1).astype(bool)
+    gamma = np.empty((T, n), dtype=int)
+    tau = np.empty((T, q), dtype=int)
+    excluded = np.zeros((T, n + 2), dtype=bool)
+    sigma_pool = np.zeros(n + 2, dtype=bool)
+    tau_pool = np.zeros(n + 2, dtype=bool)
+
+    def pick(i: int, role: str, pool: np.ndarray) -> np.ndarray:
+        s = sigma[i - 1]
+        free = pool & ~excluded
+        window = free[:, s::-1] if role == "gamma" else free[:, s + 1:]
+        found = window.any(axis=1)
+        if not found.all():
+            K = list(compress(J, in_K[found.argmin()].tolist()))
+            raise EmptySelectionError(f"no admissible {role} column for row {i}, sigma={sigma}, K={K}")
+        step = window.argmax(axis=1)
+        return s - step if role == "gamma" else s + 1 + step
+
     for r, i in enumerate(J):
-        prefix = {sigma[j - 1] for j in J[: r + 1]}
-        stages.append((i, sigma[i - 1], tuple(sorted(prefix)), tuple(sorted(c + 1 for c in prefix))))
-    sigma_J = {sigma[j - 1] for j in J}
-    others = [(i, sigma[i - 1], tuple(sorted(sigma_J | {sigma[i - 1]})))
-              for i in range(1, spec.n + 1) if i not in crossing]
-
-    def select(K: tuple[int, ...], log: Optional[list[ShiftCheck]] = None) -> GammaTauAssignment:
-        if not crossing.issuperset(K):
-            raise ValueError(f"K = {set(K)} must be a subset of the crossing set {crossing}")
-        in_K = set(K)
-        excl: set[int] = set()
-
-        def pick(row: int, role: str, pool: tuple[int, ...], bound: int) -> int:
-            # gamma takes the largest admissible column <= bound, tau the smallest >= bound
-            chosen = None
-            if role == "gamma":
-                for c in reversed(pool):
-                    if c <= bound and c not in excl:
-                        chosen = c
-                        break
-            else:
-                for c in pool:
-                    if c >= bound and c not in excl:
-                        chosen = c
-                        break
-            if log is not None:
-                log.append(ShiftCheck(K, row, role, pool, tuple(sorted(excl)), chosen))
-            if chosen is None:
-                raise EmptySelectionError(
-                    f"no admissible {role} column for row {row}, sigma={sigma}, K={sorted(K)}"
-                )
-            return chosen
-
-        gamma: dict[int, int] = {}
-        tau: dict[int, int] = {}
-        for i, s, sigma_pool, shift_pool in stages:
-            gamma[i] = pick(i, "gamma", sigma_pool, s)
-            tau[i] = pick(i, "tau", shift_pool, s + 1)
-            excl.add(gamma[i] if i in in_K else tau[i])
-        for i, s, pool in others:
-            gamma[i] = pick(i, "gamma", pool, s)
-        return GammaTauAssignment(K, gamma, tau)
-
-    return select
-
-
-def gamma_tau(spec: PermutationSpec, K: Iterable[int]) -> GammaTauAssignment:
-    return _column_selector(spec, crossing_set(spec))(tuple(sorted(K)))
-
-
-def assert_shift_lemmas(spec: PermutationSpec, K: Optional[Iterable[int]] = None) -> ShiftLemmaReport:
-    """Diagnostic: record every selection pool and whether it was nonempty.
-
-    Runs the selection for one subset K, or for every subset of the crossing
-    set when K is None.  Never raises; empty pools are reported as failed
-    checks instead.
-    """
-    J = crossing_set(spec)
-    select = _column_selector(spec, J)
-    checks: list[ShiftCheck] = []
-    subsets = [tuple(sorted(K))] if K is not None else list(_crossing_subsets(J))
-    for sub in subsets:
-        try:
-            select(sub, checks)
-        except EmptySelectionError:
-            pass
-    return ShiftLemmaReport(tuple(checks))
-
-
-def _crossing_subsets(J: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Subsets of the crossing set J as sorted tuples, full set first, empty set last."""
-    q = len(J)
-    for mask in range(2 ** q - 1, -1, -1):
-        yield tuple(J[m] for m in range(q) if mask & (1 << (q - 1 - m)))
+        sigma_pool[sigma[i - 1]] = tau_pool[sigma[i - 1] + 1] = True
+        gamma[:, i - 1] = pick(i, "gamma", sigma_pool)
+        tau[:, r] = pick(i, "tau", tau_pool)
+        excluded[np.arange(T), np.where(in_K[:, r], gamma[:, i - 1], tau[:, r])] = True
+    for i in sorted(set(range(1, n + 1)) - set(J)):
+        own = np.arange(n + 2) == sigma[i - 1]
+        gamma[:, i - 1] = pick(i, "gamma", sigma_pool | own)
+    return in_K, gamma, tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +171,6 @@ class IbpTerm:
 
     K: tuple[int, ...]  # sorted crossing subset
     sign: int
-    gamma: tuple[int, ...]  # selection column per row, index i-1
-    tau: dict[int, int]  # substitution column per crossing row
     cells: np.ndarray  # (m, 2) span cells (row, col)
     grad: np.ndarray  # (n,) span index of each row's kernel-gradient cell
     shift: np.ndarray  # (m,) span index of the subtracted variable, else -1
@@ -287,9 +204,7 @@ class TermTable:
         return len(self.sign)
 
     def __getitem__(self, k: int) -> IbpTerm:
-        J = self.crossing
-        return IbpTerm(tuple(compress(J, self.in_K[k].tolist())), int(self.sign[k]),
-                       tuple(self.gamma[k].tolist()), dict(zip(J, self.tau[k].tolist())),
+        return IbpTerm(tuple(compress(self.crossing, self.in_K[k].tolist())), int(self.sign[k]),
                        self.cells, self.grad[k], self.shift[k], self.args[k])
 
     def __iter__(self) -> Iterator[IbpTerm]:
@@ -337,12 +252,8 @@ def expand(spec: PermutationSpec) -> TermTable:
     J = crossing_set(spec)
     n, q = spec.n, len(J)
     cells = span(spec)
-    select = _column_selector(spec, J)
-    picks = [select(K) for K in _crossing_subsets(J)]
-    T = len(picks)
-    gamma = np.array([[a.gamma[i] for i in range(1, n + 1)] for a in picks])
-    tau = np.array([[a.tau[i] for i in J] for a in picks], dtype=int)
-    in_K = np.array([[i in a.K for i in J] for a in picks], dtype=bool)
+    in_K, gamma, tau = _select_columns(spec, J)
+    T = len(in_K)
 
     # index[i, j]: span index of cell (i, j), -1 outside the span; tau reaches column n + 1
     index = np.full((n + 1, n + 2), -1)
@@ -353,8 +264,8 @@ def expand(spec: PermutationSpec) -> TermTable:
     substituted = index[J_rows, tau]  # (T, q)
     outside = (selected < 0).any(axis=1) | (substituted < 0).any(axis=1)
     if outside.any():
-        K = picks[outside.argmax()].K
-        raise EmptySelectionError(f"selection left the span for sigma={spec.sigma}, K={list(K)}")
+        K = list(compress(J, in_K[outside.argmax()].tolist()))
+        raise EmptySelectionError(f"selection left the span for sigma={spec.sigma}, K={K}")
 
     # rows of J outside K move their gradient to the substitution cell
     selected_J = selected[:, J_rows - 1]
@@ -373,25 +284,6 @@ def expand(spec: PermutationSpec) -> TermTable:
     args[terms, :, selected_J] = 0.0
     args[terms, rows - 1, selected] = 1.0
     return TermTable(cells, J, in_K, sign, gamma, tau, grad, shift, args)
-
-
-@dataclass(frozen=True)
-class OrientationPoint:
-    """Initial per-row view before shifts: IBP cell and substitution cell."""
-
-    row: int
-    ibp_cell: Cell
-    substitution_cell: Optional[Cell]
-
-
-def orientation_points(spec: PermutationSpec) -> tuple[OrientationPoint, ...]:
-    J = set(crossing_set(spec))
-    out = []
-    for i in range(1, spec.n + 1):
-        si = spec.sigma_of(i)
-        sub = Cell(i, si + 1) if i in J else None
-        out.append(OrientationPoint(i, Cell(i, si), sub))
-    return tuple(out)
 
 
 def all_permutation_specs(n: int, horizon: float = 1.0) -> Iterator[PermutationSpec]:

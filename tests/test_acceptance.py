@@ -91,12 +91,14 @@ def test_criterion_01_golden_term_lists():
 
 
 def test_criterion_02_selection_non_overlap_exhaustive():
-    golden = json.loads(EXPAND_DIGESTS.read_text())["sha256"]
+    pinned = json.loads(EXPAND_DIGESTS.read_text())
+    golden, golden_table = pinned["sha256"], pinned["table_sha256"]
     with criterion(2, "all n<=7, all sigma, all K", 60.0) as state:
         n_specs = 0
         n_terms = 0
         for n in range(1, 8):
             digest = hashlib.sha256()
+            table_digest = hashlib.sha256()
             for sigma in itertools.permutations(range(1, n + 1)):
                 spec = uniform_spec(sigma)
                 terms = expand(spec)
@@ -109,12 +111,17 @@ def test_criterion_02_selection_non_overlap_exhaustive():
                 assert (np.diff(b_cells[:, :, 1], axis=1) > 0).all(), sigma
                 if n <= 6:  # serializing all 135,135 terms at n=7 would not fit the budget
                     digest.update(json.dumps(terms.to_dicts(), separators=(",", ":")).encode() + b"\n")
+                # gamma, tau and shift, which the term lists omit ("table_about" gives the recipe)
+                rows = [list(row) for row in zip(terms.gamma.tolist(), terms.tau.tolist(),
+                                                 terms.shift.tolist())]
+                table_digest.update(json.dumps(rows, separators=(",", ":")).encode() + b"\n")
             if n <= 6:
                 assert digest.hexdigest() == golden[str(n)], f"term lists at n={n} changed"
+            assert table_digest.hexdigest() == golden_table[str(n)], f"gamma/tau/shift at n={n} changed"
         state["ok"] = True
         state["detail"] = (
             f"{n_specs} schemes, {n_terms} terms, all column-disjoint; "
-            f"term lists for n<=6 match the pinned digests"
+            f"term lists for n<=6 and gamma/tau/shift for n<=7 match the pinned digests"
         )
 
 

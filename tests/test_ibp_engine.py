@@ -17,12 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from sheetsde.ibp_engine import (
     PermutationSpec,
-    all_permutation_specs,
-    assert_shift_lemmas,
     crossing_set,
     expand,
-    gamma_tau,
-    orientation_points,
     span,
     spec_variances,
     uniform_spec,
@@ -34,6 +30,12 @@ EXPAND_DIGESTS = Path(__file__).parent / "data" / "expand_digests.json"
 
 def b_set(term):
     return sorted((row, col) for row, col in term.b_cells.tolist())
+
+
+def k_row(terms, K):
+    """Index of the table row whose crossing subset is K."""
+    (k,) = [k for k, t in enumerate(terms) if t.K == K]
+    return k
 
 
 def span_cells(spec):
@@ -73,14 +75,16 @@ class TestGolden:
         assert got == GOLDEN_TWO
 
     def test_four_term_selected_assignment(self):
-        a = gamma_tau(uniform_spec((2, 1, 3)), {1})
-        assert (a.gamma[1], a.gamma[2], a.gamma[3]) == (2, 1, 1)
-        assert a.tau == {1: 3, 2: 3}
+        terms = expand(uniform_spec((2, 1, 3)))
+        k = k_row(terms, (1,))
+        assert terms.gamma[k].tolist() == [2, 1, 1]
+        assert terms.tau[k].tolist() == [3, 3]
 
     def test_two_term_empty_subset_columns(self):
-        a = gamma_tau(uniform_spec((3, 1, 2)), set())
-        assert a.gamma == {1: 3, 2: 1, 3: 1}
-        assert a.tau == {2: 2}
+        terms = expand(uniform_spec((3, 1, 2)))
+        k = k_row(terms, ())
+        assert terms.gamma[k].tolist() == [3, 1, 1]
+        assert terms.tau[k].tolist() == [2]
 
 
 class TestCrossingSet:
@@ -163,11 +167,11 @@ class TestExpand:
     def test_column_brackets_on_crossing_rows(self, sigma):
         # gamma_i <= sigma(i) < tau_i on every crossing row
         spec = uniform_spec(tuple(sigma))
-        J = crossing_set(spec)
-        for t in expand(spec):
-            for idx, i in enumerate(range(1, spec.n + 1)):
-                if i in J:
-                    assert t.gamma[idx] <= spec.sigma_of(i) < t.tau[i]
+        terms = expand(spec)
+        J = np.array(terms.crossing, dtype=int)
+        sigma_J = np.array(spec.sigma)[J - 1]
+        assert (terms.gamma[:, J - 1] <= sigma_J).all()
+        assert (sigma_J < terms.tau).all()
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_decreasing_single_term(self, n):
@@ -180,9 +184,9 @@ class TestExpand:
 
     def test_drift_argument_sets_cover_gamma_cell(self):
         terms = expand(uniform_spec((2, 1, 3)))
-        for t, d in zip(terms, terms.to_dicts()):
+        for gamma, d in zip(terms.gamma.tolist(), terms.to_dicts()):
             for idx, args in enumerate(d["b_arg_sets"]):
-                assert [idx + 1, t.gamma[idx]] in args
+                assert [idx + 1, gamma[idx]] in args
 
     def test_term_to_dict_shape(self):
         terms = expand(uniform_spec((2, 1, 3)))
@@ -222,45 +226,17 @@ class TestExpand:
             assert digest.hexdigest() == golden[str(n)], n
 
 
-class TestOrientationPoints:
-    def test_four_term_example(self):
-        pts = orientation_points(uniform_spec((2, 1, 3)))
-        assert [(p.ibp_cell, p.substitution_cell) for p in pts] == [
-            (Cell(1, 2), Cell(1, 3)),
-            (Cell(2, 1), Cell(2, 2)),
-            (Cell(3, 3), None),
-        ]
-
-    def test_two_term_example(self):
-        pts = orientation_points(uniform_spec((3, 1, 2)))
-        assert [(p.ibp_cell, p.substitution_cell) for p in pts] == [
-            (Cell(1, 3), None),
-            (Cell(2, 1), Cell(2, 2)),
-            (Cell(3, 2), None),
-        ]
-
-    def test_decreasing_all_singletons(self):
-        pts = orientation_points(uniform_spec((3, 2, 1)))
-        assert all(p.substitution_cell is None for p in pts)
-
-
 class TestShiftLemmas:
-    def test_exhaustive_small_orders(self):
-        for n in range(1, 5):
-            for spec in all_permutation_specs(n):
-                report = assert_shift_lemmas(spec)
-                assert report.ok, (spec.sigma, report.failures)
-
     def test_identity_two_points(self):
         # J = {1}; the substitution column of row 1 exists and equals 2
-        report = assert_shift_lemmas(uniform_spec((1, 2)), K=frozenset({1}))
-        tau_checks = [c for c in report.checks if c.role == "tau"]
-        assert tau_checks and tau_checks[0].chosen == 2
+        terms = expand(uniform_spec((1, 2)))
+        k = k_row(terms, (1,))
+        assert terms.tau[k].tolist() == [2]
 
     def test_decreasing_vacuous(self):
-        report = assert_shift_lemmas(uniform_spec((3, 2, 1)))
-        assert report.ok
-        assert all(c.role == "gamma" for c in report.checks)
+        # no crossing rows: one term and no substitution column
+        terms = expand(uniform_spec((3, 2, 1)))
+        assert terms.tau.shape == (1, 0)
 
 
 class TestSpecValidation:
@@ -271,10 +247,6 @@ class TestSpecValidation:
     def test_nonpermutation_rejected(self):
         with pytest.raises(ValueError):
             PermutationSpec(2, (1, 1), (0.5, 1.0), (0.5, 1.0))
-
-    def test_k_outside_crossing_set_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_tau(uniform_spec((3, 1, 2)), {1})
 
     def test_uniform_spec_times(self):
         spec = uniform_spec((2, 1), horizon=0.5)
