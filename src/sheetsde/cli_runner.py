@@ -70,9 +70,18 @@ from .shuffle_combinatorics import (
 SCHEMA_VERSION = "1"
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+
+
 def _json_line(obj) -> str:
-    """One line of compact JSON by json's C encoder; NaN or Infinity raise ValueError."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    """One line of compact JSON by json's C encoder; NaN or Infinity raise ValueError.
+
+    The encoder skips json's circular-reference walk: every record is a fresh
+    tree of dicts and lists built by a runner, so it holds no cycle (a cycle
+    would raise RecursionError instead of ValueError).  Shared subtrees are
+    fine; the bytes equal json.dumps with the same separators.
+    """
+    return _ENCODER.encode(obj)
 
 
 class ConfigError(ValueError):

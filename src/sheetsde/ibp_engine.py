@@ -213,8 +213,12 @@ class TermTable:
     def to_dicts(self) -> list[dict]:
         """JSON-ready view per term: K, sign, gradient cells, density cells, drift arguments.
 
-        One pass over the stacked arrays: each kind of cell list is one flat
-        list, cut per term, of the pairs of one cells.tolist().
+        One pass over the stacked arrays: gradient and density cells are one
+        flat list each, cut per term, of the pairs of one cells.tolist().  The
+        factors' drift arguments take few distinct rows, so each distinct
+        (n, m) argument row, keyed by its packed bits, becomes one list of
+        cells that every factor with that row shares.  Cell pairs and argument
+        lists are thus shared between terms: treat the result as read-only.
         """
         T, n = self.grad.shape
         cell = self.cells.tolist().__getitem__
@@ -222,9 +226,17 @@ class TermTable:
         density[np.arange(T)[:, None], self.grad] = False
         b_cells = list(map(cell, self.grad.ravel().tolist()))
         e_cells = list(map(cell, np.nonzero(density)[1].tolist()))
-        a_cells = list(map(cell, np.nonzero(self.args)[2].tolist()))
-        a_ends = np.cumsum(np.count_nonzero(self.args, axis=2)).tolist()
-        a_sets = [a_cells[lo:hi] for lo, hi in zip([0] + a_ends, a_ends)]
+        rows = self.args.reshape(T * n, -1)
+        packed = np.packbits(rows > 0, axis=1)
+        w = packed.shape[1]
+        buf = packed.tobytes()
+        keys = [buf[lo:lo + w] for lo in range(0, len(buf), w)]
+        where = dict(zip(keys, range(T * n)))  # distinct row -> one factor that has it
+        distinct = rows[list(where.values())]
+        d_cells = list(map(cell, np.nonzero(distinct)[1].tolist()))
+        d_ends = np.cumsum(np.count_nonzero(distinct, axis=1)).tolist()
+        arg_sets = {key: d_cells[lo:hi] for key, lo, hi in zip(where, [0] + d_ends, d_ends)}
+        a_sets = list(map(arg_sets.__getitem__, keys))
         e = len(e_cells) // T  # m - n density cells per term
         return [
             {

@@ -289,6 +289,39 @@ class TestRecordFormat:
         assert "\n" not in text
         assert text == json.dumps(dict(zip(RECORD_KEYS, values)), separators=(",", ":"))
 
+    # one cheap configuration per subcommand
+    CHEAP_CFGS = {
+        "sample-sheet": {"grid": "3x3", "dim": 2},
+        "expand-ibp": {"sigma": "3,1,4,2"},
+        "verify-ibp": {"sigma": "2,1", "method": "exact", "horizon": 0.25},
+        "verify-bound": {"trials": 2, "n_set": "2", "samples": 200, "allowed_failures": 2},
+        "verify-shuffle": {"kind": "nabla", "m": 2, "k": 1, "samples": 200},
+        "simplex-gamma": {"n": 1, "mc_samples": 2000},
+        "solve-sde": {"grid": "4x4", "scheme": "picard"},
+        "malliavin-check": {"grid": "4x4", "seed": 3},
+        "girsanov-check": {"grid": "4x4", "samples": 200, "drift": "sign"},
+    }
+
+    def test_cheap_configs_cover_every_subcommand(self):
+        assert sorted(self.CHEAP_CFGS) == sorted(cli_runner.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(CHEAP_CFGS))
+    def test_to_json_matches_default_encoder(self, command):
+        # the record encoder skips the cycle walk; the bytes must equal json.dumps,
+        # whose default encoder walks for cycles
+        rec = run(ExperimentConfig(command, self.CHEAP_CFGS[command]))
+        record = dict(zip(RECORD_KEYS, (rec.schema_version, rec.artifact_version, rec.command,
+                                        rec.seed, rec.inputs, rec.outputs, rec.passed,
+                                        rec.wall_time_s)))
+        assert rec.to_json() == json.dumps(record, separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_output_cannot_be_written(self, value):
+        rec = ResultRecord(command="x", seed=0, inputs={}, outputs={"estimate": [1.0, value]},
+                           passed=True, wall_time_s=0.0)
+        with pytest.raises(ValueError):
+            rec.to_json()
+
     def test_exit_codes(self):
         base = dict(command="x", seed=0, inputs={}, outputs={}, wall_time_s=0.0)
         assert ResultRecord(passed=None, **base).exit_code == 0

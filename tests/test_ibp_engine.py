@@ -140,6 +140,15 @@ class TestSpan:
         v = spec_variances(spec, np.array([[1, 1], [2, 2]]))
         assert v == pytest.approx([0.5 * 0.25, 0.5 * 0.75])
 
+# spans of more than 64 cells, whose drift-argument rows do not fit 64 bits: sigma -> (T, m,
+# distinct rows that a key of their first 64 cells would merge)
+WIDE_SIGMAS = {(9, 1, 2, 3, 4, 5, 6, 7, 8): (128, 73, 0), (2, 10, 9, 8, 1, 5, 7, 6, 3, 4): (16, 72, 2)}
+# three hand-picked sigmas (ids sigma0-2), every other sigma with n <= 5, and the wide ones
+ROW_VIEW_SIGMAS = [(2, 1, 3), (1, 2, 3, 4), (2, 4, 1, 5, 3)]
+ROW_VIEW_SIGMAS += [sigma for n in range(1, 6) for sigma in itertools.permutations(range(1, n + 1))
+                    if sigma not in ROW_VIEW_SIGMAS]
+ROW_VIEW_SIGMAS += list(WIDE_SIGMAS)
+
 
 class TestExpand:
     @given(st.integers(2, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
@@ -198,11 +207,16 @@ class TestExpand:
         assert len(d["B_cells"]) == 3
         assert all(len(c) == 2 for c in d["B_cells"])
 
-    @pytest.mark.parametrize("sigma", [(2, 1, 3), (1, 2, 3, 4), (2, 4, 1, 5, 3)])
+    @pytest.mark.parametrize("sigma", ROW_VIEW_SIGMAS)
     def test_dicts_match_row_views(self, sigma):
-        # the one-pass serializer against a cell-by-cell scan of each row view
+        # the one-pass serializer, which shares one list per distinct drift-argument
+        # row, against a cell-by-cell scan of each term's own row view
         terms = expand(uniform_spec(sigma))
         cells = terms.cells.tolist()
+        if sigma in WIDE_SIGMAS:
+            rows = np.unique(terms.args.reshape(-1, len(cells)), axis=0)
+            merged = len(rows) - len(np.unique(rows[:, :64], axis=0))
+            assert (len(terms), len(cells), merged) == WIDE_SIGMAS[sigma]
         for t, d in zip(terms, terms.to_dicts()):
             grad = t.grad.tolist()
             assert d == {
