@@ -52,6 +52,12 @@ def record_of(out: str) -> dict:
     return json.loads(out)
 
 
+def record_dict(rec: ResultRecord) -> dict:
+    """The record's fields under their JSON keys, in record order."""
+    return dict(zip(RECORD_KEYS, (rec.schema_version, rec.artifact_version, rec.command, rec.seed,
+                                  rec.inputs, rec.outputs, rec.passed, rec.wall_time_s)))
+
+
 def without_wall_time(text: str) -> str:
     """The record re-dumped with every key in its own order, wall_time_s dropped."""
     pairs = json.loads(text, object_pairs_hook=lambda pairs: pairs)
@@ -283,11 +289,9 @@ class TestRecordFormat:
 
     def test_to_json_is_one_compact_line(self):
         rec = run(ExperimentConfig("expand-ibp", {"sigma": "2,1,3"}))
-        values = (rec.schema_version, rec.artifact_version, rec.command, rec.seed, rec.inputs,
-                  rec.outputs, rec.passed, rec.wall_time_s)
         text = rec.to_json()
         assert "\n" not in text
-        assert text == json.dumps(dict(zip(RECORD_KEYS, values)), separators=(",", ":"))
+        assert text == json.dumps(record_dict(rec), separators=(",", ":"))
 
     # one cheap configuration per subcommand
     CHEAP_CFGS = {
@@ -310,10 +314,7 @@ class TestRecordFormat:
         # the record encoder skips the cycle walk; the bytes must equal json.dumps,
         # whose default encoder walks for cycles
         rec = run(ExperimentConfig(command, self.CHEAP_CFGS[command]))
-        record = dict(zip(RECORD_KEYS, (rec.schema_version, rec.artifact_version, rec.command,
-                                        rec.seed, rec.inputs, rec.outputs, rec.passed,
-                                        rec.wall_time_s)))
-        assert rec.to_json() == json.dumps(record, separators=(",", ":"))
+        assert rec.to_json() == json.dumps(record_dict(rec), separators=(",", ":"))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_output_cannot_be_written(self, value):

@@ -140,6 +140,7 @@ class TestSpan:
         v = spec_variances(spec, np.array([[1, 1], [2, 2]]))
         assert v == pytest.approx([0.5 * 0.25, 0.5 * 0.75])
 
+
 # spans of more than 64 cells, whose drift-argument rows do not fit 64 bits: sigma -> (T, m,
 # distinct rows that a key of their first 64 cells would merge)
 WIDE_SIGMAS = {(9, 1, 2, 3, 4, 5, 6, 7, 8): (128, 73, 0), (2, 10, 9, 8, 1, 5, 7, 6, 3, 4): (16, 72, 2)}
