@@ -38,12 +38,7 @@ from .kernels import (
     log_density,
 )
 from .integrators import (
-    DEFAULT_C1,
-    GammaBound,
     McEstimate,
-    TimeWindow,
-    corollary_rhs,
-    log_gamma,
     merge_estimates,
     monte_carlo,
     simplex_dirichlet_oracle,
@@ -79,12 +74,9 @@ from .shuffle_combinatorics import (
     sample_region_batch,
 )
 from .estimate_lab import (
-    CorollaryReport,
     DriftScalarFactor,
     IdentityReport,
     bump_factor,
-    corollary_check,
-    corollary_scaling_slope,
     davie_bound,
     direct_expectation,
     gaussian_factor,
@@ -111,20 +103,18 @@ from .sde_plane import (
 
 # the public surface, sorted; tests/test_package.py keeps it in step with the imports
 __all__ = [
-    "BlockIncreasingFamily", "Cell", "CorollaryReport", "DEFAULT_C0", "DEFAULT_C1",
-    "DegenerateGridError", "DegenerateTiesError", "DriftField", "DriftScalarFactor",
-    "EmptySelectionError", "GammaBound", "GridPartition",
-    "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
+    "BlockIncreasingFamily", "Cell", "DEFAULT_C0", "DegenerateGridError",
+    "DegenerateTiesError", "DriftField", "DriftScalarFactor", "EmptySelectionError",
+    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
-    "SolutionField", "SplitIndexFamily", "TermTable", "TimeWindow", "WeakComparison",
+    "SolutionField", "SplitIndexFamily", "TermTable", "WeakComparison",
     "abs_gradient_l1", "all_permutation_specs", "bump_factor",
-    "cameron_martin_shift", "coarsen", "constant_drift", "corollary_check",
-    "corollary_rhs", "corollary_scaling_slope", "crossing_set", "cumulative_values",
+    "cameron_martin_shift", "coarsen", "constant_drift", "crossing_set", "cumulative_values",
     "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
     "enumerate_split_family", "expand", "export_csv", "gaussian_factor",
     "geometric_grid", "gradient_component", "hermite_weight", "ibp_expectation",
-    "locate_cell_batch", "locate_cell_split_batch", "log_density", "log_gamma",
+    "locate_cell_batch", "locate_cell_split_batch", "log_density",
     "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",
     "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",

@@ -145,13 +145,6 @@ def _items(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
 
 
-def _parse_int_tuple(name: str, value) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in _items(value))
-    except (TypeError, ValueError):
-        raise ConfigError(name, f"expected comma-separated integers, got {value!r}")
-
-
 def _parse_count(name: str, value, minimum: int = 1) -> int:
     """Exact integer; float notation such as 1e6 is accepted when integral."""
     try:
@@ -170,6 +163,11 @@ def _parse_count(name: str, value, minimum: int = 1) -> int:
 
 
 _parse_nonnegative = partial(_parse_count, minimum=0)
+
+
+def _parse_counts(name: str, value) -> tuple[int, ...]:
+    """Comma-separated counts, each parsed as _parse_count parses one."""
+    return tuple(_parse_count(name, v) for v in _items(value))
 
 
 def _parse_seed(name: str, value) -> int:
@@ -225,7 +223,7 @@ def _parse_grid_shape(name: str, value) -> tuple[int, int]:
 
 
 def _parse_sigma(name: str, value) -> tuple[int, ...]:
-    sigma = _parse_int_tuple(name, value)
+    sigma = _parse_counts(name, value)
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ConfigError(name, f"not a permutation of 1..{n}: {sigma}")
@@ -295,7 +293,7 @@ _SIGMA = (
 _SAMPLES = Param("samples", "100000", _parse_count, "Monte Carlo samples (accepts 1e6).")
 _X0 = Param("x0", 0.0, _parse_float, "Initial value on the axes.")
 _DIM = Param("dim", 1, _parse_count, "Dimension of the sheet.")
-_SE_WIDTH = Param("se_width", 4.0, _parse_float, "Pass window in standard errors.")
+_SE_WIDTH = Param("se_width", 4.0, _parse_positive, "Pass window in standard errors.")
 
 
 def _build_grid(p: dict, default_shape: Optional[tuple[int, int]] = None) -> GridPartition:
@@ -597,7 +595,7 @@ COMMANDS: dict[str, Command] = {
     )),
     "verify-bound": Command(_run_verify_bound, (
         Param("trials", 50, _parse_count),
-        Param("n_set", "2,3", _parse_int_tuple, "Candidate n values."),
+        Param("n_set", "2,3", _parse_counts, "Candidate n values."),
         _SAMPLES,
         Param("allowed_failures", 1, _parse_nonnegative),
         *_BUMP,

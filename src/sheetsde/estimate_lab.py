@@ -3,9 +3,9 @@
 Provides the two independent routes to the same expectation: the direct
 evaluation of E[prod b'(sheet at the scheme points)] over the span cells,
 and the expanded form with undifferentiated drift factors and Hermite
-weights; plus the Davie-type product bound and the integrated Gamma-function
-corollary checks.  Each route runs by variance-reduced Monte Carlo, or, for
-a Gaussian drift factor, exactly, as a moment of a tilted Gaussian.
+weights; plus the Davie-type product bound.  Each route runs by
+variance-reduced Monte Carlo, or, for a Gaussian drift factor, exactly, as a
+moment of a tilted Gaussian.
 
 Both routes integrate over independent cell variables.  On the expansion
 side the substitution cells of crossing rows are handled by sampling the
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian_sheet import Key, stream
+from .brownian_sheet import Key
 from .ibp_engine import (
     IbpTerm,
     PermutationSpec,
@@ -33,15 +33,7 @@ from .ibp_engine import (
     spec_variances,
     staircase,
 )
-from .integrators import (
-    DEFAULT_C1,
-    GammaBound,
-    McEstimate,
-    TimeWindow,
-    concurrently,
-    corollary_rhs,
-    monte_carlo,
-)
+from .integrators import McEstimate, concurrently, monte_carlo
 from .kernels import DEFAULT_C0
 
 
@@ -279,16 +271,14 @@ def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
 
 
 def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
-                    budget: int = 100_000, seed: Key = 0, method: str = "mc",
-                    reduce_variance: bool = True) -> McEstimate:
+                    budget: int = 100_000, seed: Key = 0, method: str = "mc") -> McEstimate:
     """Signed sum of the expansion terms; term idx draws from key (seed, idx).
 
     Standard errors of the terms combine by root sum of squares.  Monte
     Carlo terms use the unbiased control-variate and antithetic reduction
-    by default and run on concurrently's pool of min(terms, CPUs) threads
-    (each owns its stream, so the sum is the serial one bit for bit).  The
-    exact method evaluates the whole term table at once and ignores budget,
-    seed and the flag.
+    and run on concurrently's pool of min(terms, CPUs) threads (each owns
+    its stream, so the sum is the serial one bit for bit).  The exact method
+    evaluates the whole term table at once and ignores budget and seed.
     """
     check_method(method, factor)
     variances = spec_variances(spec, span(spec))
@@ -298,7 +288,7 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
         return McEstimate(sum((terms.sign * values).tolist()), 0.0, 0)
     sampler = _gaussian_sampler(variances)
     ests = concurrently(*(
-        partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance),
+        partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance=True),
                 sampler, budget, (seed, idx))
         for idx, term in enumerate(terms)
     ))
@@ -307,13 +297,13 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     return McEstimate(total, std_error, sum(est.n_samples for est in ests))
 
 
-def davie_bound(spec: PermutationSpec, sup_norm: float, c0: float = DEFAULT_C0) -> float:
-    """Product bound (c0 ||b||)^n / prod sqrt(gap_s gap_t), gaps from the origin."""
+def davie_bound(spec: PermutationSpec, sup_norm: float) -> float:
+    """Product bound (DEFAULT_C0 ||b||)^n / prod sqrt(gap_s gap_t), gaps from the origin."""
     if sup_norm < 0.0:
         raise ValueError("sup_norm must be nonnegative")
     s = (0.0,) + spec.s_times
     t = (0.0,) + spec.t_times
-    log_val = spec.n * math.log(c0)
+    log_val = spec.n * math.log(DEFAULT_C0)
     if sup_norm == 0.0:
         return 0.0
     log_val += spec.n * math.log(sup_norm)
@@ -361,73 +351,3 @@ def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
     bound_ok = abs(ibp.mean) + se_width * ibp.std_error <= bound
     return IdentityReport(spec.sigma, direct, ibp, bound, gap, tol, identity_ok, bound_ok)
 
-
-# ---------------------------------------------------------------------------
-# integrated corollary checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    n: int
-    lhs: McEstimate
-    rhs: GammaBound
-    ratio: float
-    passed: bool
-
-
-def corollary_check(n: int, window: TimeWindow, factor: DriftScalarFactor,
-                    budget: int = 200, seed: Key = 0, c1: float = DEFAULT_C1) -> CorollaryReport:
-    """Window integral of |E[prod b']| over chain configurations vs the bound.
-
-    Outer Monte Carlo over the time simplex (both coordinates sorted,
-    identity pairing); the inner expectation is exact, so the factor must be
-    a gaussian_factor.  A smoke test, not a check: on TimeWindow(0.25, 0.75, 0.25, 0.75)
-    lhs/rhs is 1.3e-2, 2.9e-5, 3.0e-10 and 9.9e-18 at n = 1..4, so it cannot fail.
-    """
-    for bound_name in ("r", "s", "u", "t"):
-        if getattr(window, bound_name) is None:
-            raise ValueError(f"window bound {bound_name} required")
-    if not (window.r < window.s and window.u < window.t):
-        raise ValueError("window must satisfy r < s and u < t")
-
-    rng = stream(seed)
-    sigma = tuple(range(1, n + 1))
-    vals = np.empty(budget)
-    for it in range(budget):
-        s_times = np.sort(rng.uniform(window.r, window.s, size=n))
-        t_times = np.sort(rng.uniform(window.u, window.t, size=n))
-        spec = PermutationSpec(n, sigma, tuple(s_times), tuple(t_times))
-        vals[it] = abs(direct_expectation(spec, factor, "exact").mean)
-
-    volume = ((window.s - window.r) * (window.t - window.u) / math.factorial(n) ** 2) ** n
-    mean = float(vals.mean()) * volume
-    se = float(vals.std(ddof=1)) / math.sqrt(budget) * volume
-    lhs = McEstimate(mean, se, budget)
-    rhs = corollary_rhs("mD", n, 0, factor.sup_norm, window, c1)
-    ratio = lhs.mean / rhs.value if rhs.value > 0 else math.inf
-    return CorollaryReport(n, lhs, rhs, ratio, lhs.mean <= rhs.value)
-
-
-def corollary_scaling_slope(n: int, factor: DriftScalarFactor, budget: int = 300,
-                            seed: Key = 0, base_side: float = 0.25,
-                            n_windows: int = 3) -> float:
-    """Measured area-exponent of the window integral under side-halving.
-
-    For smooth drift with b'(0) != 0 the integrand tends to a constant on
-    shrinking windows anchored at the origin, so the integral scales like
-    area^n.  Log-log regression over halving windows; the same seed is
-    reused across windows so the outer configurations are common random
-    numbers and the sampling noise largely cancels in the slope.
-    """
-    if n_windows < 2:
-        raise ValueError("need at least two windows for a slope")
-    log_area = []
-    log_lhs = []
-    for level in range(n_windows):
-        side = base_side / 2.0 ** level
-        window = TimeWindow(r=0.0, s=side, u=0.0, t=side)
-        rep = corollary_check(n, window, factor, budget, seed)
-        log_area.append(2.0 * math.log(side))
-        log_lhs.append(math.log(rep.lhs.mean))
-    return float(np.polyfit(log_area, log_lhs, 1)[0])

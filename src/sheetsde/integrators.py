@@ -1,9 +1,8 @@
 """Monte Carlo plumbing shared by the estimators.
 
 Provides a shardable Monte Carlo driver with deterministic merging, a thread
-runner for independent passes, the closed form of the singular simplex
-integral, and the Gamma-function bounds that the rectangle-selection
-estimates are compared against.
+runner for independent passes, and the closed form of the singular simplex
+integral with an independent Dirichlet-sampling oracle for it.
 """
 
 from __future__ import annotations
@@ -16,19 +15,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .brownian_sheet import Key, stream
-from .kernels import DEFAULT_C0
-
-# ---------------------------------------------------------------------------
-# log Gamma
-# ---------------------------------------------------------------------------
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma defined for positive arguments, got {x}")
-    return math.lgamma(x)
-
 
 # ---------------------------------------------------------------------------
 # estimates
@@ -185,7 +171,7 @@ def concurrently(*calls: Callable[[], object]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# singular simplex integral and Gamma-function bounds
+# singular simplex integral
 # ---------------------------------------------------------------------------
 
 
@@ -201,7 +187,7 @@ def simplex_singular_integral(n: int, lower: float = 0.0, upper: float = 1.0) ->
         raise ValueError("n must be >= 1")
     if not upper > lower:
         raise ValueError("upper must exceed lower")
-    log_val = (n + 1) * log_gamma(0.5) - log_gamma((n + 1) / 2.0)
+    log_val = (n + 1) * math.lgamma(0.5) - math.lgamma((n + 1) / 2.0)
     return math.exp(log_val) * (upper - lower) ** ((n - 1) / 2.0)
 
 
@@ -230,94 +216,3 @@ def simplex_dirichlet_oracle(n: int, lower: float = 0.0, upper: float = 1.0,
     scale = (upper - lower) ** ((n - 1) / 2.0)
     return McEstimate(z * scale, z_se * scale, n_samples)
 
-
-#: default constant of the integrated corollary bounds: C0 * Gamma(1/2)^2
-DEFAULT_C1 = DEFAULT_C0 * math.pi
-
-RHS_KINDS = ("mD", "mD2", "mD3")
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """Bounds (r_bar, r, s) x (u_bar, u, t); unused entries stay None."""
-
-    r_bar: Optional[float] = None
-    r: Optional[float] = None
-    s: Optional[float] = None
-    u_bar: Optional[float] = None
-    u: Optional[float] = None
-    t: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class GammaBound:
-    n: int
-    k: int
-    kind: str
-    value: float
-
-
-def _gap(name: str, hi: Optional[float], lo: Optional[float]) -> float:
-    if hi is None or lo is None:
-        raise ValueError(f"window bound {name} missing for this bound kind")
-    gap = hi - lo
-    if gap <= 0.0:
-        raise ValueError(f"window gap {name} must be positive, got {gap}")
-    return gap
-
-
-def corollary_rhs(
-    kind: str,
-    n: int,
-    k: int,
-    norm_b: float,
-    window: TimeWindow,
-    c1: float = DEFAULT_C1,
-) -> GammaBound:
-    """Gamma-function upper bound for the integrated expansion estimates.
-
-    n = 0 is admitted for the mD kind as the degenerate empty-product case:
-    every n-th power collapses to 1 and the value is 1 / Gamma(1/2)^2.
-    """
-    if kind not in RHS_KINDS:
-        raise ValueError(f"kind must be one of {RHS_KINDS}, got {kind!r}")
-    if n < 0 or k < 0:
-        raise ValueError("need n >= 0 and k >= 0")
-    if norm_b < 0.0 or c1 <= 0.0:
-        raise ValueError("norm_b must be >= 0 and c1 > 0")
-
-    if kind == "mD":
-        if n == 0:
-            return GammaBound(0, 0, kind, math.exp(-2.0 * log_gamma(0.5)))
-        ds = _gap("s - r", window.s, window.r)
-        dt = _gap("t - u", window.t, window.u)
-        log_val = (
-            n * (math.log(c1) + _log_or_neg_inf(norm_b))
-            + 0.5 * n * math.log(ds)
-            + 0.5 * n * math.log(dt)
-            - 2.0 * log_gamma((n + 1) / 2.0)
-        )
-        return GammaBound(n, 0, kind, math.exp(log_val) if norm_b > 0 else 0.0)
-
-    if n < 1:
-        raise ValueError(f"kind {kind} needs n >= 1")
-    if k < 1:
-        raise ValueError(f"kind {kind} needs k >= 1")
-    m = k + n
-    denom = log_gamma((n + 1) / 2.0) + log_gamma((k + 1) / 2.0) + log_gamma((m + 1) / 2.0)
-    if kind == "mD2":
-        g1 = _gap("r - r_bar", window.r, window.r_bar)
-        g2 = _gap("s - r", window.s, window.r)
-        g3 = _gap("t - u_bar", window.t, window.u_bar)
-        log_gaps = 0.5 * n * math.log(g1) + 0.5 * k * math.log(g2) + 0.5 * m * math.log(g3)
-    else:  # mD3
-        g1 = _gap("s - r_bar", window.s, window.r_bar)
-        g2 = _gap("u - u_bar", window.u, window.u_bar)
-        g3 = _gap("t - u", window.t, window.u)
-        log_gaps = 0.5 * m * math.log(g1) + 0.5 * n * math.log(g2) + 0.5 * k * math.log(g3)
-    log_val = m * (math.log(c1) + _log_or_neg_inf(norm_b)) + log_gaps - denom
-    return GammaBound(n, k, kind, math.exp(log_val) if norm_b > 0 else 0.0)
-
-
-def _log_or_neg_inf(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf

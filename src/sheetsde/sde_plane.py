@@ -341,15 +341,16 @@ def _increment_sampler(grid: GridPartition, dim: int):
     return sampler
 
 
-def _sheet_mc_chunk(grid: GridPartition, dim: int, budget_bytes: int = 1 << 22) -> int:
-    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under budget.
+# bytes of one (batch, n_s, n_t, dim) float64 sheet chunk: 4 MiB keeps a chunk's
+# temporaries near cache size and bounds the memory of chunks in flight at once
+# (a paired pass runs one shard per chunk on the thread pool)
+_SHEET_CHUNK_BYTES = 1 << 22
 
-    The 4 MiB default keeps a chunk's temporaries near cache size and bounds
-    the memory of chunks in flight at once (a paired pass runs one shard per
-    chunk on the thread pool).
-    """
+
+def _sheet_mc_chunk(grid: GridPartition, dim: int) -> int:
+    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under _SHEET_CHUNK_BYTES."""
     per_sample = grid.n_s * grid.n_t * dim * 8
-    return max(1, budget_bytes // per_sample)
+    return max(1, _SHEET_CHUNK_BYTES // per_sample)
 
 
 def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,

@@ -249,6 +249,16 @@ class TestRunApi:
             run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": value}))
         assert info.value.field_name == "mc_samples"
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("verify-ibp", "sigma", [2.5, 1]),
+        ("verify-bound", "n_set", [2.7]),
+    ])
+    def test_count_lists_reject_non_integral(self, command, field, value):
+        # a config file's fractional entries were once truncated to the integer below
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig(command, {field: value}))
+        assert info.value.field_name == field
+
     @pytest.mark.parametrize("value", ["false", 0])
     def test_geometric_rejects_non_booleans(self, value):
         # bool("false") is True, so a config file's "false" once built a geometric grid
@@ -374,13 +384,27 @@ class TestCliExitCodes:
         (["solve-sde", "--grid", "4x4", "--x0", "nan"], "x0"),
         (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "inf"], "se_width"),
         (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "inf"], "se_width"),
+        (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "0"], "se_width"),
+        (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "-1"], "se_width"),
+        (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "0"], "se_width"),
+        (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "-1"], "se_width"),
     ])
     def test_non_finite_number_is_one(self, capsys, argv, field):
-        # NaN is not JSON, and an infinite SE width makes a gate that cannot fail
+        # NaN is not JSON, and an infinite or non-positive SE width makes a gate
+        # that cannot fail or cannot pass
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
-        assert f"{field}: must be finite" in captured.err
+        reason = "must be finite" if argv[-1] in ("nan", "inf") else "must be positive"
+        assert f"{field}: {reason}" in captured.err
+
+    @pytest.mark.parametrize("n_set", ["0", "-2", "2,0"])
+    def test_n_set_below_one_is_one(self, capsys, n_set):
+        # n = 0 and negative n once leaked numpy's messages, which named no field
+        code = main(["verify-bound", "--trials", "2", "--samples", "100", "--n-set", n_set])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: n_set: must be >= 1")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_output_is_one(self, capsys):

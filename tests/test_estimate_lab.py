@@ -1,4 +1,4 @@
-"""Direct-vs-expanded expectation checks, product bound, integrated bounds."""
+"""Direct-vs-expanded expectation checks and the product bound."""
 
 import dataclasses
 import json
@@ -23,8 +23,6 @@ from sheetsde.estimate_lab import (
     _term_integrand,
     _tilted_moments,
     bump_factor,
-    corollary_check,
-    corollary_scaling_slope,
     davie_bound,
     direct_expectation,
     gaussian_factor,
@@ -41,7 +39,7 @@ from sheetsde.ibp_engine import (
     staircase,
     uniform_spec,
 )
-from sheetsde.integrators import McEstimate, TimeWindow, monte_carlo
+from sheetsde.integrators import McEstimate, monte_carlo
 
 # reference factor of the Monte Carlo route and the pinned data
 BUMP = bump_factor(scale=1.0, width=2.5, center=0.25)
@@ -375,34 +373,6 @@ class TestVerifyIdentity:
         report = verify_identity(spec, GAUSS, method="exact")
         assert report.identity_gap == pytest.approx(abs(report.direct.mean - report.ibp.mean))
         assert report.bound == davie_bound(spec, GAUSS.sup_norm)
-
-
-class TestCorollary:
-    WINDOW = TimeWindow(r=0.25, s=0.75, u=0.25, t=0.75)
-
-    def test_single_order_bounded(self):
-        report = corollary_check(1, self.WINDOW, GAUSS, budget=150, seed=1)
-        assert report.passed
-        assert report.lhs.mean <= report.rhs.value
-        assert report.ratio == pytest.approx(report.lhs.mean / report.rhs.value)
-
-    def test_third_order_bounded(self):
-        # a smoke test: lhs/rhs is 3.0e-10 here, so the gate cannot fail
-        report = corollary_check(3, self.WINDOW, GAUSS, budget=100, seed=2)
-        assert report.passed
-        assert 0.0 < report.lhs.mean <= report.rhs.value
-
-    def test_zero_drift_lhs_zero(self):
-        report = corollary_check(1, self.WINDOW, gaussian_factor(scale=0.0), budget=60, seed=0)
-        assert report.lhs.mean == 0.0
-
-    def test_needs_a_gaussian_factor(self):
-        with pytest.raises(ValueError, match="needs a gaussian_factor"):
-            corollary_check(1, self.WINDOW, BUMP, budget=10, seed=0)
-
-    def test_window_scaling_slope_single_order(self):
-        slope = corollary_scaling_slope(1, GAUSS, budget=200, seed=3)
-        assert abs(slope - 1.0) <= 0.15
 
 
 class TestExactRoute:

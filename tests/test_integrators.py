@@ -1,4 +1,4 @@
-"""Monte Carlo and Gamma-function backends."""
+"""Monte Carlo driver, thread runner and the singular simplex integral."""
 
 import math
 import sys
@@ -9,19 +9,14 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
 
 from sheetsde import integrators
 from sheetsde.brownian_sheet import stream
 from sheetsde.integrators import (
     _MC_BLOCK,
     _MC_CHUNK,
-    DEFAULT_C1,
     McEstimate,
-    TimeWindow,
     concurrently,
-    corollary_rhs,
-    log_gamma,
     merge_estimates,
     monte_carlo,
     simplex_dirichlet_oracle,
@@ -66,24 +61,6 @@ def chunk_reference(f, sampler, n, seed, chunk):
         m2 += bm2 + delta * delta * count * m / new_count
         count = new_count
     return McEstimate(mean, math.sqrt(m2 / (count * (count - 1))), count)
-
-
-class TestLogGamma:
-    def test_against_scipy_on_working_range(self):
-        xs = np.linspace(0.5, 50.0, 997)
-        ours = np.array([log_gamma(x) for x in xs])
-        ref = gammaln(xs)
-        assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-13
-
-    def test_gamma_half(self):
-        assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_gamma_factorial(self):
-        assert math.exp(log_gamma(6.0)) == pytest.approx(120.0, rel=1e-13)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
 
 
 class TestMonteCarlo:
@@ -296,39 +273,3 @@ class TestSimplexIntegral:
         with pytest.raises(ValueError):
             simplex_singular_integral(1, 1.0, 1.0)
 
-
-class TestCorollaryRhs:
-    def test_unit_mD_value(self):
-        w = TimeWindow(r=0.0, s=1.0, u=0.0, t=1.0)
-        got = corollary_rhs("mD", 2, 0, 1.0, w, c1=1.0)
-        assert got.value == pytest.approx(4.0 / math.pi, rel=1e-13)
-
-    def test_degenerate_order_zero(self):
-        w = TimeWindow(r=0.0, s=1.0, u=0.0, t=1.0)
-        assert corollary_rhs("mD", 0, 0, 1.0, w, c1=1.0).value == pytest.approx(
-            1.0 / math.pi, rel=1e-13
-        )
-
-    def test_monotone_decreasing_in_n(self):
-        w = TimeWindow(r=0.0, s=1.0, u=0.0, t=1.0)
-        vals = [corollary_rhs("mD", n, 0, 1.0, w, c1=1.0).value for n in range(2, 9)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_split_kinds_evaluate(self):
-        w = TimeWindow(r_bar=0.0, r=0.5, s=1.0, u_bar=0.0, u=0.5, t=1.0)
-        for kind in ("mD2", "mD3"):
-            got = corollary_rhs(kind, 2, 1, 0.7, w, c1=DEFAULT_C1)
-            assert got.value > 0.0
-            assert got.kind == kind
-
-    def test_missing_window_bound_rejected(self):
-        with pytest.raises(ValueError):
-            corollary_rhs("mD", 2, 0, 1.0, TimeWindow(r=0.0, s=1.0))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            corollary_rhs("mD4", 1, 1, 1.0, TimeWindow(r=0.0, s=1.0, u=0.0, t=1.0))
-
-    def test_zero_drift_gives_zero(self):
-        w = TimeWindow(r=0.0, s=1.0, u=0.0, t=1.0)
-        assert corollary_rhs("mD", 2, 0, 0.0, w).value == 0.0

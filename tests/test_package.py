@@ -7,9 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONSTRUCTORS = {"Philox", "SeedSequence", "default_rng", "RandomState"}
-# the deleted seed helpers, spelled in parts so that a grep for them over the
-# repository finds no live use, this check included
-DELETED = re.compile("derive" + "_seed|keyed" + "_generator")
+# the deleted seed helpers and integrated-bound chain, spelled in parts so that
+# a grep for them over the repository finds no live use, this check included
+DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Time" + "Window"
+                     "|Gamma" + "Bound|RHS" + "_KINDS|DEFAULT" + "_C1|log" + "_gamma")
 
 
 def test_star_import_binds_no_module():
@@ -31,7 +32,7 @@ def test_all_is_the_sorted_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert sheetsde.__all__ == public
-    assert len(public) == 81
+    assert len(public) == 73
 
 
 def _constructor_calls(path: Path) -> list[tuple[str, str]]:
@@ -56,10 +57,16 @@ def _constructor_calls(path: Path) -> list[tuple[str, str]]:
 
 
 def test_stream_is_the_only_generator_constructor():
-    # one seed-stream mechanism: any other constructor, or the old derived
-    # seeds, would bring back streams that are not independent by construction
+    # one seed-stream mechanism: any other constructor would bring back
+    # streams that are not independent by construction
     files = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("scripts").glob("*.py")])
     calls = [call for path in files for call in _constructor_calls(path)]
     assert set(calls) == {("src/sheetsde/brownian_sheet.py", "stream")}
+
+
+def test_deleted_names_stay_deleted():
+    # neither code nor tests nor the README may bring a deleted name back
+    files = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("scripts").glob("*.py"),
+                    *ROOT.joinpath("tests").glob("*.py"), ROOT / "README.md"])
     stale = [path.name for path in files if DELETED.search(path.read_text())]
     assert stale == []
