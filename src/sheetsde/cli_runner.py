@@ -166,8 +166,11 @@ _parse_nonnegative = partial(_parse_count, minimum=0)
 
 
 def _parse_counts(name: str, value) -> tuple[int, ...]:
-    """Comma-separated counts, each parsed as _parse_count parses one."""
-    return tuple(_parse_count(name, v) for v in _items(value))
+    """Comma-separated counts, at least one, each parsed as _parse_count parses one."""
+    counts = tuple(_parse_count(name, v) for v in _items(value))
+    if not counts:  # only a config file's empty list gets here
+        raise ConfigError(name, "needs at least one value")
+    return counts
 
 
 def _parse_seed(name: str, value) -> int:

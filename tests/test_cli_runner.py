@@ -252,9 +252,12 @@ class TestRunApi:
     @pytest.mark.parametrize("command, field, value", [
         ("verify-ibp", "sigma", [2.5, 1]),
         ("verify-bound", "n_set", [2.7]),
+        ("verify-ibp", "sigma", []),
+        ("verify-bound", "n_set", []),
     ])
-    def test_count_lists_reject_non_integral(self, command, field, value):
-        # a config file's fractional entries were once truncated to the integer below
+    def test_count_lists_reject_bad_entries(self, command, field, value):
+        # a config file's fractional entries were once truncated to the integer
+        # below, and its empty lists leaked numpy's messages, which named no field
         with pytest.raises(ConfigError) as info:
             run(ExperimentConfig(command, {field: value}))
         assert info.value.field_name == field
