@@ -34,7 +34,6 @@ from .kernels import (
     abs_gradient_l1,
     density,
     gradient_component,
-    hermite_weight,
     log_density,
 )
 from .integrators import (
@@ -85,14 +84,12 @@ from .estimate_lab import (
 )
 from .sde_plane import (
     DriftField,
-    MalliavinField,
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
     WeakComparison,
     constant_drift,
     malliavin_adjoint,
-    malliavin_solve,
     paired_weak_expectation,
     sign_drift,
     solve_euler,
@@ -105,7 +102,7 @@ from .sde_plane import (
 __all__ = [
     "BlockIncreasingFamily", "Cell", "DEFAULT_C0", "DegenerateGridError",
     "DegenerateTiesError", "DriftField", "DriftScalarFactor", "EmptySelectionError",
-    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "MalliavinField", "McEstimate",
+    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
     "SolutionField", "SplitIndexFamily", "TermTable", "WeakComparison",
@@ -113,9 +110,9 @@ __all__ = [
     "cameron_martin_shift", "coarsen", "constant_drift", "crossing_set", "cumulative_values",
     "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
     "enumerate_split_family", "expand", "export_csv", "gaussian_factor",
-    "geometric_grid", "gradient_component", "hermite_weight", "ibp_expectation",
+    "geometric_grid", "gradient_component", "ibp_expectation",
     "locate_cell_batch", "locate_cell_split_batch", "log_density",
-    "malliavin_adjoint", "malliavin_solve", "membership_batch", "merge_estimates",
+    "malliavin_adjoint", "membership_batch", "merge_estimates",
     "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",

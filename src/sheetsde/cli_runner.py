@@ -536,8 +536,8 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     sol = solve_euler(grid, drift, x0, SheetSample(grid, 1, np.stack((sheet.increments, *shifted))))
     fd = float((sol.values[1, -1, -1, 0] - sol.values[2, -1, -1, 0]) / (2.0 * eps))
 
-    terminal = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[0]))
-    predicted = float(np.sum(terminal[..., 0, 0] * hdot[..., 0] * grid.areas()))
+    cells, _ = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[0]))
+    predicted = float(np.sum(cells[..., 0, 0] * hdot[..., 0] * grid.areas()))
     rel_err = abs(predicted - fd) / max(abs(fd), 1e-300)
     return {
         "grid": f"{grid.n_s}x{grid.n_t}",
@@ -625,7 +625,7 @@ COMMANDS: dict[str, Command] = {
     "malliavin-check": Command(_run_malliavin_check, (
         *_DRIFT, _X0,
         Param("eps", 1e-4, _parse_positive, "Cameron-Martin shift size."),
-        Param("tolerance", None, _parse_float, "Allowed relative error; default eps**2."),
+        Param("tolerance", None, _parse_positive, "Allowed relative error; default eps**2."),
         *_grid("32x32"),
     )),
     "girsanov-check": Command(_run_girsanov_check, (
@@ -686,7 +686,8 @@ def _resolve_params(ctx: click.Context, kwargs: dict) -> dict:
 
 
 # click types for parameters whose default is None; others follow their default
-_NONE_DEFAULT_TYPES = {_parse_count: click.INT, _parse_float: click.FLOAT, _parse_path: click.Path()}
+_NONE_DEFAULT_TYPES = {_parse_count: click.INT, _parse_float: click.FLOAT, _parse_positive: click.FLOAT,
+                       _parse_path: click.Path()}
 
 
 def _option(param: Param) -> click.Option:

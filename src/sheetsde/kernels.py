@@ -1,10 +1,10 @@
 """Per-cell Gaussian heat kernels and their first-derivative factors.
 
 The kernel attached to a grid cell of area v is the centered d-dimensional
-Gaussian density with covariance v * I.  The expansion machinery only ever
-needs the density, the single-coordinate gradient, its L1 norm, and the
-Hermite weight gradient/density = -z_l / v; everything is evaluated in log
-space with a single exponentiation at the end.
+Gaussian density with covariance v * I.  The module gives the density, the
+single-coordinate gradient and its L1 norm, evaluated in log space with a
+single exponentiation at the end.  The Hermite weight gradient/density =
+-z_l / v needs no exponential; estimate_lab forms it inline.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ def gradient_component(cell: KernelCell, z, l: int) -> np.ndarray:
     if not 0 <= l < cell.dim:
         raise ValueError(f"component {l} out of range for dim {cell.dim}")
     return -(pts[..., l] / cell.variance) * density(cell, pts)
-
-
-def hermite_weight(cell: KernelCell, z, l: int) -> np.ndarray:
-    """gradient / density = -z_l / v, safe for any z (no exponentials)."""
-    pts = _as_points(cell, z)
-    if not 0 <= l < cell.dim:
-        raise ValueError(f"component {l} out of range for dim {cell.dim}")
-    return -pts[..., l] / cell.variance
 
 
 def abs_gradient_l1(cell: KernelCell, l: int = 0) -> float:

@@ -6,17 +6,18 @@ Euler scheme (drift frozen at each cell's lower-left grid state, solved in
 one forward pass) and a Picard iteration of the integral map with the drift
 read at the cell's upper-right grid state, which differs from Euler at
 O(mesh) and therefore supports mesh-order comparisons.  On top of the flow
-live the Malliavin-derivative recursion (forward for one base point, whose
-base at the origin is the flow derivative in x0, and adjoint for every base
-at once) and the weak solution's two estimators, the Girsanov reweighting of
-the driftless field and the Euler chain, paired on the same sheets.
+live one Malliavin-derivative recursion, the adjoint sweep that gives the
+terminal derivative for every base cell and, from the same sweep, the flow
+derivative in x0, and the weak solution's two estimators, the Girsanov
+reweighting of the driftless field and the Euler chain, paired on the same
+sheets.
 
 solve_euler takes a sheet sample with leading sample axes and integrates
 every sheet of the batch in one row sweep; malliavin-check solves its base
-sheet and both Cameron-Martin shifts that way.  solve_picard,
-malliavin_solve and malliavin_adjoint take one sheet and raise ValueError,
-naming the leading shape, on a batch.  Both solvers raise ValueError when
-the solution is not finite.
+sheet and both Cameron-Martin shifts that way.  solve_picard and
+malliavin_adjoint take one sheet and raise ValueError, naming the leading
+shape, on a batch.  Both solvers raise ValueError when the solution is not
+finite.
 """
 
 from __future__ import annotations
@@ -144,18 +145,6 @@ class SolutionField:
         return self.values.shape[:-3]
 
 
-@dataclass(frozen=True)
-class MalliavinField:
-    """Matrix field D based at grid point (u, v); identity on the base edges.
-
-    values[i, j] is meaningful for i >= u and j >= v and zero elsewhere.
-    """
-
-    grid: GridPartition
-    base: tuple[int, int]
-    values: np.ndarray  # (n_s + 1, n_t + 1, d, d)
-
-
 def _one_sheet(name: str, batch_shape: tuple[int, ...]) -> None:
     if batch_shape:
         raise ValueError(f"{name} takes one sheet, got leading sample shape {batch_shape}")
@@ -261,43 +250,23 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
     )
 
 
-def malliavin_solve(grid: GridPartition, drift: DriftField, solution: SolutionField,
-                    base: tuple[int, int] = (0, 0)) -> MalliavinField:
-    """Derivative field with respect to the sheet, based at grid point (u, v)."""
-    jac = drift.require_jacobian()
-    _one_sheet("malliavin_solve", solution.batch_shape)
-    u, v = base
-    n_s, n_t = grid.n_s, grid.n_t
-    if not (0 <= u <= n_s and 0 <= v <= n_t):
-        raise ValueError(f"base {base} outside grid")
-    d = solution.dim
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    areas = grid.areas()
+def malliavin_adjoint(grid: GridPartition, drift: DriftField,
+                      solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal derivative for every base cell, and in x0, from one backward sweep.
 
-    dvals = np.zeros((n_s + 1, n_t + 1, d, d))
-    eye = np.eye(d)
-    dvals[u, v:] = eye
-    dvals[u:, v] = eye
-    for i in range(u + 1, n_s + 1):
-        states = solution.values[i - 1, v:n_t]  # (n_t - v, d), corners (i-1, j-1)
-        jacs = jac(s_knots[i - 1], t_knots[v:n_t], states)  # (n_t - v, d, d)
-        m = np.einsum("jab,jbc->jac", jacs, dvals[i - 1, v:n_t]) * areas[i - 1, v:n_t, None, None]
-        dvals[i, v + 1:] = dvals[i - 1, v + 1:] + np.cumsum(m, axis=0)
-    return MalliavinField(grid, (u, v), dvals)
-
-
-def malliavin_adjoint(grid: GridPartition, drift: DriftField, solution: SolutionField) -> np.ndarray:
-    """Terminal derivative for every base cell from one backward sweep.
-
-    Returns G of shape (n_s, n_t, d, d) with G[a, b] equal to
-    malliavin_solve(..., base=(a + 1, b + 1)).values[-1, -1], in
-    O(n_s n_t d^3) work instead of one forward solve per cell.  The sweep
-    carries lam[j] = dX_end / dD[i, j], the sensitivity of the terminal value
-    to row i of the recursion, from the top row down (adjoint method: Giles &
+    Returns (cells, flow).  cells, shape (n_s, n_t, d, d), holds at [a, b] the
+    derivative of X_end with respect to the sheet, based at grid point
+    (a + 1, b + 1); flow, shape (d, d), is dX_end / dx0.  Both take
+    O(n_s n_t d^3) work.  The derivative field D based at (u, v) is the
+    identity on row u and column v from the base on and follows the
+    linearized Euler row recursion beyond them.  The sweep carries
+    lam[j] = dX_end / dD[i, j], the sensitivity of the terminal value to row i
+    of that recursion, from the top row down (adjoint method: Giles &
     Glasserman, "Smoking adjoints", Risk 2006).  A base (i, k) sets row i to
-    the identity from column k on, so G[i-1, k-1] is the sum of lam[j] over
-    j >= k; stepping to row i - 1 adds the transpose of the forward row map.
+    the identity from column k on, so cells[i-1, k-1] is the sum of lam[j]
+    over j >= k; stepping to row i - 1 adds the transpose of the row map.
+    The base (0, 0) sets all of row 0, so flow is the sum of lam over every
+    column after the last step.
     """
     jac = drift.require_jacobian()
     _one_sheet("malliavin_adjoint", solution.batch_shape)
@@ -309,13 +278,13 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField, solution: Solution
     kernel = jac(s_knots[:-1, None], t_knots[:-1], solution.values[:-1, :-1])
     kernel = kernel * grid.areas()[:, :, None, None]
 
-    out = np.empty((n_s, n_t, d, d))
+    cells = np.empty((n_s, n_t, d, d))
     lam = np.zeros((n_t + 1, d, d))
     lam[n_t] = np.eye(d)
     for i in range(n_s, 0, -1):
-        out[i - 1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
-        lam[:n_t] += np.einsum("jab,jbc->jac", out[i - 1], kernel[i - 1])
-    return out
+        cells[i - 1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
+        lam[:n_t] += np.einsum("jab,jbc->jac", cells[i - 1], kernel[i - 1])
+    return cells, lam.sum(axis=0)
 
 
 def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -292,6 +292,10 @@ class TestRunApi:
         with pytest.raises(ConfigError) as info:
             run(ExperimentConfig("malliavin-check", {"grid": "4x4", "eps": eps}))
         assert info.value.field_name == "eps"
+        # a relative error is never below a non-positive tolerance
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("malliavin-check", {"grid": "4x4", "tolerance": eps}))
+        assert info.value.field_name == "tolerance"
 
 
 class TestRecordFormat:
@@ -391,10 +395,12 @@ class TestCliExitCodes:
         (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "-1"], "se_width"),
         (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "0"], "se_width"),
         (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "-1"], "se_width"),
+        (["malliavin-check", "--grid", "4x4", "--tolerance", "0"], "tolerance"),
+        (["malliavin-check", "--grid", "4x4", "--tolerance", "-1"], "tolerance"),
     ])
     def test_non_finite_number_is_one(self, capsys, argv, field):
-        # NaN is not JSON, and an infinite or non-positive SE width makes a gate
-        # that cannot fail or cannot pass
+        # NaN is not JSON, and an infinite or non-positive SE width or
+        # tolerance makes a gate that cannot fail or cannot pass
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from sheetsde.kernels import (
@@ -13,7 +13,6 @@ from sheetsde.kernels import (
     abs_gradient_l1,
     density,
     gradient_component,
-    hermite_weight,
     log_density,
 )
 
@@ -52,15 +51,6 @@ def test_gradient_vanishes_at_origin():
 def test_gradient_reference_value():
     want = -math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     assert gradient_component(KernelCell(1.0), 1.0, 0) == pytest.approx(want, rel=1e-14)
-
-
-@given(variances, args)
-@settings(max_examples=60)
-def test_hermite_weight_factorization(v, z):
-    cell = KernelCell(v)
-    lhs = float(hermite_weight(cell, z, 0) * density(cell, z))
-    rhs = float(gradient_component(cell, z, 0))
-    assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
 
 
 def test_gradient_matches_finite_differences():

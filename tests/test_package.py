@@ -7,10 +7,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONSTRUCTORS = {"Philox", "SeedSequence", "default_rng", "RandomState"}
-# the deleted seed helpers and integrated-bound chain, spelled in parts so that
-# a grep for them over the repository finds no live use, this check included
+# the deleted seed helpers, integrated-bound chain, forward derivative recursion
+# and unused kernel weight, spelled in parts so that a grep for them over the
+# repository finds no live use, this check included
 DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Time" + "Window"
-                     "|Gamma" + "Bound|RHS" + "_KINDS|DEFAULT" + "_C1|log" + "_gamma")
+                     "|Gamma" + "Bound|RHS" + "_KINDS|DEFAULT" + "_C1|log" + "_gamma"
+                     "|malliavin" + "_solve|Malliavin" + "Field|hermite" + "_weight")
 
 
 def test_star_import_binds_no_module():
@@ -32,7 +34,7 @@ def test_all_is_the_sorted_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert sheetsde.__all__ == public
-    assert len(public) == 73
+    assert len(public) == 70
 
 
 def _constructor_calls(path: Path) -> list[tuple[str, str]]:

@@ -20,7 +20,6 @@ from sheetsde.integrators import monte_carlo
 from sheetsde.plane_geometry import geometric_grid, uniform_grid
 from sheetsde.sde_plane import (
     DriftField,
-    MalliavinField,
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
@@ -30,7 +29,6 @@ from sheetsde.sde_plane import (
     _sheet_mc_chunk,
     constant_drift,
     malliavin_adjoint,
-    malliavin_solve,
     paired_weak_expectation,
     sign_drift,
     solve_euler,
@@ -229,11 +227,16 @@ def tanh_matrix_drift(m) -> DriftField:
 def picard_series(grid, drift, solution, base=(0, 0), depth=4):
     """Picard-series truncation of the derivative field plus its tail bound.
 
-    The series iterates the kernel-application map starting from the
-    identity; truncating after `depth` applications leaves a tail dominated
-    by (sup|b'| * area)^{depth+1} / ((depth+1)!)^2, the factorial-squared
-    decay of nested two-parameter simplices.  An independent oracle for
-    malliavin_solve's row recursion.
+    Returns the (n_s + 1, n_t + 1, d, d) field based at grid point `base`,
+    zero outside the quadrant of the base, and the tail bound.  The series
+    iterates the kernel-application map starting from the identity;
+    truncating after `depth` applications leaves a tail dominated by
+    (sup|b'| * area)^{depth+1} / ((depth+1)!)^2, the factorial-squared decay
+    of nested two-parameter simplices.  Each application shifts the support
+    by one row and one column, so from depth min(n_s - u, n_t - v) on the
+    series is the whole field up to round-off.  An independent oracle for
+    malliavin_adjoint's backward sweep: it never forms the adjoint's row
+    sensitivities.
     """
     jac = drift.require_jacobian()
     u, v = base
@@ -266,7 +269,7 @@ def picard_series(grid, drift, solution, base=(0, 0), depth=4):
     sup_jac = float(np.max(np.abs(jac_field))) * d
     area_total = (grid.s_max - s_knots[u]) * (grid.t_max - t_knots[v])
     tail = (sup_jac * area_total) ** (depth + 1) / math.factorial(depth + 1) ** 2
-    return MalliavinField(grid, (u, v), total), tail
+    return total, tail
 
 
 class TestBatch:
@@ -293,8 +296,6 @@ class TestBatch:
         shape = r"got leading sample shape \(2,\)"
         with pytest.raises(ValueError, match="solve_picard takes one sheet, " + shape):
             solve_picard(grid, drift, 0.2, SheetSample(grid, 1, z))
-        with pytest.raises(ValueError, match="malliavin_solve takes one sheet, " + shape):
-            malliavin_solve(grid, drift, sol)
         with pytest.raises(ValueError, match="malliavin_adjoint takes one sheet, " + shape):
             malliavin_adjoint(grid, drift, sol)
 
@@ -316,31 +317,21 @@ class TestBatch:
             solve_euler(grid, drift, 1e308, SheetSample(grid, 1, np.stack((pulled, zero))))
 
 
+def exact_series(grid, drift, solution, base=(0, 0)):
+    """The derivative field based at `base`: picard_series at the depth where it ends."""
+    u, v = base
+    return picard_series(grid, drift, solution, base, depth=min(grid.n_s - u, grid.n_t - v))[0]
+
+
 class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
         sheet = sample(grid, dim=2, seed=3)
         sol = solve_euler(grid, zero_drift(2), 0.0, sheet)
-        field = malliavin_solve(grid, zero_drift(2), sol, base=(2, 3))
-        eye = np.eye(2)
-        for i in range(7):
-            for j in range(6):
-                want = eye if (i >= 2 and j >= 3) else np.zeros((2, 2))
-                assert np.array_equal(field.values[i, j], want), (i, j)
-
-    def test_base_guard(self):
-        grid = uniform_grid(4, 4, 1.0, 1.0)
-        sheet = sample(grid, dim=1, seed=0)
-        sol = solve_euler(grid, zero_drift(1), 0.0, sheet)
-        with pytest.raises(ValueError):
-            malliavin_solve(grid, zero_drift(1), sol, base=(5, 0))
-
-    def test_requires_jacobian(self):
-        grid = uniform_grid(4, 4, 1.0, 1.0)
-        sheet = sample(grid, dim=1, seed=0)
-        sol = solve_euler(grid, sign_drift(), 0.0, sheet)
-        with pytest.raises(MissingJacobianError):
-            malliavin_solve(grid, sign_drift(), sol)
+        cells, flow = malliavin_adjoint(grid, zero_drift(2), sol)
+        assert cells.shape == (6, 5, 2, 2)
+        assert np.array_equal(cells, np.broadcast_to(np.eye(2), cells.shape))
+        assert np.array_equal(flow, np.eye(2))
 
     def test_directional_derivative_identity(self):
         # sum of per-cell derivative kernels against the shift density equals
@@ -357,11 +348,8 @@ class TestMalliavin:
         dn = solve_euler(grid, drift, 0.2, cameron_martin_shift(sheet, hdot, -eps))
         fd = float((up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * eps))
         areas = np.outer(grid.s_gaps(), grid.t_gaps())
-        predicted = 0.0
-        for a in range(grid.n_s):
-            for b in range(grid.n_t):
-                deriv = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1))
-                predicted += float(deriv.values[-1, -1, 0, 0]) * hdot[a, b, 0] * areas[a, b]
+        cells, _ = malliavin_adjoint(grid, drift, sol)
+        predicted = math.fsum((cells[..., 0, 0] * hdot[..., 0] * areas).ravel())
         assert abs(predicted - fd) <= 1e-8 * abs(fd)
 
     @pytest.mark.parametrize("grid, drift", [
@@ -369,31 +357,39 @@ class TestMalliavin:
         (geometric_grid(6, 8, 1.0, 1.0), tanh_matrix_drift([[0.7, -1.1], [0.4, 0.9]])),
     ], ids=["tanh-1d-geometric", "tanh-matrix-2d"])
     def test_adjoint_matches_per_cell_solve(self, grid, drift):
-        # every cell's terminal derivative against its own forward solve; the
-        # non-symmetric 2-d Jacobian fails a transposed product in the sweep
+        # every cell's terminal derivative, and the flow derivative in x0,
+        # against the series of its own base; the non-symmetric 2-d Jacobian
+        # fails a transposed product in the sweep
         sheet = sample(grid, dim=drift.dim, seed=5)
         sol = solve_euler(grid, drift, 0.2, sheet)
-        adjoint = malliavin_adjoint(grid, drift, sol)
-        assert adjoint.shape == (grid.n_s, grid.n_t, drift.dim, drift.dim)
+        cells, flow = malliavin_adjoint(grid, drift, sol)
+        assert cells.shape == (grid.n_s, grid.n_t, drift.dim, drift.dim)
+        assert flow.shape == (drift.dim, drift.dim)
         for a in range(grid.n_s):
             for b in range(grid.n_t):
-                want = malliavin_solve(grid, drift, sol, base=(a + 1, b + 1)).values[-1, -1]
-                err = np.linalg.norm(adjoint[a, b] - want)
+                want = exact_series(grid, drift, sol, base=(a + 1, b + 1))[-1, -1]
+                err = np.linalg.norm(cells[a, b] - want)
                 assert err <= 1e-12 * np.linalg.norm(want), (a, b)
+        want = exact_series(grid, drift, sol)[-1, -1]
+        assert np.linalg.norm(flow - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_adjoint_matches_linear_drift_closed_form(self):
         # under b(x) = a x the derivative is the same on every sheet:
-        # G[i, j] = sum_k (a A)^k C(n_s - i - 1, k) C(n_t - j - 1, k)
+        # G[i, j] = sum_k (a A)^k C(n_s - i - 1, k) C(n_t - j - 1, k), and the
+        # flow derivative is the same sum from the origin, i = j = -1
         n_s, n_t, a = 9, 6, -0.8
         grid = uniform_grid(n_s, n_t, 1.0, 1.5)
         aa = a * 1.5 / (n_s * n_t)
         exact = np.array([[math.fsum(aa ** k * math.comb(n_s - i - 1, k) * math.comb(n_t - j - 1, k)
                                      for k in range(min(n_s - i, n_t - j)))
                            for j in range(n_t)] for i in range(n_s)])
+        exact_flow = math.fsum(aa ** k * math.comb(n_s, k) * math.comb(n_t, k)
+                               for k in range(min(n_s, n_t) + 1))
         for seed in (0, 1):
             sol = solve_euler(grid, linear_drift(a), 0.2, sample(grid, dim=1, seed=seed))
-            adjoint = malliavin_adjoint(grid, linear_drift(a), sol)[..., 0, 0]
-            assert np.max(np.abs(adjoint - exact) / np.abs(exact)) <= 1e-12
+            cells, flow = malliavin_adjoint(grid, linear_drift(a), sol)
+            assert np.max(np.abs(cells[..., 0, 0] - exact) / np.abs(exact)) <= 1e-12
+            assert abs(flow[0, 0] - exact_flow) <= 1e-12 * abs(exact_flow)
 
     def test_adjoint_requires_jacobian(self):
         grid = uniform_grid(4, 4, 1.0, 1.0)
@@ -415,48 +411,55 @@ class TestMalliavin:
         drift = tanh_drift(0.8, 1.2, 1)
         sheet = sample(grid, dim=1, seed=11)
         sol = solve_euler(grid, drift, 0.1, sheet)
-        exact = malliavin_solve(grid, drift, sol, base=(1, 2))
-        approx, tail = picard_series(grid, drift, sol, base=(1, 2), depth=8)
+        cells, _ = malliavin_adjoint(grid, drift, sol)
+        # base (1, 2): each map application shifts the support one row and one
+        # column, so the terms after min(8 - 1, 8 - 2) = 6 are exact zeros
+        series, _ = picard_series(grid, drift, sol, base=(1, 2), depth=6)
+        deeper, tail = picard_series(grid, drift, sol, base=(1, 2), depth=8)
+        assert np.array_equal(series, deeper)
         assert tail <= 1e-10
-        assert np.max(np.abs(approx.values - exact.values)) <= tail + 1e-10
+        want = cells[0, 1, 0, 0]
+        assert abs(series[-1, -1, 0, 0] - want) <= 1e-12 * abs(want)
 
     def test_series_tail_decreases(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
         drift = tanh_drift(1.0, 1.0, 1)
         sheet = sample(grid, dim=1, seed=1)
         sol = solve_euler(grid, drift, 0.0, sheet)
-        exact = malliavin_solve(grid, drift, sol)
+        _, flow = malliavin_adjoint(grid, drift, sol)
+        exact = exact_series(grid, drift, sol)
+        assert abs(exact[-1, -1, 0, 0] - flow[0, 0]) <= 1e-12 * abs(flow[0, 0])
         errs, tails = [], []
         for depth in (2, 5):
             approx, tail = picard_series(grid, drift, sol, depth=depth)
-            errs.append(float(np.max(np.abs(approx.values - exact.values))))
+            errs.append(float(np.max(np.abs(approx - exact))))
             tails.append(tail)
         assert tails[1] < tails[0]
-        # the recursion sits inside both truncations' tail bounds, nearer the deeper one
+        # the whole field sits inside both truncations' tail bounds, nearer the deeper one
         assert errs[0] <= tails[0] and errs[1] <= tails[1]
         assert errs[1] < errs[0]
 
 
 class TestFlowDerivative:
-    # the flow derivative in x0 is the derivative field based at the origin
+    # the flow derivative in x0 comes from the adjoint sweep's last row
     def test_zero_drift_identity(self):
         grid = uniform_grid(5, 5, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=2)
         sol = solve_euler(grid, zero_drift(1), 0.4, sheet)
-        field = malliavin_solve(grid, zero_drift(1), sol, base=(0, 0))
-        assert np.all(field.values == 1.0)
+        _, flow = malliavin_adjoint(grid, zero_drift(1), sol)
+        assert np.array_equal(flow, [[1.0]])
 
     def test_matches_fd_in_x0(self):
         grid = uniform_grid(12, 12, 1.0, 1.0)
         drift = tanh_drift(0.9, 1.1, 1)
         sheet = sample(grid, dim=1, seed=8)
         sol = solve_euler(grid, drift, 0.3, sheet)
-        field = malliavin_solve(grid, drift, sol, base=(0, 0))
+        _, flow = malliavin_adjoint(grid, drift, sol)
         h = 1e-5
         up = solve_euler(grid, drift, 0.3 + h, sheet)
         dn = solve_euler(grid, drift, 0.3 - h, sheet)
         fd = (up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * h)
-        assert field.values[-1, -1, 0, 0] == pytest.approx(fd, rel=1e-5)
+        assert flow[0, 0] == pytest.approx(fd, rel=1e-5)
 
     def test_mesh_stability(self):
         fine = sample(uniform_grid(32, 32, 1.0, 1.0), dim=1, seed=13)
@@ -466,7 +469,7 @@ class TestFlowDerivative:
             sheet = coarsen(fine, factor)
             grid = sheet.grid
             sol = solve_euler(grid, drift, 0.2, sheet)
-            vals.append(float(malliavin_solve(grid, drift, sol, base=(0, 0)).values[-1, -1, 0, 0]))
+            vals.append(float(malliavin_adjoint(grid, drift, sol)[1][0, 0]))
         assert 0.8 <= vals[1] / vals[0] <= 1.25
 
 
