@@ -23,12 +23,15 @@ the 4-SE identity gate, and weak_mc 19 (op 0), which has passed since
 girsanov-check draws its estimators from one paired pass.  They are reported
 as they fall, never re-seeded around.
 
-A tree is a directory holding a checkout, or a git revision of the
-repository this script sits in, which is extracted with ``git archive`` into
-a temporary directory.  Usage, from the root of a checkout:
+A tree is a git revision of the repository this script sits in, which is
+extracted with ``git archive`` into a temporary directory, or a directory
+holding a checkout.  Compare two revisions: a working directory differs from
+a fresh archive in more than its source (build and cache files, for one), and
+that alone has moved peak_rss_mb and ops_per_s.  Given one directory and one
+revision, the script warns on stderr and marks the output
+"mixed_tree_kinds": true.  Usage, from the root of a checkout:
 
     python3 scripts/bench_pair.py --parent HEAD~1 --change HEAD --out BENCH.json
-    python3 scripts/bench_pair.py --parent HEAD~1 --change . --out BENCH.json
 
 Each run lasts the benchmark's own run_seconds (BENCHMARK.json of the change tree).
 """
@@ -73,6 +76,11 @@ def materialise(tree: str, workdir: Path) -> tuple[Path, dict]:
     with tarfile.open(fileobj=BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
     return target, {"revision": tree, "git_commit": commit}
+
+
+def mixed_tree_kinds(*trees: str) -> bool:
+    """Whether some of the trees are directories and the others git revisions."""
+    return len({Path(tree).is_dir() for tree in trees}) > 1
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -150,10 +158,14 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="parent tree: directory or git revision")
-    ap.add_argument("--change", default=str(ROOT), help="change tree: directory or git revision")
+    ap.add_argument("--parent", required=True, help="parent tree: git revision or directory")
+    ap.add_argument("--change", default="HEAD", help="change tree: git revision or directory")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
+    mixed = mixed_tree_kinds(args.parent, args.change)
+    if mixed:
+        print("warning: one tree is a directory and the other a git revision; "
+              "their runs compare unlike trees", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
@@ -168,6 +180,7 @@ def main() -> int:
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds} --trace 0",
             "sides": sides,
+            "mixed_tree_kinds": mixed,
             "workloads": {},
         }
         for workload, seeds in SEEDS.items():

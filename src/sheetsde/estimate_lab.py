@@ -7,11 +7,14 @@ weights; plus the Davie-type product bound.  Each route runs by
 variance-reduced Monte Carlo, or, for a Gaussian drift factor, exactly, as a
 moment of a tilted Gaussian.
 
-Both routes integrate over independent cell variables.  On the expansion
-side the substitution cells of crossing rows are handled by sampling the
-substituted coordinates: the raw variable of the substitution cell is the
-kernel argument z[tau] - z[gamma], so drift arguments add the gamma
-variable back wherever a substitution cell appears.
+Both routes read the independent cell variables x ~ N(0, diag v) only
+through a few rows: the direct integrand through the n sheet values
+staircase @ x; an expansion term through its n drift arguments (a
+substitution cell's raw variable is the kernel argument z[tau] - z[gamma],
+so the gamma variable is added back wherever one appears) and its n Hermite
+factors -x_g / v_g.  The exact route takes these rows as they are; the Monte
+Carlo route samples their joint Gaussian law directly, from min(m, rows)
+normals per sample instead of all m cell variables.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .brownian_sheet import Key
 from .ibp_engine import (
-    IbpTerm,
     PermutationSpec,
     TermTable,
     expand,
@@ -110,73 +112,60 @@ def gaussian_factor(scale: float = 1.0, center: float = 0.25, width: float = 0.8
 # ---------------------------------------------------------------------------
 
 
-def _direct_integrand(coeffs: np.ndarray, factor: DriftScalarFactor):
-    """prod_i b'(sheet value at point i); coeffs is the staircase matrix of the span."""
-
-    def f(x: np.ndarray) -> np.ndarray:
-        w = x @ coeffs.T  # (m, n) sheet values at the scheme points
-        return np.prod(factor.b_prime(w), axis=-1)
-
-    return f
+def _direct_integrand(factor: DriftScalarFactor):
+    """prod_i b'(y_i) over the (n, b) sheet values y at the scheme points."""
+    return lambda y: np.prod(factor.b_prime(y), axis=0)
 
 
-def _term_coeffs(args: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """(..., n, m) drift arguments in the raw variables, z[c] - z[shift[c]] where shift[c] >= 0.
-
-    Takes one term's args (n, m) and shift (m,), or a table's stacked (T, n, m) and (T, m).
-    """
-    *terms, cells = np.nonzero(shift >= 0)
-    coeffs = args.copy()
-    coeffs[(*terms, slice(None), shift[(*terms, cells)])] += args[(*terms, slice(None), cells)]
-    return coeffs
-
-
-def _term_integrand(term: IbpTerm, factor: DriftScalarFactor, variances: np.ndarray,
-                    reduce_variance: bool = False):
-    """Integrand of one expansion term in the raw (substituted) variables.
+def _term_integrand(n: int, factor: DriftScalarFactor, reduce_variance: bool = False):
+    """Integrand of an expansion term on its (2n, b) marginal: n drift arguments over n Hermite factors.
 
     With reduce_variance the exactly-mean-zero control b(0)^n * prod(weights)
-    is subtracted (the gradient cells are distinct independent coordinates,
-    so the weight product integrates to zero against any constant) and the
-    evaluation is antithetic in x; both transformations are unbiased.  The
-    mirrored half reuses the draw: at -x the drift arguments are exactly
-    -args and the weight product is exactly (-1)^|grad| times the weights,
-    so the result equals 0.5 * (raw(x) + raw(-x)) bit for bit.
+    is subtracted (the Hermite factors -x_g / v_g sit at distinct independent
+    cells g) and the evaluation is antithetic in y; both are unbiased.  At -y
+    the drift arguments are exactly -args and the weight product is exactly
+    (-1)^n times the weights, so the result equals 0.5 * (raw(y) + raw(-y)) bit for bit.
     """
-    coeffs = _term_coeffs(term.args, term.shift)
-    b_idx = term.grad
-    b_var = variances[b_idx]
+    b0n = float(factor.b(np.zeros(1))[0]) ** n if reduce_variance else 0.0
 
-    def raw(x: np.ndarray) -> np.ndarray:
-        return np.prod(factor.b(x @ coeffs.T), axis=-1) * np.prod(-x[:, b_idx] / b_var, axis=-1)
-
-    if not reduce_variance:
-        return raw
-
-    b0n = float(factor.b(np.zeros(1))[0]) ** len(b_idx)
-    odd = len(b_idx) % 2 == 1
-
-    def f(x: np.ndarray) -> np.ndarray:
-        args = x @ coeffs.T
-        weights = np.prod(-x[:, b_idx] / b_var, axis=-1)
-        vals = (np.prod(factor.b(args), axis=-1) - b0n) * weights
-        if odd:
+    def f(y: np.ndarray) -> np.ndarray:
+        weights = np.prod(y[n:], axis=0)
+        vals = (np.prod(factor.b(y[:n]), axis=0) - b0n) * weights
+        if not reduce_variance:
+            return vals
+        if n % 2:
             np.negative(weights, out=weights)
-        mirrored = (np.prod(factor.b(np.negative(args, out=args)), axis=-1) - b0n) * weights
+        mirrored = (np.prod(factor.b(-y[:n]), axis=0) - b0n) * weights
         return 0.5 * (vals + mirrored)
 
     return f
 
 
-def _gaussian_sampler(variances: np.ndarray):
-    std = np.sqrt(variances)
+def _term_rows(terms: TermTable, variances: np.ndarray) -> np.ndarray:
+    """(T, 2n, m) rows of each term in x: drift arguments (the cell shift[c] added back wherever a
+    substitution cell c appears) over the Hermite loadings -e_g / v_g of its gradient cells g."""
+    T, n = terms.grad.shape
+    rows = np.zeros((T, 2 * n, len(variances)))
+    rows[:, :n] = terms.args
+    t, cells = np.nonzero(terms.shift >= 0)
+    rows[t, :n, terms.shift[t, cells]] += terms.args[t, :, cells]
+    rows[np.arange(T)[:, None], np.arange(n, 2 * n), terms.grad] = -1.0 / variances[terms.grad]
+    return rows
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, std.shape[0]))
-        z *= std
-        return z
 
-    return sampler
+def _marginal_factor(rows: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """(..., r, k) F = R^T of (rows sqrt(v))^T = QR, k = min(m, r): F F^T = rows diag(v) rows^T.
+
+    So y = F eta, eta ~ N(0, I_k), has the law of rows @ x for x ~ N(0, diag v), whatever the
+    rank of the rows (Glasserman 2003, section 2.3).
+    """
+    scaled = np.swapaxes(rows * np.sqrt(variances), -1, -2)
+    return np.swapaxes(np.linalg.qr(scaled, mode="r"), -1, -2)
+
+
+def _marginal_sampler(root: np.ndarray):
+    """Draws of y = F eta as (r, size) rows, from k standard normals per sample."""
+    return lambda rng, size: root @ rng.standard_normal((root.shape[1], size))
 
 
 def _tilted_moments(coeffs: np.ndarray, variances: np.ndarray, gaussian: tuple[float, float, float],
@@ -232,10 +221,9 @@ def _isserlis_levels(p: int) -> tuple[tuple[np.ndarray, ...], ...]:
 def _exact_terms(terms: TermTable, gaussian: tuple[float, float, float],
                  variances: np.ndarray) -> np.ndarray:
     """(T,) unsigned expansion terms: Hermite weights -x_g / v_g as the affine factors."""
-    T, n = terms.grad.shape
-    loadings = np.zeros((T, n, len(variances)))
-    loadings[np.arange(T)[:, None], np.arange(n), terms.grad] = -1.0 / variances[terms.grad]
-    return _tilted_moments(_term_coeffs(terms.args, terms.shift), variances, gaussian, loadings)
+    n = terms.grad.shape[1]
+    rows = _term_rows(terms, variances)
+    return _tilted_moments(rows[:, :n], variances, gaussian, rows[:, n:])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,8 @@ def direct_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
         value = _tilted_moments(stair[None], variances, factor.gaussian, -stair[None] / w ** 2,
                                 c / w ** 2)
         return McEstimate(float(value[0]), 0.0, 0)
-    return monte_carlo(_direct_integrand(stair, factor), _gaussian_sampler(variances), budget, seed)
+    sampler = _marginal_sampler(_marginal_factor(stair, variances))
+    return monte_carlo(_direct_integrand(factor), sampler, budget, seed)
 
 
 def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
@@ -286,11 +275,10 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     if method == "exact":
         values = _exact_terms(terms, factor.gaussian, variances)
         return McEstimate(sum((terms.sign * values).tolist()), 0.0, 0)
-    sampler = _gaussian_sampler(variances)
+    integrand = _term_integrand(spec.n, factor, reduce_variance=True)
     ests = concurrently(*(
-        partial(monte_carlo, _term_integrand(term, factor, variances, reduce_variance=True),
-                sampler, budget, (seed, idx))
-        for idx, term in enumerate(terms)
+        partial(monte_carlo, integrand, _marginal_sampler(root), budget, (seed, idx))
+        for idx, root in enumerate(_marginal_factor(_term_rows(terms, variances), variances))
     ))
     total = sum(term.sign * est.mean for term, est in zip(terms, ests))
     std_error = math.sqrt(sum(est.std_error ** 2 for est in ests))

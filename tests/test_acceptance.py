@@ -126,7 +126,7 @@ def test_criterion_02_selection_non_overlap_exhaustive():
 
 
 def test_criterion_03_ibp_identity_exact_and_mc():
-    with criterion(3, "direct vs expanded expectation", 600.0) as state:
+    with criterion(3, "direct vs expanded expectation", 100.0) as state:
         # exact half: every sigma with n <= 6 under the Gaussian factor, both time sets
         gauss = gaussian_factor()
         worst_rel = 0.0
@@ -166,7 +166,7 @@ def test_criterion_03_ibp_identity_exact_and_mc():
 
 
 def test_criterion_04_product_bound_random_sweep():
-    with criterion(4, "bound domination on 50 random configs", 600.0) as state:
+    with criterion(4, "bound domination on 50 random configs", 6.0) as state:
         rec = run(ExperimentConfig("verify-bound", {
             "trials": 50, "n_set": "2,3", "samples": 100_000,
             "allowed_failures": 1, "seed": 0,
@@ -192,7 +192,7 @@ def test_criterion_05_gradient_l1_oracle():
 
 
 def test_criterion_06_shuffle_partition_and_identity():
-    with criterion(6, "shuffle partition, cell-sum identity, counts", 300.0) as state:
+    with criterion(6, "shuffle partition, cell-sum identity, counts", 40.0) as state:
         regions = [
             (RegionDescriptor("nabla", 1), 2),
             (RegionDescriptor("nabla", 2), 2),
@@ -306,7 +306,7 @@ def test_criterion_09_malliavin_identity_and_direction():
 
 
 def test_criterion_10_girsanov_weak_agreement():
-    with criterion(10, "reweighted vs simulated weak solution", 600.0) as state:
+    with criterion(10, "reweighted vs simulated weak solution", 30.0) as state:
         samples = 100_000
         phi = lambda x: np.tanh(x[..., 0])
         # corner-frozen Girsanov has the Euler chain's law at every mesh, so the

@@ -19,8 +19,10 @@ from sheetsde.estimate_lab import (
     IdentityReport,
     _direct_integrand,
     _exact_terms,
-    _gaussian_sampler,
+    _marginal_factor,
+    _marginal_sampler,
     _term_integrand,
+    _term_rows,
     _tilted_moments,
     bump_factor,
     davie_bound,
@@ -46,13 +48,15 @@ BUMP = bump_factor(scale=1.0, width=2.5, center=0.25)
 # the exact route's factor
 GAUSS = gaussian_factor()
 
-# exact integrand values at fixed points, all sigma with n <= 4; regenerate with
-#     PYTHONPATH=src python tests/test_estimate_lab.py
-# only when a change to the integrands is intended
+# exact integrand values at fixed points x, all sigma with n <= 4, as the integrands
+# over the raw cell variables computed them; the marginal integrands, evaluated at
+# y = rows @ x, must reproduce them, so this file is never regenerated
 INTEGRANDS = Path(__file__).parent / "data" / "integrand_values.json"
 
-# exact Monte Carlo estimates of both routes, regenerated by the same command;
-# the larger budget crosses a chunk boundary of integrators.monte_carlo
+# exact Monte Carlo estimates of both routes; regenerate with
+#     PYTHONPATH=src python tests/test_estimate_lab.py
+# only when a change to the sampling is intended; the larger budget crosses a
+# chunk boundary of integrators.monte_carlo
 ESTIMATES = Path(__file__).parent / "data" / "ibp_estimates.json"
 # unsigned exact terms, all sigma with n <= 4, as the scalar per-term route computed them
 EXACT_TERMS = Path(__file__).parent / "data" / "exact_terms.json"
@@ -194,11 +198,13 @@ def integrand_values() -> dict:
         for spec in all_permutation_specs(n):
             cells = span(spec)
             variances = spec_variances(spec, cells)
-            x = probe_points(variances)
+            x = probe_points(variances).T
+            terms = expand(spec)
+            raw = _term_integrand(n, BUMP)
             values[",".join(map(str, spec.sigma))] = {
-                "direct": _direct_integrand(staircase(spec, cells), BUMP)(x).tolist(),
-                "terms": [(t.sign * _term_integrand(t, BUMP, variances)(x)).tolist()
-                          for t in expand(spec)],
+                "direct": _direct_integrand(BUMP)(staircase(spec, cells) @ x).tolist(),
+                "terms": [(sign * raw(rows @ x)).tolist()
+                          for sign, rows in zip(terms.sign, _term_rows(terms, variances))],
             }
     return values
 
@@ -242,31 +248,31 @@ class TestPinnedEstimates:
         assert mc_estimates() == json.loads(ESTIMATES.read_text())
 
 
-def two_draw_antithetic(term, factor, variances):
-    """The antithetic integrand evaluated as 0.5 * (raw(x) + raw(-x)), controls included."""
-    substitution = np.flatnonzero(term.shift >= 0)
-    coeffs = term.args.copy()
-    coeffs[:, term.shift[substitution]] += term.args[:, substitution]
-    b0n = float(factor.b(np.zeros(1))[0]) ** len(term.grad)
+def two_draw_antithetic(n, factor):
+    """The antithetic integrand evaluated as 0.5 * (raw(y) + raw(-y)), controls included."""
+    b0n = float(factor.b(np.zeros(1))[0]) ** n
 
-    def raw(x):
-        vals = np.prod(factor.b(x @ coeffs.T), axis=-1) - b0n
-        return vals * np.prod(-x[:, term.grad] / variances[term.grad], axis=-1)
+    def raw(y):
+        return (np.prod(factor.b(y[:n]), axis=0) - b0n) * np.prod(y[n:], axis=0)
 
-    return lambda x: 0.5 * (raw(x) + raw(-x))
+    return lambda y: 0.5 * (raw(y) + raw(-y))
+
+
+def term_estimates(spec, factor, budget, seed) -> list:
+    """ibp_expectation's Monte Carlo term passes, one after the other."""
+    variances = spec_variances(spec, span(spec))
+    integrand = _term_integrand(spec.n, factor, True)
+    factors = _marginal_factor(_term_rows(expand(spec), variances), variances)
+    return [monte_carlo(integrand, _marginal_sampler(f), budget, (seed, idx))
+            for idx, f in enumerate(factors)]
 
 
 def serial_ibp(spec, factor, budget, seed) -> McEstimate:
     """ibp_expectation's Monte Carlo route, one term pass after the other."""
-    variances = spec_variances(spec, span(spec))
-    total, var_sum, n_used = 0.0, 0.0, 0
-    for idx, term in enumerate(expand(spec)):
-        est = monte_carlo(_term_integrand(term, factor, variances, True),
-                          _gaussian_sampler(variances), budget, (seed, idx))
-        total += term.sign * est.mean
-        var_sum += est.std_error ** 2
-        n_used += est.n_samples
-    return McEstimate(total, math.sqrt(var_sum), n_used)
+    ests = term_estimates(spec, factor, budget, seed)
+    total = sum(term.sign * est.mean for term, est in zip(expand(spec), ests))
+    std_error = math.sqrt(sum(est.std_error ** 2 for est in ests))
+    return McEstimate(total, std_error, sum(est.n_samples for est in ests))
 
 
 class TestOneDrawAntithetic:
@@ -274,12 +280,77 @@ class TestOneDrawAntithetic:
     def test_equals_two_draw_form(self, sigma, parity):
         spec = uniform_spec(sigma)
         variances = spec_variances(spec, span(spec))
-        x = _gaussian_sampler(variances)(stream(4), 3000)
-        for term in expand(spec):
-            assert len(term.grad) % 2 == parity
-            got = _term_integrand(term, BUMP, variances, reduce_variance=True)(x)
-            want = two_draw_antithetic(term, BUMP, variances)(x)
-            assert np.array_equal(got, want)
+        terms = expand(spec)
+        assert spec.n % 2 == parity and terms.grad.shape[1] == spec.n
+        want = two_draw_antithetic(spec.n, BUMP)
+        got = _term_integrand(spec.n, BUMP, reduce_variance=True)
+        for f in _marginal_factor(_term_rows(terms, variances), variances):
+            y = _marginal_sampler(f)(stream(4), 3000)
+            assert np.array_equal(got(y), want(y))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_even_factor_cancels_every_odd_term_pass(self, n):
+        # bump_factor() is even, so at odd n the mirrored half is exactly minus
+        # the first: a pairing off by one draw or one sign leaves a nonzero sample
+        even = bump_factor()
+        n_passes = 0
+        for spec in all_permutation_specs(n):
+            for est in term_estimates(spec, even, 64, 9):
+                assert (est.mean, est.std_error, est.n_samples) == (0.0, 0.0, 64), spec.sigma
+                n_passes += 1
+        assert n_passes == {3: 15, 5: 945}[n]
+
+
+def factor_gap(factor, rows, variances) -> float:
+    """max |F F^T - rows V rows^T| relative to max |rows V rows^T|; inf for a mis-shaped F."""
+    want = (rows * variances) @ np.swapaxes(rows, -1, -2)
+    if factor.shape[:-1] != rows.shape[:-1]:
+        return math.inf
+    got = factor @ np.swapaxes(factor, -1, -2)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def factor_cases(low: int = 1):
+    """(sigma, rows, variances): the direct rows and the term table of every sigma, low <= n <= 6."""
+    for n in range(low, 7):
+        for spec in all_permutation_specs(n):
+            cells = span(spec)
+            variances = spec_variances(spec, cells)
+            yield spec.sigma, staircase(spec, cells), variances
+            yield spec.sigma, _term_rows(expand(spec), variances), variances
+
+
+class TestMarginalFactor:
+    def test_factor_reproduces_the_marginal_covariance(self):
+        n_cases = 0
+        for sigma, rows, variances in factor_cases():
+            factor = _marginal_factor(rows, variances)
+            assert factor.shape[-1] == min(rows.shape[-2:]), sigma
+            assert factor_gap(factor, rows, variances) <= 1e-12, sigma
+            n_cases += 1
+        assert n_cases == 2 * 873
+
+    def test_transposed_factor_and_dropped_root_fail(self):
+        # at n = 1 the factor is a scalar and the one cell has unit variance
+        n_cases = 0
+        for sigma, rows, variances in factor_cases(low=2):
+            factor = _marginal_factor(rows, variances)
+            assert factor_gap(np.swapaxes(factor, -1, -2), rows, variances) > 1e-12, sigma
+            no_root = np.swapaxes(np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r"), -1, -2)
+            assert factor_gap(no_root, rows, variances) > 1e-12, sigma
+            n_cases += 1
+        assert n_cases == 2 * 872
+
+    def test_samples_have_the_marginal_covariance(self):
+        # 4e5 draws of a 2n = 8 row term marginal: the sample covariance is
+        # within 5 of its standard errors of rows V rows^T, entry by entry
+        spec = uniform_spec((2, 1, 4, 3))
+        variances = spec_variances(spec, span(spec))
+        rows = _term_rows(expand(spec), variances)[-1]
+        y = _marginal_sampler(_marginal_factor(rows, variances))(stream(12), 400_000)
+        want = (rows * variances) @ rows.T
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want ** 2) / y.shape[1])
+        assert np.all(np.abs(np.cov(y) - want) <= 5.0 * se)
 
 
 class TestConcurrentPasses:
@@ -465,5 +536,4 @@ class TestExactIdentityMutants:
 
 
 if __name__ == "__main__":
-    INTEGRANDS.write_text(json.dumps(integrand_values()) + "\n")
     ESTIMATES.write_text(json.dumps(mc_estimates(), indent=1) + "\n")

@@ -80,3 +80,11 @@ def test_bench_pair_flags_only_shifts_beyond_the_parent_iqr():
     assert (narrow["change_wins"], narrow["median_shift_beyond_parent_iqr"]) == (10, None)
     loss = summarise(pairs(10.0), {"ops_per_s": "lower"})["metrics"]["ops_per_s"]
     assert (loss["change_wins"], loss["median_shift_beyond_parent_iqr"]) == (0, "loss")
+
+
+def test_bench_pair_marks_a_directory_against_a_revision(tmp_path):
+    mixed_tree_kinds = load_script("bench_pair").mixed_tree_kinds
+    assert mixed_tree_kinds("HEAD~1", str(tmp_path))
+    assert mixed_tree_kinds(str(tmp_path), "HEAD")
+    assert not mixed_tree_kinds("HEAD~1", "HEAD")
+    assert not mixed_tree_kinds(str(tmp_path), str(ROOT))
