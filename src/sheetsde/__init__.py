@@ -62,11 +62,8 @@ from .shuffle_combinatorics import (
     NotInProductError,
     PartitionReport,
     RegionDescriptor,
-    SplitIndexFamily,
     enumerate_block_increasing,
-    enumerate_split_family,
     locate_cell_batch,
-    locate_cell_split_batch,
     membership_batch,
     partition_report,
     product_identity_check,
@@ -105,13 +102,13 @@ __all__ = [
     "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
-    "SolutionField", "SplitIndexFamily", "TermTable", "WeakComparison",
+    "SolutionField", "TermTable", "WeakComparison",
     "abs_gradient_l1", "all_permutation_specs", "bump_factor",
     "cameron_martin_shift", "coarsen", "constant_drift", "crossing_set", "cumulative_values",
     "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
-    "enumerate_split_family", "expand", "export_csv", "gaussian_factor",
+    "expand", "export_csv", "gaussian_factor",
     "geometric_grid", "gradient_component", "ibp_expectation",
-    "locate_cell_batch", "locate_cell_split_batch", "log_density",
+    "locate_cell_batch", "log_density",
     "malliavin_adjoint", "membership_batch", "merge_estimates",
     "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",

@@ -442,13 +442,12 @@ def _run_verify_bound(p: dict) -> tuple[dict, Optional[bool]]:
 def _run_verify_shuffle(p: dict) -> tuple[dict, Optional[bool]]:
     """Sampled partition scan of a product order-region."""
     kind, m, k, n = p["kind"], p["m"], p["k"], p["n"]
-    if kind in NABLA_KINDS:
-        region = RegionDescriptor(kind, k)
-    else:
-        if n < 1:
-            raise ConfigError("n", f"kind {kind} needs n >= 1")
-        mids = {"s_mid": 0.5, "t_mid": 0.5}
-        region = RegionDescriptor(kind, k, n, **mids)
+    if kind in NABLA_KINDS and n != 0:
+        raise ConfigError("n", f"kind {kind} has one chain group per axis, needs n = 0")
+    if kind in SPLIT_KINDS and n < 1:
+        raise ConfigError("n", f"kind {kind} needs n >= 1")
+    # the nabla kinds do not read the mid bounds
+    region = RegionDescriptor(kind, k, n, s_mid=0.5, t_mid=0.5)
     report = partition_report(region, m, p["samples"], p["seed"])
     family = enumerate_block_increasing(m, k)
     outputs = {

@@ -1,31 +1,25 @@
 """Shuffle families and the cell partitions of product order-regions.
 
-Two constructions are provided.
+A region describes itself per axis as descending chain groups (slots, low,
+high): one group on each axis for the nabla kinds, and for the split kinds an
+upper and a lower group on the split axis and one total group on the other.
+A chain group of the m-fold product is one region group's slots in every
+block.  A cell of the product is labelled by one blockwise-increasing
+permutation per chain group, in axis order (s groups first): it ranks the
+group's coordinates, rank 1 being the largest.  Within every block the ranks
+increase along the group's slots, which is automatic for points of the
+product region.  For the split groups, rank r stands for the paper's r-th
+largest xi or zeta token of the group.
 
-Blockwise-increasing permutation families partition the m-fold product of a
-chain region (k points ordered decreasingly in both coordinates between two
-corner points) into cells indexed by a pair of family members: one member
-ranks the s-coordinates, the other the t-coordinates, rank 1 being the
-largest.  Within every block the ranks increase along the block positions,
-which is automatic for points of the product region.
-
-Split-index families handle regions whose points are ordered in one
-coordinate across all blocks while the other coordinate splits into an upper
-and a lower group per block.  The groups carry fixed token numbers
-xi(i, j) = j + i(k+n) and zeta(i, j) = k + j + i(k+n); a cell is indexed by
-two token assignments (ascending coordinate gets ascending token, which
-makes tokens decrease along each block) together with one blockwise
-increasing permutation for the totally ordered coordinate.
-
-Members are represented as tuples over global 1-based positions: entry p-1
-is the rank (or token) assigned to position p.  Position p belongs to block
-(p-1) // arity at in-block slot (p-1) % arity + 1.
+Members are represented as tuples over the group's 1-based positions: entry
+p-1 is the rank assigned to position p, which belongs to block
+(p-1) // size at in-group slot (p-1) % size + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from typing import Optional, Sequence
 
@@ -33,7 +27,7 @@ import numpy as np
 
 from .brownian_sheet import Key, stream
 
-#: members are enumerated only while m * (k + n) stays at or below this
+#: a family is enumerated only while its m * k positions stay at or below this
 ENUMERATION_LIMIT = 12
 
 
@@ -93,61 +87,6 @@ def enumerate_block_increasing(m: int, k: int) -> BlockIncreasingFamily:
             member.extend(sorted(block))  # increasing along the block
         members.append(tuple(member))
     return BlockIncreasingFamily(m, k, tuple(members))
-
-
-def xi_token(i: int, j: int, k: int, n: int) -> int:
-    """Token of upper-group slot j (1..k) in block i (0-based)."""
-    return j + i * (k + n)
-
-
-def zeta_token(i: int, j: int, k: int, n: int) -> int:
-    """Token of lower-group slot j (1..n) in block i (0-based)."""
-    return k + j + i * (k + n)
-
-
-@dataclass(frozen=True)
-class SplitIndexFamily:
-    """Assignments of the group tokens, decreasing along each block.
-
-    Members map group positions (in block-major order) to tokens; ascending
-    coordinate order receives ascending tokens, hence within a block the
-    token decreases as the in-block slot j increases.
-    """
-
-    m: int
-    group_size: int
-    tokens: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def expected_count(self) -> int:
-        return factorial(self.m * self.group_size) // factorial(self.group_size) ** self.m
-
-
-def _split_tokens(m: int, k: int, n: int) -> dict[str, tuple[int, ...]]:
-    """Token numbers of the xi and zeta groups, block-major."""
-    return {
-        "xi": tuple(xi_token(i, j, k, n) for i in range(m) for j in range(1, k + 1)),
-        "zeta": tuple(zeta_token(i, j, k, n) for i in range(m) for j in range(1, n + 1)),
-    }
-
-
-def enumerate_split_family(m: int, k: int, n: int, group: str) -> SplitIndexFamily:
-    """Family for the xi (upper, size k) or zeta (lower, size n) group."""
-    if group not in ("xi", "zeta"):
-        raise ValueError("group must be 'xi' or 'zeta'")
-    size = k if group == "xi" else n
-    if m < 1 or size < 1:
-        raise ValueError("need m >= 1 and a positive group size")
-    _guard_enumeration(m * size)
-    tokens = _split_tokens(m, k, n)[group]
-    members = []
-    for blocks in _block_partitions(tokens, size):
-        member = []
-        for block in blocks:
-            member.extend(sorted(block, reverse=True))  # decreasing along the block
-        members.append(tuple(member))
-    return SplitIndexFamily(m, size, tokens, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -342,95 +281,44 @@ def _check_product(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarra
         raise NotInProductError("points outside the product region")
 
 
-def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-rank label pair for product points of a nabla-kind region.
-
-    Returns (sigma, gamma) of shape (N, m*k).  Raises on ties or points
-    outside the product region.
-    """
-    if region.kind not in NABLA_KINDS:
-        raise ValueError("locate_cell_batch applies to the single-group region kinds")
-    _check_product(region, m, s, t)
-    return _ranks_desc(s), _ranks_desc(t)
-
-
-def _tokens_by_coordinate(tokens: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Assign sorted tokens in ascending coordinate order, rowwise.
-
-    coords has shape (N, g); returns (N, g) where column p holds the token
-    given to position p.
-    """
-    order = np.argsort(coords, axis=1, kind="stable")  # ascending coordinate
-    out = np.empty(coords.shape, dtype=int)
-    sorted_tokens = np.broadcast_to(np.sort(tokens), coords.shape)
-    np.put_along_axis(out, order, sorted_tokens, axis=1)
-    return out
-
-
-def _split_view(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray):
-    """(split, total, group columns): the split and the total axis's
-    coordinates, and the product columns of the upper and lower groups."""
-    axis = region.split_axis
+def _product_groups(region: RegionDescriptor, m: int) -> list[tuple[int, np.ndarray, float, float]]:
+    """(axis, product columns, low, high) of each chain group of the m-fold
+    product, in axis order (s groups first); columns are block-major."""
     cols = np.arange(m * region.arity).reshape(m, region.arity)
-    group_cols = [cols[:, slots].ravel() for slots, _, _ in region.groups[axis]]
-    return (s, t)[axis], (s, t)[1 - axis], group_cols
+    return [(axis, cols[:, slots].ravel(), low, high)
+            for axis, groups in enumerate(region.groups) for slots, low, high in groups]
 
 
-def locate_cell_split_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token assignments (pi, rho) and rank labels sigma for split regions.
+def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Descending-rank label of each chain group for product points.
 
-    pi covers the upper-group positions (slots 1..k of each block), rho the
-    lower-group positions; sigma ranks the totally ordered coordinate over
-    all positions, descending.
+    Returns one (N, m * group size) array per chain group, in axis order;
+    the nabla kinds give (sigma, gamma) of shape (N, m*k).  Raises on ties
+    or points outside the product region.
     """
-    if region.kind not in SPLIT_KINDS:
-        raise ValueError("locate_cell_split_batch applies to the split region kinds")
     _check_product(region, m, s, t)
-    split, total, (upper_cols, lower_cols) = _split_view(region, m, s, t)
-    tokens = _split_tokens(m, region.k, region.n)
-    pi = _tokens_by_coordinate(np.array(tokens["xi"]), split[:, upper_cols])
-    rho = _tokens_by_coordinate(np.array(tokens["zeta"]), split[:, lower_cols])
-    return pi, rho, _ranks_desc(total)
+    return tuple(_ranks_desc((s, t)[axis][:, cols]) for axis, cols, _, _ in _product_groups(region, m))
 
 
 # ---------------------------------------------------------------------------
-# cell predicates (independent of locate; used by the partition scans)
+# cell predicate (independent of locate; used by the partition scans)
 # ---------------------------------------------------------------------------
 
 
-def cell_membership_batch(region: RegionDescriptor, m: int, sigma: Sequence[int],
-                          gamma: Sequence[int], s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Paired-chain predicate of one (sigma, gamma) cell of a nabla product.
+def cell_membership_batch(region: RegionDescriptor, m: int, labels: Sequence[Sequence[int]],
+                          s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Chain predicate of one cell of an m-fold product, one label per chain group.
 
-    The cell requires the points (s at rank p of sigma, t at rank p of gamma)
-    to form a strictly descending chain in both coordinates inside the
-    region's box.
+    The cell requires each group's coordinates, read in the order of its
+    label's ranks, to form a strictly descending chain inside the group's
+    bounds.
     """
-    if region.kind not in NABLA_KINDS:
-        raise ValueError("cell predicate applies to the single-group region kinds")
     ok = np.ones(s.shape[0], dtype=bool)
-    for x, member, ((_, low, high),) in zip((s, t), (sigma, gamma), region.groups):
-        # argsort of a permutation of 1..n is its inverse: position of rank p
-        ok &= _chain_desc(x[:, np.argsort(member)], low, high)
-    return ok
-
-
-def cell_membership_split_batch(region: RegionDescriptor, m: int, pi: Sequence[int],
-                                rho: Sequence[int], sigma: Sequence[int],
-                                s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Chain predicate of one (pi, rho, sigma) cell of a split product region."""
-    if region.kind not in SPLIT_KINDS:
-        raise ValueError("split cell predicate applies to the split region kinds")
-    split, total, group_cols = _split_view(region, m, s, t)
-    ((_, total_low, total_high),) = region.groups[1 - region.split_axis]
     # the delta kinds' extra constraint is a property of the region, shared
     # by all cells, so the cell predicate only tests the chains
-    ok = _chain_desc(total[:, np.argsort(sigma)], total_low, total_high)
-    for cols, member, (_, low, high) in zip(group_cols, (pi, rho), region.groups[region.split_axis]):
-        # ascending token = ascending coordinate, so the coordinate read in
-        # descending token order must descend
-        token_order = np.argsort(-np.asarray(member), kind="stable")
-        ok &= _chain_desc(split[:, cols[token_order]], low, high)
+    for (axis, cols, low, high), label in zip(_product_groups(region, m), labels, strict=True):
+        # argsort of a permutation of 1..n is its inverse: position of rank p
+        ok &= _chain_desc((s, t)[axis][:, cols[np.argsort(label)]], low, high)
     return ok
 
 
@@ -464,13 +352,10 @@ class PartitionReport:
 
 
 def _enumerate_cells(region: RegionDescriptor, m: int) -> list[tuple]:
-    if region.kind in NABLA_KINDS:
-        fam = enumerate_block_increasing(m, region.k).members
-        return [(sig, gam) for sig in fam for gam in fam]
-    xi_fam = enumerate_split_family(m, region.k, region.n, "xi").members
-    zeta_fam = enumerate_split_family(m, region.k, region.n, "zeta").members
-    sig_fam = enumerate_block_increasing(m, region.k + region.n).members
-    return [(pi, rho, sig) for pi in xi_fam for rho in zeta_fam for sig in sig_fam]
+    """Every cell: one block-increasing member per chain group of the product."""
+    families = [enumerate_block_increasing(m, len(cols) // m).members
+                for _, cols, _, _ in _product_groups(region, m)]
+    return list(product(*families))
 
 
 def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -492,19 +377,16 @@ def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key
     Checks that the cells cover each sample exactly once and that the
     located cell is the covering one.
     """
-    s, t = sample_product_batch(region, m, n_samples, seed)
+    # enumerate first, so that a product past ENUMERATION_LIMIT fails before any draw
     cells = _enumerate_cells(region, m)
-    if region.kind in NABLA_KINDS:
-        locate, claims = locate_cell_batch, cell_membership_batch
-    else:
-        locate, claims = locate_cell_split_batch, cell_membership_split_batch
+    s, t = sample_product_batch(region, m, n_samples, seed)
     # a cell is its label tuples laid end to end, as are the located labels
     table = np.array([sum(cell, ()) for cell in cells])
-    located = _row_index(table, np.concatenate(locate(region, m, s, t), axis=1))
+    located = _row_index(table, np.concatenate(locate_cell_batch(region, m, s, t), axis=1))
     hits = np.zeros(n_samples, dtype=int)
     claimed = np.full(n_samples, -1, dtype=int)
     for ci, cell in enumerate(cells):
-        mask = claims(region, m, *cell, s, t)
+        mask = cell_membership_batch(region, m, cell, s, t)
         hits += mask
         claimed[mask] = ci
     uncovered = int(np.sum(hits == 0))

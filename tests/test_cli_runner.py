@@ -297,6 +297,13 @@ class TestRunApi:
             run(ExperimentConfig("malliavin-check", {"grid": "4x4", "tolerance": eps}))
         assert info.value.field_name == "tolerance"
 
+    @pytest.mark.parametrize("kind", ["nabla", "nabla_tilde"])
+    def test_verify_shuffle_single_group_kinds_reject_n(self, kind):
+        # a nabla kind once scanned the n = 0 region and recorded the n it was given
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("verify-shuffle", {"kind": kind, "n": 1, "samples": 200}))
+        assert info.value.field_name == "n"
+
 
 class TestRecordFormat:
     def test_key_order(self):

@@ -7,12 +7,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONSTRUCTORS = {"Philox", "SeedSequence", "default_rng", "RandomState"}
-# the deleted seed helpers, integrated-bound chain, forward derivative recursion
-# and unused kernel weight, spelled in parts so that a grep for them over the
-# repository finds no live use, this check included
+# the deleted seed helpers, integrated-bound chain, forward derivative recursion,
+# unused kernel weight and split-kind cell form, spelled in parts so that a grep
+# for them over the repository finds no live use, this check included
 DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Time" + "Window"
                      "|Gamma" + "Bound|RHS" + "_KINDS|DEFAULT" + "_C1|log" + "_gamma"
-                     "|malliavin" + "_solve|Malliavin" + "Field|hermite" + "_weight")
+                     "|malliavin" + "_solve|Malliavin" + "Field|hermite" + "_weight"
+                     "|locate_cell" + "_split_batch|enumerate" + "_split_family"
+                     "|Split" + "IndexFamily|cell_membership" + "_split_batch")
 
 
 def test_star_import_binds_no_module():
@@ -34,7 +36,7 @@ def test_all_is_the_sorted_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert sheetsde.__all__ == public
-    assert len(public) == 70
+    assert len(public) == 67
 
 
 def _constructor_calls(path: Path) -> list[tuple[str, str]]:

@@ -2,7 +2,9 @@
 
 tests/data/shuffle_pins.json pins, bit for bit, region samples, product
 samples and located labels for every region kind at fixed seeds, plus one
-product-identity estimate.  Regenerate it with
+product-identity estimate.  It holds the split kinds' labels in the paper's
+form, as xi and zeta token assignments, which `_pin_labels` derives from the
+ranks.  Regenerate it with
 
     PYTHONPATH=src python tests/test_shuffle_combinatorics.py
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sheetsde import shuffle_combinatorics
 from sheetsde.shuffle_combinatorics import (
     NABLA_KINDS,
     SPLIT_KINDS,
@@ -24,16 +27,12 @@ from sheetsde.shuffle_combinatorics import (
     RegionDescriptor,
     cell_membership_batch,
     enumerate_block_increasing,
-    enumerate_split_family,
     locate_cell_batch,
-    locate_cell_split_batch,
     membership_batch,
     partition_report,
     product_identity_check,
     sample_product_batch,
     sample_region_batch,
-    xi_token,
-    zeta_token,
 )
 
 PINS = Path(__file__).parent / "data" / "shuffle_pins.json"
@@ -61,10 +60,31 @@ def _rows(points) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[p[0] for p in points]]), np.array([[p[1] for p in points]])
 
 
-def _locate(region: RegionDescriptor, m: int, s: np.ndarray, t: np.ndarray):
-    if region.kind in NABLA_KINDS:
-        return locate_cell_batch(region, m, s, t)
-    return locate_cell_split_batch(region, m, s, t)
+def _token(rank: np.ndarray, m: int, k: int, n: int, upper: bool) -> np.ndarray:
+    """The paper's xi (upper) or zeta (lower) token that a group rank stands for.
+
+    Block i carries the tokens xi(i, j) = j + i(k+n), j = 1..k, and
+    zeta(i, j) = k + j + i(k+n), j = 1..n.  Ascending coordinates receive
+    ascending tokens, so rank r (the r-th largest coordinate) receives the
+    r-th largest of the group's m * size tokens, the q-th smallest with
+    q = m * size - r counted from 0.
+    """
+    size, offset = (k, 0) if upper else (n, k)
+    q = m * size - rank
+    return offset + q % size + 1 + (q // size) * (k + n)
+
+
+def _pin_labels(region: RegionDescriptor, m: int, labels: tuple) -> list:
+    """Nabla ranks as located; split kinds as (xi tokens, zeta tokens, total ranks)."""
+    if region.split_axis is None:
+        return [label.tolist() for label in labels]
+    if region.split_axis == 0:
+        upper, lower, total = labels
+    else:
+        total, upper, lower = labels
+    k, n = region.k, region.n
+    return [_token(upper, m, k, n, True).tolist(), _token(lower, m, k, n, False).tolist(),
+            total.tolist()]
 
 
 def shuffle_pins() -> dict:
@@ -79,7 +99,7 @@ def shuffle_pins() -> dict:
             "t": t.tolist(),
             "product_s": ps.tolist(),
             "product_t": pt.tolist(),
-            "labels": [labels.tolist() for labels in _locate(region, 2, ps, pt)],
+            "labels": _pin_labels(region, 2, locate_cell_batch(region, 2, ps, pt)),
         }
     f1 = lambda s, t: 1.0 + 0.5 * np.sin(2 * np.pi * s) * np.cos(np.pi * t)
     f2 = lambda s, t: np.exp(-s * t)
@@ -113,20 +133,6 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             enumerate_block_increasing(4, 4)
-
-    def test_split_families_sizes(self):
-        upper = enumerate_split_family(2, 1, 1, "xi")
-        lower = enumerate_split_family(2, 1, 1, "zeta")
-        assert len(upper.members) == 2  # permutations of 2 tokens, blocks of size 1
-        assert len(lower.members) == 2
-        assert set(upper.tokens).isdisjoint(lower.tokens)
-
-    def test_tokens_partition_index_range(self):
-        m, k, n = 2, 2, 1
-        xi = {xi_token(i, j, k, n) for i in range(m) for j in range(1, k + 1)}
-        zeta = {zeta_token(i, j, k, n) for i in range(m) for j in range(1, n + 1)}
-        assert xi | zeta == set(range(1, m * (k + n) + 1))
-        assert not xi & zeta
 
 
 class TestMembership:
@@ -200,7 +206,7 @@ class TestLocateCell:
         sigma, gamma = locate_cell_batch(region, 2, s, t)
         for row in range(50):
             inside = cell_membership_batch(
-                region, 2, tuple(sigma[row]), tuple(gamma[row]), s[row : row + 1], t[row : row + 1]
+                region, 2, (tuple(sigma[row]), tuple(gamma[row])), s[row : row + 1], t[row : row + 1]
             )
             assert inside[0]
 
@@ -218,11 +224,10 @@ class TestLocateCell:
             locate_cell_batch(RegionDescriptor("nabla", 1), 2, s, t)
 
     def test_split_locate_identity_single_block(self):
+        # groups in axis order: the s-chain's upper and lower group, then the t-chain
         region = RegionDescriptor("lambda", 1, 1, s_mid=0.5)
-        pi, rho, sigma = locate_cell_split_batch(region, 1, *_rows([(0.7, 0.8), (0.2, 0.4)]))
-        assert pi.tolist() == [[xi_token(0, 1, 1, 1)]]
-        assert rho.tolist() == [[zeta_token(0, 1, 1, 1)]]
-        assert sigma.tolist() == [[1, 2]]
+        labels = locate_cell_batch(region, 1, *_rows([(0.7, 0.8), (0.2, 0.4)]))
+        assert [label.tolist() for label in labels] == [[[1]], [[1]], [[1, 2]]]
 
     @pytest.mark.parametrize("kind", ["nabla", "lambda"])
     def test_locate_width_checked(self, kind):
@@ -230,24 +235,20 @@ class TestLocateCell:
         # one block plus one point, with no ties
         s = t = np.linspace(0.9, 0.1, region.arity + 1)[None, :]
         with pytest.raises(ValueError, match="expected"):
-            _locate(region, 1, s, t)
+            locate_cell_batch(region, 1, s, t)
 
     @pytest.mark.parametrize("kind", NABLA_KINDS + SPLIT_KINDS)
     def test_labels_blockwise_monotone(self, kind):
         m, k, n = 3, 2, 1
         region = _region(kind, k, n, **MIDS[kind])
         s, t = sample_product_batch(region, m, 300, seed=6)
-        labels = _locate(region, m, s, t)
-        if kind in NABLA_KINDS:
-            ranks, tokens = labels, ()
-        else:
-            ranks, tokens = labels[2:], ((labels[0], k), (labels[1], n))
-        for label in ranks:  # ranks increase along each block
-            blocks = label.reshape(len(label), m, region.arity)
-            assert np.all(np.diff(blocks, axis=2) > 0)
-        for label, size in tokens:  # tokens decrease along each block
-            blocks = label.reshape(len(label), m, size)
-            assert np.all(np.diff(blocks, axis=2) < 0)
+        labels = locate_cell_batch(region, m, s, t)
+        sizes = [slots.stop - slots.start for groups in region.groups for slots, _, _ in groups]
+        assert len(labels) == len(sizes)
+        for label, size in zip(labels, sizes):
+            # a permutation of 1..m*size that increases along each block
+            assert np.array_equal(np.sort(label, axis=1), np.tile(np.arange(1, m * size + 1), (300, 1)))
+            assert np.all(np.diff(label.reshape(300, m, size), axis=2) > 0)
 
 
 class TestPinned:
@@ -275,10 +276,10 @@ class TestPartitions:
         report = partition_report(region, 2, n_samples=1500, seed=4)
         assert report.ok, report
 
-    # m = 3 split products have 3240 cells or more, too slow for a unit test
     @pytest.mark.parametrize("kind,m,k,n", [
         *(("nabla_tilde", m, k, 0) for m, k in ((2, 1), (2, 2), (3, 1))),
         *((kind, 2, k, n) for kind in SPLIT_KINDS for k, n in ((1, 1), (2, 1), (1, 2))),
+        *((kind, 3, 1, 1) for kind in SPLIT_KINDS),
     ])
     def test_partition_scan_every_kind(self, kind, m, k, n):
         region = _region(kind, k, n, **MIDS[kind])
@@ -288,6 +289,14 @@ class TestPartitions:
     def test_cell_counts(self):
         report = partition_report(RegionDescriptor("nabla", 1), 2, n_samples=100, seed=0)
         assert report.n_cells == 4  # 2 sigma labels x 2 gamma labels
+
+    def test_enumeration_guard_before_sampling(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled a product past the enumeration limit")
+
+        monkeypatch.setattr(shuffle_combinatorics, "sample_product_batch", no_draws)
+        with pytest.raises(ValueError, match="enumeration limited to 12 positions, got 15"):
+            partition_report(RegionDescriptor("nabla", 3), 5, n_samples=100_000, seed=0)
 
 
 class TestProductIdentity:
