@@ -12,7 +12,6 @@ integrals.
 __version__ = "0.1.0"
 
 from .plane_geometry import (
-    Cell,
     DegenerateGridError,
     GridPartition,
     geometric_grid,
@@ -26,15 +25,6 @@ from .brownian_sheet import (
     export_csv,
     sample,
     stream,
-    values,
-)
-from .kernels import (
-    DEFAULT_C0,
-    KernelCell,
-    abs_gradient_l1,
-    density,
-    gradient_component,
-    log_density,
 )
 from .integrators import (
     McEstimate,
@@ -45,10 +35,8 @@ from .integrators import (
 )
 from .ibp_engine import (
     EmptySelectionError,
-    IbpTerm,
     PermutationSpec,
     TermTable,
-    all_permutation_specs,
     crossing_set,
     expand,
     span,
@@ -70,8 +58,10 @@ from .shuffle_combinatorics import (
     sample_region_batch,
 )
 from .estimate_lab import (
+    DEFAULT_C0,
     DriftScalarFactor,
     IdentityReport,
+    abs_gradient_l1,
     bump_factor,
     davie_bound,
     direct_expectation,
@@ -97,23 +87,23 @@ from .sde_plane import (
 
 # the public surface, sorted; tests/test_package.py keeps it in step with the imports
 __all__ = [
-    "BlockIncreasingFamily", "Cell", "DEFAULT_C0", "DegenerateGridError",
+    "BlockIncreasingFamily", "DEFAULT_C0", "DegenerateGridError",
     "DegenerateTiesError", "DriftField", "DriftScalarFactor", "EmptySelectionError",
-    "GridPartition", "IbpTerm", "IdentityReport", "KernelCell", "McEstimate",
+    "GridPartition", "IdentityReport", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",
     "PartitionReport", "PermutationSpec", "RegionDescriptor", "SheetSample",
     "SolutionField", "TermTable", "WeakComparison",
-    "abs_gradient_l1", "all_permutation_specs", "bump_factor",
+    "abs_gradient_l1", "bump_factor",
     "cameron_martin_shift", "coarsen", "constant_drift", "crossing_set", "cumulative_values",
-    "davie_bound", "density", "direct_expectation", "enumerate_block_increasing",
+    "davie_bound", "direct_expectation", "enumerate_block_increasing",
     "expand", "export_csv", "gaussian_factor",
-    "geometric_grid", "gradient_component", "ibp_expectation",
-    "locate_cell_batch", "log_density",
+    "geometric_grid", "ibp_expectation",
+    "locate_cell_batch",
     "malliavin_adjoint", "membership_batch", "merge_estimates",
     "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
-    "uniform_grid", "uniform_spec", "values", "verify_identity",
+    "uniform_grid", "uniform_spec", "verify_identity",
     "zero_drift",
 ]

@@ -102,11 +102,6 @@ def cumulative_values(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def values(sheet: SheetSample) -> np.ndarray:
-    """All grid-point values of the sample, shape (..., n_s+1, n_t+1, dim)."""
-    return cumulative_values(sheet.increments)
-
-
 def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -> SheetSample:
     """Aggregate cell increments in blocks onto the subsampled knot grid.
 

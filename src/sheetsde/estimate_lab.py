@@ -36,7 +36,6 @@ from .ibp_engine import (
     staircase,
 )
 from .integrators import McEstimate, concurrently, monte_carlo
-from .kernels import DEFAULT_C0
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +279,25 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
         partial(monte_carlo, integrand, _marginal_sampler(root), budget, (seed, idx))
         for idx, root in enumerate(_marginal_factor(_term_rows(terms, variances), variances))
     ))
-    total = sum(term.sign * est.mean for term, est in zip(terms, ests))
+    total = sum(sign * est.mean for sign, est in zip(terms.sign.tolist(), ests))
     std_error = math.sqrt(sum(est.std_error ** 2 for est in ests))
     return McEstimate(total, std_error, sum(est.n_samples for est in ests))
+
+
+#: default constant of the per-term kernel bound, 2 * sqrt(2)
+DEFAULT_C0 = 2.0 * math.sqrt(2.0)
+
+
+def abs_gradient_l1(variance: float) -> float:
+    """L1 norm of the gradient of the N(0, v) density: sqrt(2/pi) / sqrt(v).
+
+    The gradient -(z / v) times the density integrates in absolute value to
+    2 / sqrt(2 pi v).  DEFAULT_C0 / sqrt(v), the per-cell factor of
+    davie_bound, dominates it at every variance.
+    """
+    if not variance > 0.0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    return math.sqrt(2.0 / math.pi) / math.sqrt(variance)
 
 
 def davie_bound(spec: PermutationSpec, sup_norm: float) -> float:

@@ -21,8 +21,8 @@ contribute a single gradient cell (i, gamma_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, permutations
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class PermutationSpec:
                         f"{name} must be strictly increasing from 0 with gaps > {MIN_KNOT_GAP:g}"
                     )
                 prev = v
-
-    def sigma_of(self, i: int) -> int:
-        return self.sigma[i - 1]
 
 
 def uniform_spec(sigma: Sequence[int], horizon: float = 1.0) -> PermutationSpec:
@@ -159,35 +156,15 @@ def _select_columns(spec: PermutationSpec, J: tuple[int, ...]) -> tuple[np.ndarr
 
 
 @dataclass(frozen=True, eq=False)
-class IbpTerm:
-    """Row view of one term of a TermTable: the term over the crossing subset K.
-
-    A span index is a row of `cells`, the scheme's span in row-major order
-    (one array shared by all terms of the scheme).  The kernel argument of
-    cell c is z[c] - z[shift[c]] when shift[c] >= 0 (the substitution cells
-    of crossing rows), otherwise z[c]; the gradient cells carry Hermite
-    weights and every other cell a density.
-    """
-
-    K: tuple[int, ...]  # sorted crossing subset
-    sign: int
-    cells: np.ndarray  # (m, 2) span cells (row, col)
-    grad: np.ndarray  # (n,) span index of each row's kernel-gradient cell
-    shift: np.ndarray  # (m,) span index of the subtracted variable, else -1
-    args: np.ndarray  # (n, m) 0/1 drift-argument matrix, one row per factor
-
-    @property
-    def b_cells(self) -> np.ndarray:
-        """(n, 2) kernel-gradient cells in row order."""
-        return self.cells[self.grad]
-
-
-@dataclass(frozen=True, eq=False)
 class TermTable:
     """The 2^q expansion terms of one scheme, stacked along a leading term axis of length T.
 
     Row k is the term over the k-th crossing subset, from the full crossing
-    set down to the empty one; indexing or iterating yields IbpTerm row views.
+    set down to the empty one.  A span index is a row of `cells`, the
+    scheme's span in row-major order.  The kernel argument of cell c is
+    z[c] - z[shift[k, c]] when shift[k, c] >= 0 (the substitution cells of
+    crossing rows), otherwise z[c]; the gradient cells carry Hermite weights
+    and every other cell a density.
     """
 
     cells: np.ndarray  # (m, 2) span cells (row, col), shared by every term
@@ -202,13 +179,6 @@ class TermTable:
 
     def __len__(self) -> int:
         return len(self.sign)
-
-    def __getitem__(self, k: int) -> IbpTerm:
-        return IbpTerm(tuple(compress(self.crossing, self.in_K[k].tolist())), int(self.sign[k]),
-                       self.cells, self.grad[k], self.shift[k], self.args[k])
-
-    def __iter__(self) -> Iterator[IbpTerm]:
-        return (self[k] for k in range(len(self)))
 
     def to_dicts(self) -> list[dict]:
         """JSON-ready view per term: K, sign, gradient cells, density cells, drift arguments.
@@ -296,9 +266,3 @@ def expand(spec: PermutationSpec) -> TermTable:
     args[terms, :, selected_J] = 0.0
     args[terms, rows - 1, selected] = 1.0
     return TermTable(cells, J, in_K, sign, gamma, tau, grad, shift, args)
-
-
-def all_permutation_specs(n: int, horizon: float = 1.0) -> Iterator[PermutationSpec]:
-    """Uniform-time specs for every permutation of {1..n}."""
-    for sig in permutations(range(1, n + 1)):
-        yield uniform_spec(sig, horizon)

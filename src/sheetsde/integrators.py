@@ -29,9 +29,6 @@ class McEstimate:
     std_error: float
     n_samples: int
 
-    def interval(self, width: float = 4.0) -> tuple[float, float]:
-        return (self.mean - width * self.std_error, self.mean + width * self.std_error)
-
 
 def merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
     """Deterministic pairwise-sequential merge of disjoint-sample estimates."""

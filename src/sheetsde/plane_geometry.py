@@ -21,18 +21,6 @@ class DegenerateGridError(ValueError):
     """Raised when a knot vector is unsorted or has near-coincident knots."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    """1-based cell index (row, col); row counts s-knots, col counts t-knots."""
-
-    row: int
-    col: int
-
-    def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
-            raise ValueError(f"cell indices are 1-based, got {(self.row, self.col)}")
-
-
 def _validated_knots(name: str, knots: Sequence[float]) -> tuple[float, ...]:
     vec = tuple(float(x) for x in knots)
     if len(vec) < 2:
@@ -72,14 +60,6 @@ class GridPartition:
     @property
     def n_t(self) -> int:
         return len(self.t_knots) - 1
-
-    @property
-    def s_max(self) -> float:
-        return self.s_knots[-1]
-
-    @property
-    def t_max(self) -> float:
-        return self.t_knots[-1]
 
     def s_gaps(self) -> np.ndarray:
         return np.diff(np.asarray(self.s_knots))

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .brownian_sheet import Key, SheetSample, cumulative_values, values as sheet_values
+from .brownian_sheet import Key, SheetSample, cumulative_values
 from .integrators import McEstimate, monte_carlo
 from .plane_geometry import GridPartition
 
@@ -226,7 +226,7 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _one_sheet("solve_picard", sheet.batch_shape)
     x0v = _as_x0(x0, sheet.dim)
-    w = sheet_values(sheet)
+    w = cumulative_values(sheet.increments)
     s_knots = np.asarray(grid.s_knots)
     t_knots = np.asarray(grid.t_knots)
     areas = grid.areas()[:, :, None]

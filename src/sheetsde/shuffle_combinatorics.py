@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .brownian_sheet import Key, stream
 
-#: a family is enumerated only while its m * k positions stay at or below this
-ENUMERATION_LIMIT = 12
+#: most label tuples a family, or a product of families, may have to be enumerated
+ENUMERATION_LIMIT = 10 ** 6
 
 
 class NotInProductError(ValueError):
@@ -55,11 +55,24 @@ def _block_partitions(values: tuple[int, ...], block_size: int):
             yield (head,) + tail
 
 
-def _guard_enumeration(total: int) -> None:
-    if total > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration limited to {ENUMERATION_LIMIT} positions, got {total}"
-        )
+def _guard_enumeration(m: int, sizes: Sequence[int]) -> int:
+    """Closed-form count of the label tuples in the product of the (m, size) families.
+
+    Raises ValueError before anything is built when the count passes
+    ENUMERATION_LIMIT or a label value passes 255.  A label of the (m, size)
+    family takes the values 1..m * size, and _row_index packs one label per
+    byte.  For m >= 2 the count bound alone keeps m * size <= 22, since the
+    m = 2 family has C(2 size, size) members, over 10^6 from size 12 on.  A
+    one-block family has one member at any size, so m * size is checked
+    too, first, which also keeps the factorials small.
+    """
+    positions = m * max(sizes)
+    if positions > 255:
+        raise ValueError(f"labels limited to 255 positions, got {positions}")
+    count = prod(factorial(m * size) // factorial(size) ** m for size in sizes)
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} label tuples, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -70,18 +83,13 @@ class BlockIncreasingFamily:
     k: int
     members: tuple[tuple[int, ...], ...]
 
-    @property
-    def expected_count(self) -> int:
-        return factorial(self.m * self.k) // factorial(self.k) ** self.m
-
 
 def enumerate_block_increasing(m: int, k: int) -> BlockIncreasingFamily:
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    total = m * k
-    _guard_enumeration(total)
+    _guard_enumeration(m, [k])
     members = []
-    for blocks in _block_partitions(tuple(range(1, total + 1)), k):
+    for blocks in _block_partitions(tuple(range(1, m * k + 1)), k):
         member = []
         for block in blocks:
             member.extend(sorted(block))  # increasing along the block
@@ -351,18 +359,29 @@ class PartitionReport:
         return self.uncovered == 0 and self.multiply_covered == 0 and self.locate_mismatches == 0
 
 
+def _group_sizes(region: RegionDescriptor) -> list[int]:
+    """Slots per block of each chain group, in axis order."""
+    return [slots.stop - slots.start for groups in region.groups for slots, _, _ in groups]
+
+
+def cell_count(region: RegionDescriptor, m: int) -> int:
+    """Closed-form number of cells of the m-fold product, the product over its chain groups g
+    of (m k_g)! / (k_g!)^m; raises ValueError past the enumeration limits."""
+    return _guard_enumeration(m, _group_sizes(region))
+
+
 def _enumerate_cells(region: RegionDescriptor, m: int) -> list[tuple]:
     """Every cell: one block-increasing member per chain group of the product."""
-    families = [enumerate_block_increasing(m, len(cols) // m).members
-                for _, cols, _, _ in _product_groups(region, m)]
+    cell_count(region, m)  # the whole product is checked before any family is built
+    families = [enumerate_block_increasing(m, size).members for size in _group_sizes(region)]
     return list(product(*families))
 
 
 def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index of each row of `rows` in `table` (unique rows), -1 if absent.
 
-    Rows are compared as byte strings, one byte per label: labels never
-    exceed ENUMERATION_LIMIT, and bytes sort ~15x faster than row records.
+    Rows are compared as byte strings, one byte per label: _guard_enumeration
+    keeps labels at or below 255, and bytes sort ~15x faster than row records.
     """
     both = np.concatenate([table, rows]).astype(np.uint8)
     _, inverse = np.unique(both.view(np.dtype((np.void, both.shape[1]))).ravel(), return_inverse=True)
@@ -377,7 +396,7 @@ def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key
     Checks that the cells cover each sample exactly once and that the
     located cell is the covering one.
     """
-    # enumerate first, so that a product past ENUMERATION_LIMIT fails before any draw
+    # enumerate first, so that a product past the enumeration limits fails before any draw
     cells = _enumerate_cells(region, m)
     s, t = sample_product_batch(region, m, n_samples, seed)
     # a cell is its label tuples laid end to end, as are the located labels

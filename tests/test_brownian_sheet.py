@@ -14,7 +14,6 @@ from sheetsde.brownian_sheet import (
     export_csv,
     sample,
     stream,
-    values,
 )
 from sheetsde.plane_geometry import GridPartition, geometric_grid, uniform_grid
 
@@ -94,24 +93,24 @@ class TestValues:
     def test_axes_vanish(self):
         g = uniform_grid(4, 3)
         sh = sample(g, seed=1)
-        w = values(sh)
+        w = cumulative_values(sh.increments)
         assert np.all(w[0, :, :] == 0.0)
         assert np.all(w[:, 0, :] == 0.0)
 
     def test_first_value_is_first_increment(self):
         sh = sample(uniform_grid(3, 3), seed=8)
-        assert values(sh)[1, 1, 0] == sh.increments[0, 0, 0]
+        assert cumulative_values(sh.increments)[1, 1, 0] == sh.increments[0, 0, 0]
 
     def test_values_are_block_sums(self):
         sh = sample(uniform_grid(4, 5), seed=3)
-        w = values(sh)
+        w = cumulative_values(sh.increments)
         for i in range(5):
             for j in range(6):
                 assert w[i, j, 0] == pytest.approx(sh.increments[:i, :j, 0].sum(), rel=1e-12, abs=1e-15)
 
     def test_rectangle_increment_four_corner_algebra(self):
         sh = sample(geometric_grid(5, 4), dim=2, seed=11)
-        w = values(sh)
+        w = cumulative_values(sh.increments)
         lo, hi = (1, 1), (4, 3)
         four = w[hi[0], hi[1]] - w[lo[0], hi[1]] - w[hi[0], lo[1]] + w[lo[0], lo[1]]
         block = sh.increments[lo[0]:hi[0], lo[1]:hi[1]].sum(axis=(0, 1))
@@ -180,7 +179,7 @@ class TestCoarsen:
         fine = sample(uniform_grid(8, 8), seed=23)
         coarse = coarsen(fine, 2)
         assert coarse.grid.n_s == 4 and coarse.grid.n_t == 4
-        wf, wc = values(fine), values(coarse)
+        wf, wc = cumulative_values(fine.increments), cumulative_values(coarse.increments)
         # surviving knots carry identical sheet values
         assert np.allclose(wc, wf[::2, ::2], rtol=1e-12, atol=1e-15)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import counting_eval, counting_jacobian
-from sheetsde import cli_runner, integrators, sde_plane
+from sheetsde import cli_runner, integrators, sde_plane, shuffle_combinatorics
 from sheetsde.brownian_sheet import cumulative_values, sample, stream
 from sheetsde.cli_runner import (
     ConfigError,
@@ -128,7 +128,14 @@ class TestRunApi:
         rec = run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 2, "k": 1,
                                                       "samples": 2000}))
         assert rec.passed is True
-        assert rec.outputs["family_count"] == 2
+        assert rec.outputs["n_cells"] == rec.outputs["expected_n_cells"] == 4
+
+    def test_verify_shuffle_split_product(self):
+        # the cells of all three chain groups: 6 upper x 6 lower x 90 total labels
+        rec = run(ExperimentConfig("verify-shuffle", {"kind": "lambda", "m": 3, "k": 1, "n": 1,
+                                                      "samples": 400}))
+        assert rec.passed is True
+        assert rec.outputs["n_cells"] == rec.outputs["expected_n_cells"] == 3240
 
     def test_simplex_gamma(self):
         rec = run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": 20_000}))
@@ -303,6 +310,18 @@ class TestRunApi:
         with pytest.raises(ConfigError) as info:
             run(ExperimentConfig("verify-shuffle", {"kind": kind, "n": 1, "samples": 200}))
         assert info.value.field_name == "n"
+
+    @pytest.mark.parametrize("k,count", [(2, 6350400), (3, 136604160000)])
+    def test_verify_shuffle_rejects_products_past_the_limit(self, monkeypatch, k, count):
+        # 4 k <= 12 positions per family, but 2520^2 or 369600^2 cells
+        def no_build(*args):
+            raise AssertionError("built labels or samples past the enumeration limit")
+
+        monkeypatch.setattr(shuffle_combinatorics, "_block_partitions", no_build)
+        monkeypatch.setattr(shuffle_combinatorics, "sample_product_batch", no_build)
+        with pytest.raises(ValueError, match=f"label tuples, got {count}"):
+            run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 4, "k": k}))
+        assert main(["verify-shuffle", "--kind", "nabla", "--m", "4", "--k", str(k)]) == 1
 
 
 class TestRecordFormat:

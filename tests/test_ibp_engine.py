@@ -23,23 +23,24 @@ from sheetsde.ibp_engine import (
     spec_variances,
     uniform_spec,
 )
-from sheetsde.plane_geometry import Cell, DegenerateGridError
+from sheetsde.plane_geometry import DegenerateGridError
 
 EXPAND_DIGESTS = Path(__file__).parent / "data" / "expand_digests.json"
 
 
-def b_set(term):
-    return sorted((row, col) for row, col in term.b_cells.tolist())
+def golden_rows(terms):
+    """(K, sign, sorted gradient cells) of each term, read from the term dicts."""
+    return [(d["K"], d["sign"], sorted(map(tuple, d["B_cells"]))) for d in terms.to_dicts()]
 
 
 def k_row(terms, K):
     """Index of the table row whose crossing subset is K."""
-    (k,) = [k for k, t in enumerate(terms) if t.K == K]
+    (k,) = [k for k, d in enumerate(terms.to_dicts()) if d["K"] == list(K)]
     return k
 
 
 def span_cells(spec):
-    return tuple(Cell(row, col) for row, col in span(spec).tolist())
+    return tuple((row, col) for row, col in span(spec).tolist())
 
 
 def random_sigma(draw_n):
@@ -65,14 +66,12 @@ class TestGolden:
     def test_four_term_expansion(self):
         terms = expand(uniform_spec((2, 1, 3)))
         assert len(terms) == 4
-        got = [(sorted(t.K), t.sign, b_set(t)) for t in terms]
-        assert got == GOLDEN_FOUR
+        assert golden_rows(terms) == GOLDEN_FOUR
 
     def test_two_term_expansion(self):
         terms = expand(uniform_spec((3, 1, 2)))
         assert len(terms) == 2
-        got = [(sorted(t.K), t.sign, b_set(t)) for t in terms]
-        assert got == GOLDEN_TWO
+        assert golden_rows(terms) == GOLDEN_TWO
 
     def test_four_term_selected_assignment(self):
         terms = expand(uniform_spec((2, 1, 3)))
@@ -105,7 +104,7 @@ class TestCrossingSet:
             i
             for i in range(1, spec.n + 1)
             for k in range(i + 1, spec.n + 1)
-            if spec.sigma_of(k) > spec.sigma_of(i)
+            if spec.sigma[k - 1] > spec.sigma[i - 1]
         }
         assert got == brute
 
@@ -118,10 +117,10 @@ class TestCrossingSet:
 class TestSpan:
     def test_full_grid_when_last_column_max(self):
         cells = span_cells(uniform_spec((2, 1, 3)))
-        assert set(cells) == {Cell(i, j) for i in range(1, 4) for j in range(1, 4)}
+        assert set(cells) == {(i, j) for i in range(1, 4) for j in range(1, 4)}
 
     def test_singleton(self):
-        assert span_cells(uniform_spec((1,))) == (Cell(1, 1),)
+        assert span_cells(uniform_spec((1,))) == ((1, 1),)
 
     @given(st.integers(2, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_union_of_row_rectangles(self, sigma):
@@ -129,9 +128,9 @@ class TestSpan:
         brute = set()
         for i in range(1, spec.n + 1):
             brute |= {
-                Cell(r, c)
+                (r, c)
                 for r in range(1, i + 1)
-                for c in range(1, spec.sigma_of(i) + 1)
+                for c in range(1, spec.sigma[i - 1] + 1)
             }
         assert set(span_cells(spec)) == brute
 
@@ -158,9 +157,8 @@ class TestExpand:
         spec = uniform_spec(tuple(sigma))
         terms = expand(spec)
         assert len(terms) == 2 ** len(crossing_set(spec))
-        for t in terms:
-            rows = t.b_cells[:, 0].tolist()
-            cols = t.b_cells[:, 1].tolist()
+        for b_cells in terms.cells[terms.grad].tolist():
+            rows, cols = zip(*b_cells)
             assert len(set(rows)) == spec.n
             assert len(set(cols)) == spec.n
 
@@ -169,8 +167,8 @@ class TestExpand:
     def test_sign_formula(self, sigma):
         spec = uniform_spec(tuple(sigma))
         q = len(crossing_set(spec))
-        for t in expand(spec):
-            assert t.sign == (-1) ** len(t.K) * (-1) ** (spec.n - q)
+        for d in expand(spec).to_dicts():
+            assert d["sign"] == (-1) ** len(d["K"]) * (-1) ** (spec.n - q)
 
     @given(st.integers(2, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     @settings(max_examples=60, deadline=None)
@@ -188,9 +186,7 @@ class TestExpand:
         sig = tuple(range(n, 0, -1))
         terms = expand(uniform_spec(sig))
         assert len(terms) == 1
-        (term,) = terms
-        assert term.sign == (-1) ** n
-        assert b_set(term) == sorted((i, sig[i - 1]) for i in range(1, n + 1))
+        assert golden_rows(terms) == [([], (-1) ** n, [(i, sig[i - 1]) for i in range(1, n + 1)])]
 
     def test_drift_argument_sets_cover_gamma_cell(self):
         terms = expand(uniform_spec((2, 1, 3)))
@@ -211,21 +207,21 @@ class TestExpand:
     @pytest.mark.parametrize("sigma", ROW_VIEW_SIGMAS)
     def test_dicts_match_row_views(self, sigma):
         # the one-pass serializer, which shares one list per distinct drift-argument
-        # row, against a cell-by-cell scan of each term's own row view
+        # row, against a cell-by-cell scan of each term's rows of the stacked arrays
         terms = expand(uniform_spec(sigma))
         cells = terms.cells.tolist()
         if sigma in WIDE_SIGMAS:
             rows = np.unique(terms.args.reshape(-1, len(cells)), axis=0)
             merged = len(rows) - len(np.unique(rows[:, :64], axis=0))
             assert (len(terms), len(cells), merged) == WIDE_SIGMAS[sigma]
-        for t, d in zip(terms, terms.to_dicts()):
-            grad = t.grad.tolist()
+        for k, d in enumerate(terms.to_dicts()):
+            grad = terms.grad[k].tolist()
             assert d == {
-                "K": list(t.K),
-                "sign": t.sign,
-                "B_cells": t.b_cells.tolist(),
-                "E_cells": [c for k, c in enumerate(cells) if k not in grad],
-                "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in t.args.tolist()],
+                "K": [i for i, inside in zip(terms.crossing, terms.in_K[k].tolist()) if inside],
+                "sign": int(terms.sign[k]),
+                "B_cells": [cells[g] for g in grad],
+                "E_cells": [c for g, c in enumerate(cells) if g not in grad],
+                "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in terms.args[k].tolist()],
             }
 
     def test_table_reproduces_pinned_gamma_tau_shift(self):

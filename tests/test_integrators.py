@@ -163,10 +163,6 @@ class TestMonteCarlo:
         b = monte_carlo(lambda z: np.exp(-z.clip(-20, 20)), normal_sampler, 80_000, seed=2)
         assert 0.8 <= (a.std_error / b.std_error) / 2.0 <= 1.2
 
-    def test_interval(self):
-        est = McEstimate(1.0, 0.1, 100)
-        assert est.interval(2.0) == (0.8, 1.2)
-
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             monte_carlo(lambda z: z, normal_sampler, 1, seed=0)

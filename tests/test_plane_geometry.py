@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheetsde.plane_geometry import (
-    Cell,
     DegenerateGridError,
     GridPartition,
     geometric_grid,
@@ -58,7 +57,3 @@ class TestGridPartition:
         g = uniform_grid(2, 2)
         with pytest.raises(ValueError):
             g.areas()[0, 0] = 2.0
-
-    def test_cell_indices_one_based(self):
-        with pytest.raises(ValueError):
-            Cell(0, 1)

@@ -14,7 +14,6 @@ from sheetsde.brownian_sheet import (
     coarsen,
     cumulative_values,
     sample,
-    values,
 )
 from sheetsde.integrators import monte_carlo
 from sheetsde.plane_geometry import geometric_grid, uniform_grid
@@ -113,7 +112,7 @@ class TestSolverExactness:
         grid = uniform_grid(12, 9, 1.0, 1.5)
         sheet = sample(grid, dim=1, seed=4)
         sol = solve_euler(grid, zero_drift(1), 0.3, sheet)
-        want = 0.3 + values(sheet)
+        want = 0.3 + cumulative_values(sheet.increments)
         assert np.max(np.abs(sol.values - want)) <= 1e-13
         assert np.all(sol.values[0, :, :] == 0.3)
         assert np.all(sol.values[:, 0, :] == 0.3)
@@ -125,7 +124,7 @@ class TestSolverExactness:
         c = -0.6
         sol = solve_euler(grid, constant_drift(c), 0.1, sheet)
         st = np.outer(grid.s_knots, grid.t_knots)[:, :, None]
-        want = 0.1 + c * st + values(sheet)
+        want = 0.1 + c * st + cumulative_values(sheet.increments)
         assert np.max(np.abs(sol.values - want)) <= 1e-12
 
     def test_dim_two_shapes(self):
@@ -141,7 +140,8 @@ class TestSolverExactness:
         sheet = sample(grid, dim=1, seed=2)
         sol = solve_euler(grid, sign_drift(), 0.0, sheet)
         assert np.all(np.isfinite(sol.values))
-        assert np.max(np.abs(sol.values - values(sheet))) <= grid.s_max * grid.t_max
+        area = grid.s_knots[-1] * grid.t_knots[-1]
+        assert np.max(np.abs(sol.values - cumulative_values(sheet.increments))) <= area
 
 
 class TestPicard:
@@ -150,7 +150,7 @@ class TestPicard:
         sheet = sample(grid, dim=1, seed=5)
         sol, sweeps = solve_picard(grid, zero_drift(1), 0.2, sheet)
         assert sweeps == 1
-        assert np.max(np.abs(sol.values - (0.2 + values(sheet)))) == 0.0
+        assert np.max(np.abs(sol.values - (0.2 + cumulative_values(sheet.increments)))) == 0.0
 
     def test_initial_guess_irrelevant(self):
         grid = uniform_grid(10, 10, 1.0, 1.0)
@@ -158,7 +158,7 @@ class TestPicard:
         drift = tanh_drift(0.9, 1.1, 1)
         tol = 1e-11
         a, _ = solve_picard(grid, drift, 0.1, sheet, tol=tol)
-        w = values(sheet)
+        w = cumulative_values(sheet.increments)
         cold = SolutionField(grid, np.array([0.1]), np.full_like(w, 0.1))
         b, _ = solve_picard(grid, drift, 0.1, sheet, tol=tol, initial=cold)
         assert np.max(np.abs(a.values - b.values)) <= 2.0 * tol
@@ -267,7 +267,7 @@ def picard_series(grid, drift, solution, base=(0, 0), depth=4):
         total += term
 
     sup_jac = float(np.max(np.abs(jac_field))) * d
-    area_total = (grid.s_max - s_knots[u]) * (grid.t_max - t_knots[v])
+    area_total = (s_knots[-1] - s_knots[u]) * (t_knots[-1] - t_knots[v])
     tail = (sup_jac * area_total) ** (depth + 1) / math.factorial(depth + 1) ** 2
     return total, tail
 

@@ -134,6 +134,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_block_increasing(4, 4)
 
+    @pytest.mark.parametrize("m,k,match", [
+        (12, 1, "label tuples, got 479001600"),  # 12 positions, 12! members
+        (1, 256, "255 positions, got 256"),  # one member, labels past one byte
+    ], ids=["12-1", "1-256"])
+    def test_guard_counts_labels_before_building(self, monkeypatch, m, k, match):
+        def no_build(*args):
+            raise AssertionError("built labels past the enumeration limits")
+
+        monkeypatch.setattr(shuffle_combinatorics, "_block_partitions", no_build)
+        with pytest.raises(ValueError, match=match):
+            enumerate_block_increasing(m, k)
+
 
 class TestMembership:
     def test_single_point_inside(self):
@@ -295,7 +307,7 @@ class TestPartitions:
             raise AssertionError("sampled a product past the enumeration limit")
 
         monkeypatch.setattr(shuffle_combinatorics, "sample_product_batch", no_draws)
-        with pytest.raises(ValueError, match="enumeration limited to 12 positions, got 15"):
+        with pytest.raises(ValueError, match="limited to 1000000 label tuples, got 28280476224000000"):
             partition_report(RegionDescriptor("nabla", 3), 5, n_samples=100_000, seed=0)
 
 
