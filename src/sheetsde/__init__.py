@@ -45,7 +45,6 @@ from .ibp_engine import (
     uniform_spec,
 )
 from .shuffle_combinatorics import (
-    BlockIncreasingFamily,
     DegenerateTiesError,
     NotInProductError,
     PartitionReport,
@@ -87,7 +86,7 @@ from .sde_plane import (
 
 # the public surface, sorted; tests/test_package.py keeps it in step with the imports
 __all__ = [
-    "BlockIncreasingFamily", "DEFAULT_C0", "DegenerateGridError",
+    "DEFAULT_C0", "DegenerateGridError",
     "DegenerateTiesError", "DriftField", "DriftScalarFactor", "EmptySelectionError",
     "GridPartition", "IdentityReport", "McEstimate",
     "MissingJacobianError", "NonConvergenceError", "NotInProductError",

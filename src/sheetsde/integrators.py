@@ -203,6 +203,8 @@ def simplex_dirichlet_oracle(n: int, lower: float = 0.0, upper: float = 1.0,
         raise ValueError("n must be >= 1")
     if not upper > lower:
         raise ValueError("upper must exceed lower")
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2")  # a standard error needs two draws
     x = stream(seed).dirichlet(np.full(n + 1, 0.5), size=n_samples)
     vals = np.sqrt(x).prod(axis=1)
     mean = float(vals.mean())

@@ -11,9 +11,9 @@ increase along the group's slots, which is automatic for points of the
 product region.  For the split groups, rank r stands for the paper's r-th
 largest xi or zeta token of the group.
 
-Members are represented as tuples over the group's 1-based positions: entry
-p-1 is the rank assigned to position p, which belongs to block
-(p-1) // size at in-group slot (p-1) % size + 1.
+A member is a row over the group's 1-based positions: entry p-1 is the
+rank assigned to position p, which belongs to block (p-1) // size at
+in-group slot (p-1) % size + 1.
 """
 
 from __future__ import annotations
@@ -44,27 +44,17 @@ class DegenerateTiesError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _block_partitions(values: tuple[int, ...], block_size: int):
-    """All splits of `values` into consecutive blocks of fixed size, as tuples."""
-    if not values:
-        yield ()
-        return
-    for head in combinations(values, block_size):
-        rest = tuple(v for v in values if v not in head)
-        for tail in _block_partitions(rest, block_size):
-            yield (head,) + tail
-
-
 def _guard_enumeration(m: int, sizes: Sequence[int]) -> int:
     """Closed-form count of the label tuples in the product of the (m, size) families.
 
     Raises ValueError before anything is built when the count passes
-    ENUMERATION_LIMIT or a label value passes 255.  A label of the (m, size)
-    family takes the values 1..m * size, and _row_index packs one label per
-    byte.  For m >= 2 the count bound alone keeps m * size <= 22, since the
-    m = 2 family has C(2 size, size) members, over 10^6 from size 12 on.  A
-    one-block family has one member at any size, so m * size is checked
-    too, first, which also keeps the factorials small.
+    ENUMERATION_LIMIT or a label value passes 255.  The count bounds the
+    partition scan's work; a label of the (m, size) family takes the values
+    1..m * size and is built from a uint8 word of their m block ids, which
+    the value bound keeps within a byte.  For m >= 2 the count bound alone keeps
+    m * size <= 22, since the m = 2 family has C(2 size, size) members, over
+    10^6 from size 12 on.  A one-block family has one member at any size, so
+    m * size is checked too, first, which also keeps the factorials small.
     """
     positions = m * max(sizes)
     if positions > 255:
@@ -75,26 +65,30 @@ def _guard_enumeration(m: int, sizes: Sequence[int]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class BlockIncreasingFamily:
-    """Permutations of {1..mk} increasing along each of the m blocks."""
+def enumerate_block_increasing(m: int, k: int) -> np.ndarray:
+    """Permutations of {1..mk} increasing along each of the m blocks of k positions.
 
-    m: int
-    k: int
-    members: tuple[tuple[int, ...], ...]
-
-
-def enumerate_block_increasing(m: int, k: int) -> BlockIncreasingFamily:
+    Returns an (F, m k) int array, F = (mk)! / (k!)^m, one member per row in
+    lexicographic order; entry p - 1 of a row is the value at position p.
+    Each row is built as a word whose entry v - 1 is the block holding value
+    v, one block per level: a level gives every word each choice, in
+    lexicographic order, of k of the values no earlier block took.
+    """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     _guard_enumeration(m, [k])
-    members = []
-    for blocks in _block_partitions(tuple(range(1, m * k + 1)), k):
-        member = []
-        for block in blocks:
-            member.extend(sorted(block))  # increasing along the block
-        members.append(tuple(member))
-    return BlockIncreasingFamily(m, k, tuple(members))
+    # values no earlier block took fall to the last block
+    words = np.full((1, m * k), m - 1, dtype=np.uint8)
+    for block in range(m - 1):
+        free = (m - block) * k
+        heads = np.array(list(combinations(range(free), k)))
+        # placed values sort first (by block), then the free values, ascending
+        values = np.argsort(words, axis=1, kind="stable")[:, -free:]
+        chosen = values[:, heads].reshape(-1, k)
+        words = np.repeat(words, len(heads), axis=0)
+        words[np.arange(len(words))[:, None], chosen] = block
+    # a stable sort of a word lists each block's values in increasing order
+    return np.argsort(words, axis=1, kind="stable") + 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +137,15 @@ class RegionDescriptor:
             return
         if self.n < 1:
             raise ValueError(f"{self.kind} needs n >= 1")
-        split, total = "st"[self.split_axis], "st"[1 - self.split_axis]
-        low, mid, high = self._bounds(self.split_axis)
-        if mid is None:
-            raise ValueError(f"{self.kind} needs the split coordinate's mid bound")
-        if not low < mid < high:
-            raise ValueError(f"need {split}_low < {split}_mid < {split}_high")
-        if self.kind.startswith("delta") and self._bounds(1 - self.split_axis)[1] is None:
-            raise ValueError(f"{self.kind} needs {total}_mid for its extra constraint")
+        # the split axis splits at its mid bound and a delta floor lies at the
+        # total axis's mid bound; a floor at or past its high bound is never met
+        for axis in (self.split_axis, *(axis for axis, _, _ in self.floors)):
+            name = "st"[axis]
+            low, mid, high = self._bounds(axis)
+            if mid is None:
+                raise ValueError(f"{self.kind} needs {name}_mid")
+            if not low < mid < high:
+                raise ValueError(f"need {name}_low < {name}_mid < {name}_high")
 
     @property
     def arity(self) -> int:
@@ -309,28 +304,6 @@ def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.nda
 
 
 # ---------------------------------------------------------------------------
-# cell predicate (independent of locate; used by the partition scans)
-# ---------------------------------------------------------------------------
-
-
-def cell_membership_batch(region: RegionDescriptor, m: int, labels: Sequence[Sequence[int]],
-                          s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Chain predicate of one cell of an m-fold product, one label per chain group.
-
-    The cell requires each group's coordinates, read in the order of its
-    label's ranks, to form a strictly descending chain inside the group's
-    bounds.
-    """
-    ok = np.ones(s.shape[0], dtype=bool)
-    # the delta kinds' extra constraint is a property of the region, shared
-    # by all cells, so the cell predicate only tests the chains
-    for (axis, cols, low, high), label in zip(_product_groups(region, m), labels, strict=True):
-        # argsort of a permutation of 1..n is its inverse: position of rank p
-        ok &= _chain_desc((s, t)[axis][:, cols[np.argsort(label)]], low, high)
-    return ok
-
-
-# ---------------------------------------------------------------------------
 # partition scan and the product-of-integrals identity
 # ---------------------------------------------------------------------------
 
@@ -370,48 +343,39 @@ def cell_count(region: RegionDescriptor, m: int) -> int:
     return _guard_enumeration(m, _group_sizes(region))
 
 
-def _enumerate_cells(region: RegionDescriptor, m: int) -> list[tuple]:
-    """Every cell: one block-increasing member per chain group of the product."""
-    cell_count(region, m)  # the whole product is checked before any family is built
-    families = [enumerate_block_increasing(m, size).members for size in _group_sizes(region)]
-    return list(product(*families))
-
-
-def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of each row of `rows` in `table` (unique rows), -1 if absent.
-
-    Rows are compared as byte strings, one byte per label: _guard_enumeration
-    keeps labels at or below 255, and bytes sort ~15x faster than row records.
-    """
-    both = np.concatenate([table, rows]).astype(np.uint8)
-    _, inverse = np.unique(both.view(np.dtype((np.void, both.shape[1]))).ravel(), return_inverse=True)
-    index = np.full(inverse.max() + 1, -1)
-    index[inverse[: len(table)]] = np.arange(len(table))
-    return index[inverse[len(table) :]]
-
-
 def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key) -> PartitionReport:
-    """Sample the product region and scan every cell's predicate.
+    """Sample the product region and scan each chain group's family.
 
-    Checks that the cells cover each sample exactly once and that the
-    located cell is the covering one.
+    A cell, one family member per group, holds a point when each group's
+    coordinates read in its member's rank order descend inside the group's
+    bounds, so the cells holding a point number the product over groups of
+    the members that hold it.  Checks that this is 1 for each sample and
+    that the located cell is the holding one; the scan sorts no coordinates.
     """
-    # enumerate first, so that a product past the enumeration limits fails before any draw
-    cells = _enumerate_cells(region, m)
+    # count first, so that a product past the enumeration limits fails before anything is built
+    n_cells = cell_count(region, m)
+    families = [enumerate_block_increasing(m, size) for size in _group_sizes(region)]
     s, t = sample_product_batch(region, m, n_samples, seed)
-    # a cell is its label tuples laid end to end, as are the located labels
-    table = np.array([sum(cell, ()) for cell in cells])
-    located = _row_index(table, np.concatenate(locate_cell_batch(region, m, s, t), axis=1))
-    hits = np.zeros(n_samples, dtype=int)
-    claimed = np.full(n_samples, -1, dtype=int)
-    for ci, cell in enumerate(cells):
-        mask = cell_membership_batch(region, m, cell, s, t)
-        hits += mask
-        claimed[mask] = ci
+    located = locate_cell_batch(region, m, s, t)
+    hits = np.ones(n_samples, dtype=int)
+    differs = np.zeros(n_samples, dtype=bool)
+    # the delta kinds' extra constraint is a property of the region, shared
+    # by all cells, so the cells only test the chains
+    for (axis, cols, low, high), family, label in zip(_product_groups(region, m), families, located, strict=True):
+        x = (s, t)[axis][:, cols]
+        count = np.zeros(n_samples, dtype=int)
+        claimed = np.zeros(n_samples, dtype=int)
+        # argsort of a permutation of 1..n is its inverse: position of rank p
+        for index, order in enumerate(np.argsort(family, axis=1)):
+            mask = _chain_desc(x[:, order], low, high)
+            count += mask
+            claimed[mask] = index
+        hits *= count
+        differs |= np.any(family[claimed] != label, axis=1)
     uncovered = int(np.sum(hits == 0))
     multiple = int(np.sum(hits > 1))
-    mismatches = int(np.sum((hits == 1) & (claimed != located)))
-    return PartitionReport(region.kind, m, region.k, region.n, n_samples, len(cells),
+    mismatches = int(np.sum((hits == 1) & differs))
+    return PartitionReport(region.kind, m, region.k, region.n, n_samples, n_cells,
                            uncovered, multiple, mismatches)
 
 
@@ -460,6 +424,7 @@ def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000
     if len(slot_functions) != k:
         raise ValueError(f"need {k} slot functions, got {len(slot_functions)}")
     region = RegionDescriptor("nabla", k, s_high=s_high, t_high=t_high)
+    n_cells = cell_count(region, 2)  # checked before anything is drawn or built
     block_vol = (s_high ** k / factorial(k)) * (t_high ** k / factorial(k))
 
     s, t = sample_region_batch(region, budget, (seed, 0))
@@ -471,13 +436,12 @@ def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000
     lhs = single ** 2
     lhs_se = 2.0 * abs(single) * single_se  # delta method
 
-    cells = _enumerate_cells(region, 2)
-    per_cell = max(budget // len(cells), 2)
+    per_cell = max(budget // n_cells, 2)
     cell_vol = (s_high ** (2 * k) / factorial(2 * k)) * (t_high ** (2 * k) / factorial(2 * k))
     rng = stream(seed, 1)
     rhs = 0.0
     rhs_var = 0.0
-    for sigma, gamma in cells:
+    for sigma, gamma in product(enumerate_block_increasing(2, k), repeat=2):
         cs, ct = _cell_sampler(region, sigma, gamma, per_cell, rng)
         cv = np.ones(per_cell)
         for pos in range(2 * k):
@@ -485,4 +449,4 @@ def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000
             cv *= f(cs[:, pos], ct[:, pos])
         rhs += float(cv.mean()) * cell_vol
         rhs_var += (float(cv.std(ddof=1)) / np.sqrt(per_cell) * cell_vol) ** 2
-    return ProductIdentityReport(k, lhs, lhs_se, rhs, float(np.sqrt(rhs_var)), len(cells))
+    return ProductIdentityReport(k, lhs, lhs_se, rhs, float(np.sqrt(rhs_var)), n_cells)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import counting_eval, counting_jacobian
+from conftest import NoArrays, counting_eval, counting_jacobian
 from sheetsde import cli_runner, integrators, sde_plane, shuffle_combinatorics
 from sheetsde.brownian_sheet import cumulative_values, sample, stream
 from sheetsde.cli_runner import (
@@ -314,11 +314,7 @@ class TestRunApi:
     @pytest.mark.parametrize("k,count", [(2, 6350400), (3, 136604160000)])
     def test_verify_shuffle_rejects_products_past_the_limit(self, monkeypatch, k, count):
         # 4 k <= 12 positions per family, but 2520^2 or 369600^2 cells
-        def no_build(*args):
-            raise AssertionError("built labels or samples past the enumeration limit")
-
-        monkeypatch.setattr(shuffle_combinatorics, "_block_partitions", no_build)
-        monkeypatch.setattr(shuffle_combinatorics, "sample_product_batch", no_build)
+        monkeypatch.setattr(shuffle_combinatorics, "np", NoArrays())
         with pytest.raises(ValueError, match=f"label tuples, got {count}"):
             run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 4, "k": k}))
         assert main(["verify-shuffle", "--kind", "nabla", "--m", "4", "--k", str(k)]) == 1
@@ -406,6 +402,14 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "sigma" in err
+
+    def test_one_oracle_sample_is_one(self, capsys):
+        # one Dirichlet draw has no standard error: a NaN record, not a check
+        code = main(["simplex-gamma", "--mc-samples", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "need n_samples >= 2" in err
 
     def test_zero_eps_is_one(self, capsys):
         # eps 0 divides by zero in the central difference: a NaN record, not a check

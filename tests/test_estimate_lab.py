@@ -15,6 +15,7 @@ import pytest
 from sheetsde import estimate_lab, integrators
 from sheetsde.brownian_sheet import stream
 from sheetsde.estimate_lab import (
+    DEFAULT_C0,
     EXACT_REL_TOL,
     DriftScalarFactor,
     IdentityReport,
@@ -25,6 +26,7 @@ from sheetsde.estimate_lab import (
     _term_integrand,
     _term_rows,
     _tilted_moments,
+    abs_gradient_l1,
     bump_factor,
     davie_bound,
     direct_expectation,
@@ -121,6 +123,23 @@ class TestDavieBound:
 
     def test_zero_drift(self):
         assert davie_bound(uniform_spec((1, 2)), 0.0) == 0.0
+
+
+class TestAbsGradientL1:
+    @pytest.mark.parametrize("v", [1e-3, 0.5, 7.0])
+    def test_dominated_by_bound_constant(self, v):
+        # sqrt(2/pi) < 2 sqrt(2), so the per-cell L1 mass sits under the
+        # bound constant at every variance.
+        assert abs_gradient_l1(v) <= DEFAULT_C0 / math.sqrt(v)
+
+    def test_closed_form(self):
+        assert abs_gradient_l1(4.0) == pytest.approx(math.sqrt(2.0 / math.pi) / 2.0, rel=1e-15)
+
+
+class TestValidation:
+    def test_nonpositive_variance_rejected(self):
+        with pytest.raises(ValueError):
+            abs_gradient_l1(0.0)
 
 
 class TestExpectations:

@@ -269,3 +269,9 @@ class TestSimplexIntegral:
         with pytest.raises(ValueError):
             simplex_singular_integral(1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_dirichlet_oracle_needs_two_samples(self, n_samples):
+        # one draw has no standard error: it came out NaN and failed the JSON record
+        with pytest.raises(ValueError, match="need n_samples >= 2"):
+            simplex_dirichlet_oracle(2, n_samples=n_samples)
+

@@ -13,11 +13,13 @@ only when a change to the draws or the labels is intended.
 
 import json
 import math
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import NoArrays
 from sheetsde import shuffle_combinatorics
 from sheetsde.shuffle_combinatorics import (
     NABLA_KINDS,
@@ -25,7 +27,6 @@ from sheetsde.shuffle_combinatorics import (
     DegenerateTiesError,
     NotInProductError,
     RegionDescriptor,
-    cell_membership_batch,
     enumerate_block_increasing,
     locate_cell_batch,
     membership_batch,
@@ -115,15 +116,21 @@ class TestEnumeration:
         [(2, 1, 2), (2, 2, 6), (3, 1, 6), (4, 1, 24), (4, 2, 2520), (4, 3, 369600)],
     )
     def test_counts_match_multinomial(self, m, k, count):
-        fam = enumerate_block_increasing(m, k)
-        assert len(fam.members) == count
+        assert enumerate_block_increasing(m, k).shape == (count, m * k)
         assert count == math.factorial(m * k) // math.factorial(k) ** m
 
     def test_members_unique_and_block_increasing(self):
-        fam = enumerate_block_increasing(2, 2)
-        assert len(set(fam.members)) == 6
-        for member in fam.members:
+        members = enumerate_block_increasing(2, 2).tolist()
+        assert len(set(map(tuple, members))) == 6
+        for member in members:
             assert member[0] < member[1] and member[2] < member[3]
+
+    @pytest.mark.parametrize("m,k", [(1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (2, 4)])
+    def test_rows_are_the_block_increasing_permutations_in_order(self, m, k):
+        # permutations() yields in lexicographic order; keep those increasing along every block
+        want = [list(p) for p in permutations(range(1, m * k + 1))
+                if all(p[i] < p[i + 1] for i in range(m * k - 1) if (i + 1) % k)]
+        assert enumerate_block_increasing(m, k).tolist() == want
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_power_four_majorization(self, k):
@@ -139,10 +146,7 @@ class TestEnumeration:
         (1, 256, "255 positions, got 256"),  # one member, labels past one byte
     ], ids=["12-1", "1-256"])
     def test_guard_counts_labels_before_building(self, monkeypatch, m, k, match):
-        def no_build(*args):
-            raise AssertionError("built labels past the enumeration limits")
-
-        monkeypatch.setattr(shuffle_combinatorics, "_block_partitions", no_build)
+        monkeypatch.setattr(shuffle_combinatorics, "np", NoArrays())
         with pytest.raises(ValueError, match=match):
             enumerate_block_increasing(m, k)
 
@@ -166,6 +170,16 @@ class TestMembership:
     def test_split_region_needs_mid_bound(self):
         with pytest.raises(ValueError):
             RegionDescriptor("lambda", 1, 1)
+
+    @pytest.mark.parametrize("kind,bounds,match", [
+        ("delta", {"s_mid": 0.5, "t_mid": 1.5}, "t_low < t_mid < t_high"),
+        ("delta", {"s_mid": 0.5, "t_mid": 0.0}, "t_low < t_mid < t_high"),
+        ("delta_tilde", {"t_mid": 0.5, "s_mid": 1.0}, "s_low < s_mid < s_high"),
+    ])
+    def test_delta_floor_mid_inside_its_axis(self, kind, bounds, match):
+        # a floor at t > 1.5 inside (0, 1) made sample_region_batch reject forever
+        with pytest.raises(ValueError, match=match):
+            RegionDescriptor(kind, 1, 1, **bounds)
 
     def test_delta_extra_constraint(self):
         region = RegionDescriptor("delta", 1, 1, s_mid=0.5, t_mid=0.5)
@@ -211,16 +225,6 @@ class TestLocateCell:
         sigma, gamma = locate_cell_batch(RegionDescriptor("nabla", 1), 2, s, t)
         assert sigma[0].tolist() == [2, 1]
         assert gamma[0].tolist() == [2, 1]
-
-    def test_located_cell_contains_point(self):
-        region = RegionDescriptor("nabla", 2)
-        s, t = sample_product_batch(region, 2, 50, seed=8)
-        sigma, gamma = locate_cell_batch(region, 2, s, t)
-        for row in range(50):
-            inside = cell_membership_batch(
-                region, 2, (tuple(sigma[row]), tuple(gamma[row])), s[row : row + 1], t[row : row + 1]
-            )
-            assert inside[0]
 
     def test_not_in_product_error(self):
         s, t = _rows([
@@ -291,7 +295,7 @@ class TestPartitions:
     @pytest.mark.parametrize("kind,m,k,n", [
         *(("nabla_tilde", m, k, 0) for m, k in ((2, 1), (2, 2), (3, 1))),
         *((kind, 2, k, n) for kind in SPLIT_KINDS for k, n in ((1, 1), (2, 1), (1, 2))),
-        *((kind, 3, 1, 1) for kind in SPLIT_KINDS),
+        *((kind, 3, k, n) for kind in SPLIT_KINDS for k, n in ((1, 1), (2, 1), (1, 2))),
     ])
     def test_partition_scan_every_kind(self, kind, m, k, n):
         region = _region(kind, k, n, **MIDS[kind])
@@ -301,6 +305,22 @@ class TestPartitions:
     def test_cell_counts(self):
         report = partition_report(RegionDescriptor("nabla", 1), 2, n_samples=100, seed=0)
         assert report.n_cells == 4  # 2 sigma labels x 2 gamma labels
+
+    @pytest.mark.parametrize("mutant,field", [
+        ("missing", "uncovered"),  # the cells of the dropped member hold nothing
+        ("repeated", "multiply_covered"),  # the cells of the repeated member hold twice
+        ("swapped", "locate_mismatches"),  # locate returns (gamma, sigma)
+    ])
+    def test_scan_catches_mutants(self, monkeypatch, mutant, field):
+        family, locate = enumerate_block_increasing, locate_cell_batch
+        mutants = {
+            "missing": ("enumerate_block_increasing", lambda m, k: family(m, k)[:-1]),
+            "repeated": ("enumerate_block_increasing", lambda m, k: np.concatenate([family(m, k), family(m, k)[:1]])),
+            "swapped": ("locate_cell_batch", lambda *args: locate(*args)[::-1]),
+        }
+        monkeypatch.setattr(shuffle_combinatorics, *mutants[mutant])
+        report = partition_report(RegionDescriptor("nabla", 2), 2, n_samples=400, seed=22)
+        assert getattr(report, field) > 0, report
 
     def test_enumeration_guard_before_sampling(self, monkeypatch):
         def no_draws(*args):
