@@ -307,8 +307,8 @@ class TestPartitions:
         assert report.n_cells == 4  # 2 sigma labels x 2 gamma labels
 
     @pytest.mark.parametrize("mutant,field", [
-        ("missing", "uncovered"),  # the cells of the dropped member hold nothing
-        ("repeated", "multiply_covered"),  # the cells of the repeated member hold twice
+        ("missing", "uncovered"),  # points of the dropped member's cells are held by no cell
+        ("repeated", "multiply_covered"),  # points of the repeated member's cells are held twice
         ("swapped", "locate_mismatches"),  # locate returns (gamma, sigma)
     ])
     def test_scan_catches_mutants(self, monkeypatch, mutant, field):
