@@ -116,22 +116,20 @@ def _direct_integrand(factor: DriftScalarFactor):
     return lambda y: np.prod(factor.b_prime(y), axis=0)
 
 
-def _term_integrand(n: int, factor: DriftScalarFactor, reduce_variance: bool = False):
+def _term_integrand(n: int, factor: DriftScalarFactor):
     """Integrand of an expansion term on its (2n, b) marginal: n drift arguments over n Hermite factors.
 
-    With reduce_variance the exactly-mean-zero control b(0)^n * prod(weights)
-    is subtracted (the Hermite factors -x_g / v_g sit at distinct independent
-    cells g) and the evaluation is antithetic in y; both are unbiased.  At -y
-    the drift arguments are exactly -args and the weight product is exactly
-    (-1)^n times the weights, so the result equals 0.5 * (raw(y) + raw(-y)) bit for bit.
+    The raw integrand prod b(args) * prod(weights), less the exactly-mean-zero control b(0)^n *
+    prod(weights) (the Hermite factors -x_g / v_g sit at distinct independent cells g), evaluated
+    antithetically in y; both are unbiased.  At -y the drift arguments are exactly -args and the
+    weight product is exactly (-1)^n times the weights, so the result equals
+    0.5 * (raw(y) + raw(-y)) bit for bit.
     """
-    b0n = float(factor.b(np.zeros(1))[0]) ** n if reduce_variance else 0.0
+    b0n = float(factor.b(np.zeros(1))[0]) ** n
 
     def f(y: np.ndarray) -> np.ndarray:
         weights = np.prod(y[n:], axis=0)
         vals = (np.prod(factor.b(y[:n]), axis=0) - b0n) * weights
-        if not reduce_variance:
-            return vals
         if n % 2:
             np.negative(weights, out=weights)
         mirrored = (np.prod(factor.b(-y[:n]), axis=0) - b0n) * weights
@@ -274,7 +272,7 @@ def ibp_expectation(spec: PermutationSpec, factor: DriftScalarFactor,
     if method == "exact":
         values = _exact_terms(terms, factor.gaussian, variances)
         return McEstimate(sum((terms.sign * values).tolist()), 0.0, 0)
-    integrand = _term_integrand(spec.n, factor, reduce_variance=True)
+    integrand = _term_integrand(spec.n, factor)
     ests = concurrently(*(
         partial(monte_carlo, integrand, _marginal_sampler(root), budget, (seed, idx))
         for idx, root in enumerate(_marginal_factor(_term_rows(terms, variances), variances))

@@ -14,10 +14,11 @@ sheets.
 
 solve_euler takes a sheet sample with leading sample axes and integrates
 every sheet of the batch in one row sweep; malliavin-check solves its base
-sheet and both Cameron-Martin shifts that way.  solve_picard and
-malliavin_adjoint take one sheet and raise ValueError, naming the leading
-shape, on a batch.  Both solvers raise ValueError when the solution is not
-finite.
+sheet and both Cameron-Martin shifts that way.  malliavin_adjoint takes the
+same leading axes and sweeps every sheet of a batch at once, one matmul and
+one prefix sum per row.  Only solve_picard takes one sheet and raises
+ValueError, naming the leading shape, on a batch.  Both solvers raise
+ValueError when the solution is not finite.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ class SolutionField:
         return self.values.shape[:-3]
 
 
-def _one_sheet(name: str, batch_shape: tuple[int, ...]) -> None:
-    if batch_shape:
-        raise ValueError(f"{name} takes one sheet, got leading sample shape {batch_shape}")
-
-
 def _require_finite(scheme: str, x: np.ndarray) -> None:
     """ValueError naming the first non-finite grid point (and sample) of x."""
     if np.isfinite(x).all():
@@ -177,23 +173,21 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     in place.  The row update uses the telescoped form: the difference between
     consecutive rows is the running column sum of drift * area + increment.
     """
-    n_s, n_t = grid.n_s, grid.n_t
-    d = increments.shape[-1]
-    batch = increments.shape[:-3]
+    batch, (n_t, d) = increments.shape[:-3], increments.shape[-2:]
     s_knots = np.asarray(grid.s_knots)
     t_corners = np.asarray(grid.t_knots)[:-1]
     areas = grid.areas()[:, :, None]
 
     row = np.empty(batch + (n_t + 1, d))
     row[...] = x0
+    # states at the lower-left corners (i-1, j-1), j = 1..n_t, and the points they move
+    corners, moved = row[..., :-1, :], row[..., 1:, :]
     g = np.empty(batch + (n_t, d))
-    for i in range(1, n_s + 1):
-        # states at the lower-left corners (i-1, j-1), j = 1..n_t
-        b_vals = drift.eval(s_knots[i - 1], t_corners, row[..., :-1, :])
-        np.multiply(b_vals, areas[i - 1], out=g)
-        g += increments[..., i - 1, :, :]
-        np.cumsum(g, axis=-2, out=g)
-        row[..., 1:, :] += g
+    for s, area, dz in zip(s_knots[:-1], areas, np.moveaxis(increments, -3, 0)):
+        np.multiply(drift.eval(s, t_corners, corners), area, out=g)
+        g += dz
+        np.add.accumulate(g, axis=-2, out=g)
+        moved += g
         yield row
 
 
@@ -224,7 +218,8 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    _one_sheet("solve_picard", sheet.batch_shape)
+    if sheet.batch_shape:
+        raise ValueError(f"solve_picard takes one sheet, got leading sample shape {sheet.batch_shape}")
     x0v = _as_x0(x0, sheet.dim)
     w = cumulative_values(sheet.increments)
     s_knots = np.asarray(grid.s_knots)
@@ -254,12 +249,15 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField,
                       solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
     """Terminal derivative for every base cell, and in x0, from one backward sweep.
 
-    Returns (cells, flow).  cells, shape (n_s, n_t, d, d), holds at [a, b] the
-    derivative of X_end with respect to the sheet, based at grid point
-    (a + 1, b + 1); flow, shape (d, d), is dX_end / dx0.  Both take
-    O(n_s n_t d^3) work.  The derivative field D based at (u, v) is the
-    identity on row u and column v from the base on and follows the
-    linearized Euler row recursion beyond them.  The sweep carries
+    Returns (cells, flow).  cells, shape (..., n_s, n_t, d, d), holds at
+    [..., a, b] the derivative of X_end with respect to the sheet, based at
+    grid point (a + 1, b + 1); flow, shape (..., d, d), is dX_end / dx0.  The
+    leading axes are the solution's sample axes: one sweep, one matmul and
+    one prefix sum per row, covers the batch, and each sheet gets its single
+    sweep's values bit for bit.  Both take O(n_s n_t d^3) work per sheet.
+    The derivative field D based at (u, v) is the identity on row u and
+    column v from the base on and follows the linearized Euler row
+    recursion beyond them.  The sweep carries
     lam[j] = dX_end / dD[i, j], the sensitivity of the terminal value to row i
     of that recursion, from the top row down (adjoint method: Giles &
     Glasserman, "Smoking adjoints", Risk 2006).  A base (i, k) sets row i to
@@ -269,22 +267,22 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField,
     column after the last step.
     """
     jac = drift.require_jacobian()
-    _one_sheet("malliavin_adjoint", solution.batch_shape)
-    n_s, n_t = grid.n_s, grid.n_t
-    d = solution.dim
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
-    # kernel[i, j] = b'(corner state) * area of cell (i, j), every cell at once
-    kernel = jac(s_knots[:-1, None], t_knots[:-1], solution.values[:-1, :-1])
+    n_t, d = grid.n_t, solution.dim
+    # kernel[..., i, j] = b'(corner state) * area of cell (i, j), every cell at once
+    kernel = jac(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1],
+                 solution.values[..., :-1, :-1, :])
     kernel = kernel * grid.areas()[:, :, None, None]
 
-    cells = np.empty((n_s, n_t, d, d))
-    lam = np.zeros((n_t + 1, d, d))
-    lam[n_t] = np.eye(d)
-    for i in range(n_s, 0, -1):
-        cells[i - 1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
-        lam[:n_t] += np.einsum("jab,jbc->jac", cells[i - 1], kernel[i - 1])
-    return cells, lam.sum(axis=0)
+    cells = np.empty_like(kernel)
+    lam = np.zeros(solution.batch_shape + (n_t + 1, d, d))
+    lam[..., n_t, :, :] = np.eye(d)
+    later, head = lam[..., :0:-1, :, :], lam[..., :n_t, :, :]
+    rows = np.moveaxis(cells, -4, 0)[::-1]  # row i - 1 of cells, from the top row down
+    for row, reversed_row, k in zip(rows, rows[..., ::-1, :, :], np.moveaxis(kernel, -4, 0)[::-1]):
+        # the sums over j >= k, accumulated straight into the row in reverse column order
+        np.add.accumulate(later, axis=-3, out=reversed_row)
+        head += row @ k
+    return cells, lam.sum(axis=-3)
 
 
 def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -210,6 +210,11 @@ def probe_points(variances: np.ndarray) -> np.ndarray:
     return 1.5 * np.sin(0.9 * k + 1.7 * c + 0.3) * np.sqrt(variances)
 
 
+def raw_term(n, factor, control=0.0):
+    """An expansion term's integrand on its (2n, b) marginal, less control * prod(weights)."""
+    return lambda y: (np.prod(factor.b(y[:n]), axis=0) - control) * np.prod(y[n:], axis=0)
+
+
 def integrand_values() -> dict:
     """Direct integrand and each signed raw term integrand at the probe points, all n <= 4."""
     values = {}
@@ -219,7 +224,7 @@ def integrand_values() -> dict:
             variances = spec_variances(spec, cells)
             x = probe_points(variances).T
             terms = expand(spec)
-            raw = _term_integrand(n, BUMP)
+            raw = raw_term(n, BUMP)
             values[",".join(map(str, spec.sigma))] = {
                 "direct": _direct_integrand(BUMP)(staircase(spec, cells) @ x).tolist(),
                 "terms": [(sign * raw(rows @ x)).tolist()
@@ -269,18 +274,14 @@ class TestPinnedEstimates:
 
 def two_draw_antithetic(n, factor):
     """The antithetic integrand evaluated as 0.5 * (raw(y) + raw(-y)), controls included."""
-    b0n = float(factor.b(np.zeros(1))[0]) ** n
-
-    def raw(y):
-        return (np.prod(factor.b(y[:n]), axis=0) - b0n) * np.prod(y[n:], axis=0)
-
+    raw = raw_term(n, factor, control=float(factor.b(np.zeros(1))[0]) ** n)
     return lambda y: 0.5 * (raw(y) + raw(-y))
 
 
 def term_estimates(spec, factor, budget, seed) -> list:
     """ibp_expectation's Monte Carlo term passes, one after the other."""
     variances = spec_variances(spec, span(spec))
-    integrand = _term_integrand(spec.n, factor, True)
+    integrand = _term_integrand(spec.n, factor)
     factors = _marginal_factor(_term_rows(expand(spec), variances), variances)
     return [monte_carlo(integrand, _marginal_sampler(f), budget, (seed, idx))
             for idx, f in enumerate(factors)]
@@ -302,7 +303,7 @@ class TestOneDrawAntithetic:
         terms = expand(spec)
         assert spec.n % 2 == parity and terms.grad.shape[1] == spec.n
         want = two_draw_antithetic(spec.n, BUMP)
-        got = _term_integrand(spec.n, BUMP, reduce_variance=True)
+        got = _term_integrand(spec.n, BUMP)
         for f in _marginal_factor(_term_rows(terms, variances), variances):
             y = _marginal_sampler(f)(stream(4), 3000)
             assert np.array_equal(got(y), want(y))

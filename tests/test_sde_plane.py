@@ -288,16 +288,30 @@ class TestBatch:
             one = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z[r]))
             assert np.array_equal(batch.values[r], one.values), r
 
-    def test_single_sheet_routines_reject_a_batch(self):
+    @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["3", "2x3"])
+    @pytest.mark.parametrize("grid", [uniform_grid(8, 6, 1.0, 1.5), geometric_grid(9, 7, 1.0, 1.0)],
+                             ids=["uniform", "geometric"])
+    @pytest.mark.parametrize("drift", [
+        tanh_drift(0.9, 1.1, 1), tanh_matrix_drift([[0.7, -1.1], [0.4, 0.9]]),
+    ], ids=["tanh-1d", "tanh-matrix-2d"])
+    def test_batched_adjoint_is_each_sheet_sweep(self, drift, grid, batch):
+        n = math.prod(batch)
+        z = np.stack([sample(grid, drift.dim, (6, r)).increments for r in range(n)])
+        sol = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z.reshape(batch + z.shape[1:])))
+        cells, flow = malliavin_adjoint(grid, drift, sol)
+        d = drift.dim
+        assert cells.shape == batch + (grid.n_s, grid.n_t, d, d)
+        assert flow.shape == batch + (d, d)
+        for r in np.ndindex(*batch):
+            one_cells, one_flow = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[r]))
+            assert np.array_equal(cells[r], one_cells), r
+            assert np.array_equal(flow[r], one_flow), r
+
+    def test_picard_rejects_a_batch(self):
         grid = uniform_grid(4, 4, 1.0, 1.0)
-        drift = tanh_drift(0.9, 1.1, 1)
         z = np.stack([sample(grid, 1, seed=r).increments for r in range(2)])
-        sol = solve_euler(grid, drift, 0.2, SheetSample(grid, 1, z))
-        shape = r"got leading sample shape \(2,\)"
-        with pytest.raises(ValueError, match="solve_picard takes one sheet, " + shape):
-            solve_picard(grid, drift, 0.2, SheetSample(grid, 1, z))
-        with pytest.raises(ValueError, match="malliavin_adjoint takes one sheet, " + shape):
-            malliavin_adjoint(grid, drift, sol)
+        with pytest.raises(ValueError, match=r"solve_picard takes one sheet, got leading sample shape \(2,\)"):
+            solve_picard(grid, tanh_drift(0.9, 1.1, 1), 0.2, SheetSample(grid, 1, z))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_solution_names_scheme_and_grid_point(self):
