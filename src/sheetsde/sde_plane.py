@@ -180,7 +180,7 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
 
     row = np.empty(batch + (n_t + 1, d))
     row[...] = x0
-    # states at the lower-left corners (i-1, j-1), j = 1..n_t, and the points they move
+    # the corner states (i-1, j-1) the drift reads and the states (i, j) the update writes, j = 1..n_t
     corners, moved = row[..., :-1, :], row[..., 1:, :]
     g = np.empty(batch + (n_t, d))
     for s, area, dz in zip(s_knots[:-1], areas, np.moveaxis(increments, -3, 0)):
