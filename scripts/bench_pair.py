@@ -14,7 +14,10 @@ medians, the number of pairs the change wins per metric, the parent's
 interquartile range, whether the median moved by more than that range (a
 gain or a loss), and the failed ops of both sides.  Next to each gain/loss
 flag stands parent_iqr_rel, the parent's IQR over the parent's median: the
-smallest relative move of the median that the flag can resolve.  A run that exits
+smallest relative move of the median that the flag can resolve.  Beside the
+flag stand two paired statistics that a drift in machine speed moves less: the
+median over pairs of log(change / parent), and the two-sided sign-test p value
+of the change's wins over its losses, ties dropped.  A run that exits
 non-zero or outlasts its timeout is kept as an error entry.
 
 Seeds are fixed per workload and include the ones whose runs have had failed
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -118,12 +122,24 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided exact sign-test p value of wins against losses (ties already dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     """Medians per side, change/parent ratio, wins and IQR-resolved shift per metric, failed ops.
 
     The shift is flagged "gain" or "loss" only when the median moved by more
     than the parent's IQR; parent_iqr_rel gives that resolution relative to
-    the parent's median.
+    the parent's median.  median_log_ratio is the median over pairs of
+    log(change / parent) (pairs with a non-positive value left out) and
+    sign_test_p the two-sided sign-test p value of the pairs the change wins
+    against those it loses.
     """
     ok = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     summary = {"pairs": len(pairs), "complete_pairs": len(ok), "metrics": {}}
@@ -136,16 +152,21 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         q1, q3 = quartiles(parent)
         med_p, med_c = statistics.median(parent), statistics.median(change)
         gain = sign * (med_c - med_p)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        logs = [math.log(c / p) for p, c in zip(parent, change) if p > 0 and c > 0]
         summary["metrics"][name] = {
             "better": direction,
             "parent_median": med_p,
             "change_median": med_c,
             "ratio": med_c / med_p if med_p else None,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": wins,
             "parent_iqr": q3 - q1,
             "parent_iqr_rel": (q3 - q1) / med_p if med_p else None,
             "median_shift_beyond_parent_iqr": ("gain" if gain > q3 - q1 else
                                                "loss" if -gain > q3 - q1 else None),
+            "median_log_ratio": statistics.median(logs) if logs else None,
+            "sign_test_p": sign_test_p(wins, losses),
         }
     for side in ("parent", "change"):
         runs = [p[side] for p in pairs]

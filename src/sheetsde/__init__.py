@@ -28,7 +28,6 @@ from .brownian_sheet import (
 )
 from .integrators import (
     McEstimate,
-    merge_estimates,
     monte_carlo,
     simplex_dirichlet_oracle,
     simplex_singular_integral,
@@ -98,7 +97,7 @@ __all__ = [
     "expand", "export_csv", "gaussian_factor",
     "geometric_grid", "ibp_expectation",
     "locate_cell_batch",
-    "malliavin_adjoint", "membership_batch", "merge_estimates",
+    "malliavin_adjoint", "membership_batch",
     "monte_carlo", "paired_weak_expectation", "partition_report",
     "product_identity_check", "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",

@@ -526,8 +526,7 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     drift = _build_drift(p, 1)
     drift.require_jacobian()
     sheet = sample(grid, dim=1, seed=p["seed"])
-    s = np.asarray(grid.s_knots)
-    t = np.asarray(grid.t_knots)
+    s, t = grid.s_knot_array(), grid.t_knot_array()
     hdot = (np.cos(2.1 * s[1:])[:, None] * np.sin(1.7 * t[1:] + 0.3)[None, :])[:, :, None]
     # the sheet and its two shifts in one row sweep: samples base, up, down
     shifted = (cameron_martin_shift(sheet, hdot, e).increments for e in (eps, -eps))

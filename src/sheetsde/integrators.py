@@ -30,7 +30,7 @@ class McEstimate:
     n_samples: int
 
 
-def merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
+def _merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
     """Deterministic pairwise-sequential merge of disjoint-sample estimates."""
     n_tot = 0
     mean = 0.0
@@ -125,7 +125,7 @@ def monte_carlo(
     else:
         results = _on_threads(run_shard, range(shards), _pool_workers(shards))
     cols = results[0][0]
-    columns = [merge_estimates(parts) if shards > 1 else parts[0]
+    columns = [_merge_estimates(parts) if shards > 1 else parts[0]
                for parts in zip(*(ests for _, ests in results))]
     return columns if cols else columns[0]
 

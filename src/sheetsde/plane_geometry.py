@@ -21,18 +21,21 @@ class DegenerateGridError(ValueError):
     """Raised when a knot vector is unsorted or has near-coincident knots."""
 
 
-def _validated_knots(name: str, knots: Sequence[float]) -> tuple[float, ...]:
-    vec = tuple(float(x) for x in knots)
+def _validated_knots(name: str, knots: Sequence[float]) -> tuple[tuple[float, ...], np.ndarray]:
+    """(tuple, read-only float array) of one axis's knots, checked once."""
+    vec = np.array(knots, dtype=float)
+    if vec.ndim != 1:
+        raise DegenerateGridError(f"{name} must be a flat sequence of knots, got shape {vec.shape}")
     if len(vec) < 2:
         raise DegenerateGridError(f"{name} needs at least two knots, got {len(vec)}")
     if vec[0] != 0.0:
-        raise DegenerateGridError(f"{name} must start at 0.0, got {vec[0]!r}")
-    gaps = np.diff(vec)
-    if np.any(gaps <= MIN_KNOT_GAP):
+        raise DegenerateGridError(f"{name} must start at 0.0, got {float(vec[0])!r}")
+    if (vec[1:] - vec[:-1] <= MIN_KNOT_GAP).any():
         raise DegenerateGridError(
             f"{name} must be strictly increasing with gaps > {MIN_KNOT_GAP:g}"
         )
-    return vec
+    vec.flags.writeable = False
+    return tuple(vec.tolist()), vec
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,13 @@ class GridPartition:
     t_knots: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s_knots", _validated_knots("s_knots", self.s_knots))
-        object.__setattr__(self, "t_knots", _validated_knots("t_knots", self.t_knots))
-        # built once: samplers and solvers read the areas on every call
-        areas = np.outer(self.s_gaps(), self.t_gaps())
+        # built once, beside the public tuples: samplers and solvers read the
+        # knot arrays and the areas on every call
+        for axis in ("s", "t"):
+            knots, array = _validated_knots(f"{axis}_knots", getattr(self, f"{axis}_knots"))
+            object.__setattr__(self, f"{axis}_knots", knots)
+            object.__setattr__(self, f"_{axis}_array", array)
+        areas = self.s_gaps()[:, None] * self.t_gaps()
         areas.flags.writeable = False
         object.__setattr__(self, "_areas", areas)
 
@@ -61,11 +67,19 @@ class GridPartition:
     def n_t(self) -> int:
         return len(self.t_knots) - 1
 
+    def s_knot_array(self) -> np.ndarray:
+        """s_knots as a read-only float array."""
+        return self._s_array
+
+    def t_knot_array(self) -> np.ndarray:
+        """t_knots as a read-only float array."""
+        return self._t_array
+
     def s_gaps(self) -> np.ndarray:
-        return np.diff(np.asarray(self.s_knots))
+        return self._s_array[1:] - self._s_array[:-1]
 
     def t_gaps(self) -> np.ndarray:
-        return np.diff(np.asarray(self.t_knots))
+        return self._t_array[1:] - self._t_array[:-1]
 
     def areas(self) -> np.ndarray:
         """Cell areas, shape (n_s, n_t), read-only; entry [i - 1, j - 1] is cell (i, j)."""
@@ -75,10 +89,7 @@ class GridPartition:
 def uniform_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0) -> GridPartition:
     if n_s < 1 or n_t < 1:
         raise ValueError("grid needs at least one cell per direction")
-    return GridPartition(
-        tuple(np.linspace(0.0, s_max, n_s + 1)),
-        tuple(np.linspace(0.0, t_max, n_t + 1)),
-    )
+    return GridPartition(np.linspace(0.0, s_max, n_s + 1), np.linspace(0.0, t_max, n_t + 1))
 
 
 def geometric_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0,
@@ -87,10 +98,10 @@ def geometric_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0,
     if ratio <= 0:
         raise ValueError("ratio must be positive")
 
-    def knots(n: int, top: float) -> tuple[float, ...]:
+    def knots(n: int, top: float) -> np.ndarray:
         gaps = ratio ** np.arange(n)
         cum = np.concatenate([[0.0], np.cumsum(gaps)])
-        return tuple(cum * (top / cum[-1]))
+        return cum * (top / cum[-1])
 
     return GridPartition(knots(n_s, s_max), knots(n_t, t_max))
 

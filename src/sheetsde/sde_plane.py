@@ -174,8 +174,7 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     consecutive rows is the running column sum of drift * area + increment.
     """
     batch, (n_t, d) = increments.shape[:-3], increments.shape[-2:]
-    s_knots = np.asarray(grid.s_knots)
-    t_corners = np.asarray(grid.t_knots)[:-1]
+    t_corners = grid.t_knot_array()[:-1]
     areas = grid.areas()[:, :, None]
 
     row = np.empty(batch + (n_t + 1, d))
@@ -183,7 +182,7 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     # the corner states (i-1, j-1) the drift reads and the states (i, j) the update writes, j = 1..n_t
     corners, moved = row[..., :-1, :], row[..., 1:, :]
     g = np.empty(batch + (n_t, d))
-    for s, area, dz in zip(s_knots[:-1], areas, np.moveaxis(increments, -3, 0)):
+    for s, area, dz in zip(grid.s_knot_array()[:-1], areas, np.moveaxis(increments, -3, 0)):
         np.multiply(drift.eval(s, t_corners, corners), area, out=g)
         g += dz
         np.add.accumulate(g, axis=-2, out=g)
@@ -222,8 +221,7 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
         raise ValueError(f"solve_picard takes one sheet, got leading sample shape {sheet.batch_shape}")
     x0v = _as_x0(x0, sheet.dim)
     w = cumulative_values(sheet.increments)
-    s_knots = np.asarray(grid.s_knots)
-    t_knots = np.asarray(grid.t_knots)
+    s_knots, t_knots = grid.s_knot_array(), grid.t_knot_array()
     areas = grid.areas()[:, :, None]
 
     x = x0v + w if initial is None else np.array(initial.values, dtype=float)
@@ -269,7 +267,7 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField,
     jac = drift.require_jacobian()
     n_t, d = grid.n_t, solution.dim
     # kernel[..., i, j] = b'(corner state) * area of cell (i, j), every cell at once
-    kernel = jac(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1],
+    kernel = jac(grid.s_knot_array()[:-1, None], grid.t_knot_array()[:-1],
                  solution.values[..., :-1, :-1, :])
     kernel = kernel * grid.areas()[:, :, None, None]
 
@@ -292,7 +290,7 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
     increments, both shaped (batch, n_s, n_t, d); returns shape (batch,).
     Both sums reduce in one pass each, without a b*z or b**2 temporary.
     """
-    b_vals = drift.eval(np.asarray(grid.s_knots)[:-1, None], np.asarray(grid.t_knots)[:-1], args)
+    b_vals = drift.eval(grid.s_knot_array()[:-1, None], grid.t_knot_array()[:-1], args)
     return (np.einsum("bijk,bijk->b", b_vals, z)
             - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
 
@@ -308,16 +306,27 @@ def _increment_sampler(grid: GridPartition, dim: int):
     return sampler
 
 
-# bytes of one (batch, n_s, n_t, dim) float64 sheet chunk: 4 MiB keeps a chunk's
-# temporaries near cache size and bounds the memory of chunks in flight at once
-# (a paired pass runs one shard per chunk on the thread pool)
+# bytes of one (batch, n_s, n_t, dim) float64 sheet chunk.  The chunk is the
+# stream and memory unit: a paired pass runs one shard per chunk on the thread
+# pool, draws each chunk's increments at once and runs the Euler chain on the
+# whole chunk.  Changing it re-shards the pass and so redraws its streams.
 _SHEET_CHUNK_BYTES = 1 << 22
+# bytes of increments in one sheet block, the cache unit of full-field work:
+# the Girsanov column builds x0 + W, the drift values and the weights one block
+# of consecutive sheets at a time, so its temporaries stay cache sized and are
+# reused from block to block instead of being mapped afresh for every chunk
+_SHEET_BLOCK_BYTES = 1 << 20
+
+
+def _sheets_per(limit: int, grid: GridPartition, dim: int) -> int:
+    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under limit bytes."""
+    per_sample = grid.n_s * grid.n_t * dim * 8
+    return max(1, limit // per_sample)
 
 
 def _sheet_mc_chunk(grid: GridPartition, dim: int) -> int:
     """Batch size keeping one (batch, n_s, n_t, dim) float64 array under _SHEET_CHUNK_BYTES."""
-    per_sample = grid.n_s * grid.n_t * dim * 8
-    return max(1, _SHEET_CHUNK_BYTES // per_sample)
+    return _sheets_per(_SHEET_CHUNK_BYTES, grid, dim)
 
 
 def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
@@ -336,17 +345,24 @@ def _paired_integrand(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField
     """Sheets (b, n_s, n_t, d) -> rows (girsanov, euler, weight, gap), shape (b, 4).
 
     The Girsanov column is phi(x0 + W at the far corner) times the weight M,
-    the discrete stochastic exponential of the drift along x0 + W.
+    the discrete stochastic exponential of the drift along x0 + W.  It runs
+    one block of _SHEET_BLOCK_BYTES sheets at a time; every value is per
+    sheet, so the blocks give the whole batch's values bit for bit.
     """
+    block = _sheets_per(_SHEET_BLOCK_BYTES, grid, x0v.shape[0])
 
     def f(z: np.ndarray) -> np.ndarray:
-        x = cumulative_values(z)
-        x += x0v  # the driftless field x0 + W, in place
-        weight = np.exp(_log_weights(drift, grid, x[:, :-1, :-1], z))
-        girsanov = phi(x[:, -1, -1]) * weight
-        del x  # freed before the Euler chain runs, so the two never coexist
-        euler = _euler_phi(phi, drift, grid, x0v, z)
-        return np.stack((girsanov, euler, weight, girsanov - euler), axis=-1)
+        columns = np.empty((4, z.shape[0]))
+        girsanov, euler, weight, gap = columns
+        for start in range(0, z.shape[0], block):
+            part = slice(start, start + block)
+            x = cumulative_values(z[part])
+            x += x0v  # the driftless field x0 + W, in place
+            np.exp(_log_weights(drift, grid, x[:, :-1, :-1], z[part]), out=weight[part])
+            np.multiply(phi(x[:, -1, -1]), weight[part], out=girsanov[part])
+        euler[:] = _euler_phi(phi, drift, grid, x0v, z)
+        np.subtract(girsanov, euler, out=gap)
+        return columns.T
 
     return f
 

@@ -16,8 +16,8 @@ from sheetsde.integrators import (
     _MC_BLOCK,
     _MC_CHUNK,
     McEstimate,
+    _merge_estimates,
     concurrently,
-    merge_estimates,
     monte_carlo,
     simplex_dirichlet_oracle,
     simplex_singular_integral,
@@ -88,7 +88,7 @@ class TestMonteCarlo:
             monte_carlo(lambda z: np.tanh(z), keyed_sampler(seed, r), sizes[r], seed)
             for r in range(shards)
         ]
-        assert merge_estimates(parts) == whole
+        assert _merge_estimates(parts) == whole
 
     def test_shard_keys_do_not_collide_across_seeds(self):
         # with keys seed XOR r, seeds 0..3 drew the same four shard streams in
@@ -228,7 +228,7 @@ class TestMergeEstimates:
             McEstimate(float(b.mean()), float(b.std(ddof=1) / math.sqrt(len(b))), len(b))
             for b in blocks
         ]
-        merged = merge_estimates(parts)
+        merged = _merge_estimates(parts)
         pooled = np.concatenate(blocks)
         assert merged.mean == pytest.approx(float(pooled.mean()), rel=1e-12)
         want_se = float(pooled.std(ddof=1) / math.sqrt(len(pooled)))

@@ -57,3 +57,16 @@ class TestGridPartition:
         g = uniform_grid(2, 2)
         with pytest.raises(ValueError):
             g.areas()[0, 0] = 2.0
+
+    def test_knot_arrays_are_the_read_only_tuples(self):
+        g = geometric_grid(5, 4)
+        for knots, array in ((g.s_knots, g.s_knot_array()), (g.t_knots, g.t_knot_array())):
+            assert all(type(k) is float for k in knots)
+            assert array.tolist() == list(knots) and array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[1] = 0.5
+        assert GridPartition(list(g.s_knots), np.array(g.t_knots)) == g
+
+    def test_nested_knots_rejected(self):
+        with pytest.raises(DegenerateGridError, match="flat sequence"):
+            GridPartition(((0.0, 1.0), (0.0, 2.0)), (0.0, 1.0))

@@ -7,6 +7,7 @@ benchmark pair script's summary is checked on synthetic runs.
 """
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -67,19 +68,32 @@ def test_bench_pair_flags_only_shifts_beyond_the_parent_iqr():
     parent = [100.0 + k for k in range(10)]  # inclusive quartiles 102.25 and 106.75
 
     def pairs(shift):
+        shifts = shift if isinstance(shift, list) else [shift] * len(parent)
         return [{"seed": k, "parent": {"metrics": {"ops_per_s": p}, "attempted": 5, "failed": 0},
-                 "change": {"metrics": {"ops_per_s": p + shift}, "attempted": 5, "failed": 0}}
-                for k, p in enumerate(parent)]
+                 "change": {"metrics": {"ops_per_s": p + dp}, "attempted": 5, "failed": 0}}
+                for k, (p, dp) in enumerate(zip(parent, shifts))]
 
     wide = summarise(pairs(10.0), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
     assert (wide["change_wins"], wide["median_shift_beyond_parent_iqr"]) == (10, "gain")
     assert wide["parent_iqr"] == 4.5
     assert wide["parent_iqr_rel"] == 4.5 / 104.5
-    # every pair wins, but the median moves by less than the parent's own spread
+    # every pair wins, but the median moves by less than the parent's own spread;
+    # the paired statistics disagree with the flag: the sign test sees 10 of 10
     narrow = summarise(pairs(2.0), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
     assert (narrow["change_wins"], narrow["median_shift_beyond_parent_iqr"]) == (10, None)
+    assert narrow["sign_test_p"] == 2 / 2 ** 10
+    assert narrow["median_log_ratio"] == pytest.approx((math.log(106 / 104) + math.log(107 / 105)) / 2)
     loss = summarise(pairs(10.0), {"ops_per_s": "lower"})["metrics"]["ops_per_s"]
     assert (loss["change_wins"], loss["median_shift_beyond_parent_iqr"]) == (0, "loss")
+    # five pairs gain 20 and five lose 1: the median clears the IQR and is
+    # flagged, while the pairs split evenly and the sign test sees nothing
+    split = summarise(pairs([20.0] * 5 + [-1.0] * 5), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
+    assert (split["change_wins"], split["median_shift_beyond_parent_iqr"]) == (5, "gain")
+    assert split["sign_test_p"] == 1.0
+    assert split["median_log_ratio"] == pytest.approx((math.log(108 / 109) + math.log(124 / 104)) / 2)
+    # ties leave the sign test: 3 wins, no loss
+    ties = summarise(pairs([1.0] * 3 + [0.0] * 7), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
+    assert (ties["sign_test_p"], ties["median_log_ratio"]) == (2 / 2 ** 3, 0.0)
 
 
 def test_bench_pair_marks_a_directory_against_a_revision(tmp_path):
