@@ -57,7 +57,6 @@ from .shuffle_combinatorics import (
 )
 from .estimate_lab import (
     DEFAULT_C0,
-    DriftScalarFactor,
     IdentityReport,
     abs_gradient_l1,
     bump_factor,
@@ -69,6 +68,7 @@ from .estimate_lab import (
 )
 from .sde_plane import (
     DriftField,
+    DriftScalarFactor,
     MissingJacobianError,
     NonConvergenceError,
     SolutionField,
@@ -80,7 +80,6 @@ from .sde_plane import (
     solve_euler,
     solve_picard,
     tanh_drift,
-    zero_drift,
 )
 
 # the public surface, sorted; tests/test_package.py keeps it in step with the imports
@@ -103,5 +102,4 @@ __all__ = [
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
     "uniform_grid", "uniform_spec", "verify_identity",
-    "zero_drift",
 ]

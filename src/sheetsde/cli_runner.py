@@ -57,7 +57,6 @@ from .sde_plane import (
     solve_euler,
     solve_picard,
     tanh_drift,
-    zero_drift,
 )
 from .shuffle_combinatorics import (
     NABLA_KINDS,
@@ -308,7 +307,7 @@ def _build_grid(p: dict, default_shape: Optional[tuple[int, int]] = None) -> Gri
 
 def _build_drift(p: dict, dim: int):
     if p["drift"] == "zero":
-        return zero_drift(dim)
+        return constant_drift(0.0, dim)
     if p["drift"] == "const":
         return constant_drift(p["level"], dim)
     if p["drift"] == "sign":

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .ibp_engine import (
     staircase,
 )
 from .integrators import McEstimate, concurrently, monte_carlo
+from .sde_plane import DriftScalarFactor, MissingJacobianError
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,10 @@ from .integrators import McEstimate, concurrently, monte_carlo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftScalarFactor:
-    """Scalar bounded drift b with derivative and sup norm, vectorized."""
-
-    name: str
-    b: callable
-    b_prime: callable
-    sup_norm: float
-    gaussian: Optional[tuple[float, float, float]] = None  # gaussian_factor's (scale, center, width)
-
-
 def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> DriftScalarFactor:
     """Smooth compactly supported bump scale * exp(1 / (((x-c)/w)^2 - 1)).
 
-    Supported on (c - w, c + w) with maximum scale / e at the center.  The
+    Supported on (c - w, c + w) with extremum scale / e at the center.  The
     derivative underflows to zero before the rational prefactor can
     overflow, so plain masked evaluation is stable.
     """
@@ -82,7 +71,7 @@ def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> 
             pref = np.where(inside, -2.0 * u / (width * t * t), 0.0)
         return pref * val
 
-    return DriftScalarFactor("bump", b, b_prime, scale / math.e)
+    return DriftScalarFactor("bump", b, b_prime, abs(scale) / math.e)
 
 
 def gaussian_factor(scale: float = 1.0, center: float = 0.25, width: float = 0.8) -> DriftScalarFactor:
@@ -233,9 +222,11 @@ EXACT_REL_TOL = 1e-10
 
 
 def check_method(method: str, factor: DriftScalarFactor) -> None:
-    """Raise ValueError for an unknown method, or for the exact one on a non-Gaussian factor."""
+    """ValueError for an unknown method or a non-Gaussian exact factor; MissingJacobianError without b'."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if factor.b_prime is None:
+        raise MissingJacobianError(f"the {factor.name} factor has no derivative b'")
     if method == "exact" and factor.gaussian is None:
         raise ValueError(f"the exact route needs a gaussian_factor, got the {factor.name} factor")
 

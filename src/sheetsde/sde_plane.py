@@ -1,6 +1,6 @@
 """SDE fields on the plane driven by a sheet sample.
 
-The equation is X_{s,t} = x0 + double-integral of b(r1, r2, X_{r1,r2}) + W_{s,t}
+The equation is X_{s,t} = x0 + double-integral of b(X_{r1,r2}) + W_{s,t}
 with X equal to x0 on the axes.  Two discretizations are provided: the corner
 Euler scheme (drift frozen at each cell's lower-left grid state, solved in
 one forward pass) and a Picard iteration of the integral map with the drift
@@ -44,21 +44,19 @@ class MissingJacobianError(ValueError):
 
 @dataclass(frozen=True)
 class DriftField:
-    """Bounded measurable drift b(s, t, x).
+    """Bounded measurable drift b(x) on R^d.
 
-    eval maps (s, t, x) with x of shape (..., d) and s, t broadcastable to
-    x.shape[:-1] into an array of shape (..., d).  jacobian, when available,
-    returns (..., d, d).  sup_norm bounds |b| componentwise in l2 norm.
+    eval maps x of shape (..., d) to an array of shape (..., d).  jacobian,
+    when available, returns (..., d, d).  sup_norm bounds |b| in l2 norm.
     """
 
     name: str
     dim: int
-    eval: Callable[..., np.ndarray]
-    jacobian: Optional[Callable[..., np.ndarray]]
+    eval: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]]
     sup_norm: float
-    smooth: bool
 
-    def require_jacobian(self) -> Callable[..., np.ndarray]:
+    def require_jacobian(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.jacobian is None:
             raise MissingJacobianError(
                 f"drift {self.name!r} has no jacobian; "
@@ -67,15 +65,29 @@ class DriftField:
         return self.jacobian
 
 
-def zero_drift(dim: int = 1) -> DriftField:
-    def ev(s, t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+@dataclass(frozen=True)
+class DriftScalarFactor:
+    """Scalar bounded drift b, vectorized, with b' (None where b jumps) and sup norm."""
 
-    def jac(s, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (x.shape[-1],))
+    name: str
+    b: Callable[[np.ndarray], np.ndarray]
+    b_prime: Optional[Callable[[np.ndarray], np.ndarray]]
+    sup_norm: float
+    gaussian: Optional[tuple[float, float, float]] = None  # gaussian_factor's (scale, center, width)
 
-    return DriftField("zero", dim, ev, jac, 0.0, True)
+    def componentwise(self, dim: int) -> DriftField:
+        """The drift x -> (b(x_1), ..., b(x_d)) on R^d, Jacobian diag(b'(x))."""
+        b_prime = self.b_prime
+
+        def jac(x):
+            diag = b_prime(x)
+            idx = np.arange(diag.shape[-1])
+            out = np.zeros(diag.shape + idx.shape)
+            out[..., idx, idx] = diag
+            return out
+
+        return DriftField(self.name, dim, self.b, None if b_prime is None else jac,
+                          self.sup_norm * math.sqrt(dim))
 
 
 def constant_drift(c, dim: Optional[int] = None) -> DriftField:
@@ -84,28 +96,25 @@ def constant_drift(c, dim: Optional[int] = None) -> DriftField:
         vec = np.full(dim, vec[0])
     d = vec.shape[0]
 
-    def ev(s, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(vec, x.shape).copy()
+    def ev(x):
+        return np.broadcast_to(vec, np.shape(x)).copy()
 
-    def jac(s, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (d,))
+    def jac(x):
+        return np.zeros(np.shape(x) + (d,))
 
-    return DriftField("const", d, ev, jac, math.hypot(*vec), True)  # hypot does not square
+    return DriftField("const", d, ev, jac, math.hypot(*vec))  # hypot does not square
+
+
+_SIGN = DriftScalarFactor("sign", lambda x: np.sign(np.asarray(x, dtype=float)), None, 1.0)
 
 
 def sign_drift(dim: int = 1) -> DriftField:
     """Componentwise sign; bounded, measurable, discontinuous at zero."""
-
-    def ev(s, t, x):
-        return np.sign(np.asarray(x, dtype=float))
-
-    return DriftField("sign", dim, ev, None, math.sqrt(dim), False)
+    return _SIGN.componentwise(dim)
 
 
-def tanh_drift(amplitude: float = 1.0, rate: float = 1.0, dim: int = 1) -> DriftField:
-    def ev(s, t, x):
+def _tanh_factor(amplitude: float, rate: float) -> DriftScalarFactor:
+    def b(x):
         # in place, so one temporary: amplitude * np.tanh(rate * x) holds two at
         # once, which would be the memory peak of a Girsanov pass
         y = rate * np.asarray(x, dtype=float)
@@ -113,20 +122,20 @@ def tanh_drift(amplitude: float = 1.0, rate: float = 1.0, dim: int = 1) -> Drift
         y *= amplitude
         return y
 
-    def jac(s, t, x):
-        x = np.asarray(x, dtype=float)
+    def b_prime(x):
         # sech^2(y) = 4u / (1 + u)^2 with u = exp(-2|y|): 1 / cosh(y)^2 overflows
         # once |y| > ~355 and 1 - tanh(y)^2 cancels to nothing in the tails;
         # values below the normal range flush to zero without a warning
         with np.errstate(under="ignore"):
-            u = np.exp(-2.0 * np.abs(rate * x))
-            diag = amplitude * rate * (4.0 * u / (1.0 + u) ** 2)
-        out = np.zeros(x.shape + (x.shape[-1],))
-        idx = np.arange(x.shape[-1])
-        out[..., idx, idx] = diag
-        return out
+            u = np.exp(-2.0 * np.abs(rate * np.asarray(x, dtype=float)))
+            return amplitude * rate * (4.0 * u / (1.0 + u) ** 2)
 
-    return DriftField("tanh", dim, ev, jac, abs(amplitude) * math.sqrt(dim), True)
+    return DriftScalarFactor("tanh", b, b_prime, abs(amplitude))
+
+
+def tanh_drift(amplitude: float = 1.0, rate: float = 1.0, dim: int = 1) -> DriftField:
+    """Componentwise amplitude * tanh(rate * x)."""
+    return _tanh_factor(amplitude, rate).componentwise(dim)
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,6 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     consecutive rows is the running column sum of drift * area + increment.
     """
     batch, (n_t, d) = increments.shape[:-3], increments.shape[-2:]
-    t_corners = grid.t_knot_array()[:-1]
     areas = grid.areas()[:, :, None]
 
     row = np.empty(batch + (n_t + 1, d))
@@ -182,8 +190,8 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
     # the corner states (i-1, j-1) the drift reads and the states (i, j) the update writes, j = 1..n_t
     corners, moved = row[..., :-1, :], row[..., 1:, :]
     g = np.empty(batch + (n_t, d))
-    for s, area, dz in zip(grid.s_knot_array()[:-1], areas, np.moveaxis(increments, -3, 0)):
-        np.multiply(drift.eval(s, t_corners, corners), area, out=g)
+    for area, dz in zip(areas, np.moveaxis(increments, -3, 0)):
+        np.multiply(drift.eval(corners), area, out=g)
         g += dz
         np.add.accumulate(g, axis=-2, out=g)
         moved += g
@@ -221,14 +229,13 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
         raise ValueError(f"solve_picard takes one sheet, got leading sample shape {sheet.batch_shape}")
     x0v = _as_x0(x0, sheet.dim)
     w = cumulative_values(sheet.increments)
-    s_knots, t_knots = grid.s_knot_array(), grid.t_knot_array()
     areas = grid.areas()[:, :, None]
 
     x = x0v + w if initial is None else np.array(initial.values, dtype=float)
     if x.shape != w.shape:
         raise ValueError(f"initial field shape {x.shape} does not match grid {w.shape}")
     for sweep in range(1, max_iter + 1):
-        b_vals = drift.eval(s_knots[1:, None], t_knots[1:], x[1:, 1:])
+        b_vals = drift.eval(x[1:, 1:])
         cum = np.cumsum(np.cumsum(b_vals * areas, axis=0), axis=1)
         x_new = x0v + w
         x_new[1:, 1:] += cum
@@ -267,9 +274,7 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField,
     jac = drift.require_jacobian()
     n_t, d = grid.n_t, solution.dim
     # kernel[..., i, j] = b'(corner state) * area of cell (i, j), every cell at once
-    kernel = jac(grid.s_knot_array()[:-1, None], grid.t_knot_array()[:-1],
-                 solution.values[..., :-1, :-1, :])
-    kernel = kernel * grid.areas()[:, :, None, None]
+    kernel = jac(solution.values[..., :-1, :-1, :]) * grid.areas()[:, :, None, None]
 
     cells = np.empty_like(kernel)
     lam = np.zeros(solution.batch_shape + (n_t + 1, d, d))
@@ -290,7 +295,7 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
     increments, both shaped (batch, n_s, n_t, d); returns shape (batch,).
     Both sums reduce in one pass each, without a b*z or b**2 temporary.
     """
-    b_vals = drift.eval(grid.s_knot_array()[:-1, None], grid.t_knot_array()[:-1], args)
+    b_vals = drift.eval(args)
     return (np.einsum("bijk,bijk->b", b_vals, z)
             - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
 

@@ -35,32 +35,32 @@ class NoArrays:
 def counting_jacobian(drift: DriftField, calls: list) -> DriftField:
     """The same drift with a Jacobian that appends its x shape to calls."""
 
-    def jac(s, t, x):
+    def jac(x):
         calls.append(np.shape(x))
-        return drift.jacobian(s, t, x)
+        return drift.jacobian(x)
 
-    return DriftField(drift.name, drift.dim, drift.eval, jac, drift.sup_norm, drift.smooth)
+    return DriftField(drift.name, drift.dim, drift.eval, jac, drift.sup_norm)
 
 
 def counting_eval(drift: DriftField, calls: list) -> DriftField:
     """The same drift with an eval that appends its x shape to calls."""
 
-    def ev(s, t, x):
+    def ev(x):
         calls.append(np.shape(x))
-        return drift.eval(s, t, x)
+        return drift.eval(x)
 
-    return DriftField(drift.name, drift.dim, ev, drift.jacobian, drift.sup_norm, drift.smooth)
+    return DriftField(drift.name, drift.dim, ev, drift.jacobian, drift.sup_norm)
 
 
 def linear_drift(a: float) -> DriftField:
     """b(x) = a x in one dimension: unbounded, but its Euler chain and
     derivative fields have closed forms on a uniform grid."""
 
-    def ev(s, t, x):
+    def ev(x):
         return a * np.asarray(x, dtype=float)
 
-    def jac(s, t, x):
+    def jac(x):
         return np.full(np.shape(x) + (1,), a)
 
-    return DriftField("linear", 1, ev, jac, math.inf, True)
+    return DriftField("linear", 1, ev, jac, math.inf)
 

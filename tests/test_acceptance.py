@@ -41,7 +41,6 @@ from sheetsde.sde_plane import (
     solve_euler,
     solve_picard,
     tanh_drift,
-    zero_drift,
 )
 from sheetsde.shuffle_combinatorics import (
     RegionDescriptor,
@@ -251,7 +250,7 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         grid = uniform_grid(16, 16, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=6)
         w = cumulative_values(sheet.increments)
-        free = solve_euler(grid, zero_drift(1), 0.25, sheet)
+        free = solve_euler(grid, constant_drift(0.0, 1), 0.25, sheet)
         err_zero = float(np.max(np.abs(free.values - (0.25 + w))))
         assert err_zero == 0.0 or err_zero <= 1e-13
         c = 0.8
@@ -295,9 +294,9 @@ def test_criterion_09_malliavin_identity_and_direction():
     with criterion(9, "derivative field checks", 120.0) as state:
         grid = uniform_grid(8, 8, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=1)
-        sol = solve_euler(grid, zero_drift(1), 0.0, sheet)
+        sol = solve_euler(grid, constant_drift(0.0, 1), 0.0, sheet)
         # without drift every derivative, in the sheet and in x0, is exactly I
-        cells, flow = malliavin_adjoint(grid, zero_drift(1), sol)
+        cells, flow = malliavin_adjoint(grid, constant_drift(0.0, 1), sol)
         exact = bool(np.all(cells == 1.0) and np.all(flow == 1.0))
         assert exact
         rec = run(ExperimentConfig("malliavin-check", {

@@ -21,10 +21,10 @@ from sheetsde.cli_runner import (
 )
 from sheetsde.plane_geometry import uniform_grid
 from sheetsde.sde_plane import (
+    constant_drift,
     paired_weak_expectation,
     sign_drift,
     tanh_drift,
-    zero_drift,
 )
 
 # sha256 per n of the term lists of every sigma; its "about" key gives the recipe
@@ -219,7 +219,7 @@ class TestRunApi:
         # reweights by tanh; the paired 4-SE gate must see the gap
         euler_phi = sde_plane._euler_phi
         monkeypatch.setattr(sde_plane, "_euler_phi",
-                            lambda phi, drift, *rest: euler_phi(phi, zero_drift(), *rest))
+                            lambda phi, drift, *rest: euler_phi(phi, constant_drift(0.0), *rest))
         rec = run(ExperimentConfig("girsanov-check", {
             "grid": "16x16", "samples": 10_000, "drift": "tanh", "seed": 5, "x0": 0.1,
         }))
@@ -385,6 +385,13 @@ class TestCliExitCodes:
         ])
         assert code == 0
         assert record_of(out)["pass"] is True
+        # a negative bump scale once had a negative sup norm, on which the bound raised;
+        # at n = 2 the sign of b cancels from every product, so the outputs, bound included, agree
+        for argv in (["verify-ibp", "--sigma", "2,1", "--samples", "2000"],
+                     ["verify-bound", "--trials", "3", "--n-set", "2", "--samples", "2000"]):
+            up, down = (run_cli(capsys, argv + ["--bump-scale", scale]) for scale in ("1", "-1"))
+            assert up[0] == down[0] == 0
+            assert record_of(up[1])["outputs"] == record_of(down[1])["outputs"]
 
     def test_quantitative_failure_is_two(self, capsys):
         # a pass window far narrower than one SE flips the verdict, not the exit path

@@ -17,7 +17,6 @@ from sheetsde.brownian_sheet import stream
 from sheetsde.estimate_lab import (
     DEFAULT_C0,
     EXACT_REL_TOL,
-    DriftScalarFactor,
     IdentityReport,
     _direct_integrand,
     _exact_terms,
@@ -44,6 +43,7 @@ from sheetsde.ibp_engine import (
     uniform_spec,
 )
 from sheetsde.integrators import McEstimate, monte_carlo
+from sheetsde.sde_plane import DriftScalarFactor, MissingJacobianError
 
 # reference factor of the Monte Carlo route and the pinned data
 BUMP = bump_factor(scale=1.0, width=2.5, center=0.25)
@@ -164,6 +164,12 @@ class TestExpectations:
         spec = uniform_spec((2, 1))
         assert ibp_expectation(spec, zero, budget=2000, seed=0).mean == 0.0
         assert direct_expectation(spec, zero, budget=2000, seed=0).mean == 0.0
+
+    def test_factor_without_derivative_has_no_direct_route(self):
+        # b jumps, so it has no b'; the direct route reads b' at every scheme point
+        step = DriftScalarFactor("step", lambda x: np.sign(np.asarray(x, float)), None, 1.0)
+        with pytest.raises(MissingJacobianError):
+            direct_expectation(uniform_spec((2, 1)), step, budget=2000, seed=0)
 
     def test_scaling_homogeneity(self):
         # b -> 2b multiplies the n-factor product by 2^n pathwise

@@ -9,9 +9,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CONSTRUCTORS = {"Philox", "SeedSequence", "default_rng", "RandomState"}
 # the deleted seed helpers, integrated-bound chain, forward derivative recursion,
 # unused kernel weight, split-kind cell form, kernels module, term row view,
-# test-only names, family record, recursive family generator and product cell
-# table, spelled in parts so that a grep for them over the repository
-# finds no live use, this check included
+# test-only names, family record, recursive family generator, product cell
+# table and zero drift (constant_drift(0.0, d) is the same field), spelled in
+# parts so that a grep for them over the repository finds no live use, this
+# check included
 DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Time" + "Window"
                      "|Gamma" + "Bound|RHS" + "_KINDS|DEFAULT" + "_C1|log" + "_gamma"
                      "|malliavin" + "_solve|Malliavin" + "Field|hermite" + "_weight"
@@ -22,7 +23,7 @@ DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Ti
                      r"|(?<![.\w])val" + r"ues\(|\bCe" + r"ll\(|\.[st]" + r"_max\b|sigma" + r"_of\b"
                      "|all_permutation" + r"_specs|\.inter" + r"val\(|\.expected" + r"_count\b"
                      "|BlockIncreasing" + "Family|_block" + "_partitions|_row" + "_index|_enumerate" + "_cells"
-                     "|cell_membership" + "_batch")
+                     "|cell_membership" + "_batch|" + r"\bzero" + r"_drift\b")
 
 
 def test_star_import_binds_no_module():
@@ -44,7 +45,7 @@ def test_all_is_the_sorted_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert sheetsde.__all__ == public
-    assert len(public) == 57
+    assert len(public) == 56
 
 
 def _constructor_calls(path: Path) -> list[tuple[str, str]]:

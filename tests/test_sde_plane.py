@@ -16,6 +16,7 @@ from sheetsde.brownian_sheet import (
     sample,
     stream,
 )
+from sheetsde.estimate_lab import bump_factor, gaussian_factor
 from sheetsde.integrators import monte_carlo
 from sheetsde.plane_geometry import geometric_grid, uniform_grid
 from sheetsde.sde_plane import (
@@ -34,7 +35,6 @@ from sheetsde.sde_plane import (
     solve_euler,
     solve_picard,
     tanh_drift,
-    zero_drift,
 )
 
 
@@ -51,16 +51,16 @@ def pre_contract_sampler(grid, key):
 
 class TestDriftFields:
     def test_zero(self):
-        d = zero_drift(2)
+        d = constant_drift(0.0, 2)
         x = np.ones((3, 2))
-        assert np.all(d.eval(0.5, 0.5, x) == 0.0)
-        assert np.all(d.jacobian(0.5, 0.5, x) == 0.0)
+        assert np.all(d.eval(x) == 0.0)
+        assert np.all(d.jacobian(x) == 0.0)
         assert d.sup_norm == 0.0
 
     def test_constant_broadcast(self):
         d = constant_drift(0.7, dim=3)
         x = np.zeros((4, 3))
-        out = d.eval(0.0, 0.0, x)
+        out = d.eval(x)
         assert out.shape == (4, 3)
         assert np.all(out == 0.7)
         assert d.sup_norm == pytest.approx(0.7 * math.sqrt(3.0))
@@ -73,25 +73,30 @@ class TestDriftFields:
 
     def test_sign_has_no_jacobian(self):
         d = sign_drift()
-        assert np.all(d.eval(0.0, 0.0, np.array([[-2.0], [3.0]])) == [[-1.0], [1.0]])
+        assert np.all(d.eval(np.array([[-2.0], [3.0]])) == [[-1.0], [1.0]])
         with pytest.raises(MissingJacobianError):
             d.require_jacobian()
 
     def test_tanh_jacobian_matches_fd(self):
-        d = tanh_drift(amplitude=0.8, rate=1.3, dim=2)
+        # tanh_drift, and the componentwise lift of each scalar factor with a b'
+        factors = (sde_plane._tanh_factor(0.8, 1.3), bump_factor(1.3, 2.0, -0.2), gaussian_factor())
         x = np.array([[0.2, -0.5], [1.1, 0.05]])
         h = 1e-6
-        jac = d.jacobian(0.1, 0.2, x)
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = h
-            fd = (d.eval(0.1, 0.2, x + e) - d.eval(0.1, 0.2, x - e)) / (2 * h)
-            assert np.max(np.abs(jac[..., :, c] - fd)) <= 1e-8
+        for d in (tanh_drift(amplitude=0.8, rate=1.3, dim=2), *(f.componentwise(2) for f in factors)):
+            jac = d.jacobian(x)
+            assert np.all(jac[..., 0, 1] == 0.0) and np.all(jac[..., 1, 0] == 0.0)
+            for c in range(2):
+                e = np.zeros(2)
+                e[c] = h
+                fd = (d.eval(x + e) - d.eval(x - e)) / (2 * h)
+                assert np.max(np.abs(jac[..., :, c] - fd)) <= 1e-8, d.name
+        for f in factors:
+            assert f.componentwise(2).sup_norm == f.sup_norm * math.sqrt(2.0)
 
     def test_tanh_jacobian_steep_tails_underflow_quietly(self):
         # 1 / cosh(1024)^2 overflowed in the cosh form
         with np.errstate(all="raise"):
-            jac = tanh_drift(rate=1024.0).jacobian(0.0, 0.0, np.array([[1.0], [-1.0]]))
+            jac = tanh_drift(rate=1024.0).jacobian(np.array([[1.0], [-1.0]]))
         assert np.all(jac == 0.0)
 
     @pytest.mark.parametrize("amplitude, rate", [(1.0, 1.0), (0.9, 1.1), (1.0, 256.0), (2.5, 0.3)])
@@ -99,20 +104,20 @@ class TestDriftFields:
         x = np.linspace(-350.0, 350.0, 20_001)[:, None] / rate
         with np.errstate(all="raise"):
             cosh_form = amplitude * rate / np.cosh(rate * x) ** 2
-        jac = tanh_drift(amplitude, rate).jacobian(0.0, 0.0, x)[..., 0, 0]
+        jac = tanh_drift(amplitude, rate).jacobian(x)[..., 0, 0]
         assert np.max(np.abs(jac - cosh_form[:, 0]) / cosh_form[:, 0]) <= 1e-14
 
     def test_tanh_bounded(self):
         d = tanh_drift(amplitude=0.8, rate=2.0, dim=1)
         x = np.linspace(-50, 50, 101)[:, None]
-        assert np.max(np.linalg.norm(d.eval(0, 0, x), axis=-1)) <= d.sup_norm + 1e-15
+        assert np.max(np.linalg.norm(d.eval(x), axis=-1)) <= d.sup_norm + 1e-15
 
 
 class TestSolverExactness:
     def test_zero_drift_is_shifted_sheet(self):
         grid = uniform_grid(12, 9, 1.0, 1.5)
         sheet = sample(grid, dim=1, seed=4)
-        sol = solve_euler(grid, zero_drift(1), 0.3, sheet)
+        sol = solve_euler(grid, constant_drift(0.0, 1), 0.3, sheet)
         want = 0.3 + cumulative_values(sheet.increments)
         assert np.max(np.abs(sol.values - want)) <= 1e-13
         assert np.all(sol.values[0, :, :] == 0.3)
@@ -149,7 +154,7 @@ class TestPicard:
     def test_zero_drift_single_sweep(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=5)
-        sol, sweeps = solve_picard(grid, zero_drift(1), 0.2, sheet)
+        sol, sweeps = solve_picard(grid, constant_drift(0.0, 1), 0.2, sheet)
         assert sweeps == 1
         assert np.max(np.abs(sol.values - (0.2 + cumulative_values(sheet.increments)))) == 0.0
 
@@ -169,7 +174,7 @@ class TestPicard:
         sheet = sample(grid, dim=1, seed=0)
         bad = SolutionField(grid, np.array([0.0]), np.zeros((3, 3, 1)))
         with pytest.raises(ValueError):
-            solve_picard(grid, zero_drift(1), 0.0, sheet, initial=bad)
+            solve_picard(grid, constant_drift(0.0, 1), 0.0, sheet, initial=bad)
 
     def test_non_convergence_raises(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
@@ -215,14 +220,14 @@ def tanh_matrix_drift(m) -> DriftField:
     """b(x) = tanh(Mx); its Jacobian sech^2(Mx) M is not symmetric unless M is."""
     m = np.asarray(m, dtype=float)
 
-    def ev(s, t, x):
+    def ev(x):
         return np.tanh(np.asarray(x, dtype=float) @ m.T)
 
-    def jac(s, t, x):
+    def jac(x):
         y = np.asarray(x, dtype=float) @ m.T
         return (1.0 / np.cosh(y) ** 2)[..., :, None] * m
 
-    return DriftField("tanh_matrix", m.shape[0], ev, jac, math.sqrt(m.shape[0]), True)
+    return DriftField("tanh_matrix", m.shape[0], ev, jac, math.sqrt(m.shape[0]))
 
 
 def picard_series(grid, drift, solution, base=(0, 0), depth=4):
@@ -249,7 +254,7 @@ def picard_series(grid, drift, solution, base=(0, 0), depth=4):
 
     jac_field = np.zeros((n_s, n_t, d, d))
     for i in range(u, n_s):
-        jac_field[i, v:] = jac(s_knots[i], t_knots[v:n_t], solution.values[i, v:n_t])
+        jac_field[i, v:] = jac(solution.values[i, v:n_t])
 
     def apply_map(m):
         out = np.zeros_like(m)
@@ -342,8 +347,8 @@ class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
         sheet = sample(grid, dim=2, seed=3)
-        sol = solve_euler(grid, zero_drift(2), 0.0, sheet)
-        cells, flow = malliavin_adjoint(grid, zero_drift(2), sol)
+        sol = solve_euler(grid, constant_drift(0.0, 2), 0.0, sheet)
+        cells, flow = malliavin_adjoint(grid, constant_drift(0.0, 2), sol)
         assert cells.shape == (6, 5, 2, 2)
         assert np.array_equal(cells, np.broadcast_to(np.eye(2), cells.shape))
         assert np.array_equal(flow, np.eye(2))
@@ -460,8 +465,8 @@ class TestFlowDerivative:
     def test_zero_drift_identity(self):
         grid = uniform_grid(5, 5, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=2)
-        sol = solve_euler(grid, zero_drift(1), 0.4, sheet)
-        _, flow = malliavin_adjoint(grid, zero_drift(1), sol)
+        sol = solve_euler(grid, constant_drift(0.0, 1), 0.4, sheet)
+        _, flow = malliavin_adjoint(grid, constant_drift(0.0, 1), sol)
         assert np.array_equal(flow, [[1.0]])
 
     def test_matches_fd_in_x0(self):
@@ -493,7 +498,7 @@ class TestDoleans:
     def test_zero_drift_is_one(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
         z = sample(grid, dim=1, seed=0).increments[None]
-        log_m = _log_weights(zero_drift(1), grid, cumulative_values(z)[:, :-1, :-1], z)
+        log_m = _log_weights(constant_drift(0.0, 1), grid, cumulative_values(z)[:, :-1, :-1], z)
         assert log_m.shape == (1,)
         assert log_m[0] == 0.0 and np.exp(log_m[0]) == 1.0
 
@@ -526,7 +531,7 @@ class TestWeakExpectations:
 
     def test_zero_drift_routes_agree(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
-        est = paired_weak_expectation(self.PHI, zero_drift(1), 0.1, grid, 4000, 5)
+        est = paired_weak_expectation(self.PHI, constant_drift(0.0, 1), 0.1, grid, 4000, 5)
         assert est.girsanov.mean == pytest.approx(est.euler.mean, abs=1e-12)
         assert est.girsanov.std_error == pytest.approx(est.euler.std_error, abs=1e-12)
         assert (est.weight.mean, est.weight.std_error) == (1.0, 0.0)
@@ -606,7 +611,8 @@ class TestWeakExpectations:
         assert abs(est.gap.mean) <= 4.0 * est.gap.std_error
         assert abs(est.weight.mean - 1.0) <= 4.0 * est.weight.std_error
 
-    @pytest.mark.parametrize("drift", [tanh_drift, sign_drift, zero_drift], ids=["tanh", "sign", "zero"])
+    @pytest.mark.parametrize("drift", [tanh_drift, sign_drift, lambda dim: constant_drift(0.0, dim)],
+                             ids=["tanh", "sign", "zero"])
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("grid", [uniform_grid(64, 64), geometric_grid(9, 7)], ids=["64x64", "geo9x7"])
     def test_blocked_girsanov_column_is_the_whole_chunk(self, grid, dim, drift):
