@@ -41,8 +41,8 @@ def main() -> int:
         factor = 1 << (args.levels - 1 - level)
         sheet = coarsen(fine, factor)
         grid = sheet.grid
-        e = solve_euler(grid, drift, args.x0, sheet)
-        p, sweeps = solve_picard(grid, drift, args.x0, sheet)
+        e = solve_euler(drift, args.x0, sheet)
+        p, sweeps = solve_picard(drift, args.x0, sheet)
         gap = float(np.max(np.abs(e.values - p.values)))
         hs.append(1.0 / grid.n_s)
         errs.append(gap)

@@ -54,19 +54,21 @@ class SheetSample:
     """Per-cell increments of one sheet realization, or of a batch of them.
 
     increments[..., i-1, j-1, c] is the rectangle increment of component c
-    over cell (i, j); leading axes, when present, index the sheets.
+    over cell (i, j); leading axes, when present, index the sheets.  dim is
+    the increments' last axis.
     """
 
     grid: GridPartition
-    dim: int
     increments: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = (self.grid.n_s, self.grid.n_t, self.dim)
-        if self.increments.shape[-3:] != expected:
-            raise ValueError(
-                f"increments shape {self.increments.shape} != grid shape {expected}"
-            )
+        cells = (self.grid.n_s, self.grid.n_t)
+        if self.increments.shape[-3:-1] != cells:
+            raise ValueError(f"increments shape {self.increments.shape} does not fit grid cells {cells}")
+
+    @property
+    def dim(self) -> int:
+        return self.increments.shape[-1]
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -74,12 +76,22 @@ class SheetSample:
         return self.increments.shape[:-3]
 
 
-def sample(grid: GridPartition, dim: int = 1, seed: Key = 0) -> SheetSample:
-    """One sheet realization from stream(seed): sqrt(area) times standard normals."""
+def _increment_sampler(grid: GridPartition, dim: int):
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = stream(seed).standard_normal((grid.n_s, grid.n_t, dim))
-    return SheetSample(grid, dim, z * np.sqrt(grid.areas())[:, :, None])
+    std = np.sqrt(grid.areas())[:, :, None]
+
+    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+        z = rng.standard_normal((size, grid.n_s, grid.n_t, dim))
+        z *= std
+        return z
+
+    return sampler
+
+
+def sample(grid: GridPartition, dim: int = 1, seed: Key = 0) -> SheetSample:
+    """One sheet from stream(seed): a batch of one from the paired pass's increment sampler."""
+    return SheetSample(grid, _increment_sampler(grid, dim)(stream(seed), 1)[0])
 
 
 def cumulative_values(increments: np.ndarray) -> np.ndarray:
@@ -122,7 +134,7 @@ def coarsen(sheet: SheetSample, factor_s: int, factor_t: Optional[int] = None) -
     shape = (*sheet.batch_shape, ns, factor_s, nt, factor_t, sheet.dim)
     inc = sheet.increments.reshape(shape).sum(axis=(-4, -2))
     coarse = GridPartition(grid.s_knots[::factor_s], grid.t_knots[::factor_t])
-    return SheetSample(coarse, sheet.dim, inc)
+    return SheetSample(coarse, inc)
 
 
 def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> SheetSample:
@@ -135,7 +147,7 @@ def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> Sh
     if dens.shape != sheet.increments.shape:
         raise ValueError(f"hdot shape {dens.shape} != {sheet.increments.shape}")
     areas = grid.areas()[:, :, None]
-    return SheetSample(grid, sheet.dim, sheet.increments + eps * dens * areas)
+    return SheetSample(grid, sheet.increments + eps * dens * areas)
 
 
 def export_csv(sheet: SheetSample, path: str) -> None:

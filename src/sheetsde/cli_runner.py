@@ -488,9 +488,9 @@ def _run_solve_sde(p: dict) -> tuple[dict, Optional[bool]]:
     sheet = sample(grid, dim=p["dim"], seed=p["seed"])
     sweeps = None
     if p["scheme"] == "euler":
-        sol = solve_euler(grid, drift, p["x0"], sheet)
+        sol = solve_euler(drift, p["x0"], sheet)
     else:
-        sol, sweeps = solve_picard(grid, drift, p["x0"], sheet)
+        sol, sweeps = solve_picard(drift, p["x0"], sheet)
     if p["out"]:
         _write_field_csv(p["out"], grid, sol.values)
     return {
@@ -529,10 +529,10 @@ def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:
     hdot = (np.cos(2.1 * s[1:])[:, None] * np.sin(1.7 * t[1:] + 0.3)[None, :])[:, :, None]
     # the sheet and its two shifts in one row sweep: samples base, up, down
     shifted = (cameron_martin_shift(sheet, hdot, e).increments for e in (eps, -eps))
-    sol = solve_euler(grid, drift, x0, SheetSample(grid, 1, np.stack((sheet.increments, *shifted))))
+    sol = solve_euler(drift, x0, SheetSample(grid, np.stack((sheet.increments, *shifted))))
     fd = float((sol.values[1, -1, -1, 0] - sol.values[2, -1, -1, 0]) / (2.0 * eps))
 
-    cells, _ = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[0]))
+    cells, _ = malliavin_adjoint(drift, SolutionField(grid, sol.values[0]))
     predicted = float(np.sum(cells[..., 0, 0] * hdot[..., 0] * grid.areas()))
     rel_err = abs(predicted - fd) / max(abs(fd), 1e-300)
     return {

@@ -98,10 +98,15 @@ def geometric_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0,
     if ratio <= 0:
         raise ValueError("ratio must be positive")
 
-    def knots(n: int, top: float) -> np.ndarray:
+    def knots(axis: str, n: int, top: float) -> np.ndarray:
         gaps = ratio ** np.arange(n)
         cum = np.concatenate([[0.0], np.cumsum(gaps)])
-        return cum * (top / cum[-1])
+        out = cum * (top / cum[-1])
+        smallest = float(np.min(np.diff(out), initial=np.inf))
+        if smallest <= MIN_KNOT_GAP:  # at ratio 1.35 from 89 cells on
+            raise DegenerateGridError(f"geometric_grid: {axis} axis of {n} cells at ratio {ratio:g} would "
+                                      f"give a smallest gap of {smallest:.3g}, not above {MIN_KNOT_GAP:g}")
+        return out
 
-    return GridPartition(knots(n_s, s_max), knots(n_t, t_max))
+    return GridPartition(knots("s", n_s, s_max), knots("t", n_t, t_max))
 

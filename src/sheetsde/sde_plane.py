@@ -12,6 +12,10 @@ derivative in x0, and the weak solution's two estimators, the Girsanov
 reweighting of the driftless field and the Euler chain, paired on the same
 sheets.
 
+The solvers read the grid and dimension from the sheet, the adjoint from the
+solution, and each raises ValueError naming both dimensions when the drift's
+differs.  The paired pass draws sheets with the increment sampler of sample.
+
 solve_euler takes a sheet sample with leading sample axes and integrates
 every sheet of the batch in one row sweep; malliavin-check solves its base
 sheet and both Cameron-Martin shifts that way.  malliavin_adjoint takes the
@@ -29,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .brownian_sheet import Key, SheetSample, cumulative_values
+from .brownian_sheet import Key, SheetSample, _increment_sampler, cumulative_values
 from .integrators import McEstimate, monte_carlo
 from .plane_geometry import GridPartition
 
@@ -90,10 +94,18 @@ class DriftScalarFactor:
                           self.sup_norm * math.sqrt(dim))
 
 
+def _as_vector(name: str, value, dim: Optional[int] = None) -> np.ndarray:
+    """value as a float vector of shape (dim,); a scalar repeats, dim None keeps the length."""
+    vec = np.atleast_1d(np.asarray(value, dtype=float))
+    dim = len(vec) if dim is None else dim
+    vec = np.full(dim, vec[0]) if vec.shape == (1,) else vec
+    if vec.shape != (dim,):
+        raise ValueError(f"{name} shape {vec.shape} incompatible with dim {dim}")
+    return vec
+
+
 def constant_drift(c, dim: Optional[int] = None) -> DriftField:
-    vec = np.atleast_1d(np.asarray(c, dtype=float))
-    if dim is not None and vec.shape == (1,) and dim > 1:
-        vec = np.full(dim, vec[0])
+    vec = _as_vector("constant drift level", c, dim)
     d = vec.shape[0]
 
     def ev(x):
@@ -143,7 +155,6 @@ class SolutionField:
     """Grid-point values of the state field, axes included."""
 
     grid: GridPartition
-    x0: np.ndarray
     values: np.ndarray  # (..., n_s + 1, n_t + 1, d), leading axes as the sheet's
 
     @property
@@ -164,13 +175,10 @@ def _require_finite(scheme: str, x: np.ndarray) -> None:
     raise ValueError(f"{scheme} solution is not finite at grid point ({i}, {j}){where}")
 
 
-def _as_x0(x0, dim: int) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(x0, dtype=float))
-    if vec.shape == (1,) and dim > 1:
-        vec = np.full(dim, vec[0])
-    if vec.shape != (dim,):
-        raise ValueError(f"x0 shape {vec.shape} incompatible with dim {dim}")
-    return vec
+def _require_dim(drift: DriftField, field) -> None:
+    if drift.dim != field.dim:  # field: the SheetSample or SolutionField the drift acts on
+        raise ValueError(f"drift {drift.name!r} has dim {drift.dim}, "
+                         f"the {type(field).__name__} has dim {field.dim}")
 
 
 def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
@@ -198,22 +206,23 @@ def _euler_rows(grid: GridPartition, drift: DriftField, x0: np.ndarray,
         yield row
 
 
-def solve_euler(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample) -> SolutionField:
-    """One-pass corner scheme; exact fixed point of the lower-left-corner sum.
+def solve_euler(drift: DriftField, x0, sheet: SheetSample) -> SolutionField:
+    """One-pass corner scheme on the sheet's grid; exact fixed point of the lower-left-corner sum.
 
     Every sheet of a batch runs in the same row sweep, one drift evaluation
     per row, and gets the values a single solve of it gives, bit for bit.
     """
-    x0v = _as_x0(x0, sheet.dim)
-    x = np.empty(sheet.batch_shape + (grid.n_s + 1, grid.n_t + 1, sheet.dim))
+    _require_dim(drift, sheet)
+    x0v = _as_vector("x0", x0, sheet.dim)
+    x = np.empty(sheet.batch_shape + (sheet.grid.n_s + 1, sheet.grid.n_t + 1, sheet.dim))
     x[..., 0, :, :] = x0v
-    for i, row in enumerate(_euler_rows(grid, drift, x0v, sheet.increments), start=1):
+    for i, row in enumerate(_euler_rows(sheet.grid, drift, x0v, sheet.increments), start=1):
         x[..., i, :, :] = row
     _require_finite("euler", x)
-    return SolutionField(grid, x0v, x)
+    return SolutionField(sheet.grid, x)
 
 
-def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
+def solve_picard(drift: DriftField, x0, sheet: SheetSample,
                  tol: float = 1e-10, max_iter: int = 200,
                  initial: Optional[SolutionField] = None) -> tuple[SolutionField, int]:
     """Fixed point of the integral map with drift read at upper-right states.
@@ -227,9 +236,10 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if sheet.batch_shape:
         raise ValueError(f"solve_picard takes one sheet, got leading sample shape {sheet.batch_shape}")
-    x0v = _as_x0(x0, sheet.dim)
+    _require_dim(drift, sheet)
+    x0v = _as_vector("x0", x0, sheet.dim)
     w = cumulative_values(sheet.increments)
-    areas = grid.areas()[:, :, None]
+    areas = sheet.grid.areas()[:, :, None]
 
     x = x0v + w if initial is None else np.array(initial.values, dtype=float)
     if x.shape != w.shape:
@@ -244,14 +254,13 @@ def solve_picard(grid: GridPartition, drift: DriftField, x0, sheet: SheetSample,
             _require_finite("picard", x_new)
         x = x_new
         if err <= tol:
-            return SolutionField(grid, x0v, x), sweep
+            return SolutionField(sheet.grid, x), sweep
     raise NonConvergenceError(
         f"Picard iteration above tolerance {tol:g} after {max_iter} sweeps (last update {err:g})"
     )
 
 
-def malliavin_adjoint(grid: GridPartition, drift: DriftField,
-                      solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
+def malliavin_adjoint(drift: DriftField, solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
     """Terminal derivative for every base cell, and in x0, from one backward sweep.
 
     Returns (cells, flow).  cells, shape (..., n_s, n_t, d, d), holds at
@@ -271,10 +280,11 @@ def malliavin_adjoint(grid: GridPartition, drift: DriftField,
     The base (0, 0) sets all of row 0, so flow is the sum of lam over every
     column after the last step.
     """
+    _require_dim(drift, solution)
     jac = drift.require_jacobian()
-    n_t, d = grid.n_t, solution.dim
+    n_t, d = solution.grid.n_t, solution.dim
     # kernel[..., i, j] = b'(corner state) * area of cell (i, j), every cell at once
-    kernel = jac(solution.values[..., :-1, :-1, :]) * grid.areas()[:, :, None, None]
+    kernel = jac(solution.values[..., :-1, :-1, :]) * solution.grid.areas()[:, :, None, None]
 
     cells = np.empty_like(kernel)
     lam = np.zeros(solution.batch_shape + (n_t + 1, d, d))
@@ -298,17 +308,6 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
     b_vals = drift.eval(args)
     return (np.einsum("bijk,bijk->b", b_vals, z)
             - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
-
-
-def _increment_sampler(grid: GridPartition, dim: int):
-    std = np.sqrt(grid.areas())[:, :, None]
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, grid.n_s, grid.n_t, dim))
-        z *= std
-        return z
-
-    return sampler
 
 
 # bytes of one (batch, n_s, n_t, dim) float64 sheet chunk.  The chunk is the
@@ -382,17 +381,16 @@ class WeakComparison(NamedTuple):
 
 
 def paired_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
-                            x0, grid: GridPartition, n_samples: int, seed: Key,
-                            dim: int = 1) -> WeakComparison:
+                            x0, grid: GridPartition, n_samples: int, seed: Key) -> WeakComparison:
     """Both weak estimators of E[phi(X at the far corner)] in one paired pass.
 
     Every sheet feeds the Girsanov integrand and the Euler chain, so the gap
     column's SE is that of the per-sheet difference, far below the combined
     SE of two independent passes.  The pass runs one shard per sheet chunk
     on monte_carlo's thread pool, shard r on stream(seed, r); the estimates
-    depend only on (seed, n_samples, grid, dim), never on the worker count.
+    depend only on (seed, n_samples, grid, drift.dim), never on the worker count.
     """
-    f = _paired_integrand(phi, drift, grid, _as_x0(x0, dim))
-    chunk = _sheet_mc_chunk(grid, dim)
-    return WeakComparison(*monte_carlo(f, _increment_sampler(grid, dim), n_samples, seed,
+    f = _paired_integrand(phi, drift, grid, _as_vector("x0", x0, drift.dim))
+    chunk = _sheet_mc_chunk(grid, drift.dim)
+    return WeakComparison(*monte_carlo(f, _increment_sampler(grid, drift.dim), n_samples, seed,
                                        shards=-(-n_samples // chunk), chunk=chunk))

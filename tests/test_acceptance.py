@@ -250,11 +250,11 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         grid = uniform_grid(16, 16, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=6)
         w = cumulative_values(sheet.increments)
-        free = solve_euler(grid, constant_drift(0.0, 1), 0.25, sheet)
+        free = solve_euler(constant_drift(0.0, 1), 0.25, sheet)
         err_zero = float(np.max(np.abs(free.values - (0.25 + w))))
         assert err_zero == 0.0 or err_zero <= 1e-13
         c = 0.8
-        const = solve_euler(grid, constant_drift(c), 0.1, sheet)
+        const = solve_euler(constant_drift(c), 0.1, sheet)
         st = np.outer(grid.s_knots, grid.t_knots)[:, :, None]
         err_const = float(np.max(np.abs(const.values - (0.1 + c * st + w))))
         assert err_const <= 1e-12
@@ -265,8 +265,8 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         err_linear = 0.0
         for n in (8, 64):
             g = uniform_grid(n, n, 1.0, 1.0)
-            zero_sheet = SheetSample(g, 1, np.zeros((n, n, 1)))
-            corner = solve_euler(g, linear_drift(a), 1.0, zero_sheet).values[-1, -1, 0]
+            zero_sheet = SheetSample(g, np.zeros((n, n, 1)))
+            corner = solve_euler(linear_drift(a), 1.0, zero_sheet).values[-1, -1, 0]
             exact = math.fsum((a / n**2) ** k * math.comb(n, k) ** 2 for k in range(n + 1))
             err_linear = max(err_linear, abs(corner - exact) / exact)
         assert err_linear <= 1e-12
@@ -277,8 +277,8 @@ def test_criterion_08_solver_exactness_and_mesh_order():
         for factor in (8, 4, 2, 1):
             piece = coarsen(fine, factor)
             g = piece.grid
-            e = solve_euler(g, drift, 0.1, piece)
-            p, _ = solve_picard(g, drift, 0.1, piece)
+            e = solve_euler(drift, 0.1, piece)
+            p, _ = solve_picard(drift, 0.1, piece)
             hs.append(1.0 / g.n_s)
             errs.append(float(np.max(np.abs(e.values - p.values))))
         slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -294,9 +294,9 @@ def test_criterion_09_malliavin_identity_and_direction():
     with criterion(9, "derivative field checks", 120.0) as state:
         grid = uniform_grid(8, 8, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=1)
-        sol = solve_euler(grid, constant_drift(0.0, 1), 0.0, sheet)
+        sol = solve_euler(constant_drift(0.0, 1), 0.0, sheet)
         # without drift every derivative, in the sheet and in x0, is exactly I
-        cells, flow = malliavin_adjoint(grid, constant_drift(0.0, 1), sol)
+        cells, flow = malliavin_adjoint(constant_drift(0.0, 1), sol)
         exact = bool(np.all(cells == 1.0) and np.all(flow == 1.0))
         assert exact
         rec = run(ExperimentConfig("malliavin-check", {

@@ -50,6 +50,20 @@ class TestSampling:
         g = uniform_grid(4, 4)
         assert not np.array_equal(sample(g, seed=1).increments, sample(g, seed=2).increments)
 
+    @pytest.mark.parametrize("grid", [uniform_grid(5, 3), geometric_grid(4, 6)], ids=["uniform", "geometric"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sample_is_the_scaled_c_ordered_stream(self, grid, dim):
+        want = stream(8).standard_normal((grid.n_s, grid.n_t, dim)) * np.sqrt(grid.areas())[:, :, None]
+        assert sample(grid, dim, 8).increments.tobytes() == want.tobytes()
+
+    def test_sheet_dim_is_the_increments_last_axis(self):
+        grid = uniform_grid(2, 3)
+        assert SheetSample(grid, np.zeros((4, 2, 3, 5))).dim == 5
+        with pytest.raises(ValueError, match=r"increments shape \(3, 2, 1\) does not fit grid cells \(2, 3\)"):
+            SheetSample(grid, np.zeros((3, 2, 1)))
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            sample(grid, dim=0)
+
     def test_increment_shape(self):
         g = uniform_grid(3, 5)
         sh = sample(g, dim=2, seed=0)
@@ -132,7 +146,7 @@ class TestValues:
         assert np.array_equal(z, before)
         assert np.all(w[:, 0] == 0.0) and np.all(w[:, :, 0] == 0.0)
         for r in range(3):
-            sheet = SheetSample(grid, 2, z[r])
+            sheet = SheetSample(grid, z[r])
             for i in range(6):
                 for j in range(5):
                     assert np.array_equal(w[r, i, j], value_at(sheet, i, j))
@@ -201,10 +215,10 @@ class TestCoarsen:
     def test_batch_matches_each_sheet(self):
         grid = geometric_grid(12, 8)
         z = replications(grid, 2, 6, 6).reshape(2, 3, 12, 8, 2)
-        coarse = coarsen(SheetSample(grid, 2, z), 3, 2)
+        coarse = coarsen(SheetSample(grid, z), 3, 2)
         assert coarse.batch_shape == (2, 3)
         for r in np.ndindex(2, 3):
-            one = coarsen(SheetSample(grid, 2, z[r]), 3, 2)
+            one = coarsen(SheetSample(grid, z[r]), 3, 2)
             assert np.array_equal(coarse.increments[r], one.increments), r
         assert coarse.grid == one.grid
 
@@ -219,7 +233,7 @@ class TestSerialization:
         assert np.array_equal(read_csv(g, 2, path), sh.increments)
 
     def test_csv_rejects_a_batch(self, tmp_path):
-        batch = SheetSample(uniform_grid(2, 2), 1, np.zeros((2, 2, 2, 1)))
+        batch = SheetSample(uniform_grid(2, 2), np.zeros((2, 2, 2, 1)))
         with pytest.raises(ValueError, match=r"leading shape \(2,\)"):
             export_csv(batch, str(tmp_path / "z.csv"))
 

@@ -37,6 +37,21 @@ class TestGridPartition:
         ratios = g.s_gaps()[1:] / g.s_gaps()[:-1]
         assert np.allclose(ratios, 1.35, rtol=1e-9)
 
+    @pytest.mark.parametrize("shape, axis", [((89, 2), "s"), ((3, 128), "t")], ids=["89x2", "3x128"])
+    def test_geometric_grid_names_its_vanishing_gap(self, shape, axis):
+        # the first gap is about 0.35 / 1.35**n of the side: below 1e-12 from 89 cells on
+        n = max(shape)
+        with pytest.raises(DegenerateGridError,
+                           match=rf"geometric_grid: {axis} axis of {n} cells at ratio 1\.35 "
+                                 r"would give a smallest gap of [\d.e-]+, not above 1e-12"):
+            geometric_grid(*shape)
+
+    def test_geometric_grid_below_the_limit_is_the_plain_formula(self):
+        cum = np.concatenate([[0.0], np.cumsum(1.35 ** np.arange(88))])
+        g = geometric_grid(88, 3)
+        assert g.s_knot_array().tobytes() == (cum * (1.0 / cum[-1])).tobytes()
+        assert g.s_gaps().min() > 1e-12
+
     def test_duplicate_knots_rejected(self):
         with pytest.raises(DegenerateGridError):
             GridPartition((0.0, 0.5, 0.5), (0.0, 1.0))

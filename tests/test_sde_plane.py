@@ -65,6 +65,11 @@ class TestDriftFields:
         assert np.all(out == 0.7)
         assert d.sup_norm == pytest.approx(0.7 * math.sqrt(3.0))
 
+    def test_constant_level_must_fit_dim(self):
+        assert constant_drift([0.5], dim=3).eval(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+        with pytest.raises(ValueError, match=r"constant drift level shape \(2,\) incompatible with dim 3"):
+            constant_drift([0.5, 0.2], dim=3)
+
     @pytest.mark.filterwarnings("error")
     def test_constant_sup_norm_does_not_overflow(self):
         # squaring 1e200 overflows; the norm itself is finite
@@ -117,7 +122,7 @@ class TestSolverExactness:
     def test_zero_drift_is_shifted_sheet(self):
         grid = uniform_grid(12, 9, 1.0, 1.5)
         sheet = sample(grid, dim=1, seed=4)
-        sol = solve_euler(grid, constant_drift(0.0, 1), 0.3, sheet)
+        sol = solve_euler(constant_drift(0.0, 1), 0.3, sheet)
         want = 0.3 + cumulative_values(sheet.increments)
         assert np.max(np.abs(sol.values - want)) <= 1e-13
         assert np.all(sol.values[0, :, :] == 0.3)
@@ -128,7 +133,7 @@ class TestSolverExactness:
         grid = uniform_grid(7, 11, 1.3, 0.8)
         sheet = sample(grid, dim=1, seed=9)
         c = -0.6
-        sol = solve_euler(grid, constant_drift(c), 0.1, sheet)
+        sol = solve_euler(constant_drift(c), 0.1, sheet)
         st = np.outer(grid.s_knots, grid.t_knots)[:, :, None]
         want = 0.1 + c * st + cumulative_values(sheet.increments)
         assert np.max(np.abs(sol.values - want)) <= 1e-12
@@ -136,15 +141,37 @@ class TestSolverExactness:
     def test_dim_two_shapes(self):
         grid = uniform_grid(5, 6, 1.0, 1.0)
         sheet = sample(grid, dim=2, seed=1)
-        sol = solve_euler(grid, tanh_drift(1.0, 1.0, 2), [0.1, -0.2], sheet)
+        sol = solve_euler(tanh_drift(1.0, 1.0, 2), [0.1, -0.2], sheet)
         assert sol.values.shape == (6, 7, 2)
         assert sol.dim == 2
         assert np.all(sol.values[0] == [0.1, -0.2])
 
+    @pytest.mark.parametrize("drift", [tanh_drift(dim=2), constant_drift([0.5, 0.2])], ids=["tanh", "const"])
+    @pytest.mark.parametrize("entry", ["euler", "picard", "adjoint"])
+    def test_drift_dimension_must_be_the_sheets(self, entry, drift):
+        sheet = sample(uniform_grid(4, 4), dim=1, seed=1)
+        solve = {
+            "euler": lambda: solve_euler(drift, 0.1, sheet),
+            "picard": lambda: solve_picard(drift, 0.1, sheet),
+            "adjoint": lambda: malliavin_adjoint(drift, solve_euler(tanh_drift(), 0.1, sheet)),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"drift '{drift.name}' has dim 2, the \w+ has dim 1"):
+            solve()
+
+    def test_solution_carries_the_sheets_grid(self):
+        # every coarsened level solves on its own grid, read from its sheet
+        fine = sample(uniform_grid(8, 4), dim=1, seed=1)
+        for factor in (1, 2, 4):
+            sheet = coarsen(fine, factor)
+            sol = solve_euler(tanh_drift(), 0.1, sheet)
+            assert sol.grid is sheet.grid
+            assert sol.values.shape == (sheet.grid.n_s + 1, sheet.grid.n_t + 1, 1)
+            assert np.all(np.isfinite(sol.values))
+
     def test_discontinuous_drift_runs(self):
         grid = uniform_grid(16, 16, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=2)
-        sol = solve_euler(grid, sign_drift(), 0.0, sheet)
+        sol = solve_euler(sign_drift(), 0.0, sheet)
         assert np.all(np.isfinite(sol.values))
         area = grid.s_knots[-1] * grid.t_knots[-1]
         assert np.max(np.abs(sol.values - cumulative_values(sheet.increments))) <= area
@@ -154,7 +181,7 @@ class TestPicard:
     def test_zero_drift_single_sweep(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=5)
-        sol, sweeps = solve_picard(grid, constant_drift(0.0, 1), 0.2, sheet)
+        sol, sweeps = solve_picard(constant_drift(0.0, 1), 0.2, sheet)
         assert sweeps == 1
         assert np.max(np.abs(sol.values - (0.2 + cumulative_values(sheet.increments)))) == 0.0
 
@@ -163,27 +190,27 @@ class TestPicard:
         sheet = sample(grid, dim=1, seed=6)
         drift = tanh_drift(0.9, 1.1, 1)
         tol = 1e-11
-        a, _ = solve_picard(grid, drift, 0.1, sheet, tol=tol)
+        a, _ = solve_picard(drift, 0.1, sheet, tol=tol)
         w = cumulative_values(sheet.increments)
-        cold = SolutionField(grid, np.array([0.1]), np.full_like(w, 0.1))
-        b, _ = solve_picard(grid, drift, 0.1, sheet, tol=tol, initial=cold)
+        cold = SolutionField(grid, np.full_like(w, 0.1))
+        b, _ = solve_picard(drift, 0.1, sheet, tol=tol, initial=cold)
         assert np.max(np.abs(a.values - b.values)) <= 2.0 * tol
 
     def test_initial_shape_guard(self):
         grid = uniform_grid(4, 4, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=0)
-        bad = SolutionField(grid, np.array([0.0]), np.zeros((3, 3, 1)))
+        bad = SolutionField(grid, np.zeros((3, 3, 1)))
         with pytest.raises(ValueError):
-            solve_picard(grid, constant_drift(0.0, 1), 0.0, sheet, initial=bad)
+            solve_picard(constant_drift(0.0, 1), 0.0, sheet, initial=bad)
 
     def test_non_convergence_raises(self):
         grid = uniform_grid(6, 6, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=7)
         with pytest.raises(NonConvergenceError):
-            solve_picard(grid, tanh_drift(1.0, 1.0, 1), 0.0, sheet, tol=1e-30, max_iter=4)
+            solve_picard(tanh_drift(1.0, 1.0, 1), 0.0, sheet, tol=1e-30, max_iter=4)
         # no sweep leaves no residual to report
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            solve_picard(grid, tanh_drift(1.0, 1.0, 1), 0.0, sheet, max_iter=0)
+            solve_picard(tanh_drift(1.0, 1.0, 1), 0.0, sheet, max_iter=0)
 
     def test_matches_euler_at_first_order(self):
         # the two schemes read the drift at opposite cell corners; their gap
@@ -194,8 +221,8 @@ class TestPicard:
         for factor in (8, 2):
             sheet = coarsen(fine, factor)
             grid = sheet.grid
-            e = solve_euler(grid, drift, 0.1, sheet)
-            p, _ = solve_picard(grid, drift, 0.1, sheet)
+            e = solve_euler(drift, 0.1, sheet)
+            p, _ = solve_picard(drift, 0.1, sheet)
             gaps.append(float(np.max(np.abs(e.values - p.values))))
         assert gaps[1] < 0.45 * gaps[0]
 
@@ -208,8 +235,8 @@ class TestMeshOrder:
         for factor in (4, 2, 1):
             sheet = coarsen(fine, factor)
             grid = sheet.grid
-            e = solve_euler(grid, drift, 0.1, sheet)
-            p, _ = solve_picard(grid, drift, 0.1, sheet)
+            e = solve_euler(drift, 0.1, sheet)
+            p, _ = solve_picard(drift, 0.1, sheet)
             hs.append(1.0 / grid.n_s)
             errs.append(float(np.max(np.abs(e.values - p.values))))
         slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -287,11 +314,11 @@ class TestBatch:
         grid = geometric_grid(9, 7, 1.0, 1.0)
         z = np.stack([sample(grid, drift.dim, (8, r)).increments for r in range(6)])
         z = z.reshape(2, 3, 9, 7, drift.dim)
-        batch = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z))
+        batch = solve_euler(drift, 0.2, SheetSample(grid, z))
         assert batch.values.shape == (2, 3, 10, 8, drift.dim)
         assert batch.batch_shape == (2, 3)
         for r in np.ndindex(2, 3):
-            one = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z[r]))
+            one = solve_euler(drift, 0.2, SheetSample(grid, z[r]))
             assert np.array_equal(batch.values[r], one.values), r
 
     @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["3", "2x3"])
@@ -303,13 +330,13 @@ class TestBatch:
     def test_batched_adjoint_is_each_sheet_sweep(self, drift, grid, batch):
         n = math.prod(batch)
         z = np.stack([sample(grid, drift.dim, (6, r)).increments for r in range(n)])
-        sol = solve_euler(grid, drift, 0.2, SheetSample(grid, drift.dim, z.reshape(batch + z.shape[1:])))
-        cells, flow = malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.2, SheetSample(grid, z.reshape(batch + z.shape[1:])))
+        cells, flow = malliavin_adjoint(drift, sol)
         d = drift.dim
         assert cells.shape == batch + (grid.n_s, grid.n_t, d, d)
         assert flow.shape == batch + (d, d)
         for r in np.ndindex(*batch):
-            one_cells, one_flow = malliavin_adjoint(grid, drift, SolutionField(grid, sol.x0, sol.values[r]))
+            one_cells, one_flow = malliavin_adjoint(drift, SolutionField(grid, sol.values[r]))
             assert np.array_equal(cells[r], one_cells), r
             assert np.array_equal(flow[r], one_flow), r
 
@@ -317,7 +344,7 @@ class TestBatch:
         grid = uniform_grid(4, 4, 1.0, 1.0)
         z = np.stack([sample(grid, 1, seed=r).increments for r in range(2)])
         with pytest.raises(ValueError, match=r"solve_picard takes one sheet, got leading sample shape \(2,\)"):
-            solve_picard(grid, tanh_drift(0.9, 1.1, 1), 0.2, SheetSample(grid, 1, z))
+            solve_picard(tanh_drift(0.9, 1.1, 1), 0.2, SheetSample(grid, z))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_solution_names_scheme_and_grid_point(self):
@@ -326,15 +353,15 @@ class TestBatch:
         zero = np.zeros((2, 2, 1))
         # X(s, t) = x0 + c s t overflows at the far corner only
         with pytest.raises(ValueError, match=r"^euler solution is not finite at grid point \(2, 2\)$"):
-            solve_euler(grid, drift, 1e308, SheetSample(grid, 1, zero))
+            solve_euler(drift, 1e308, SheetSample(grid, zero))
         with pytest.raises(ValueError, match=r"^picard solution is not finite at grid point \(2, 2\)$"):
-            solve_picard(grid, drift, 1e308, SheetSample(grid, 1, zero))
+            solve_picard(drift, 1e308, SheetSample(grid, zero))
         # a sheet whose first cell pulls the field down stays finite, so the
         # first non-finite point belongs to the second sample
         pulled = zero.copy()
         pulled[0, 0, 0] = -1e308
         with pytest.raises(ValueError, match=r"grid point \(2, 2\) of sample \(1,\)$"):
-            solve_euler(grid, drift, 1e308, SheetSample(grid, 1, np.stack((pulled, zero))))
+            solve_euler(drift, 1e308, SheetSample(grid, np.stack((pulled, zero))))
 
 
 def exact_series(grid, drift, solution, base=(0, 0)):
@@ -347,8 +374,8 @@ class TestMalliavin:
     def test_zero_drift_identity_field(self):
         grid = uniform_grid(6, 5, 1.0, 1.0)
         sheet = sample(grid, dim=2, seed=3)
-        sol = solve_euler(grid, constant_drift(0.0, 2), 0.0, sheet)
-        cells, flow = malliavin_adjoint(grid, constant_drift(0.0, 2), sol)
+        sol = solve_euler(constant_drift(0.0, 2), 0.0, sheet)
+        cells, flow = malliavin_adjoint(constant_drift(0.0, 2), sol)
         assert cells.shape == (6, 5, 2, 2)
         assert np.array_equal(cells, np.broadcast_to(np.eye(2), cells.shape))
         assert np.array_equal(flow, np.eye(2))
@@ -359,16 +386,16 @@ class TestMalliavin:
         grid = uniform_grid(10, 10, 1.0, 1.0)
         drift = tanh_drift(0.9, 1.1, 1)
         sheet = sample(grid, dim=1, seed=3)
-        sol = solve_euler(grid, drift, 0.2, sheet)
+        sol = solve_euler(drift, 0.2, sheet)
         s = np.asarray(grid.s_knots)
         t = np.asarray(grid.t_knots)
         hdot = (np.cos(2.1 * s[1:])[:, None] * np.sin(1.7 * t[1:] + 0.3)[None, :])[:, :, None]
         eps = 1e-4
-        up = solve_euler(grid, drift, 0.2, cameron_martin_shift(sheet, hdot, eps))
-        dn = solve_euler(grid, drift, 0.2, cameron_martin_shift(sheet, hdot, -eps))
+        up = solve_euler(drift, 0.2, cameron_martin_shift(sheet, hdot, eps))
+        dn = solve_euler(drift, 0.2, cameron_martin_shift(sheet, hdot, -eps))
         fd = float((up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * eps))
         areas = np.outer(grid.s_gaps(), grid.t_gaps())
-        cells, _ = malliavin_adjoint(grid, drift, sol)
+        cells, _ = malliavin_adjoint(drift, sol)
         predicted = math.fsum((cells[..., 0, 0] * hdot[..., 0] * areas).ravel())
         assert abs(predicted - fd) <= 1e-8 * abs(fd)
 
@@ -381,8 +408,8 @@ class TestMalliavin:
         # against the series of its own base; the non-symmetric 2-d Jacobian
         # fails a transposed product in the sweep
         sheet = sample(grid, dim=drift.dim, seed=5)
-        sol = solve_euler(grid, drift, 0.2, sheet)
-        cells, flow = malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.2, sheet)
+        cells, flow = malliavin_adjoint(drift, sol)
         assert cells.shape == (grid.n_s, grid.n_t, drift.dim, drift.dim)
         assert flow.shape == (drift.dim, drift.dim)
         for a in range(grid.n_s):
@@ -406,32 +433,32 @@ class TestMalliavin:
         exact_flow = math.fsum(aa ** k * math.comb(n_s, k) * math.comb(n_t, k)
                                for k in range(min(n_s, n_t) + 1))
         for seed in (0, 1):
-            sol = solve_euler(grid, linear_drift(a), 0.2, sample(grid, dim=1, seed=seed))
-            cells, flow = malliavin_adjoint(grid, linear_drift(a), sol)
+            sol = solve_euler(linear_drift(a), 0.2, sample(grid, dim=1, seed=seed))
+            cells, flow = malliavin_adjoint(linear_drift(a), sol)
             assert np.max(np.abs(cells[..., 0, 0] - exact) / np.abs(exact)) <= 1e-12
             assert abs(flow[0, 0] - exact_flow) <= 1e-12 * abs(exact_flow)
 
     def test_adjoint_requires_jacobian(self):
         grid = uniform_grid(4, 4, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=0)
-        sol = solve_euler(grid, sign_drift(), 0.0, sheet)
+        sol = solve_euler(sign_drift(), 0.0, sheet)
         with pytest.raises(MissingJacobianError):
-            malliavin_adjoint(grid, sign_drift(), sol)
+            malliavin_adjoint(sign_drift(), sol)
 
     def test_adjoint_evaluates_jacobian_once(self):
         grid = uniform_grid(12, 10, 1.0, 1.0)
         calls = []
         drift = counting_jacobian(tanh_drift(0.9, 1.1, 1), calls)
-        sol = solve_euler(grid, drift, 0.2, sample(grid, dim=1, seed=2))
-        malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.2, sample(grid, dim=1, seed=2))
+        malliavin_adjoint(drift, sol)
         assert calls == [(12, 10, 1)]
 
     def test_series_matches_recursion(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
         drift = tanh_drift(0.8, 1.2, 1)
         sheet = sample(grid, dim=1, seed=11)
-        sol = solve_euler(grid, drift, 0.1, sheet)
-        cells, _ = malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.1, sheet)
+        cells, _ = malliavin_adjoint(drift, sol)
         # base (1, 2): each map application shifts the support one row and one
         # column, so the terms after min(8 - 1, 8 - 2) = 6 are exact zeros
         series, _ = picard_series(grid, drift, sol, base=(1, 2), depth=6)
@@ -445,8 +472,8 @@ class TestMalliavin:
         grid = uniform_grid(6, 6, 1.0, 1.0)
         drift = tanh_drift(1.0, 1.0, 1)
         sheet = sample(grid, dim=1, seed=1)
-        sol = solve_euler(grid, drift, 0.0, sheet)
-        _, flow = malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.0, sheet)
+        _, flow = malliavin_adjoint(drift, sol)
         exact = exact_series(grid, drift, sol)
         assert abs(exact[-1, -1, 0, 0] - flow[0, 0]) <= 1e-12 * abs(flow[0, 0])
         errs, tails = [], []
@@ -465,19 +492,19 @@ class TestFlowDerivative:
     def test_zero_drift_identity(self):
         grid = uniform_grid(5, 5, 1.0, 1.0)
         sheet = sample(grid, dim=1, seed=2)
-        sol = solve_euler(grid, constant_drift(0.0, 1), 0.4, sheet)
-        _, flow = malliavin_adjoint(grid, constant_drift(0.0, 1), sol)
+        sol = solve_euler(constant_drift(0.0, 1), 0.4, sheet)
+        _, flow = malliavin_adjoint(constant_drift(0.0, 1), sol)
         assert np.array_equal(flow, [[1.0]])
 
     def test_matches_fd_in_x0(self):
         grid = uniform_grid(12, 12, 1.0, 1.0)
         drift = tanh_drift(0.9, 1.1, 1)
         sheet = sample(grid, dim=1, seed=8)
-        sol = solve_euler(grid, drift, 0.3, sheet)
-        _, flow = malliavin_adjoint(grid, drift, sol)
+        sol = solve_euler(drift, 0.3, sheet)
+        _, flow = malliavin_adjoint(drift, sol)
         h = 1e-5
-        up = solve_euler(grid, drift, 0.3 + h, sheet)
-        dn = solve_euler(grid, drift, 0.3 - h, sheet)
+        up = solve_euler(drift, 0.3 + h, sheet)
+        dn = solve_euler(drift, 0.3 - h, sheet)
         fd = (up.values[-1, -1, 0] - dn.values[-1, -1, 0]) / (2.0 * h)
         assert flow[0, 0] == pytest.approx(fd, rel=1e-5)
 
@@ -488,8 +515,8 @@ class TestFlowDerivative:
         for factor in (2, 1):
             sheet = coarsen(fine, factor)
             grid = sheet.grid
-            sol = solve_euler(grid, drift, 0.2, sheet)
-            vals.append(float(malliavin_adjoint(grid, drift, sol)[1][0, 0]))
+            sol = solve_euler(drift, 0.2, sheet)
+            vals.append(float(malliavin_adjoint(drift, sol)[1][0, 0]))
         assert 0.8 <= vals[1] / vals[0] <= 1.25
 
 
