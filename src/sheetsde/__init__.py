@@ -52,7 +52,6 @@ from .shuffle_combinatorics import (
     locate_cell_batch,
     membership_batch,
     partition_report,
-    product_identity_check,
     sample_region_batch,
 )
 from .estimate_lab import (
@@ -98,7 +97,7 @@ __all__ = [
     "locate_cell_batch",
     "malliavin_adjoint", "membership_batch",
     "monte_carlo", "paired_weak_expectation", "partition_report",
-    "product_identity_check", "sample", "sample_region_batch", "sign_drift",
+    "sample", "sample_region_batch", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
     "uniform_grid", "uniform_spec", "verify_identity",

@@ -19,7 +19,6 @@ array in one fixed C-ordered draw, so no draw depends on an iteration order.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -150,15 +149,23 @@ def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> Sh
     return SheetSample(grid, sheet.increments + eps * dens * areas)
 
 
+def _write_csv(path: str, header: list[str], index: np.ndarray, values: np.ndarray) -> None:
+    """Write the header, then one line per row: its integer index columns, then its values.
+
+    The bytes are those csv.writer gives (no field needs quoting, lines end
+    in \r\n); every line is formatted by one % on a repeated row template.
+    """
+    line = ",".join(["%d"] * index.shape[1] + [CSV_FLOAT_FORMAT] * values.shape[1]) + "\r\n"
+    fields = np.column_stack([index, values]).ravel().tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write((line * len(index)) % tuple(fields))
+
+
 def export_csv(sheet: SheetSample, path: str) -> None:
     """Write one row (i, j, component, z) per increment, 1-based indices."""
     if sheet.batch_shape:
         raise ValueError(f"export_csv takes one sheet, got leading shape {sheet.batch_shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "component", "z"])
-        for i in range(1, sheet.grid.n_s + 1):
-            for j in range(1, sheet.grid.n_t + 1):
-                for c in range(sheet.dim):
-                    writer.writerow([i, j, c + 1, CSV_FLOAT_FORMAT % sheet.increments[i - 1, j - 1, c]])
+    index = np.indices(sheet.increments.shape).reshape(3, -1).T + 1
+    _write_csv(path, ["i", "j", "component", "z"], index, sheet.increments.reshape(-1, 1))
 

@@ -15,7 +15,6 @@ Exit codes: 0 pass (or nothing to check), 2 quantitative-check failure,
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -30,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .brownian_sheet import (
-    CSV_FLOAT_FORMAT,
     SheetSample,
+    _write_csv,
     cameron_martin_shift,
     cumulative_values,
     export_csv,
@@ -504,15 +503,11 @@ def _run_solve_sde(p: dict) -> tuple[dict, Optional[bool]]:
 
 
 def _write_field_csv(path: str, grid: GridPartition, values: np.ndarray) -> None:
+    """Write one row (i, j, s, t, x0, ...) per grid point, 0-based indices."""
     dim = values.shape[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "s", "t"] + [f"x{c}" for c in range(dim)])
-        for i in range(grid.n_s + 1):
-            for j in range(grid.n_t + 1):
-                row = [i, j, CSV_FLOAT_FORMAT % grid.s_knots[i], CSV_FLOAT_FORMAT % grid.t_knots[j]]
-                row += [CSV_FLOAT_FORMAT % v for v in values[i, j]]
-                writer.writerow(row)
+    i, j = np.indices(values.shape[:2]).reshape(2, -1)
+    columns = np.column_stack([grid.s_knot_array()[i], grid.t_knot_array()[j], values.reshape(-1, dim)])
+    _write_csv(path, ["i", "j", "s", "t"] + [f"x{c}" for c in range(dim)], np.column_stack([i, j]), columns)
 
 
 def _run_malliavin_check(p: dict) -> tuple[dict, Optional[bool]]:

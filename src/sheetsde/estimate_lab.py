@@ -308,7 +308,6 @@ def davie_bound(spec: PermutationSpec, sup_norm: float) -> float:
 class IdentityReport:
     """Direct vs expanded estimate and the product bound for one scheme."""
 
-    spec_sigma: tuple[int, ...]
     direct: McEstimate
     ibp: McEstimate
     bound: float
@@ -341,5 +340,5 @@ def verify_identity(spec: PermutationSpec, factor: DriftScalarFactor,
         tol = se_width * math.hypot(direct.std_error, ibp.std_error)
     identity_ok = gap <= tol
     bound_ok = abs(ibp.mean) + se_width * ibp.std_error <= bound
-    return IdentityReport(spec.sigma, direct, ibp, bound, gap, tol, identity_ok, bound_ok)
+    return IdentityReport(direct, ibp, bound, gap, tol, identity_ok, bound_ok)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,9 +52,13 @@ def _merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
 # Monte Carlo driver
 # ---------------------------------------------------------------------------
 
+# samples per accumulation step of a shard (a chunk), and rows drawn and
+# evaluated at once inside a chunk, which keeps each draw and the integrand's
+# temporaries in cache.  Both are stream units for a sampler that does not put
+# its samples first: the IBP marginal sampler draws (k, size) normals, so their
+# bounds decide which normal goes to which sample, and changing either constant
+# changes every verify-ibp and verify-bound record.
 _MC_CHUNK = 1 << 17
-# rows drawn and evaluated at once inside a chunk: keeps each draw and the
-# integrand's temporaries in cache; the chunk stays the accumulation unit
 _MC_BLOCK = 1 << 12
 
 
@@ -64,7 +68,6 @@ def monte_carlo(
     n: int,
     seed: Key,
     shards: int = 1,
-    chunk: Optional[int] = None,
 ) -> McEstimate | list[McEstimate]:
     """Mean of f over n draws from sampler with a stable running accumulation.
 
@@ -74,19 +77,14 @@ def monte_carlo(
     split over `shards` shards; shard r draws stream(seed, r), so shard 0 is
     the shards=1 stream.  Shards run on up to _pool_workers(shards) threads
     and merge in shard order, so the result depends only on the key, never
-    on the worker count; merging standalone shards reproduces it.  `chunk`
-    caps the batch of each accumulation step; callers with large per-sample
-    payloads lower it to bound memory.  Within a chunk the sampler and f see
-    at most _MC_BLOCK rows at a time.  Neither changes the draw stream or
-    the per-sample values, so the estimate depends only on the chunk.
+    on the worker count; merging standalone shards reproduces it.  A shard
+    accumulates _MC_CHUNK samples at a time and the sampler and f see at most
+    _MC_BLOCK rows at a time; callers bound a pass's memory by sharding it.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
     if shards < 1 or shards > n:
         raise ValueError("shards must be in [1, n]")
-    chunk_size = _MC_CHUNK if chunk is None else int(chunk)
-    if chunk_size < 1:
-        raise ValueError("chunk must be >= 1")
 
     sizes = [n // shards + (1 if r < n % shards else 0) for r in range(shards)]
 
@@ -96,7 +94,7 @@ def monte_carlo(
         count = 0
         mean = m2 = 0.0
         while count < sizes[r]:
-            m = min(chunk_size, sizes[r] - count)
+            m = min(_MC_CHUNK, sizes[r] - count)
             for start in range(0, m, _MC_BLOCK):
                 b = min(_MC_BLOCK, m - start)
                 batch = sampler(rng, b)

@@ -95,6 +95,8 @@ def uniform_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0) -> 
 def geometric_grid(n_s: int, n_t: int, s_max: float = 1.0, t_max: float = 1.0,
                    ratio: float = 1.35) -> GridPartition:
     """Grid whose gap sizes grow geometrically; exercises non-uniform meshes."""
+    if n_s < 1 or n_t < 1:
+        raise ValueError("grid needs at least one cell per direction")
     if ratio <= 0:
         raise ValueError("ratio must be positive")
 

@@ -312,8 +312,8 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
 
 # bytes of one (batch, n_s, n_t, dim) float64 sheet chunk.  The chunk is the
 # stream and memory unit: a paired pass runs one shard per chunk on the thread
-# pool, draws each chunk's increments at once and runs the Euler chain on the
-# whole chunk.  Changing it re-shards the pass and so redraws its streams.
+# pool, so no shard holds more than a chunk of sheets.  Changing it re-shards
+# the pass and so redraws its streams.
 _SHEET_CHUNK_BYTES = 1 << 22
 # bytes of increments in one sheet block, the cache unit of full-field work:
 # the Girsanov column builds x0 + W, the drift values and the weights one block
@@ -326,11 +326,6 @@ def _sheets_per(limit: int, grid: GridPartition, dim: int) -> int:
     """Batch size keeping one (batch, n_s, n_t, dim) float64 array under limit bytes."""
     per_sample = grid.n_s * grid.n_t * dim * 8
     return max(1, limit // per_sample)
-
-
-def _sheet_mc_chunk(grid: GridPartition, dim: int) -> int:
-    """Batch size keeping one (batch, n_s, n_t, dim) float64 array under _SHEET_CHUNK_BYTES."""
-    return _sheets_per(_SHEET_CHUNK_BYTES, grid, dim)
 
 
 def _euler_phi(phi: Callable[[np.ndarray], np.ndarray], drift: DriftField,
@@ -391,6 +386,6 @@ def paired_weak_expectation(phi: Callable[[np.ndarray], np.ndarray], drift: Drif
     depend only on (seed, n_samples, grid, drift.dim), never on the worker count.
     """
     f = _paired_integrand(phi, drift, grid, _as_vector("x0", x0, drift.dim))
-    chunk = _sheet_mc_chunk(grid, drift.dim)
+    chunk = _sheets_per(_SHEET_CHUNK_BYTES, grid, drift.dim)
     return WeakComparison(*monte_carlo(f, _increment_sampler(grid, drift.dim), n_samples, seed,
-                                       shards=-(-n_samples // chunk), chunk=chunk))
+                                       shards=-(-n_samples // chunk)))

@@ -19,7 +19,7 @@ in-group slot (p-1) % size + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, prod
 from typing import Optional, Sequence
 
@@ -378,75 +378,3 @@ def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key
     return PartitionReport(region.kind, m, region.k, region.n, n_samples, n_cells,
                            uncovered, multiple, mismatches)
 
-
-@dataclass(frozen=True)
-class ProductIdentityReport:
-    """Squared single-block integral vs the sum of per-cell integrals."""
-
-    k: int
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-    n_cells: int
-
-    @property
-    def gap_se(self) -> float:
-        return abs(self.lhs - self.rhs) / max(np.hypot(self.lhs_se, self.rhs_se), 1e-300)
-
-    def within(self, se_width: float = 4.0) -> bool:
-        return self.gap_se <= se_width
-
-
-def _cell_sampler(region: RegionDescriptor, sigma: Sequence[int], gamma: Sequence[int],
-                  n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from one (sigma, gamma) cell of the two-block product.
-
-    The cell factors into a product of two order simplices: the s-chain read
-    through sigma descends, independently the t-chain through gamma.  Sorted
-    uniforms realize each chain exactly, no rejection.
-    """
-    size = len(sigma)
-    s_chain = _sorted_desc(rng, (n_samples, size), region.s_low, region.s_high)
-    t_chain = _sorted_desc(rng, (n_samples, size), region.t_low, region.t_high)
-    return s_chain[:, np.asarray(sigma) - 1], t_chain[:, np.asarray(gamma) - 1]
-
-
-def product_identity_check(k: int, slot_functions: Sequence, budget: int = 1_000_000,
-                           seed: Key = 0, s_high: float = 1.0, t_high: float = 1.0) -> ProductIdentityReport:
-    """Monte Carlo check that the squared block integral equals the cell sum.
-
-    slot_functions supplies one vectorized f_j(s, t) per in-block slot; both
-    blocks of the product carry the same functions, so the left side is the
-    square of a single k-point chain integral, estimated independently of
-    the per-cell estimates on the right: keys (seed, 0) and (seed, 1).
-    """
-    if len(slot_functions) != k:
-        raise ValueError(f"need {k} slot functions, got {len(slot_functions)}")
-    region = RegionDescriptor("nabla", k, s_high=s_high, t_high=t_high)
-    n_cells = cell_count(region, 2)  # checked before anything is drawn or built
-    block_vol = (s_high ** k / factorial(k)) * (t_high ** k / factorial(k))
-
-    s, t = sample_region_batch(region, budget, (seed, 0))
-    vals = np.ones(budget)
-    for j, f in enumerate(slot_functions):
-        vals *= f(s[:, j], t[:, j])
-    single = float(vals.mean()) * block_vol
-    single_se = float(vals.std(ddof=1)) / np.sqrt(budget) * block_vol
-    lhs = single ** 2
-    lhs_se = 2.0 * abs(single) * single_se  # delta method
-
-    per_cell = max(budget // n_cells, 2)
-    cell_vol = (s_high ** (2 * k) / factorial(2 * k)) * (t_high ** (2 * k) / factorial(2 * k))
-    rng = stream(seed, 1)
-    rhs = 0.0
-    rhs_var = 0.0
-    for sigma, gamma in product(enumerate_block_increasing(2, k), repeat=2):
-        cs, ct = _cell_sampler(region, sigma, gamma, per_cell, rng)
-        cv = np.ones(per_cell)
-        for pos in range(2 * k):
-            f = slot_functions[pos % k]
-            cv *= f(cs[:, pos], ct[:, pos])
-        rhs += float(cv.mean()) * cell_vol
-        rhs_var += (float(cv.std(ddof=1)) / np.sqrt(per_cell) * cell_vol) ** 2
-    return ProductIdentityReport(k, lhs, lhs_se, rhs, float(np.sqrt(rhs_var)), n_cells)

@@ -237,6 +237,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"leading shape \(2,\)"):
             export_csv(batch, str(tmp_path / "z.csv"))
 
+    def test_csv_is_the_csv_writer_loop(self, tmp_path):
+        # the per-cell csv.writer loop export_csv once ran is the byte reference
+        g = geometric_grid(5, 3)
+        z = sample(g, dim=3, seed=4).increments.copy()
+        z[0, 0] = (-0.0, 5e-324, 1e300)
+        z[4, 2] = (np.inf, -np.inf, np.nan)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["i", "j", "component", "z"])
+            for i in range(1, g.n_s + 1):
+                for j in range(1, g.n_t + 1):
+                    for c in range(3):
+                        writer.writerow([i, j, c + 1, "%.17g" % z[i - 1, j - 1, c]])
+        got = tmp_path / "got.csv"
+        export_csv(SheetSample(g, z), str(got))
+        assert got.read_bytes() == want.read_bytes()
+
     def test_csv_header(self, tmp_path):
         path = str(tmp_path / "sheet.csv")
         export_csv(sample(uniform_grid(2, 2), seed=0), path)

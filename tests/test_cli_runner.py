@@ -48,6 +48,60 @@ def run_cli(capsys, argv):
     return code, out
 
 
+# bytes of `--grid 3x4 --dim 2 --out` at seed 0, written by the per-cell csv.writer loops
+# that the array writer replaced; every byte of the export must stay as it was
+SHEET_CSV_3X4_DIM2 = (
+    "i,j,component,z\r\n"
+    "1,1,1,-0.059459580437577014\r\n"
+    "1,1,2,-0.037194333552915675\r\n"
+    "1,2,1,-0.083655131311553249\r\n"
+    "1,2,2,-0.36717839887133746\r\n"
+    "1,3,1,-0.40600278429549053\r\n"
+    "1,3,2,0.012530717821663939\r\n"
+    "1,4,1,-0.15853140779563255\r\n"
+    "1,4,2,0.17667170539854146\r\n"
+    "2,1,1,0.1712073608004176\r\n"
+    "2,1,2,0.27663137015698402\r\n"
+    "2,2,1,0.092214208078194998\r\n"
+    "2,2,2,0.20912794621222297\r\n"
+    "2,3,1,0.48520062289759769\r\n"
+    "2,3,2,0.44072393671061388\r\n"
+    "2,4,1,-0.056629211769611505\r\n"
+    "2,4,2,-0.27085182575458933\r\n"
+    "3,1,1,-0.5628698096599174\r\n"
+    "3,1,2,0.17309348213052644\r\n"
+    "3,2,1,-0.54916468949037112\r\n"
+    "3,2,2,0.26241330562884785\r\n"
+    "3,3,1,-0.038543446730219748\r\n"
+    "3,3,2,0.43811940138029448\r\n"
+    "3,4,1,0.10233485617537608\r\n"
+    "3,4,2,-0.29779285592002636\r\n"
+)
+FIELD_CSV_3X4_DIM2 = (
+    "i,j,s,t,x0,x1\r\n"
+    "0,0,0,0,0,0\r\n"
+    "0,1,0,0.25,0,0\r\n"
+    "0,2,0,0.5,0,0\r\n"
+    "0,3,0,0.75,0,0\r\n"
+    "0,4,0,1,0,0\r\n"
+    "1,0,0.33333333333333331,0,0,0\r\n"
+    "1,1,0.33333333333333331,0.25,-0.059459580437577014,-0.037194333552915675\r\n"
+    "1,2,0.33333333333333331,0.5,-0.14311471174913026,-0.40437273242425315\r\n"
+    "1,3,0.33333333333333331,0.75,-0.54911749604462079,-0.39184201460258922\r\n"
+    "1,4,0.33333333333333331,1,-0.70764890384025336,-0.21517030920404775\r\n"
+    "2,0,0.66666666666666663,0,0,0\r\n"
+    "2,1,0.66666666666666663,0.25,0.11174778036284058,0.23943703660406834\r\n"
+    "2,2,0.66666666666666663,0.5,0.115357723176987,0.078288484673028902\r\n"
+    "2,3,0.66666666666666663,0.75,0.1827100978107179,0.49956945486272847\r\n"
+    "2,4,0.66666666666666663,1,-0.074105396791007694,0.37431040735302346\r\n"
+    "3,0,1,0,0,0\r\n"
+    "3,1,1,0.25,-0.45112202929707679,0.41253051873459479\r\n"
+    "3,2,1,0.5,-0.98740303101346416,0.53337560048715749\r\n"
+    "3,3,1,0.75,-0.94902337574233897,1.3992867162397138\r\n"
+    "3,4,1,1,-1.0884453684284328,1.0147163535309411\r\n"
+)
+
+
 def record_of(out: str) -> dict:
     return json.loads(out)
 
@@ -566,6 +620,14 @@ class TestCliBehavior:
             rows = list(csv.reader(fh))
         assert rows[0] == ["i", "j", "s", "t", "x0"]
         assert len(rows) == 1 + 25
+
+    @pytest.mark.parametrize("command, want", [("sample-sheet", SHEET_CSV_3X4_DIM2),
+                                               ("solve-sde", FIELD_CSV_3X4_DIM2)])
+    def test_csv_export_bytes(self, capsys, tmp_path, command, want):
+        path = tmp_path / "out.csv"
+        code, _ = run_cli(capsys, [command, "--grid", "3x4", "--dim", "2", "--out", str(path)])
+        assert code == 0
+        assert path.read_bytes() == want.encode()
 
     def test_verify_ibp_time_flags(self, capsys):
         base = ["verify-ibp", "--sigma", "2,1", "--method", "exact"]

@@ -401,7 +401,7 @@ class TestConcurrentPasses:
         gap = abs(direct.mean - ibp.mean)
         tol = 4.0 * math.hypot(direct.std_error, ibp.std_error)
         bound = davie_bound(spec, BUMP.sup_norm)
-        assert report == IdentityReport(spec.sigma, direct, ibp, bound, gap, tol, gap <= tol,
+        assert report == IdentityReport(direct, ibp, bound, gap, tol, gap <= tol,
                                         abs(ibp.mean) + 4.0 * ibp.std_error <= bound)
 
     def test_at_most_one_plus_pool_size_passes_in_flight(self, monkeypatch):

@@ -118,13 +118,14 @@ class TestMonteCarlo:
         assert got[0] == got[1]
 
     @pytest.mark.parametrize("shards", [1, 5])
-    def test_vector_columns_match_scalar_runs(self, shards):
+    def test_vector_columns_match_scalar_runs(self, shards, monkeypatch):
         # each column is reduced exactly as a scalar f returning it would be
-        est = monte_carlo(vector_integrand, payload_sampler, 9001, seed=4, shards=shards, chunk=1000)
+        monkeypatch.setattr(integrators, "_MC_CHUNK", 1000)
+        est = monte_carlo(vector_integrand, payload_sampler, 9001, seed=4, shards=shards)
         assert len(est) == 3
         for col, got in enumerate(est):
             want = monte_carlo(lambda z, c=col: vector_integrand(z)[:, c], payload_sampler,
-                               9001, seed=4, shards=shards, chunk=1000)
+                               9001, seed=4, shards=shards)
             assert got == want
 
     def test_integrand_shape_guard(self):
@@ -133,9 +134,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="one row per sample"):
             monte_carlo(lambda z: np.ones(z.shape[0] + 1), normal_sampler, 10, seed=0)
 
-    def test_chunk_regrouping_keeps_stream(self):
+    def test_chunk_regrouping_keeps_stream(self, monkeypatch):
         a = monte_carlo(lambda z: np.cos(z), normal_sampler, 4096, seed=5)
-        b = monte_carlo(lambda z: np.cos(z), normal_sampler, 4096, seed=5, chunk=97)
+        monkeypatch.setattr(integrators, "_MC_CHUNK", 97)
+        b = monte_carlo(lambda z: np.cos(z), normal_sampler, 4096, seed=5)
         assert abs(a.mean - b.mean) <= 1e-12
 
     def test_integrand_sees_at_most_one_block(self):
@@ -151,10 +153,12 @@ class TestMonteCarlo:
         assert sum(rows) == n
 
     @pytest.mark.parametrize("n, chunk", [(3 * 10_000 + 17, 10_000), (_MC_CHUNK + 5, None)])
-    def test_blocks_match_whole_chunk_draws(self, n, chunk):
+    def test_blocks_match_whole_chunk_draws(self, n, chunk, monkeypatch):
         # blocks regroup the draws and the evaluation inside a chunk only,
         # so every bit of the estimate is that of one draw per chunk
-        got = monte_carlo(payload_integrand, payload_sampler, n, seed=9, chunk=chunk)
+        if chunk is not None:
+            monkeypatch.setattr(integrators, "_MC_CHUNK", chunk)
+        got = monte_carlo(payload_integrand, payload_sampler, n, seed=9)
         want = chunk_reference(payload_integrand, payload_sampler, n, 9, chunk or _MC_CHUNK)
         assert got == want
 

@@ -1,6 +1,7 @@
 """Cells and grid partitions of the two-parameter time domain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ class TestGridPartition:
         g = geometric_grid(88, 3)
         assert g.s_knot_array().tobytes() == (cum * (1.0 / cum[-1])).tobytes()
         assert g.s_gaps().min() > 1e-12
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_geometric_grid_without_cells_fails_up_front(self, shape):
+        # before the ratio arithmetic, so no division by zero warns on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one cell per direction") as err:
+                geometric_grid(*shape)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match="at least one cell per direction"):
+            uniform_grid(*shape)
 
     def test_duplicate_knots_rejected(self):
         with pytest.raises(DegenerateGridError):

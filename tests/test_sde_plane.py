@@ -27,7 +27,6 @@ from sheetsde.sde_plane import (
     _increment_sampler,
     _log_weights,
     _paired_integrand,
-    _sheet_mc_chunk,
     constant_drift,
     malliavin_adjoint,
     paired_weak_expectation,
@@ -47,6 +46,11 @@ def pre_contract_sampler(grid, key):
     rng = np.random.Generator(np.random.Philox(key=key))
     draw = _increment_sampler(grid, 1)
     return lambda _rng, size: draw(rng, size)
+
+
+def sheet_chunk(grid, dim=1):
+    """Sheets per chunk of the paired pass: one shard holds at most this many."""
+    return sde_plane._sheets_per(sde_plane._SHEET_CHUNK_BYTES, grid, dim)
 
 
 class TestDriftFields:
@@ -554,7 +558,9 @@ class TestWeakExpectations:
     def test_sheet_chunk_stays_cache_sized(self):
         # a paired pass runs one shard per chunk on the pool; 4 MiB chunks bound
         # the memory of the chunks in flight
-        assert _sheet_mc_chunk(uniform_grid(64, 64), 1) * 64 * 64 * 8 <= 1 << 22
+        assert sheet_chunk(uniform_grid(64, 64), 1) * 64 * 64 * 8 <= 1 << 22
+        # from 4 cells on, a chunk is at most one accumulation step of monte_carlo
+        assert sheet_chunk(uniform_grid(2, 2), 1) <= integrators._MC_CHUNK
 
     def test_zero_drift_routes_agree(self):
         grid = uniform_grid(8, 8, 1.0, 1.0)
@@ -590,13 +596,13 @@ class TestWeakExpectations:
     DRIFTS = {"tanh": lambda: tanh_drift(1.0, 1.0, 1), "sign": sign_drift}
 
     @pytest.mark.parametrize("name", ["tanh", "sign"])
-    def test_pinned_estimates(self, name):
+    def test_pinned_estimates(self, name, monkeypatch):
         # the paired pass's integrand over one unsharded stream, as the
-        # separate Girsanov and Euler passes once drew it
+        # separate Girsanov and Euler passes once drew it, a sheet chunk per step
         grid = uniform_grid(32, 32, 1.0, 1.0)
         f = _paired_integrand(self.PHI, self.DRIFTS[name](), grid, np.array([0.1]))
-        g, e, _, _ = monte_carlo(f, pre_contract_sampler(grid, 7), 2048, 7,
-                                 chunk=_sheet_mc_chunk(grid, 1))
+        monkeypatch.setattr(integrators, "_MC_CHUNK", sheet_chunk(grid))
+        g, e, _, _ = monte_carlo(f, pre_contract_sampler(grid, 7), 2048, 7)
         g_mean, g_se, e_mean, e_se = self.PINNED[name]
         # the Euler chain is bit-identical; the log-weight sums may reorder at round-off
         assert (e.mean, e.std_error) == (e_mean, e_se)
@@ -620,7 +626,7 @@ class TestWeakExpectations:
         # single-estimator passes drew its columns are theirs bit for bit
         grid = uniform_grid(32, 32, 1.0, 1.0)
         monkeypatch.setattr(sde_plane, "_increment_sampler", lambda g, dim: pre_contract_sampler(g, 7))
-        n = _sheet_mc_chunk(grid, 1) - 12
+        n = sheet_chunk(grid, 1) - 12
         est = paired_weak_expectation(self.PHI, self.DRIFTS[name](), 0.1, grid, n, 7)
         columns = (est.girsanov, est.euler, est.weight)
         assert [(c.mean, c.std_error) for c in columns] == list(self.SINGLE_PASSES[name])
@@ -667,7 +673,7 @@ class TestWeakExpectations:
         # column adds only row buffers beside them.  Measured 1.53-1.68 chunks.
         monkeypatch.setattr(integrators, "_pool_workers", lambda shards: min(shards, workers))
         grid = uniform_grid(64, 64, 1.0, 1.0)
-        chunk = _sheet_mc_chunk(grid, 1)
+        chunk = sheet_chunk(grid, 1)
         chunk_bytes = chunk * 64 * 64 * 8
         drift = tanh_drift(1.0, 1.0, 1)
         paired_weak_expectation(self.PHI, drift, 0.1, uniform_grid(2, 2, 1.0, 1.0), 2, 11)
@@ -695,7 +701,7 @@ class TestWeakExpectations:
 
         monkeypatch.setattr(sde_plane, "_euler_phi", traced)
         grid = uniform_grid(64, 64, 1.0, 1.0)
-        chunk = _sheet_mc_chunk(grid, 1)
+        chunk = sheet_chunk(grid, 1)
         chunk_bytes = chunk * 64 * 64 * 8
         tracemalloc.start()
         try:

@@ -1,8 +1,7 @@
 """Block-increasing families and order-region partitions.
 
 tests/data/shuffle_pins.json pins, bit for bit, region samples, product
-samples and located labels for every region kind at fixed seeds, plus one
-product-identity estimate.  It holds the split kinds' labels in the paper's
+samples and located labels for every region kind at fixed seeds.  It holds the split kinds' labels in the paper's
 form, as xi and zeta token assignments, which `_pin_labels` derives from the
 ranks.  Regenerate it with
 
@@ -31,7 +30,6 @@ from sheetsde.shuffle_combinatorics import (
     locate_cell_batch,
     membership_batch,
     partition_report,
-    product_identity_check,
     sample_product_batch,
     sample_region_batch,
 )
@@ -102,11 +100,6 @@ def shuffle_pins() -> dict:
             "product_t": pt.tolist(),
             "labels": _pin_labels(region, 2, locate_cell_batch(region, 2, ps, pt)),
         }
-    f1 = lambda s, t: 1.0 + 0.5 * np.sin(2 * np.pi * s) * np.cos(np.pi * t)
-    f2 = lambda s, t: np.exp(-s * t)
-    rep = product_identity_check(2, [f1, f2], budget=20_000, seed=12)
-    pins["product_identity"] = [float(rep.lhs), float(rep.lhs_se), float(rep.rhs),
-                                float(rep.rhs_se), rep.n_cells]
     return pins
 
 
@@ -272,7 +265,7 @@ class TestPinned:
     def pins(self):
         return json.loads(json.dumps(shuffle_pins())), json.loads(PINS.read_text())
 
-    @pytest.mark.parametrize("key", NABLA_KINDS + SPLIT_KINDS + ("product_identity",))
+    @pytest.mark.parametrize("key", NABLA_KINDS + SPLIT_KINDS)
     def test_match_fixture(self, pins, key):
         got, want = pins
         assert got[key] == want[key]
@@ -329,23 +322,6 @@ class TestPartitions:
         monkeypatch.setattr(shuffle_combinatorics, "sample_product_batch", no_draws)
         with pytest.raises(ValueError, match="limited to 1000000 label tuples, got 28280476224000000"):
             partition_report(RegionDescriptor("nabla", 3), 5, n_samples=100_000, seed=0)
-
-
-class TestProductIdentity:
-    def test_squared_block_integral_equals_cell_sum(self):
-        def f(s, t):
-            return 1.0 + 0.5 * np.sin(2.0 * np.pi * s) * np.cos(np.pi * t)
-
-        report = product_identity_check(1, [f], budget=150_000, seed=2)
-        assert report.n_cells == 4
-        assert abs(report.lhs - report.rhs) <= 4.0 * math.hypot(report.lhs_se, report.rhs_se)
-
-    def test_constant_function_volumes(self):
-        # f = 1 turns the identity into pure volume bookkeeping
-        one = lambda s, t: np.ones_like(s)
-        report = product_identity_check(1, [one], budget=40_000, seed=1)
-        assert report.lhs == pytest.approx(1.0, abs=1e-12)
-        assert abs(report.rhs - 1.0) <= 4.0 * report.rhs_se + 1e-12
 
 
 if __name__ == "__main__":
