@@ -29,6 +29,8 @@ from .plane_geometry import GridPartition
 
 #: significant digits used for all CSV exports
 CSV_FLOAT_FORMAT = "%.17g"
+# lines the CSV writer formats at once, which bounds the text it holds
+_CSV_ROWS = 1 << 12
 
 
 Key = Union[int, tuple]
@@ -152,14 +154,16 @@ def cameron_martin_shift(sheet: SheetSample, hdot: np.ndarray, eps: float) -> Sh
 def _write_csv(path: str, header: list[str], index: np.ndarray, values: np.ndarray) -> None:
     """Write the header, then one line per row: its integer index columns, then its values.
 
-    The bytes are those csv.writer gives (no field needs quoting, lines end
-    in \r\n); every line is formatted by one % on a repeated row template.
+    csv.writer's bytes (no field needs quoting, lines end in \r\n), with each
+    block of _CSV_ROWS lines formatted by one % on a repeated row template.
     """
     line = ",".join(["%d"] * index.shape[1] + [CSV_FLOAT_FORMAT] * values.shape[1]) + "\r\n"
-    fields = np.column_stack([index, values]).ravel().tolist()
+    table = np.column_stack([index, values])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write((line * len(index)) % tuple(fields))
+        for start in range(0, len(table), _CSV_ROWS):
+            rows = table[start:start + _CSV_ROWS]
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def export_csv(sheet: SheetSample, path: str) -> None:

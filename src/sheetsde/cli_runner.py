@@ -503,7 +503,6 @@ def _run_solve_sde(p: dict) -> tuple[dict, Optional[bool]]:
 
 
 def _write_field_csv(path: str, grid: GridPartition, values: np.ndarray) -> None:
-    """Write one row (i, j, s, t, x0, ...) per grid point, 0-based indices."""
     dim = values.shape[-1]
     i, j = np.indices(values.shape[:2]).reshape(2, -1)
     columns = np.column_stack([grid.s_knot_array()[i], grid.t_knot_array()[j], values.reshape(-1, dim)])

@@ -310,10 +310,9 @@ def _log_weights(drift: DriftField, grid: GridPartition, args: np.ndarray, z: np
             - np.einsum("bijk,bijk,ij->b", b_vals, b_vals, 0.5 * grid.areas()))
 
 
-# bytes of one (batch, n_s, n_t, dim) float64 sheet chunk.  The chunk is the
-# stream and memory unit: a paired pass runs one shard per chunk on the thread
-# pool, so no shard holds more than a chunk of sheets.  Changing it re-shards
-# the pass and so redraws its streams.
+# bytes of one (batch, n_s, n_t, dim) float64 sheet chunk, the stream and memory
+# unit: a paired pass runs one shard per chunk on the thread pool.  Changing it
+# re-shards the pass and so redraws its streams.
 _SHEET_CHUNK_BYTES = 1 << 22
 # bytes of increments in one sheet block, the cache unit of full-field work:
 # the Girsanov column builds x0 + W, the drift values and the weights one block

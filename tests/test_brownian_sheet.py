@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sheetsde import brownian_sheet
 from sheetsde.brownian_sheet import (
     SheetSample,
     cameron_martin_shift,
@@ -237,8 +238,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"leading shape \(2,\)"):
             export_csv(batch, str(tmp_path / "z.csv"))
 
-    def test_csv_is_the_csv_writer_loop(self, tmp_path):
-        # the per-cell csv.writer loop export_csv once ran is the byte reference
+    def test_csv_is_the_csv_writer_loop(self, tmp_path, monkeypatch):
+        # the per-cell csv.writer loop export_csv once ran is the byte reference;
+        # 45 lines in blocks of 7 put a block boundary mid-row-group and a short last block
+        monkeypatch.setattr(brownian_sheet, "_CSV_ROWS", 7)
         g = geometric_grid(5, 3)
         z = sample(g, dim=3, seed=4).increments.copy()
         z[0, 0] = (-0.0, 5e-324, 1e300)
