@@ -48,8 +48,8 @@ def run_cli(capsys, argv):
     return code, out
 
 
-# bytes of `--grid 3x4 --dim 2 --out` at seed 0, written by the per-cell csv.writer loops
-# that the array writer replaced; every byte of the export must stay as it was
+# the `--grid 3x4 --dim 2 --out` files at seed 0 as per-cell csv.writer loops write
+# them: the array writer must reproduce every byte
 SHEET_CSV_3X4_DIM2 = (
     "i,j,component,z\r\n"
     "1,1,1,-0.059459580437577014\r\n"

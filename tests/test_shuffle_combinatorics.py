@@ -1,9 +1,9 @@
 """Block-increasing families and order-region partitions.
 
 tests/data/shuffle_pins.json pins, bit for bit, region samples, product
-samples and located labels for every region kind at fixed seeds.  It holds the split kinds' labels in the paper's
-form, as xi and zeta token assignments, which `_pin_labels` derives from the
-ranks.  Regenerate it with
+samples and located labels for every region kind at fixed seeds.  It holds
+the split kinds' labels in the paper's form, as xi and zeta token
+assignments, which `_pin_labels` derives from the ranks.  Regenerate it with
 
     PYTHONPATH=src python tests/test_shuffle_combinatorics.py
 
