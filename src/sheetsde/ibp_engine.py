@@ -67,9 +67,9 @@ class PermutationSpec:
 
 
 def uniform_spec(sigma: Sequence[int], horizon: float = 1.0) -> PermutationSpec:
-    """Spec with equally spaced times on (0, horizon]."""
+    """Spec with equally spaced times on (0, horizon]: the knots 1..n of uniform_grid."""
     n = len(sigma)
-    times = tuple(horizon * (i + 1) / n for i in range(n))
+    times = tuple(np.linspace(0.0, horizon, n + 1)[1:])
     return PermutationSpec(n, tuple(sigma), times, times)
 
 

@@ -304,7 +304,7 @@ def locate_cell_batch(region: RegionDescriptor, m: int, s: np.ndarray, t: np.nda
 
 
 # ---------------------------------------------------------------------------
-# partition scan and the product-of-integrals identity
+# partition scan
 # ---------------------------------------------------------------------------
 
 
@@ -317,11 +317,6 @@ class PartitionReport:
     has zero uncovered, multiply covered, and mismatched samples.
     """
 
-    kind: str
-    m: int
-    k: int
-    n: int
-    n_samples: int
     n_cells: int
     uncovered: int
     multiply_covered: int
@@ -375,6 +370,5 @@ def partition_report(region: RegionDescriptor, m: int, n_samples: int, seed: Key
     uncovered = int(np.sum(hits == 0))
     multiple = int(np.sum(hits > 1))
     mismatches = int(np.sum((hits == 1) & differs))
-    return PartitionReport(region.kind, m, region.k, region.n, n_samples, n_cells,
-                           uncovered, multiple, mismatches)
+    return PartitionReport(n_cells, uncovered, multiple, mismatches)
 

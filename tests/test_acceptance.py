@@ -295,7 +295,7 @@ def test_criterion_09_malliavin_identity_and_direction():
         assert exact
         rec = run(ExperimentConfig("malliavin-check", {
             "grid": "32x32", "seed": 3, "drift": "tanh",
-            "amplitude": 0.9, "rate": 1.1, "eps": 1e-4, "tolerance": 1e-8,
+            "amplitude": 0.9, "rate": 1.1, "eps": 1e-4,
         }))
         rel = rec.outputs["rel_err"]
         state["ok"] = exact and rec.passed is True and rel <= 1e-8

@@ -22,18 +22,21 @@ from sheetsde.cli_runner import cli, main
 
 FIXTURE = Path(__file__).parent / "data" / "cli_contract.json"
 
-CONFIG_FILE_VALUES = {"seed": 5, "dim": 2, "grid": "3x3"}
+# the files an argv names by placeholder; "sampels" is a key no subcommand declares
+CONFIG_FILES = {
+    "{config}": {"seed": 5, "dim": 2, "grid": "3x3"},
+    "{typo_config}": {"sampels": 7, "grid": "2x2"},
+}
 
 ARGVS = [
     ["sample-sheet", "--grid", "4x4", "--seed", "7"],
     ["sample-sheet", "--grid", "3x3", "--geometric", "--horizon", "2", "--dim", "2"],
     ["sample-sheet", "--config", "{config}", "--dim", "3"],
     ["expand-ibp", "--sigma", "2,1,3"],
-    ["expand-ibp", "--sigma", "3,1,2", "--s-times", "0.2,0.5,0.9", "--t-times", "0.1,0.4,0.7"],
-    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--horizon", "0.25"],
-    ["verify-ibp", "--sigma", "2,1,3", "--samples", "1e3", "--seed", "3", "--grid", "4x4",
-     "--geometric"],
-    ["verify-ibp", "--sigma", "2,1", "--n", "2", "--samples", "1e3", "--bump-scale", "0.5",
+    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--s-times", "0.125,0.25",
+     "--t-times", "0.125,0.25"],
+    ["verify-ibp", "--sigma", "2,1,3", "--samples", "1e3", "--seed", "3"],
+    ["verify-ibp", "--sigma", "2,1", "--samples", "1e3", "--bump-scale", "0.5",
      "--se-width", "1e-9"],
     ["verify-bound", "--trials", "3", "--n-set", "2", "--samples", "2000",
      "--allowed-failures", "0"],
@@ -50,6 +53,18 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,2"],
     ["verify-ibp"],
     ["verify-ibp", "--sigma", "2,1", "--n", "3"],
+    ["verify-ibp", "--sigma", "2,1", "--grid", "4x4"],
+    ["verify-ibp", "--sigma", "2,1", "--horizon", "0.25"],
+    ["verify-ibp", "--sigma", "2,1", "--geometric"],
+    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--s-times", "0.2,,0.7",
+     "--t-times", "0.3,0.9,"],
+    ["expand-ibp", "--sigma", "3,1,2", "--s-times", "0.2,0.5,0.9", "--t-times", "0.1,0.4,0.7"],
+    ["expand-ibp", "--sigma", "3,1,2", "--t-times", "0.1,0.4,0.7"],
+    ["malliavin-check", "--grid", "4x4", "--tolerance", "1e-8"],
+    ["solve-sde", "--drift", "zero"],
+    ["malliavin-check", "--drift", "zero"],
+    ["girsanov-check", "--drift", "zero"],
+    ["sample-sheet", "--config", "{typo_config}"],
     ["verify-ibp", "--sigma", "2,1", "--method", "simpson"],
     ["verify-ibp", "--sigma", "2,1,3", "--method", "quadrature"],
     ["verify-ibp", "--sigma", "2,1", "--nodes", "8"],
@@ -92,25 +107,29 @@ def flag_defaults() -> dict:
     return table
 
 
-def capture(config_path: str) -> dict:
+def capture(config_paths: dict) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SHEETSDE_SEED"}
     with mock.patch.dict(os.environ, env, clear=True):
         calls = [
-            {"argv": argv, **invoke([a.replace("{config}", config_path) for a in argv])}
+            {"argv": argv, **invoke([config_paths.get(a, a) for a in argv])}
             for argv in ARGVS
         ]
     return {"calls": calls, "flags": flag_defaults()}
 
 
-def _config_file(directory: Path) -> str:
-    path = directory / "config.json"
-    path.write_text(json.dumps(CONFIG_FILE_VALUES))
-    return str(path)
+def _config_files(directory: Path) -> dict:
+    """Placeholder -> path of each of CONFIG_FILES, written into directory."""
+    paths = {}
+    for index, (placeholder, values) in enumerate(CONFIG_FILES.items()):
+        path = directory / f"config{index}.json"
+        path.write_text(json.dumps(values))
+        paths[placeholder] = str(path)
+    return paths
 
 
 def test_cli_contract_matches_fixture(tmp_path):
     want = json.loads(FIXTURE.read_text())
-    got = capture(_config_file(tmp_path))
+    got = capture(_config_files(tmp_path))
     assert got["flags"] == want["flags"]
     for have, pinned in zip(got["calls"], want["calls"], strict=True):
         assert have == pinned, have["argv"]
@@ -120,6 +139,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        contract = capture(_config_file(Path(tmp)))
+        contract = capture(_config_files(Path(tmp)))
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(contract, indent=1, sort_keys=True) + "\n")

@@ -141,14 +141,25 @@ class TestRunApi:
 
     def test_verify_ibp_exact(self):
         rec = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "exact", "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "s_times": "0.125,0.25", "t_times": "0.125,0.25",
         }))
         assert rec.passed is True
         assert rec.outputs["identity_gap"] <= rec.outputs["identity_tol"]
 
-    def test_verify_ibp_n_mismatch(self):
-        with pytest.raises(ConfigError):
-            run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "n": 3}))
+    @pytest.mark.parametrize("command, params, key", [
+        ("verify-shuffle", {"sampels": 10, "samples": 200}, "sampels"),
+        ("verify-ibp", {"sigma": "2,1", "n": 2}, "n"),
+        ("verify-ibp", {"sigma": "2,1", "horizon": 0.25}, "horizon"),
+        ("expand-ibp", {"sigma": "2,1", "s_times": "0.2,0.7"}, "s_times"),
+        ("malliavin-check", {"grid": "4x4", "tolerance": 1e-8}, "tolerance"),
+        ("sample-sheet", {"grid": "2x2", "config": "cfg.json"}, "config"),
+    ])
+    def test_undeclared_key_is_a_config_error(self, command, params, key):
+        # an undeclared key was once echoed into inputs and ignored, so a typo
+        # ran with the default and passed
+        with pytest.raises(ConfigError, match=f"^{key}: not a parameter of {command}$") as info:
+            run(ExperimentConfig(command, params))
+        assert info.value.field_name == key
 
     def test_verify_bound_small(self):
         rec = run(ExperimentConfig("verify-bound", {
@@ -182,14 +193,14 @@ class TestRunApi:
         rec = run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 2, "k": 1,
                                                       "samples": 2000}))
         assert rec.passed is True
-        assert rec.outputs["n_cells"] == rec.outputs["expected_n_cells"] == 4
+        assert rec.outputs["n_cells"] == 4
 
     def test_verify_shuffle_split_product(self):
         # the cells of all three chain groups: 6 upper x 6 lower x 90 total labels
         rec = run(ExperimentConfig("verify-shuffle", {"kind": "lambda", "m": 3, "k": 1, "n": 1,
                                                       "samples": 400}))
         assert rec.passed is True
-        assert rec.outputs["n_cells"] == rec.outputs["expected_n_cells"] == 3240
+        assert rec.outputs["n_cells"] == 3240
 
     def test_simplex_gamma(self):
         rec = run(ExperimentConfig("simplex-gamma", {"n": 1, "mc_samples": 20_000}))
@@ -344,19 +355,30 @@ class TestRunApi:
             "s_times": times, "t_times": times,
         }))
         on_grid = run(ExperimentConfig("verify-ibp", {
-            "sigma": "2,1", "method": "exact", "horizon": 0.25,
+            "sigma": "2,1", "method": "exact", "s_times": "0.125,0.25", "t_times": "0.125,0.25",
         }))
         assert rec.outputs == on_grid.outputs
+
+    @pytest.mark.parametrize("field, value", [
+        ("s_times", "0.2,,0.7"), ("t_times", "0.3,0.9,"), ("s_times", [0.2, "", 0.7]),
+    ])
+    def test_time_lists_reject_empty_fields(self, field, value):
+        # empty fields were once dropped, so a list of three fields gave two times
+        times = {"s_times": "0.2,0.7", "t_times": "0.3,0.9", field: value}
+        with pytest.raises(ConfigError, match=f"^{field}: expected a number, got ''$"):
+            run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact", **times}))
+
+    def test_time_lists_empty_config_list_means_default_times(self):
+        default = run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact"}))
+        empty = run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact",
+                                                    "s_times": [], "t_times": []}))
+        assert empty.outputs == default.outputs
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4])
     def test_malliavin_check_rejects_nonpositive_eps(self, eps):
         with pytest.raises(ConfigError) as info:
             run(ExperimentConfig("malliavin-check", {"grid": "4x4", "eps": eps}))
         assert info.value.field_name == "eps"
-        # a relative error is never below a non-positive tolerance
-        with pytest.raises(ConfigError) as info:
-            run(ExperimentConfig("malliavin-check", {"grid": "4x4", "tolerance": eps}))
-        assert info.value.field_name == "tolerance"
 
     @pytest.mark.parametrize("kind", ["nabla", "nabla_tilde"])
     def test_verify_shuffle_single_group_kinds_reject_n(self, kind):
@@ -390,7 +412,7 @@ class TestRecordFormat:
     CHEAP_CFGS = {
         "sample-sheet": {"grid": "3x3", "dim": 2},
         "expand-ibp": {"sigma": "3,1,4,2"},
-        "verify-ibp": {"sigma": "2,1", "method": "exact", "horizon": 0.25},
+        "verify-ibp": {"sigma": "2,1", "method": "exact", "s_times": "0.125,0.25", "t_times": "0.125,0.25"},
         "verify-bound": {"trials": 2, "n_set": "2", "samples": 200, "allowed_failures": 2},
         "verify-shuffle": {"kind": "nabla", "m": 2, "k": 1, "samples": 200},
         "simplex-gamma": {"n": 1, "mc_samples": 2000},
@@ -424,7 +446,7 @@ class TestRecordFormat:
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig("verify-ibp", {
-            "sigma": "1,2", "method": "exact", "horizon": 0.25,
+            "sigma": "1,2", "method": "exact", "s_times": "0.125,0.25", "t_times": "0.125,0.25",
         })
         texts = []
         for _ in range(2):
@@ -435,7 +457,8 @@ class TestRecordFormat:
 class TestCliExitCodes:
     def test_pass_is_zero(self, capsys):
         code, out = run_cli(capsys, [
-            "verify-ibp", "--sigma", "2,1", "--method", "exact", "--horizon", "0.25",
+            "verify-ibp", "--sigma", "2,1", "--method", "exact",
+            "--s-times", "0.125,0.25", "--t-times", "0.125,0.25",
         ])
         assert code == 0
         assert record_of(out)["pass"] is True
@@ -486,12 +509,10 @@ class TestCliExitCodes:
         (["verify-ibp", "--sigma", "2,1", "--samples", "2000", "--se-width", "-1"], "se_width"),
         (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "0"], "se_width"),
         (["girsanov-check", "--grid", "2x2", "--samples", "100", "--se-width", "-1"], "se_width"),
-        (["malliavin-check", "--grid", "4x4", "--tolerance", "0"], "tolerance"),
-        (["malliavin-check", "--grid", "4x4", "--tolerance", "-1"], "tolerance"),
     ])
     def test_non_finite_number_is_one(self, capsys, argv, field):
-        # NaN is not JSON, and an infinite or non-positive SE width or
-        # tolerance makes a gate that cannot fail or cannot pass
+        # NaN is not JSON, and an infinite or non-positive SE width makes a
+        # gate that cannot fail or cannot pass
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
@@ -591,6 +612,15 @@ class TestCliBehavior:
         assert rec["seed"] == 5  # file fills the unset seed
         assert rec["outputs"]["dim"] == 3  # explicit flag beats the file
 
+    def test_config_file_undeclared_key_is_one(self, capsys, tmp_path):
+        # a typo in a config file once ran with the default budget and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampels": 7, "grid": "2x2"}))
+        code = main(["sample-sheet", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: sampels: not a parameter of sample-sheet\n"
+
     def test_config_file_invalid_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
@@ -630,11 +660,12 @@ class TestCliBehavior:
         assert path.read_bytes() == want.encode()
 
     def test_verify_ibp_time_flags(self, capsys):
+        # without times verify-ibp places its points at k/n
         base = ["verify-ibp", "--sigma", "2,1", "--method", "exact"]
-        _, on_grid = run_cli(capsys, base + ["--horizon", "0.25"])
-        _, explicit = run_cli(capsys, base + ["--s-times", "0.125,0.25", "--t-times", "0.125,0.25"])
-        assert record_of(explicit)["inputs"]["s_times"] == "0.125,0.25"
-        assert record_of(explicit)["outputs"] == record_of(on_grid)["outputs"]
+        _, default = run_cli(capsys, base)
+        _, explicit = run_cli(capsys, base + ["--s-times", "0.5,1", "--t-times", "0.5,1"])
+        assert record_of(explicit)["inputs"]["s_times"] == "0.5,1"
+        assert record_of(explicit)["outputs"] == record_of(default)["outputs"]
 
     def test_expand_terms_json_export(self, capsys, tmp_path):
         path = tmp_path / "terms.json"

@@ -25,7 +25,7 @@ DELETED = re.compile("derive" + "_seed|keyed" + "_generator|[Cc]orol" + "lary|Ti
                      "|BlockIncreasing" + "Family|_block" + "_partitions|_row" + "_index|_enumerate" + "_cells"
                      "|cell_membership" + "_batch|" + r"\bzero" + r"_drift\b"
                      "|product_identity" + "_check|ProductIdentity" + "Report|_cell" + "_sampler"
-                     "|spec" + "_sigma|_sheet_mc" + "_chunk")
+                     "|spec" + "_sigma|_sheet_mc" + "_chunk|expected" + "_n_cells")
 
 
 def test_star_import_binds_no_module():
