@@ -17,8 +17,13 @@ flag stands parent_iqr_rel, the parent's IQR over the parent's median: the
 smallest relative move of the median that the flag can resolve.  Beside the
 flag stand two paired statistics that a drift in machine speed moves less: the
 median over pairs of log(change / parent), and the two-sided sign-test p value
-of the change's wins over its losses, ties dropped.  A run that exits
-non-zero or outlasts its timeout is kept as an error entry.
+of the change's wins over its losses, ties dropped.  When the change tree
+holds BENCH_AA.json, an A/A run of identical code on both sides, each metric
+also carries that run's absolute median_log_ratio for the same workload and
+metric, aa_abs_median_log_ratio, and beyond_aa: whether this pair's
+|median_log_ratio| exceeds it.  A claimed gain clears both the IQR flag and
+beyond_aa.  A run that exits non-zero or outlasts its timeout is kept as an
+error entry.
 
 Seeds are fixed per workload and include the ones whose runs have had failed
 ops on correct code: ibp_identity 91 (op 21) and 130 (op 15), the tail of
@@ -177,6 +182,29 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def aa_summaries(tree: Path) -> dict:
+    """workload -> summary of the A/A run in tree's BENCH_AA.json; empty when the tree has none."""
+    path = tree / "BENCH_AA.json"
+    if not path.is_file():
+        return {}
+    return {name: w["summary"] for name, w in json.loads(path.read_text())["workloads"].items()}
+
+
+def compare_with_aa(summary: dict, aa_summary: dict) -> None:
+    """Add the A/A spread beside each metric of summary, in place.
+
+    aa_abs_median_log_ratio is |median_log_ratio| of the A/A summary for the
+    same metric, the move identical code showed; beyond_aa is whether this
+    summary's |median_log_ratio| is larger.  Both are None where either ratio
+    is missing.
+    """
+    for name, m in summary["metrics"].items():
+        aa = aa_summary.get("metrics", {}).get(name, {}).get("median_log_ratio")
+        own = m["median_log_ratio"]
+        m["aa_abs_median_log_ratio"] = None if aa is None else abs(aa)
+        m["beyond_aa"] = None if aa is None or own is None else abs(own) > abs(aa)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent tree: git revision or directory")
@@ -196,12 +224,14 @@ def main() -> int:
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]
+        aa = aa_summaries(trees["change"])
         report = {
             "about": " ".join(" ".join(part.split()) for part in __doc__.split("\n\n")[1:5]),
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds} --trace 0",
             "sides": sides,
             "mixed_tree_kinds": mixed,
+            "aa_reference": "BENCH_AA.json" if aa else None,
             "workloads": {},
         }
         for workload, seeds in SEEDS.items():
@@ -215,7 +245,10 @@ def main() -> int:
                     print(f"{workload} seed {seed} {side}: ops_per_s {m.get('ops_per_s', float('nan')):.4g}"
                           f" failed {pair[side].get('failed')}", file=sys.stderr, flush=True)
                 pairs.append(pair)
-            report["workloads"][workload] = {"summary": summarise(pairs, better), "runs": pairs}
+            summary = summarise(pairs, better)
+            if aa:
+                compare_with_aa(summary, aa.get(workload, {}))
+            report["workloads"][workload] = {"summary": summary, "runs": pairs}
             for side in ("parent", "change"):
                 runs = [p[side] for p in pairs if "provenance" in p[side]]
                 if runs:

@@ -321,8 +321,9 @@ def _build_spec(p: dict) -> PermutationSpec:
     if not (p.get("s_times") or p.get("t_times")):
         return uniform_spec(sigma)
     n = len(sigma)
-    if len(p["s_times"] or ()) != n or len(p["t_times"] or ()) != n:
-        raise ConfigError("s_times", f"need {n} values in each of s_times and t_times")
+    for name in ("s_times", "t_times"):
+        if len(p[name] or ()) != n:
+            raise ConfigError(name, f"need {n} values in each of s_times and t_times")
     return PermutationSpec(n, sigma, p["s_times"], p["t_times"])
 
 

@@ -46,30 +46,55 @@ from .sde_plane import DriftScalarFactor, MissingJacobianError
 def bump_factor(scale: float = 1.0, width: float = 1.0, center: float = 0.0) -> DriftScalarFactor:
     """Smooth compactly supported bump scale * exp(1 / (((x-c)/w)^2 - 1)).
 
-    Supported on (c - w, c + w) with extremum scale / e at the center.  The
-    derivative underflows to zero before the rational prefactor can
-    overflow, so plain masked evaluation is stable.
+    Supported on (c - w, c + w) with extremum scale / e at the center, +0.0
+    outside it and at NaN.  The derivative underflows to zero before the
+    rational prefactor can overflow, so masked evaluation is stable.  Both
+    kernels work in place on one new array of x's shape and zero the outside
+    through the mask t = u^2 - 1 < 0; every inside value comes from the
+    formula's own operations, so it is the formula's value bit for bit.
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
 
+    def scaled(x):
+        u = np.asarray(x, dtype=float)
+        u = np.subtract(u, center, out=np.empty_like(u))
+        u /= width
+        return u
+
     def b(x):
-        x = np.asarray(x, dtype=float)
-        u = (x - center) / width
-        inside = np.abs(u) < 1.0
+        t = scaled(x)
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            t = np.where(inside, u * u - 1.0, -1.0)
-            return np.where(inside, scale * np.exp(1.0 / t), 0.0)
+            t *= t
+            t -= 1.0  # negative exactly inside |u| < 1; NaN is outside
+            inside = t < 0.0
+            np.divide(1.0, t, out=t)
+            # 1 / t <= -1 inside; outside exp reads 0, not +inf or NaN, which
+            # the mask could not zero, nor -inf, which exp takes on a slow path
+            np.fmin(t, 0.0, out=t)
+            np.exp(t, out=t)
+            t *= inside
+            if scale != 1.0:  # outside stays +0.0 for a negative scale too
+                np.multiply(t, scale, out=t, where=inside)
+        return t
 
     def b_prime(x):
-        x = np.asarray(x, dtype=float)
-        u = (x - center) / width
-        inside = np.abs(u) < 1.0
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            t = np.where(inside, u * u - 1.0, -1.0)
-            val = np.where(inside, scale * np.exp(1.0 / t), 0.0)
-            pref = np.where(inside, -2.0 * u / (width * t * t), 0.0)
-        return pref * val
+        u = scaled(x)
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            t = np.multiply(u, u, out=np.empty_like(u))
+            t -= 1.0
+            outside = ~(t < 0.0)
+            d = width * t
+            d *= t
+            u *= -2.0
+            u /= d  # the prefactor -2u / (w t^2)
+            np.divide(1.0, t, out=t)
+            np.exp(t, out=t)
+            if scale != 1.0:
+                t *= scale
+            u *= t
+            np.putmask(u, outside, 0.0)
+        return u
 
     return DriftScalarFactor("bump", b, b_prime, abs(scale) / math.e)
 

@@ -126,21 +126,41 @@ def sign_drift(dim: int = 1) -> DriftField:
 
 
 def _tanh_factor(amplitude: float, rate: float) -> DriftScalarFactor:
+    # both kernels work in place in one new array of x's shape (0-d included)
+    # and multiply by rate or amplitude only when it is not 1, which is exact,
+    # so they give the values of amplitude * tanh(rate * x) and its formula
+    # below bit for bit in fewer passes
     def b(x):
-        # in place, so one temporary: amplitude * np.tanh(rate * x) holds two at
+        # one temporary at any rate: amplitude * np.tanh(rate * x) holds two at
         # once, which would be the memory peak of a Girsanov pass
-        y = rate * np.asarray(x, dtype=float)
-        np.tanh(y, out=y)
-        y *= amplitude
+        x = np.asarray(x, dtype=float)
+        y = np.empty_like(x)
+        if rate != 1.0:
+            x = np.multiply(x, rate, out=y)
+        np.tanh(x, out=y)
+        if amplitude != 1.0:
+            y *= amplitude
         return y
 
     def b_prime(x):
         # sech^2(y) = 4u / (1 + u)^2 with u = exp(-2|y|): 1 / cosh(y)^2 overflows
         # once |y| > ~355 and 1 - tanh(y)^2 cancels to nothing in the tails;
         # values below the normal range flush to zero without a warning
+        x = np.asarray(x, dtype=float)
+        u = np.empty_like(x)
+        if rate != 1.0:
+            x = np.multiply(x, rate, out=u)
+        np.abs(x, out=u)
+        u *= -2.0
         with np.errstate(under="ignore"):
-            u = np.exp(-2.0 * np.abs(rate * np.asarray(x, dtype=float)))
-            return amplitude * rate * (4.0 * u / (1.0 + u) ** 2)
+            np.exp(u, out=u)
+            d = u + 1.0
+            d *= d
+            u *= 4.0
+            u /= d
+            if amplitude * rate != 1.0:
+                u *= amplitude * rate
+        return u
 
     return DriftScalarFactor("tanh", b, b_prime, abs(amplitude))
 

@@ -58,6 +58,8 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,1", "--geometric"],
     ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--s-times", "0.2,,0.7",
      "--t-times", "0.3,0.9,"],
+    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--s-times", "0.2,0.7", "--t-times", "0.3"],
+    ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--t-times", "0.3,0.5"],
     ["expand-ibp", "--sigma", "3,1,2", "--s-times", "0.2,0.5,0.9", "--t-times", "0.1,0.4,0.7"],
     ["expand-ibp", "--sigma", "3,1,2", "--t-times", "0.1,0.4,0.7"],
     ["malliavin-check", "--grid", "4x4", "--tolerance", "1e-8"],

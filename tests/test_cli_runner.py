@@ -368,6 +368,17 @@ class TestRunApi:
         with pytest.raises(ConfigError, match=f"^{field}: expected a number, got ''$"):
             run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact", **times}))
 
+    @pytest.mark.parametrize("times, field", [
+        ({"s_times": "0.2,0.7", "t_times": "0.3"}, "t_times"),
+        ({"t_times": "0.3,0.5"}, "s_times"),
+        ({"s_times": "0.2", "t_times": "0.3"}, "s_times"),
+    ])
+    def test_time_list_length_error_names_the_short_list(self, times, field):
+        # the error once named s_times whichever list was short
+        with pytest.raises(ConfigError, match=f"^{field}: need 2 values in each of s_times and t_times$") as info:
+            run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact", **times}))
+        assert info.value.field_name == field
+
     def test_time_lists_empty_config_list_means_default_times(self):
         default = run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact"}))
         empty = run(ExperimentConfig("verify-ibp", {"sigma": "2,1", "method": "exact",

@@ -7,6 +7,7 @@ benchmark pair script's summary is checked on synthetic runs.
 """
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -94,6 +95,36 @@ def test_bench_pair_flags_only_shifts_beyond_the_parent_iqr():
     # ties leave the sign test: 3 wins, no loss
     ties = summarise(pairs([1.0] * 3 + [0.0] * 7), {"ops_per_s": "higher"})["metrics"]["ops_per_s"]
     assert (ties["sign_test_p"], ties["median_log_ratio"]) == (2 / 2 ** 3, 0.0)
+
+
+def test_bench_pair_sets_each_move_against_the_aa_spread(tmp_path):
+    script = load_script("bench_pair")
+    parent = [100.0 + k for k in range(10)]
+
+    def summary(factor):
+        pairs = [{"seed": k, "parent": {"metrics": {"ops_per_s": p, "peak_rss_mb": 50.0}},
+                  "change": {"metrics": {"ops_per_s": p * factor, "peak_rss_mb": 50.0}}}
+                 for k, p in enumerate(parent)]
+        return script.summarise(pairs, {"ops_per_s": "higher", "peak_rss_mb": "lower"})
+
+    aa = {"metrics": {"ops_per_s": {"median_log_ratio": -0.02}, "peak_rss_mb": {"median_log_ratio": None}}}
+    # a 3% move clears a 2% A/A spread, a 1% move (either way) does not
+    for factor, beyond in ((1.03, True), (1 / 1.03, True), (1.01, False), (0.99, False)):
+        moved = summary(factor)
+        script.compare_with_aa(moved, aa)
+        ops = moved["metrics"]["ops_per_s"]
+        assert ops["aa_abs_median_log_ratio"] == 0.02
+        assert ops["beyond_aa"] is beyond
+        assert moved["metrics"]["peak_rss_mb"]["beyond_aa"] is None
+    # a metric the A/A run lacks has no spread to clear
+    moved = summary(1.03)
+    script.compare_with_aa(moved, {})
+    assert moved["metrics"]["ops_per_s"]["beyond_aa"] is None
+    # the spread is read from the change tree's BENCH_AA.json, when it has one
+    assert script.aa_summaries(tmp_path) == {}
+    (tmp_path / "BENCH_AA.json").write_text(json.dumps({"workloads": {"weak_mc": {"summary": aa, "runs": []}}}))
+    assert script.aa_summaries(tmp_path) == {"weak_mc": aa}
+    assert script.aa_summaries(ROOT)["derivatives"]["metrics"]["ops_per_s"]["median_log_ratio"] is not None
 
 
 def test_bench_pair_marks_a_directory_against_a_revision(tmp_path):
