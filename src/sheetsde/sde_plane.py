@@ -126,10 +126,9 @@ def sign_drift(dim: int = 1) -> DriftField:
 
 
 def _tanh_factor(amplitude: float, rate: float) -> DriftScalarFactor:
-    # both kernels work in place in one new array of x's shape (0-d included)
-    # and multiply by rate or amplitude only when it is not 1, which is exact,
-    # so they give the values of amplitude * tanh(rate * x) and its formula
-    # below bit for bit in fewer passes
+    # both kernels fill one new array of x's shape in place (0-d included) and
+    # skip the multiplies by 1.0, which are exact, so the values are the plain
+    # formulas' bit for bit
     def b(x):
         # one temporary at any rate: amplitude * np.tanh(rate * x) holds two at
         # once, which would be the memory peak of a Girsanov pass
