@@ -19,11 +19,11 @@ flag stand two paired statistics that a drift in machine speed moves less: the
 median over pairs of log(change / parent), and the two-sided sign-test p value
 of the change's wins over its losses, ties dropped.  When the change tree
 holds BENCH_AA.json, an A/A run of identical code on both sides, each metric
-also carries that run's absolute median_log_ratio for the same workload and
-metric, aa_abs_median_log_ratio, and beyond_aa: whether this pair's
-|median_log_ratio| exceeds it.  A claimed gain clears both the IQR flag and
-beyond_aa.  A run that exits non-zero or outlasts its timeout is kept as an
-error entry.
+also carries the quartiles of that run's per-pair log(change / parent) for
+the same workload and metric, aa_log_quartiles, and beyond_aa: whether this
+pair's |median_log_ratio| exceeds the larger of |Q1| and |Q3|.  A claimed
+gain clears both the IQR flag and beyond_aa.  A run that exits non-zero or
+outlasts its timeout is kept as an error entry.
 
 Seeds are fixed per workload and include the ones whose runs have had failed
 ops on correct code: ibp_identity 91 (op 21) and 130 (op 15), the tail of
@@ -136,6 +136,12 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail / 2 ** n)
 
 
+def pair_log_ratios(pairs: list[dict], name: str) -> list[float]:
+    """log(change / parent) of metric name per complete pair, non-positive values left out."""
+    sides = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs]
+    return [math.log(c / p) for p, c in sides if p > 0 and c > 0]
+
+
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     """Medians per side, change/parent ratio, wins and IQR-resolved shift per metric, failed ops.
 
@@ -159,7 +165,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         gain = sign * (med_c - med_p)
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        logs = [math.log(c / p) for p, c in zip(parent, change) if p > 0 and c > 0]
+        logs = pair_log_ratios(ok, name)
         summary["metrics"][name] = {
             "better": direction,
             "parent_median": med_p,
@@ -182,27 +188,40 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def aa_summaries(tree: Path) -> dict:
-    """workload -> summary of the A/A run in tree's BENCH_AA.json; empty when the tree has none."""
+def aa_log_quartiles(tree: Path) -> dict:
+    """workload -> metric -> [Q1, Q3] of the per-pair log(change / parent) in tree's BENCH_AA.json.
+
+    Empty when the tree has none.  Pairs where either side failed to report,
+    or reported a non-positive value, are left out, as in summarise.
+    """
     path = tree / "BENCH_AA.json"
     if not path.is_file():
         return {}
-    return {name: w["summary"] for name, w in json.loads(path.read_text())["workloads"].items()}
+    table = {}
+    for workload, w in json.loads(path.read_text())["workloads"].items():
+        ok = [p for p in w["runs"] if "metrics" in p["parent"] and "metrics" in p["change"]]
+        table[workload] = {}
+        for name in ok[0]["parent"]["metrics"] if ok else ():
+            logs = pair_log_ratios(ok, name)
+            if logs:
+                table[workload][name] = list(quartiles(logs))
+    return table
 
 
-def compare_with_aa(summary: dict, aa_summary: dict) -> None:
+def compare_with_aa(summary: dict, aa_quartiles: dict) -> None:
     """Add the A/A spread beside each metric of summary, in place.
 
-    aa_abs_median_log_ratio is |median_log_ratio| of the A/A summary for the
-    same metric, the move identical code showed; beyond_aa is whether this
-    summary's |median_log_ratio| is larger.  Both are None where either ratio
-    is missing.
+    aa_log_quartiles is [Q1, Q3] of the A/A pairs' log(change / parent) for
+    the same metric, the spread identical code showed; beyond_aa is whether
+    this summary's |median_log_ratio| exceeds max(|Q1|, |Q3|).  The median
+    lies between Q1 and Q3, so this reference is never below the A/A run's
+    own |median_log_ratio|.  Both are None where either side is missing.
     """
     for name, m in summary["metrics"].items():
-        aa = aa_summary.get("metrics", {}).get(name, {}).get("median_log_ratio")
+        aa = aa_quartiles.get(name)
         own = m["median_log_ratio"]
-        m["aa_abs_median_log_ratio"] = None if aa is None else abs(aa)
-        m["beyond_aa"] = None if aa is None or own is None else abs(own) > abs(aa)
+        m["aa_log_quartiles"] = aa
+        m["beyond_aa"] = None if aa is None or own is None else abs(own) > max(map(abs, aa))
 
 
 def main() -> int:
@@ -224,7 +243,7 @@ def main() -> int:
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]
-        aa = aa_summaries(trees["change"])
+        aa = aa_log_quartiles(trees["change"])
         report = {
             "about": " ".join(" ".join(part.split()) for part in __doc__.split("\n\n")[1:5]),
             "command": "python3 perfbench/run.py --workload W --seed S "

@@ -63,6 +63,7 @@ from .estimate_lab import (
     direct_expectation,
     gaussian_factor,
     ibp_expectation,
+    sign_direct_expectation,
     verify_identity,
 )
 from .sde_plane import (
@@ -97,7 +98,7 @@ __all__ = [
     "locate_cell_batch",
     "malliavin_adjoint", "membership_batch",
     "monte_carlo", "paired_weak_expectation", "partition_report",
-    "sample", "sample_region_batch", "sign_drift",
+    "sample", "sample_region_batch", "sign_direct_expectation", "sign_drift",
     "simplex_dirichlet_oracle", "simplex_singular_integral", "solve_euler",
     "solve_picard", "span", "spec_variances", "staircase", "stream", "tanh_drift",
     "uniform_grid", "uniform_spec", "verify_identity",

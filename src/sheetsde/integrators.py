@@ -57,7 +57,7 @@ def _merge_estimates(parts: Iterable[McEstimate]) -> McEstimate:
 # temporaries in cache.  Both are stream units for a sampler that does not put
 # its samples first: the IBP marginal sampler draws (k, size) normals, so their
 # bounds decide which normal goes to which sample, and changing either constant
-# changes every verify-ibp and verify-bound record.
+# changes every verify-ibp record.
 _MC_CHUNK = 1 << 17
 _MC_BLOCK = 1 << 12
 

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.integrate
 
 from conftest import linear_drift, record_criterion
+from sheetsde import estimate_lab
 from sheetsde.brownian_sheet import SheetSample, coarsen, cumulative_values, sample
 from sheetsde.cli_runner import ExperimentConfig, run
 from sheetsde.estimate_lab import (
@@ -24,7 +25,9 @@ from sheetsde.estimate_lab import (
     EXACT_REL_TOL,
     abs_gradient_l1,
     bump_factor,
+    davie_bound,
     gaussian_factor,
+    sign_direct_expectation,
     verify_identity,
 )
 from sheetsde.ibp_engine import PermutationSpec, crossing_set, expand, uniform_spec
@@ -165,15 +168,36 @@ def test_criterion_03_ibp_identity_exact_and_mc():
         )
 
 
+# criterion 4's sweep: exact sign-drift direct side against the product bound
+BOUND_SWEEP = {"trials": 2000, "n_set": "1,2,3,4,5,6", "seed": 0}
+
+
 def test_criterion_04_product_bound_random_sweep():
-    with criterion(4, "bound domination on 50 random configs", 6.0) as state:
-        rec = run(ExperimentConfig("verify-bound", {
-            "trials": 50, "n_set": "2,3", "samples": 100_000,
-            "allowed_failures": 1, "seed": 0,
-        }))
-        n_bad = rec.outputs["n_violations"]
-        state["ok"] = rec.passed is True and n_bad <= 1
-        state["detail"] = f"{50 - n_bad}/50 configs dominated (|est|+4SE <= bound)"
+    with criterion(4, "bound domination on 2000 random sign-drift configs, exact", 2.0) as state:
+        rec = run(ExperimentConfig("verify-bound", BOUND_SWEEP))
+        assert rec.passed is True and rec.outputs["n_violations"] == 0
+        ratios = rec.outputs["max_ratio"]
+        assert all(r is not None and 0.0 < r < 1.0 for r in ratios)
+        # at n = 1, exact / bound = (2 / sqrt(2 pi s t)) / (c0 / sqrt(s t)) = 1 / (2 sqrt(pi))
+        # whatever the times, so any change to c0 moves it
+        attained = 1.0 / (2.0 * math.sqrt(math.pi))
+        assert math.isclose(ratios[0], attained, rel_tol=1e-12)
+        for s, t in itertools.product((0.05, 0.3, 0.77, 1.0), repeat=2):
+            spec = PermutationSpec(1, (1,), (s,), (t,))
+            ratio = sign_direct_expectation(spec) / davie_bound(spec, 1.0)
+            assert math.isclose(ratio, attained, rel_tol=1e-12), (s, t)
+        state["ok"] = True
+        state["detail"] = ("2000/2000 configs dominated (exact <= bound); max exact/bound for n=1..6: "
+                           + ", ".join(f"{r:.2g}" for r in ratios)
+                           + f"; n=1 = 1/(2 sqrt(pi)) to 1e-12")
+
+
+def test_criterion_04_sweep_fails_a_quartered_c0(monkeypatch):
+    # mutation: DEFAULT_C0 / 4 makes the n = 1 ratio 4 / (2 sqrt(pi)) = 1.13 > 1
+    monkeypatch.setattr(estimate_lab, "DEFAULT_C0", DEFAULT_C0 / 4.0)
+    rec = run(ExperimentConfig("verify-bound", BOUND_SWEEP))
+    assert rec.passed is False
+    assert math.isclose(rec.outputs["max_ratio"][0], 2.0 / math.sqrt(math.pi), rel_tol=1e-12)
 
 
 def test_criterion_05_gradient_l1_oracle():

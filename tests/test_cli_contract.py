@@ -38,8 +38,7 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,1,3", "--samples", "1e3", "--seed", "3"],
     ["verify-ibp", "--sigma", "2,1", "--samples", "1e3", "--bump-scale", "0.5",
      "--se-width", "1e-9"],
-    ["verify-bound", "--trials", "3", "--n-set", "2", "--samples", "2000",
-     "--allowed-failures", "0"],
+    ["verify-bound", "--trials", "3", "--n-set", "2"],
     ["verify-shuffle", "--kind", "nabla", "--m", "2", "--k", "1", "--samples", "2000"],
     ["verify-shuffle", "--kind", "lambda", "--n", "1", "--samples", "2000", "--seed", "4"],
     ["simplex-gamma", "--n", "2", "--lower", "0.1", "--mc-samples", "2e4"],
@@ -76,6 +75,8 @@ ARGVS = [
     ["verify-shuffle", "--kind", "delta", "--samples", "2000"],
     ["simplex-gamma", "--mc-samples", "0"],
     ["malliavin-check", "--grid", "4x4", "--drift", "sign"],
+    ["verify-bound", "--samples", "1e3"],
+    ["verify-bound", "--bump-scale", "0.5"],
     ["frobnicate"],
 ]
 

@@ -153,6 +153,7 @@ class TestRunApi:
         ("expand-ibp", {"sigma": "2,1", "s_times": "0.2,0.7"}, "s_times"),
         ("malliavin-check", {"grid": "4x4", "tolerance": 1e-8}, "tolerance"),
         ("sample-sheet", {"grid": "2x2", "config": "cfg.json"}, "config"),
+        ("verify-bound", {"trials": 2, "allowed_failures": 1}, "allowed_failures"),
     ])
     def test_undeclared_key_is_a_config_error(self, command, params, key):
         # an undeclared key was once echoed into inputs and ignored, so a typo
@@ -162,32 +163,29 @@ class TestRunApi:
         assert info.value.field_name == key
 
     def test_verify_bound_small(self):
-        rec = run(ExperimentConfig("verify-bound", {
-            "trials": 3, "n_set": "2", "samples": 2000, "allowed_failures": 0,
-        }))
+        rec = run(ExperimentConfig("verify-bound", {"trials": 3, "n_set": "2"}))
         assert rec.passed is True
         assert rec.outputs["n_violations"] == 0
+        assert len(rec.outputs["max_ratio"]) == 1 and 0.0 < rec.outputs["max_ratio"][0] < 1.0
 
-    def test_verify_bound_trials_never_draw_a_configuration_stream(self, monkeypatch):
-        # under keys seed XOR index, trial 0 at seed 0 drew the configuration
-        # stream of seed 1; record the first draw of every generator made
-        firsts = {"configurations": [], "trials": []}
+    def test_verify_bound_max_ratio_is_null_for_an_undrawn_n(self):
+        rec = run(ExperimentConfig("verify-bound", {"trials": 1, "n_set": "1,2,3,4,5,6"}))
+        assert sum(r is not None for r in rec.outputs["max_ratio"]) == 1
 
-        def recording(kind):
-            def make(*key):
-                firsts[kind].append(stream(*key).random())
-                return stream(*key)
-            return make
+    def test_verify_bound_makes_one_generator(self, monkeypatch):
+        # the direct side is exact, so the sweep's only generator is the
+        # configuration stream (seed, 0): no Monte Carlo pass draws a key
+        keys = []
 
-        monkeypatch.setattr(cli_runner, "stream", recording("configurations"))
-        monkeypatch.setattr(integrators, "stream", recording("trials"))
+        def recording(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(cli_runner, "stream", recording)
+        monkeypatch.setattr(integrators, "stream", recording)
         for seed in range(4):
-            run(ExperimentConfig("verify-bound", {
-                "trials": 4, "n_set": "2", "samples": 50, "allowed_failures": 4, "seed": seed,
-            }))
-        configurations, trials = firsts["configurations"], firsts["trials"]
-        assert (len(configurations), len(trials)) == (4, 16)
-        assert len(set(configurations + trials)) == 20
+            run(ExperimentConfig("verify-bound", {"trials": 4, "n_set": "2", "seed": seed}))
+        assert keys == [(seed, 0) for seed in range(4)]
 
     def test_verify_shuffle(self):
         rec = run(ExperimentConfig("verify-shuffle", {"kind": "nabla", "m": 2, "k": 1,
@@ -254,7 +252,6 @@ class TestRunApi:
 
     @pytest.mark.parametrize("command, cfg", [
         ("verify-ibp", {"sigma": "2,1,4,3", "samples": 20_000}),
-        ("verify-bound", {"trials": 6}),
     ])
     def test_independent_passes_deterministic_under_pool_size(self, monkeypatch, command, cfg):
         # each pass owns its stream and results come back in argument order,
@@ -424,7 +421,7 @@ class TestRecordFormat:
         "sample-sheet": {"grid": "3x3", "dim": 2},
         "expand-ibp": {"sigma": "3,1,4,2"},
         "verify-ibp": {"sigma": "2,1", "method": "exact", "s_times": "0.125,0.25", "t_times": "0.125,0.25"},
-        "verify-bound": {"trials": 2, "n_set": "2", "samples": 200, "allowed_failures": 2},
+        "verify-bound": {"trials": 2, "n_set": "2"},
         "verify-shuffle": {"kind": "nabla", "m": 2, "k": 1, "samples": 200},
         "simplex-gamma": {"n": 1, "mc_samples": 2000},
         "solve-sde": {"grid": "4x4", "scheme": "picard"},
@@ -475,11 +472,12 @@ class TestCliExitCodes:
         assert record_of(out)["pass"] is True
         # a negative bump scale once had a negative sup norm, on which the bound raised;
         # at n = 2 the sign of b cancels from every product, so the outputs, bound included, agree
-        for argv in (["verify-ibp", "--sigma", "2,1", "--samples", "2000"],
-                     ["verify-bound", "--trials", "3", "--n-set", "2", "--samples", "2000"]):
-            up, down = (run_cli(capsys, argv + ["--bump-scale", scale]) for scale in ("1", "-1"))
-            assert up[0] == down[0] == 0
-            assert record_of(up[1])["outputs"] == record_of(down[1])["outputs"]
+        argv = ["verify-ibp", "--sigma", "2,1", "--samples", "2000"]
+        up, down = (run_cli(capsys, argv + ["--bump-scale", scale]) for scale in ("1", "-1"))
+        assert up[0] == down[0] == 0
+        assert record_of(up[1])["outputs"] == record_of(down[1])["outputs"]
+        code, out = run_cli(capsys, ["verify-bound", "--trials", "3", "--n-set", "2"])
+        assert code == 0 and record_of(out)["pass"] is True
 
     def test_quantitative_failure_is_two(self, capsys):
         # a pass window far narrower than one SE flips the verdict, not the exit path
@@ -533,7 +531,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("n_set", ["0", "-2", "2,0"])
     def test_n_set_below_one_is_one(self, capsys, n_set):
         # n = 0 and negative n once leaked numpy's messages, which named no field
-        code = main(["verify-bound", "--trials", "2", "--samples", "100", "--n-set", n_set])
+        code = main(["verify-bound", "--trials", "2", "--n-set", n_set])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: n_set: must be >= 1")

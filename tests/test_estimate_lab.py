@@ -31,6 +31,7 @@ from sheetsde.estimate_lab import (
     direct_expectation,
     gaussian_factor,
     ibp_expectation,
+    sign_direct_expectation,
     verify_identity,
 )
 from sheetsde.ibp_engine import (
@@ -123,6 +124,30 @@ class TestDavieBound:
 
     def test_zero_drift(self):
         assert davie_bound(uniform_spec((1, 2)), 0.0) == 0.0
+
+
+class TestSignDirectExpectation:
+    @pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.05, 0.9), (0.3, 0.07), (2.5, 0.4)])
+    def test_one_point_is_the_density_at_zero(self, s, t):
+        # b' = 2 delta_0 against N(0, s t)
+        spec = PermutationSpec(1, (1,), (s,), (t,))
+        assert sign_direct_expectation(spec) == pytest.approx(2.0 / math.sqrt(2.0 * math.pi * s * t),
+                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_erf_limit_on_every_sigma(self, n):
+        # b = erf(x / w) has b' = 2 N(0, w^2 / 2), a Gaussian factor the tilted moment takes
+        # exactly; it tends to b = sign at O(w^2), a relative 1.6e-3 at w = 1e-2 and 1.6e-7 at
+        # w = 1e-4 over these sigma, while a missing 2^n or det(S) for sqrt(det S) is off by O(1)
+        w = 1e-4
+        for sigma in itertools.permutations(range(1, n + 1)):
+            spec = uniform_spec(sigma)
+            cells = span(spec)
+            erf = _tilted_moments(staircase(spec, cells)[None], spec_variances(spec, cells),
+                                  (2.0 / (w * math.sqrt(math.pi)), 0.0, w / math.sqrt(2.0)),
+                                  np.zeros((1, 0, len(cells))))[0]
+            exact = sign_direct_expectation(spec)
+            assert abs(erf - exact) <= 1e-6 * exact, sigma
 
 
 class TestAbsGradientL1:

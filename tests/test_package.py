@@ -47,7 +47,7 @@ def test_all_is_the_sorted_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert sheetsde.__all__ == public
-    assert len(public) == 55
+    assert len(public) == 56
 
 
 def _constructor_calls(path: Path) -> list[tuple[str, str]]:

@@ -101,30 +101,45 @@ def test_bench_pair_sets_each_move_against_the_aa_spread(tmp_path):
     script = load_script("bench_pair")
     parent = [100.0 + k for k in range(10)]
 
-    def summary(factor):
-        pairs = [{"seed": k, "parent": {"metrics": {"ops_per_s": p, "peak_rss_mb": 50.0}},
-                  "change": {"metrics": {"ops_per_s": p * factor, "peak_rss_mb": 50.0}}}
-                 for k, p in enumerate(parent)]
-        return script.summarise(pairs, {"ops_per_s": "higher", "peak_rss_mb": "lower"})
+    def runs(factors, rss=50.0):
+        return [{"seed": k, "parent": {"metrics": {"ops_per_s": p, "peak_rss_mb": 50.0}},
+                 "change": {"metrics": {"ops_per_s": p * f, "peak_rss_mb": rss}}}
+                for k, (p, f) in enumerate(zip(parent, factors))]
 
-    aa = {"metrics": {"ops_per_s": {"median_log_ratio": -0.02}, "peak_rss_mb": {"median_log_ratio": None}}}
-    # a 3% move clears a 2% A/A spread, a 1% move (either way) does not
+    def summary(factor):
+        return script.summarise(runs([factor] * 10), {"ops_per_s": "higher", "peak_rss_mb": "lower"})
+
+    # A/A pairs whose log ratios have quartiles -0.02 and 0.01 (inclusive method) and median
+    # -0.005: a move must clear the larger quartile, 0.02, not the A/A median
+    aa_logs = [-0.04, -0.03, -0.02, -0.02, -0.01, 0.0, 0.01, 0.01, 0.02, 0.03]
+    (tmp_path / "BENCH_AA.json").write_text(json.dumps({"workloads": {"weak_mc": {
+        "summary": {}, "runs": runs([math.exp(x) for x in aa_logs])}}}))
+    aa = script.aa_log_quartiles(tmp_path)["weak_mc"]
+    assert aa["ops_per_s"] == pytest.approx([-0.02, 0.01])
+    assert "peak_rss_mb" in aa
     for factor, beyond in ((1.03, True), (1 / 1.03, True), (1.01, False), (0.99, False)):
         moved = summary(factor)
         script.compare_with_aa(moved, aa)
         ops = moved["metrics"]["ops_per_s"]
-        assert ops["aa_abs_median_log_ratio"] == 0.02
+        assert ops["aa_log_quartiles"] == aa["ops_per_s"]
         assert ops["beyond_aa"] is beyond
-        assert moved["metrics"]["peak_rss_mb"]["beyond_aa"] is None
+    # a quantised metric: A/A quartiles 0 and 0.01 with the median at 0; a 0.5% move
+    # cleared |A/A median| but stays inside the quartiles
+    rss_aa = {"peak_rss_mb": [0.0, 0.01]}
+    moved = script.summarise(runs([1.0] * 10, rss=50.25), {"peak_rss_mb": "lower"})
+    script.compare_with_aa(moved, rss_aa)
+    assert moved["metrics"]["peak_rss_mb"]["beyond_aa"] is False
     # a metric the A/A run lacks has no spread to clear
     moved = summary(1.03)
     script.compare_with_aa(moved, {})
     assert moved["metrics"]["ops_per_s"]["beyond_aa"] is None
+    assert moved["metrics"]["ops_per_s"]["aa_log_quartiles"] is None
     # the spread is read from the change tree's BENCH_AA.json, when it has one
-    assert script.aa_summaries(tmp_path) == {}
-    (tmp_path / "BENCH_AA.json").write_text(json.dumps({"workloads": {"weak_mc": {"summary": aa, "runs": []}}}))
-    assert script.aa_summaries(tmp_path) == {"weak_mc": aa}
-    assert script.aa_summaries(ROOT)["derivatives"]["metrics"]["ops_per_s"]["median_log_ratio"] is not None
+    assert script.aa_log_quartiles(tmp_path / "absent") == {}
+    committed = script.aa_log_quartiles(ROOT)
+    assert sorted(committed) == sorted(script.SEEDS)
+    q1, q3 = committed["derivatives"]["ops_per_s"]
+    assert q1 <= q3
 
 
 def test_bench_pair_marks_a_directory_against_a_revision(tmp_path):
