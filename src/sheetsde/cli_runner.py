@@ -315,7 +315,7 @@ def _build_spec(p: dict) -> PermutationSpec:
     for name in ("s_times", "t_times"):
         if len(p[name] or ()) != n:
             raise ConfigError(name, f"need {n} values in each of s_times and t_times")
-    return PermutationSpec(n, sigma, p["s_times"], p["t_times"])
+    return PermutationSpec(sigma, p["s_times"], p["t_times"])
 
 
 def _estimate_dict(est) -> dict:
@@ -366,8 +366,7 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
 def _run_verify_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     """Check direct vs expanded expectation and the product bound."""
     spec = _build_spec(p)
-    factor = gaussian_factor() if p["method"] == "exact" else bump_factor(
-        scale=p["bump_scale"], width=p["bump_width"], center=p["bump_center"])
+    factor = gaussian_factor() if p["method"] == "exact" else bump_factor(width=2.5, center=0.25)
     report = verify_identity(spec, factor, method=p["method"], budget=p["samples"],
                              seed=p["seed"], se_width=p["se_width"])
     outputs = {
@@ -395,7 +394,7 @@ def _run_verify_bound(p: dict) -> tuple[dict, Optional[bool]]:
         sigma = tuple(int(v) for v in rng.permutation(n) + 1)
         s_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
         t_times = tuple(np.sort(rng.uniform(0.05, 1.0, n)))
-        spec = PermutationSpec(n, sigma, s_times, t_times)
+        spec = PermutationSpec(sigma, s_times, t_times)
         exact, bound = sign_direct_expectation(spec), davie_bound(spec, 1.0)
         max_ratio[n] = max(exact / bound, max_ratio[n] or 0.0)
         if exact > bound:
@@ -554,11 +553,8 @@ COMMANDS: dict[str, Command] = {
         Param("t_times", None, _parse_float_list, "Comma-separated t times; default k/n."),
         dataclasses.replace(_SAMPLES, default="200000"),
         Param("method", "mc", _Choice(("mc", "exact")),
-              "exact: closed form on gaussian_factor(); the --bump-* flags set mc's bump."),
+              "mc: bump_factor(width=2.5, center=0.25); exact: closed form on gaussian_factor()."),
         _SE_WIDTH,
-        Param("bump_scale", 1.0, _parse_float),
-        Param("bump_width", 2.5, _parse_float),
-        Param("bump_center", 0.25, _parse_float),
     )),
     "verify-bound": Command(_run_verify_bound, (
         Param("trials", 50, _parse_count),

@@ -343,7 +343,10 @@ def sign_direct_expectation(spec: PermutationSpec) -> float:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Direct vs expanded estimate and the product bound for one scheme."""
+    """Direct vs expanded estimate and the product bound for one scheme.
+
+    bound_ok is a smoke check; verify-bound's exact sweep checks the bound with power.
+    """
 
     direct: McEstimate
     ibp: McEstimate

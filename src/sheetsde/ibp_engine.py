@@ -39,9 +39,8 @@ class EmptySelectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PermutationSpec:
-    """Points (s_i, t_sigma(i)), i = 1..n, with strictly increasing times."""
+    """Points (s_i, t_sigma(i)), i = 1..n, with strictly increasing times; n = len(sigma)."""
 
-    n: int
     sigma: tuple[int, ...]
     s_times: tuple[float, ...]
     t_times: tuple[float, ...]
@@ -50,8 +49,8 @@ class PermutationSpec:
         object.__setattr__(self, "sigma", tuple(int(v) for v in self.sigma))
         object.__setattr__(self, "s_times", tuple(float(v) for v in self.s_times))
         object.__setattr__(self, "t_times", tuple(float(v) for v in self.t_times))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not self.sigma:
+            raise ValueError("sigma must not be empty")
         if sorted(self.sigma) != list(range(1, self.n + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{self.n}, got {self.sigma}")
         for name, times in (("s_times", self.s_times), ("t_times", self.t_times)):
@@ -65,12 +64,15 @@ class PermutationSpec:
                     )
                 prev = v
 
+    @property
+    def n(self) -> int:
+        return len(self.sigma)
+
 
 def uniform_spec(sigma: Sequence[int], horizon: float = 1.0) -> PermutationSpec:
     """Spec with equally spaced times on (0, horizon]: the knots 1..n of uniform_grid."""
-    n = len(sigma)
-    times = tuple(np.linspace(0.0, horizon, n + 1)[1:])
-    return PermutationSpec(n, tuple(sigma), times, times)
+    times = tuple(np.linspace(0.0, horizon, len(sigma) + 1)[1:])
+    return PermutationSpec(sigma, times, times)
 
 
 def crossing_set(spec: PermutationSpec) -> tuple[int, ...]:

@@ -246,6 +246,7 @@ def solve_picard(drift: DriftField, x0, sheet: SheetSample,
                  initial: Optional[SolutionField] = None) -> tuple[SolutionField, int]:
     """Fixed point of the integral map with drift read at upper-right states.
 
+    A sweep maps x to x0 + W + cumulative_values(b(x[1:, 1:]) * areas).
     Starts from the driftless field x0 + W (or `initial` when given); zero
     drift converges after a single sweep from the default start.  Returns
     the field and the number of map applications.  Raises
@@ -256,18 +257,15 @@ def solve_picard(drift: DriftField, x0, sheet: SheetSample,
     if sheet.batch_shape:
         raise ValueError(f"solve_picard takes one sheet, got leading sample shape {sheet.batch_shape}")
     _require_dim(drift, sheet)
-    x0v = _as_vector("x0", x0, sheet.dim)
-    w = cumulative_values(sheet.increments)
+    free = _as_vector("x0", x0, sheet.dim) + cumulative_values(sheet.increments)
     areas = sheet.grid.areas()[:, :, None]
 
-    x = x0v + w if initial is None else np.array(initial.values, dtype=float)
-    if x.shape != w.shape:
-        raise ValueError(f"initial field shape {x.shape} does not match grid {w.shape}")
+    x = free if initial is None else np.array(initial.values, dtype=float)
+    if x.shape != free.shape:
+        raise ValueError(f"initial field shape {x.shape} does not match grid {free.shape}")
     for sweep in range(1, max_iter + 1):
-        b_vals = drift.eval(x[1:, 1:])
-        cum = np.cumsum(np.cumsum(b_vals * areas, axis=0), axis=1)
-        x_new = x0v + w
-        x_new[1:, 1:] += cum
+        x_new = cumulative_values(drift.eval(x[1:, 1:]) * areas)
+        x_new += free
         err = float(np.max(np.abs(x_new - x)))
         if not math.isfinite(err):  # a non-finite map never converges
             _require_finite("picard", x_new)

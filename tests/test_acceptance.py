@@ -134,37 +134,45 @@ def test_criterion_03_ibp_identity_exact_and_mc():
         gauss = gaussian_factor()
         worst_rel = 0.0
         n_checked = 0
+        # the bound half's power: the largest |ibp| / bound per n
+        bound_use = [0.0] * 6
         for n in range(1, 7):
             for make_grid in (uniform_grid, geometric_grid):
                 grid = make_grid(n, n, 1.0, 1.0)
                 times = tuple(grid.s_knots[1:n + 1])
                 for sigma in itertools.permutations(range(1, n + 1)):
-                    spec = PermutationSpec(n, sigma, times, times)
+                    spec = PermutationSpec(sigma, times, times)
                     rep = verify_identity(spec, gauss, method="exact")
                     assert rep.identity_ok and rep.bound_ok, (sigma, rep)
                     scale = max(abs(rep.direct.mean), abs(rep.ibp.mean))
                     worst_rel = max(worst_rel, rep.identity_gap / scale)
+                    bound_use[n - 1] = max(bound_use[n - 1], abs(rep.ibp.mean) / rep.bound)
                     n_checked += 1
         assert n_checked == 2 * 873 and worst_rel <= EXACT_REL_TOL
         # MC half, a pipeline smoke test: its tolerance exceeds |E| itself
         worst_se = 0.0
         power = []
+        mc_bound_use = 0.0
         for make_grid in (uniform_grid, geometric_grid):
             grid = make_grid(3, 3, 1.0, 1.0)
             times = tuple(grid.s_knots[1:4])
             for pos, sigma in enumerate(itertools.permutations((1, 2, 3))):
-                spec = PermutationSpec(3, sigma, times, times)
+                spec = PermutationSpec(sigma, times, times)
                 rep = verify_identity(spec, BUMP, method="mc", budget=1_000_000,
                                       seed=(29, 10 * grid.n_s + pos))
                 assert rep.identity_ok and rep.bound_ok, (sigma, rep)
                 worst_se = max(worst_se, 4.0 * rep.identity_gap / rep.identity_tol)
                 power.append(rep.identity_tol / abs(rep.direct.mean))
+                ibp_top = abs(rep.ibp.mean) + 4.0 * rep.ibp.std_error
+                mc_bound_use = max(mc_bound_use, ibp_top / rep.bound)
         state["ok"] = True
         state["detail"] = (
             f"exact: {n_checked // 2} schemes (n<=6) x 2 time sets, worst rel gap {worst_rel:.1e} "
             f"<= {EXACT_REL_TOL:g}; n=3 MC(1e6) pipeline smoke test: worst gap {worst_se:.2f} "
             f"SE <= 4, tol/|direct| {min(power):.1f}-{max(power):.1f} (> 1: a zero expansion "
-            f"would pass)"
+            f"would pass); bound half a smoke check, max |ibp|/bound for n=1..6 "
+            + ", ".join(f"{r:.1e}" for r in bound_use)
+            + f", MC (|ibp|+4 SE)/bound {mc_bound_use:.1e}"
         )
 
 
@@ -183,7 +191,7 @@ def test_criterion_04_product_bound_random_sweep():
         attained = 1.0 / (2.0 * math.sqrt(math.pi))
         assert math.isclose(ratios[0], attained, rel_tol=1e-12)
         for s, t in itertools.product((0.05, 0.3, 0.77, 1.0), repeat=2):
-            spec = PermutationSpec(1, (1,), (s,), (t,))
+            spec = PermutationSpec((1,), (s,), (t,))
             ratio = sign_direct_expectation(spec) / davie_bound(spec, 1.0)
             assert math.isclose(ratio, attained, rel_tol=1e-12), (s, t)
         state["ok"] = True
@@ -291,20 +299,22 @@ def test_criterion_08_solver_exactness_and_mesh_order():
 
         fine = sample(uniform_grid(128, 128, 1.0, 1.0), dim=1, seed=23)
         drift = tanh_drift(0.8, 1.3, 1)
-        hs, errs = [], []
+        cells, errs, sweeps = [], [], []
         for factor in (8, 4, 2, 1):
             piece = coarsen(fine, factor)
-            g = piece.grid
             e = solve_euler(drift, 0.1, piece)
-            p, _ = solve_picard(drift, 0.1, piece)
-            hs.append(1.0 / g.n_s)
+            p, n_sweeps = solve_picard(drift, 0.1, piece)
+            cells.append(piece.grid.n_s)
             errs.append(float(np.max(np.abs(e.values - p.values))))
-        slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+            sweeps.append(n_sweeps)
+        slope = float(np.polyfit(np.log(1.0 / np.array(cells)), np.log(errs), 1)[0])
         state["ok"] = slope >= 0.9
         state["detail"] = (
             f"driftless error {err_zero:.1e}, constant-drift error {err_const:.1e}, "
-            f"linear-drift corner rel error {err_linear:.1e} <= 1e-12, "
-            f"scheme-gap mesh order {slope:.3f} >= 0.9"
+            f"linear-drift corner rel error {err_linear:.1e} <= 1e-12; "
+            f"Euler-Picard sup gaps {', '.join(f'{gap:.6e}' for gap in errs)} at "
+            f"{', '.join(map(str, cells))} cells per axis, Picard sweeps "
+            f"{', '.join(map(str, sweeps))}, scheme-gap mesh order {slope:.4f} >= 0.9"
         )
 
 

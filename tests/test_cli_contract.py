@@ -36,8 +36,7 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,1", "--method", "exact", "--s-times", "0.125,0.25",
      "--t-times", "0.125,0.25"],
     ["verify-ibp", "--sigma", "2,1,3", "--samples", "1e3", "--seed", "3"],
-    ["verify-ibp", "--sigma", "2,1", "--samples", "1e3", "--bump-scale", "0.5",
-     "--se-width", "1e-9"],
+    ["verify-ibp", "--sigma", "2,1", "--samples", "1e3", "--se-width", "1e-9"],
     ["verify-bound", "--trials", "3", "--n-set", "2"],
     ["verify-shuffle", "--kind", "nabla", "--m", "2", "--k", "1", "--samples", "2000"],
     ["verify-shuffle", "--kind", "lambda", "--n", "1", "--samples", "2000", "--seed", "4"],
@@ -69,6 +68,7 @@ ARGVS = [
     ["verify-ibp", "--sigma", "2,1", "--method", "simpson"],
     ["verify-ibp", "--sigma", "2,1,3", "--method", "quadrature"],
     ["verify-ibp", "--sigma", "2,1", "--nodes", "8"],
+    ["verify-ibp", "--sigma", "2,1", "--bump-width", "1"],
     ["sample-sheet", "--grid", "4by4"],
     ["solve-sde", "--grid", "0x4"],
     ["solve-sde", "--drift", "cubic"],

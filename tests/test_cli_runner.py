@@ -470,12 +470,6 @@ class TestCliExitCodes:
         ])
         assert code == 0
         assert record_of(out)["pass"] is True
-        # a negative bump scale once had a negative sup norm, on which the bound raised;
-        # at n = 2 the sign of b cancels from every product, so the outputs, bound included, agree
-        argv = ["verify-ibp", "--sigma", "2,1", "--samples", "2000"]
-        up, down = (run_cli(capsys, argv + ["--bump-scale", scale]) for scale in ("1", "-1"))
-        assert up[0] == down[0] == 0
-        assert record_of(up[1])["outputs"] == record_of(down[1])["outputs"]
         code, out = run_cli(capsys, ["verify-bound", "--trials", "3", "--n-set", "2"])
         assert code == 0 and record_of(out)["pass"] is True
 

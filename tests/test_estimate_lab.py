@@ -75,9 +75,11 @@ def negated(factor: DriftScalarFactor) -> DriftScalarFactor:
 
 class TestBumpFactor:
     def test_peak_and_sup_norm(self):
-        f = bump_factor(scale=2.0, width=1.0, center=0.3)
-        assert f.b(0.3) == pytest.approx(2.0 / math.e, rel=1e-14)
-        assert f.sup_norm == pytest.approx(2.0 / math.e, rel=1e-14)
+        # a negative scale flips b, never the sup norm, on which davie_bound raises
+        for scale in (2.0, -2.0):
+            f = bump_factor(scale=scale, width=1.0, center=0.3)
+            assert f.b(0.3) == pytest.approx(scale / math.e, rel=1e-14)
+            assert f.sup_norm == pytest.approx(2.0 / math.e, rel=1e-14)
 
     def test_compact_support(self):
         f = bump_factor(width=0.5, center=0.0)
@@ -104,7 +106,7 @@ class TestBumpFactor:
 
 class TestDavieBound:
     def test_unit_times_single_point(self):
-        spec = PermutationSpec(1, (1,), (1.0,), (1.0,))
+        spec = PermutationSpec((1,), (1.0,), (1.0,))
         assert davie_bound(spec, 1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
     def test_power_in_sup_norm(self):
@@ -117,7 +119,7 @@ class TestDavieBound:
         assert davie_bound(tight, 1.0) > davie_bound(wide, 1.0)
 
     def test_inverse_sqrt_gap_product(self):
-        spec = PermutationSpec(2, (1, 2), (0.25, 1.0), (0.5, 1.0))
+        spec = PermutationSpec((1, 2), (0.25, 1.0), (0.5, 1.0))
         gaps = [0.25, 0.75, 0.5, 0.5]
         want = (2.0 * math.sqrt(2.0)) ** 2 * np.prod([g**-0.5 for g in gaps])
         assert davie_bound(spec, 1.0) == pytest.approx(want, rel=1e-12)
@@ -130,7 +132,7 @@ class TestSignDirectExpectation:
     @pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.05, 0.9), (0.3, 0.07), (2.5, 0.4)])
     def test_one_point_is_the_density_at_zero(self, s, t):
         # b' = 2 delta_0 against N(0, s t)
-        spec = PermutationSpec(1, (1,), (s,), (t,))
+        spec = PermutationSpec((1,), (s,), (t,))
         assert sign_direct_expectation(spec) == pytest.approx(2.0 / math.sqrt(2.0 * math.pi * s * t),
                                                               rel=1e-13)
 

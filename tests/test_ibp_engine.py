@@ -135,7 +135,7 @@ class TestSpan:
         assert set(span_cells(spec)) == brute
 
     def test_variances_are_cell_areas(self):
-        spec = PermutationSpec(2, (1, 2), (0.5, 1.0), (0.25, 1.0))
+        spec = PermutationSpec((1, 2), (0.5, 1.0), (0.25, 1.0))
         v = spec_variances(spec, np.array([[1, 1], [2, 2]]))
         assert v == pytest.approx([0.5 * 0.25, 0.5 * 0.75])
 
@@ -253,11 +253,14 @@ class TestShiftLemmas:
 class TestSpecValidation:
     def test_tied_times_rejected(self):
         with pytest.raises(DegenerateGridError):
-            PermutationSpec(2, (1, 2), (0.5, 0.5), (0.5, 1.0))
+            PermutationSpec((1, 2), (0.5, 0.5), (0.5, 1.0))
 
     def test_nonpermutation_rejected(self):
         with pytest.raises(ValueError):
-            PermutationSpec(2, (1, 1), (0.5, 1.0), (0.5, 1.0))
+            PermutationSpec((1, 1), (0.5, 1.0), (0.5, 1.0))
+        # () would pass the permutation test against 1..len(sigma)
+        with pytest.raises(ValueError, match="sigma must not be empty"):
+            PermutationSpec((), (), ())
 
     def test_uniform_spec_times(self):
         spec = uniform_spec((2, 1), horizon=0.5)

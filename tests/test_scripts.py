@@ -1,7 +1,7 @@
 """The study scripts run end to end on tiny inputs.
 
 Each script runs in its own subprocess, so an API change that breaks a
-script fails here.  The three start together when the module's first test
+script fails here.  The two start together when the module's first test
 asks for them, so the module costs about one script's wall time.  The
 benchmark pair script's summary is checked on synthetic runs.
 """
@@ -23,9 +23,6 @@ RUNS = {
     "identity_sweep.py": (
         ["--n", "2", "--mc-budgets", "2000"],
         "sigma,method,budget,direct,ibp,gap,tol,bound,identity_ok,bound_ok", 4),
-    "mesh_order_study.py": (
-        ["--fine", "16", "--levels", "3"],
-        "cells_per_axis,mesh_width,sup_gap,picard_sweeps", 3),
     "girsanov_comparison.py": (
         ["--meshes", "4,8", "--samples", "2000"],
         "mesh,girsanov,girsanov_se,euler,euler_se,gap_se", 2),

@@ -230,6 +230,34 @@ class TestPicard:
             gaps.append(float(np.max(np.abs(e.values - p.values))))
         assert gaps[1] < 0.45 * gaps[0]
 
+    @pytest.mark.parametrize("drift, gate", [
+        (tanh_drift(0.9, 1.1, 1), 1e-10),
+        (tanh_drift(0.9, 1.1, 2), 1e-10),
+        (sign_drift(1), 1e-13),
+    ], ids=["tanh-d1", "tanh-d2", "sign"])
+    def test_fixed_point_matches_per_cell_sums(self, drift, gate):
+        # the map, summed cell by cell from the returned field: X[i, j] =
+        # x0 + W[i, j] + sum over a <= i, b <= j of b(X[a, b]) area[a - 1, b - 1],
+        # the drift of each cell read at its upper-right state.  A fixed point
+        # within tol = 1e-10 meets it to about tol; sign drift, once its signs
+        # settle, meets it to rounding
+        grid = geometric_grid(5, 4)
+        areas = grid.areas()
+        worst = 0.0
+        for seed in range(50):
+            sheet = sample(grid, dim=drift.dim, seed=seed)
+            x = solve_picard(drift, 0.1, sheet)[0].values
+            w = cumulative_values(sheet.increments)
+            b = drift.eval(x)
+            for i in range(grid.n_s + 1):
+                for j in range(grid.n_t + 1):
+                    total = 0.1 + w[i, j]
+                    for a in range(1, i + 1):
+                        for c in range(1, j + 1):
+                            total = total + b[a, c] * areas[a - 1, c - 1]
+                    worst = max(worst, float(np.max(np.abs(x[i, j] - total))))
+        assert worst <= gate
+
 
 class TestMeshOrder:
     def test_scheme_gap_slope(self):
