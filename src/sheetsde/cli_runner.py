@@ -82,6 +82,29 @@ def _json_line(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+@dataclass(frozen=True)
+class RawJSON:
+    """An output value that is already compact JSON text, such as expand-ibp's term list.
+
+    ResultRecord.to_json writes the text verbatim where the value sits; json
+    itself cannot encode it, so it never reaches the record encoder.
+    """
+
+    text: str
+
+
+def _join_object(mapping: dict) -> str:
+    """Compact JSON of a str-keyed dict, writing its RawJSON values verbatim.
+
+    Every other key and value goes through the record encoder, so the bytes
+    equal _json_line of the dict with each RawJSON replaced by its parsed text.
+    """
+    return "{" + ",".join(
+        _ENCODER.encode(key) + ":" + (value.text if isinstance(value, RawJSON) else _ENCODER.encode(value))
+        for key, value in mapping.items()
+    ) + "}"
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -126,7 +149,10 @@ class ResultRecord:
             "pass": self.passed,
             "wall_time_s": self.wall_time_s,
         }
-        return _json_line(record)
+        if not any(isinstance(value, RawJSON) for value in self.outputs.values()):
+            return _json_line(record)
+        record["outputs"] = RawJSON(_join_object(self.outputs))
+        return _join_object(record)
 
     @property
     def exit_code(self) -> int:
@@ -349,16 +375,16 @@ def _run_expand_ibp(p: dict) -> tuple[dict, Optional[bool]]:
     """Emit the signed term list of the rectangle-selection expansion."""
     spec = _build_spec(p)
     terms = expand(spec)
-    term_dicts = terms.to_dicts()
+    text = terms.to_json()
     if p["out"]:
         with open(p["out"], "w") as fh:
-            fh.write(_json_line(term_dicts) + "\n")
+            fh.write(text + "\n")
     return {
         "n": spec.n,
         "sigma": list(spec.sigma),
         "crossing_rows": list(terms.crossing),
         "n_terms": len(terms),
-        "terms": term_dicts,
+        "terms": RawJSON(text),
         "terms_path": p["out"] or None,
     }, None
 

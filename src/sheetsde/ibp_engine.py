@@ -20,6 +20,7 @@ contribute a single gradient cell (i, gamma_i).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -182,18 +183,18 @@ class TermTable:
     def __len__(self) -> int:
         return len(self.sign)
 
-    def to_dicts(self) -> list[dict]:
-        """JSON-ready view per term: K, sign, gradient cells, density cells, drift arguments.
+    def to_json(self) -> str:
+        """The term list as compact JSON: per term K, sign, gradient cells, density cells, drift arguments.
 
-        One pass over the stacked arrays: gradient and density cells are one
-        flat list each, cut per term, of the pairs of one cells.tolist().  The
-        factors' drift arguments take few distinct rows, so each distinct
-        (n, m) argument row, keyed by its packed bits, becomes one list of
-        cells that every factor with that row shares.  Cell pairs and argument
-        lists are thus shared between terms: treat the result as read-only.
+        Written straight from the stacked arrays, with the bytes json's
+        compact encoder (separators "," and ":") gives the list of to_dicts.
+        The text "[r,c]" of each span cell is made once.  The factors' drift
+        arguments take few distinct rows, so each distinct (n, m) argument
+        row, keyed by its packed bits, is rendered once for every factor that
+        has it.  Each term is then one template.
         """
         T, n = self.grad.shape
-        cell = self.cells.tolist().__getitem__
+        cell = [f"[{r},{c}]" for r, c in self.cells.tolist()].__getitem__
         density = np.ones(self.shift.shape, dtype=bool)
         density[np.arange(T)[:, None], self.grad] = False
         b_cells = list(map(cell, self.grad.ravel().tolist()))
@@ -207,19 +208,23 @@ class TermTable:
         distinct = rows[list(where.values())]
         d_cells = list(map(cell, np.nonzero(distinct)[1].tolist()))
         d_ends = np.cumsum(np.count_nonzero(distinct, axis=1)).tolist()
-        arg_sets = {key: d_cells[lo:hi] for key, lo, hi in zip(where, [0] + d_ends, d_ends)}
-        a_sets = list(map(arg_sets.__getitem__, keys))
+        arg_text = {key: "[" + ",".join(d_cells[lo:hi]) + "]" for key, lo, hi in zip(where, [0] + d_ends, d_ends)}
+        a_text = list(map(arg_text.__getitem__, keys))
         e = len(e_cells) // T  # m - n density cells per term
-        return [
-            {
-                "K": list(compress(self.crossing, in_K)),
-                "sign": sign,
-                "B_cells": b_cells[k * n:(k + 1) * n],
-                "E_cells": e_cells[k * e:(k + 1) * e],
-                "b_arg_sets": a_sets[k * n:(k + 1) * n],
-            }
+        term = '{"K":[%s],"sign":%d,"B_cells":[%s],"E_cells":[%s],"b_arg_sets":[%s]}'
+        return "[" + ",".join([
+            term % (
+                ",".join(map(str, compress(self.crossing, in_K))), sign,
+                ",".join(b_cells[k * n:(k + 1) * n]),
+                ",".join(e_cells[k * e:(k + 1) * e]),
+                ",".join(a_text[k * n:(k + 1) * n]),
+            )
             for k, (in_K, sign) in enumerate(zip(self.in_K.tolist(), self.sign.tolist()))
-        ]
+        ]) + "]"
+
+    def to_dicts(self) -> list[dict]:
+        """The parsed term list of to_json: one dict per term, so the two forms cannot differ."""
+        return json.loads(self.to_json())
 
 
 def expand(spec: PermutationSpec) -> TermTable:

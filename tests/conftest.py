@@ -52,6 +52,22 @@ def counting_eval(drift: DriftField, calls: list) -> DriftField:
     return DriftField(drift.name, drift.dim, ev, drift.jacobian, drift.sup_norm)
 
 
+def reference_term_dicts(terms) -> list[dict]:
+    """The term list of an expand TermTable, scanned cell by cell from its stacked arrays."""
+    cells = terms.cells.tolist()
+    dicts = []
+    for k in range(len(terms)):
+        grad = terms.grad[k].tolist()
+        dicts.append({
+            "K": [i for i, inside in zip(terms.crossing, terms.in_K[k].tolist()) if inside],
+            "sign": int(terms.sign[k]),
+            "B_cells": [cells[g] for g in grad],
+            "E_cells": [c for g, c in enumerate(cells) if g not in grad],
+            "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in terms.args[k].tolist()],
+        })
+    return dicts
+
+
 def linear_drift(a: float) -> DriftField:
     """b(x) = a x in one dimension: unbounded, but its Euler chain and
     derivative fields have closed forms on a uniform grid."""

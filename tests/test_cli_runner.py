@@ -9,16 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NoArrays, counting_eval, counting_jacobian
+from conftest import NoArrays, counting_eval, counting_jacobian, reference_term_dicts
 from sheetsde import cli_runner, integrators, sde_plane, shuffle_combinatorics
 from sheetsde.brownian_sheet import cumulative_values, sample, stream
 from sheetsde.cli_runner import (
     ConfigError,
     ExperimentConfig,
+    RawJSON,
     ResultRecord,
     main,
     run,
 )
+from sheetsde.ibp_engine import TermTable, expand, uniform_spec
 from sheetsde.plane_geometry import uniform_grid
 from sheetsde.sde_plane import (
     constant_drift,
@@ -107,9 +109,10 @@ def record_of(out: str) -> dict:
 
 
 def record_dict(rec: ResultRecord) -> dict:
-    """The record's fields under their JSON keys, in record order."""
+    """The record's fields under their JSON keys, in record order; RawJSON outputs parsed."""
+    outputs = {k: json.loads(v.text) if isinstance(v, RawJSON) else v for k, v in rec.outputs.items()}
     return dict(zip(RECORD_KEYS, (rec.schema_version, rec.artifact_version, rec.command, rec.seed,
-                                  rec.inputs, rec.outputs, rec.passed, rec.wall_time_s)))
+                                  rec.inputs, outputs, rec.passed, rec.wall_time_s)))
 
 
 def without_wall_time(text: str) -> str:
@@ -136,7 +139,7 @@ class TestRunApi:
         rec = run(ExperimentConfig("expand-ibp", {"sigma": "2,1,3"}))
         assert rec.outputs["n_terms"] == 4
         assert rec.outputs["crossing_rows"] == [1, 2]
-        signs = [t["sign"] for t in rec.outputs["terms"]]
+        signs = [t["sign"] for t in json.loads(rec.outputs["terms"].text)]
         assert signs == [-1, 1, 1, -1]
 
     def test_verify_ibp_exact(self):
@@ -681,3 +684,24 @@ class TestCliBehavior:
         assert {t["sign"] for t in terms} == {-1, 1}
         # the file holds the record's terms array in the same one-line form
         assert text == json.dumps(record_of(out)["outputs"]["terms"], separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_expand_term_bytes_match_encoder(self, tmp_path, n):
+        # the record and the --out file write TermTable.to_json verbatim; for every
+        # sigma their bytes must be the record encoder's for the cell-by-cell dict form
+        path = tmp_path / "terms.json"
+        for sigma in itertools.permutations(range(1, n + 1)):
+            rec = run(ExperimentConfig("expand-ibp", {"sigma": ",".join(map(str, sigma)), "out": str(path)}))
+            dicts = reference_term_dicts(expand(uniform_spec(sigma)))
+            want = dict(record_dict(rec), outputs=dict(rec.outputs, terms=dicts))
+            assert rec.to_json() == cli_runner._ENCODER.encode(want), sigma
+            assert path.read_text() == cli_runner._ENCODER.encode(dicts) + "\n", sigma
+
+    def test_expand_renders_terms_once(self, capsys, tmp_path, monkeypatch):
+        # one op writes the same text to the record and the --out file
+        calls = []
+        to_json = TermTable.to_json
+        monkeypatch.setattr(TermTable, "to_json", lambda self: calls.append(self) or to_json(self))
+        code, _ = run_cli(capsys, ["expand-ibp", "--sigma", "2,4,1,3", "--out", str(tmp_path / "t.json")])
+        assert code == 0
+        assert len(calls) == 1

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_term_dicts
 from sheetsde.ibp_engine import (
     PermutationSpec,
     crossing_set,
@@ -206,23 +207,14 @@ class TestExpand:
 
     @pytest.mark.parametrize("sigma", ROW_VIEW_SIGMAS)
     def test_dicts_match_row_views(self, sigma):
-        # the one-pass serializer, which shares one list per distinct drift-argument
-        # row, against a cell-by-cell scan of each term's rows of the stacked arrays
+        # the one-pass writer, which renders each distinct drift-argument row once,
+        # against a cell-by-cell scan of each term's rows of the stacked arrays
         terms = expand(uniform_spec(sigma))
-        cells = terms.cells.tolist()
         if sigma in WIDE_SIGMAS:
-            rows = np.unique(terms.args.reshape(-1, len(cells)), axis=0)
+            rows = np.unique(terms.args.reshape(-1, len(terms.cells)), axis=0)
             merged = len(rows) - len(np.unique(rows[:, :64], axis=0))
-            assert (len(terms), len(cells), merged) == WIDE_SIGMAS[sigma]
-        for k, d in enumerate(terms.to_dicts()):
-            grad = terms.grad[k].tolist()
-            assert d == {
-                "K": [i for i, inside in zip(terms.crossing, terms.in_K[k].tolist()) if inside],
-                "sign": int(terms.sign[k]),
-                "B_cells": [cells[g] for g in grad],
-                "E_cells": [c for g, c in enumerate(cells) if g not in grad],
-                "b_arg_sets": [[c for c, a in zip(cells, row) if a] for row in terms.args[k].tolist()],
-            }
+            assert (len(terms), len(terms.cells), merged) == WIDE_SIGMAS[sigma]
+        assert terms.to_dicts() == reference_term_dicts(terms)
 
     def test_table_reproduces_pinned_gamma_tau_shift(self):
         # the term dicts omit gamma, tau and shift; these digests pin them

@@ -259,22 +259,6 @@ class TestPicard:
         assert worst <= gate
 
 
-class TestMeshOrder:
-    def test_scheme_gap_slope(self):
-        fine = sample(uniform_grid(64, 64, 1.0, 1.0), dim=1, seed=23)
-        drift = tanh_drift(0.8, 1.3, 1)
-        hs, errs = [], []
-        for factor in (4, 2, 1):
-            sheet = coarsen(fine, factor)
-            grid = sheet.grid
-            e = solve_euler(drift, 0.1, sheet)
-            p, _ = solve_picard(drift, 0.1, sheet)
-            hs.append(1.0 / grid.n_s)
-            errs.append(float(np.max(np.abs(e.values - p.values))))
-        slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-        assert slope >= 0.7
-
-
 def tanh_matrix_drift(m) -> DriftField:
     """b(x) = tanh(Mx); its Jacobian sech^2(Mx) M is not symmetric unless M is."""
     m = np.asarray(m, dtype=float)
