@@ -187,11 +187,12 @@ class TermTable:
         """The term list as compact JSON: per term K, sign, gradient cells, density cells, drift arguments.
 
         Written straight from the stacked arrays, with the bytes json's
-        compact encoder (separators "," and ":") gives the list of to_dicts.
-        The text "[r,c]" of each span cell is made once.  The factors' drift
-        arguments take few distinct rows, so each distinct (n, m) argument
-        row, keyed by its packed bits, is rendered once for every factor that
-        has it.  Each term is then one template.
+        compact encoder (separators "," and ":") gives for the list of term
+        dicts {"K", "sign", "B_cells", "E_cells", "b_arg_sets"}.  The text
+        "[r,c]" of each span cell is made once.  The factors' drift arguments
+        take few distinct rows, so each distinct (n, m) argument row, keyed
+        by its packed bits, is rendered once for every factor that has it.
+        Each term is then one template.
         """
         T, n = self.grad.shape
         cell = [f"[{r},{c}]" for r, c in self.cells.tolist()].__getitem__
